@@ -31,33 +31,33 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench Derive -benchtime 1x .
 
 # Full engine benchmarks with allocation figures, then the quotbench JSON
-# trajectory into BENCH_pr4.json: all three pipelines over the families the
-# eager engines can still finish, then the big instances (chain(7), ring(5),
-# chaindrop(6)) under the engines that survive them, with a per-derivation
-# cap so a regression shows up as timed_out=true instead of a hung build.
+# trajectory into BENCH_pr4.json: both pipelines over the families the
+# eager engine can still finish, then the big instances (chain(7), ring(5),
+# chaindrop(6)) under the lazy engine alone, with a per-derivation cap so a
+# regression shows up as timed_out=true instead of a hung build.
 # BENCH_pr3.json is the frozen PR3 baseline — never appended to.
 # EXPERIMENTS.md explains how to read both files.
 bench:
 	$(GO) test -run '^$$' -bench 'Derive|Compose' -benchmem .
 	$(GO) run ./cmd/quotbench -label pr4 \
 		-families 'chain(4),chain(5),chain(6),chaindrop(4),chaindrop(5),ring(2),ring(3)' \
-		-engine spec,indexed,lazy -workers 1,2 -reps 6 -derivetimeout 60s \
+		-engine spec,lazy -workers 1,2 -reps 6 -derivetimeout 60s \
 		-out BENCH_pr4.json
 	$(GO) run ./cmd/quotbench -label pr4 \
 		-families 'chain(7),chaindrop(6),ring(4),ring(5)' \
-		-engine indexed,lazy -workers 1,2 -reps 6 -derivetimeout 30s \
+		-engine lazy -workers 1,2 -reps 6 -derivetimeout 30s \
 		-append -out BENCH_pr4.json
 
 # The million-state frontier trajectory into BENCH_pr8.json: the new
-# BenchFamilies tail (chain(8), chaindrop(7), ring(6)) under both surviving
-# engines, then chain(9) — a ~1M-state product — lazy-only. Hard per-
+# BenchFamilies tail (chain(8), chaindrop(7), ring(6)) under the lazy
+# engine, then chain(9) — a ~1M-state product — and chain(10). Hard per-
 # derivation caps keep a regression visible as timed_out=true instead of a
 # hung build. EXPERIMENTS.md reads this file.
 bench-frontier:
 	rm -f BENCH_pr9.json
 	$(GO) run ./cmd/quotbench -label pr9 \
 		-families 'chain(8),chaindrop(7),ring(6)' \
-		-engine indexed,lazy -workers 1,2 -reps 3 -derivetimeout 60s \
+		-engine lazy -workers 1,2 -reps 3 -derivetimeout 60s \
 		-out BENCH_pr9.json
 	$(GO) run ./cmd/quotbench -label pr9 \
 		-families 'chain(9)' \
@@ -129,18 +129,20 @@ bench-convrt:
 	$(GO) run ./cmd/convrt -sessions 2000 -steps 500 -seed 1 -no-conform \
 		-bench-out BENCH_pr10.json -label pr10-paper-noconform
 
-# Short fuzzing bursts over the wire decoder, the DSL parser, and the
-# canonical-form hasher: enough to catch regressions in frame
-# bounds-checking, grammar handling, and hash stability without slowing the
-# gate down. Longer campaigns: raise -fuzztime manually.
+# Short fuzzing bursts over the wire decoder, the DSL parser, the
+# canonical-form hasher, and the compiled-table decoder: enough to catch
+# regressions in frame bounds-checking, grammar handling, hash stability,
+# and table-header bounds without slowing the gate down. Longer campaigns:
+# raise -fuzztime manually.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/convrt
 
 # The randomized differential gate: a fixed-seed protosmith campaign across
-# all three engine pipelines at workers 1, 2, and 4, cross-checked against
+# both engine pipelines at workers 1, 2, and 4, cross-checked against
 # the sat checker, the raw-edge oracles, and the baseline candidate probes.
 # Fails (exit 2) on any divergence or malformed generated system; -shrink
 # reduces a failure to a minimal reproducer committed under

@@ -603,9 +603,8 @@ func BenchmarkAblationChannelModel(b *testing.B) {
 
 // --- PR: fused index-space composition and the memoized progress phase ---
 //
-// Each specgen family runs through the three pipelines: eager string-keyed
-// composition feeding Derive ("spec engine"), the fused integer index-space
-// composition feeding DeriveEnv ("indexed engine"), and the demand-driven
+// Each specgen family runs through the two pipelines: eager string-keyed
+// composition feeding Derive ("spec engine"), and the demand-driven
 // composition whose exploration the safety phase drives ("lazy engine"). The
 // quotbench command records the same comparison as committed JSON
 // (BENCH_pr3.json, BENCH_pr4.json); these benchmarks keep it visible to
@@ -619,19 +618,6 @@ func benchFamilySpecEngine(b *testing.B, f specgen.Family) {
 			b.Fatal(err)
 		}
 		if _, err := core.Derive(f.Service, env, core.Options{OmitVacuous: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchFamilyIndexedEngine(b *testing.B, f specgen.Family) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		env, err := compose.IndexedMany(f.Components...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -651,12 +637,8 @@ func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 }
 
 func BenchmarkDeriveChainSpecEngine(b *testing.B)     { benchFamilySpecEngine(b, specgen.Chain(5)) }
-func BenchmarkDeriveChainIndexedEngine(b *testing.B)  { benchFamilyIndexedEngine(b, specgen.Chain(5)) }
 func BenchmarkDeriveChainLazyEngine(b *testing.B)     { benchFamilyLazyEngine(b, specgen.Chain(5)) }
 func BenchmarkDeriveChainDropSpecEngine(b *testing.B) { benchFamilySpecEngine(b, specgen.ChainDrop(4)) }
-func BenchmarkDeriveChainDropIndexedEngine(b *testing.B) {
-	benchFamilyIndexedEngine(b, specgen.ChainDrop(4))
-}
 func BenchmarkDeriveChainDropLazyEngine(b *testing.B) { benchFamilyLazyEngine(b, specgen.ChainDrop(4)) }
 
 // Frontier instances (this PR's BenchFamilies tail): demand-driven engine
@@ -709,36 +691,14 @@ func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
 	}
 }
 
-// Composition alone, eager fold vs fused index space. Ring components share
-// events pairwise around a cycle, the worst case for the left fold's
-// intermediate products.
+// Composition alone, through the eager fold. Ring components share events
+// pairwise around a cycle, the worst case for the left fold's intermediate
+// products.
 func BenchmarkComposeRingEager(b *testing.B) {
 	f := specgen.Ring(3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := compose.Many(f.Components...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkComposeRingIndexed(b *testing.B) {
-	f := specgen.Ring(3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := compose.IndexedMany(f.Components...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// The fused composition at a size the eager fold cannot reach in reasonable
-// time (ring(5) = 30720 composite states; the fold takes minutes).
-func BenchmarkComposeRingIndexedLarge(b *testing.B) {
-	f := specgen.Ring(5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := compose.IndexedMany(f.Components...); err != nil {
 			b.Fatal(err)
 		}
 	}

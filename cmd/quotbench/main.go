@@ -63,14 +63,14 @@ type Run struct {
 	ReadySetRebuilds int `json:"ready_set_rebuilds,omitempty"`
 
 	// Environment-exploration accounting (see core.Metrics). For the lazy
-	// engine ExpandedStates « BStates is the reachable-slice win; for eager
-	// engines both equal BStates.
+	// engine ExpandedStates « BStates is the reachable-slice win; for the
+	// spec engine both equal BStates.
 	EnvStatesExpanded int   `json:"env_states_expanded,omitempty"`
 	EnvStatesTotal    int   `json:"env_states_total,omitempty"`
 	EnvExpansionNs    int64 `json:"env_expansion_ns,omitempty"`
 
-	// Arena/row accounting for the demand-driven engine (zero for eager
-	// engines) and progress-sweep steal counts (zero for workers=1).
+	// Arena/row accounting for the demand-driven engine (zero for the spec
+	// engine) and progress-sweep steal counts (zero for workers=1).
 	ArenaBytes   int64 `json:"arena_bytes,omitempty"`
 	PeakRowBytes int64 `json:"peak_row_bytes,omitempty"`
 	SweepSteals  int   `json:"sweep_steals,omitempty"`
@@ -158,17 +158,6 @@ func runOnce(f specgen.Family, engine string, workers int, timeout time.Duration
 		if err := derive(b); err != nil {
 			return m, err
 		}
-	case "indexed":
-		t0 := time.Now()
-		b, err := compose.IndexedMany(f.Components...)
-		if err != nil {
-			return m, err
-		}
-		m.composeNs = time.Since(t0).Nanoseconds()
-		m.bStates = b.NumStates()
-		if err := derive(b); err != nil {
-			return m, err
-		}
 	case "lazy":
 		t0 := time.Now()
 		b, err := compose.LazyMany(f.Components...)
@@ -194,7 +183,7 @@ func main() {
 		families = flag.String("families", "chain(4),chain(5),chaindrop(4),ring(3)", "comma-separated family instances (see specgen.BenchFamilies)")
 		workers  = flag.String("workers", "1", "comma-separated worker counts")
 		reps     = flag.Int("reps", 3, "repetitions per configuration (minimum is reported)")
-		engines  = flag.String("engine", "spec", "comma-separated engines: spec (string compose + Derive), indexed (fused compose + DeriveEnv), lazy (demand-driven compose fused into the safety phase)")
+		engines  = flag.String("engine", "spec", "comma-separated engines: spec (string compose + Derive), lazy (demand-driven compose fused into the safety phase)")
 		timeout  = flag.Duration("derivetimeout", 0, "per-derivation wall-clock cap (0 = unlimited); a capped run is recorded with timed_out=true")
 		out      = flag.String("out", "", "output JSON file (default stdout)")
 		appendTo = flag.Bool("append", false, "keep existing runs in -out and append")

@@ -188,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MinimizeComponents: *minimizeEnv,
 	}
 	if *verbose {
-		opts.Log = stderr
+		opts.Trace = core.LogAdapter(stderr)
 	}
 	// The content address of this derivation: the same key quotd would
 	// compute for an equivalent POST /v1/derive (Workers deliberately absent

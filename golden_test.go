@@ -50,26 +50,13 @@ func deriveWith(a *Spec, bs []*Spec, opts Options) deriveOutcome {
 	return outcomeOf(res, err)
 }
 
-// deriveIndexedWith derives through the fused index-space pipeline —
-// compose.IndexedMany feeding core.DeriveEnv with no *spec.Spec environment
-// in between. The engine contract is that this path is bit-identical to
-// deriveWith over the eager composition of the same components.
-func deriveIndexedWith(a *Spec, comps []*Spec, opts Options) deriveOutcome {
-	x, err := compose.IndexedMany(comps...)
-	if err != nil {
-		return deriveOutcome{err: err.Error()}
-	}
-	res, err := core.DeriveEnv(a, x, opts)
-	return outcomeOf(res, err)
-}
-
 // deriveLazyWith derives through the demand-driven pipeline —
 // compose.LazyMany feeding core.DeriveEnv, with the safety phase driving
 // environment exploration. Composite state ids under this pipeline depend on
 // demand order (scheduling-dependent when workers > 1), but everything the
 // outcome captures — converter names and structure, statistics, failure
 // messages — is invariant under that renaming, so the comparison against the
-// eager pipelines is still exact.
+// eager pipeline is still exact.
 func deriveLazyWith(a *Spec, comps []*Spec, opts Options) deriveOutcome {
 	x, err := compose.LazyMany(comps...)
 	if err != nil {
@@ -129,11 +116,6 @@ func TestGoldenParallelEqualsSequentialOnSpecs(t *testing.T) {
 				t.Errorf("%s / %s: parallel run differs from sequential:\nseq: %+v\npar: %+v",
 					an, bn, abbreviate(seq), abbreviate(par))
 			}
-			idx := deriveIndexedWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 1})
-			if seq != idx {
-				t.Errorf("%s / %s: indexed pipeline differs from spec pipeline:\nspec: %+v\nidx:  %+v",
-					an, bn, abbreviate(seq), abbreviate(idx))
-			}
 			lz := deriveLazyWith(a, []*Spec{b}, Options{MaxStates: bound, Workers: 1})
 			if seq != lz {
 				t.Errorf("%s / %s: lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",
@@ -184,10 +166,6 @@ func TestGoldenParallelComposedSystems(t *testing.T) {
 					abbreviate(seq), abbreviate(par))
 			}
 			for _, o := range []Options{o1, o4} {
-				if idx := deriveIndexedWith(tc.a, []*Spec{tc.b}, o); seq != idx {
-					t.Errorf("indexed pipeline (workers=%d) differs from spec pipeline:\nspec: %+v\nidx:  %+v",
-						o.Workers, abbreviate(seq), abbreviate(idx))
-				}
 				if lz := deriveLazyWith(tc.a, []*Spec{tc.b}, o); seq != lz {
 					t.Errorf("lazy pipeline (workers=%d) differs from spec pipeline:\nspec: %+v\nlazy: %+v",
 						o.Workers, abbreviate(seq), abbreviate(lz))
@@ -199,10 +177,11 @@ func TestGoldenParallelComposedSystems(t *testing.T) {
 
 // TestGoldenIndexedPaperComponents derives the paper's conversion systems
 // from their raw component lists through both composition pipelines —
-// compose.Many feeding Derive against compose.IndexedMany feeding DeriveEnv
-// — and requires bit-identical outcomes. This is the multi-component
-// counterpart of the single-environment comparisons above: here the fused
-// composition actually exercises tuple interning and pairwise rendezvous.
+// compose.Many feeding Derive against the fused index-space composition
+// (compose.LazyMany) feeding DeriveEnv — and requires bit-identical
+// outcomes. This is the multi-component counterpart of the
+// single-environment comparisons above: here the fused composition actually
+// exercises tuple interning and pairwise rendezvous.
 func TestGoldenIndexedPaperComponents(t *testing.T) {
 	winComps, err := protocols.WindowToNSBComponents(protocols.WindowConfig{Window: 2, Modulus: 3})
 	if err != nil {
@@ -230,11 +209,6 @@ func TestGoldenIndexedPaperComponents(t *testing.T) {
 			for _, w := range []int{1, 4} {
 				opts := Options{OmitVacuous: true, Workers: w}
 				spec := deriveWith(tc.a, []*Spec{b}, opts)
-				idx := deriveIndexedWith(tc.a, tc.comps, opts)
-				if spec != idx {
-					t.Errorf("workers=%d: indexed pipeline differs from spec pipeline:\nspec: %+v\nidx:  %+v",
-						w, abbreviate(spec), abbreviate(idx))
-				}
 				lz := deriveLazyWith(tc.a, tc.comps, opts)
 				if spec != lz {
 					t.Errorf("workers=%d: lazy pipeline differs from spec pipeline:\nspec: %+v\nlazy: %+v",

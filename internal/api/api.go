@@ -56,16 +56,17 @@ type SpecSource struct {
 // participate in the cache key: OmitVacuous, SafetyOnly, MaxStates,
 // MinimizeEnv, Normalize, Prune, Minimize. Workers and Engine are excluded
 // because the engine's outcome is bit-identical for every worker count and
-// for the lazy/indexed/eager pipelines alike (the golden differential
-// suites pin this); TimeoutMS and the artifact selectors (IncludeDOT,
+// for the lazy and eager pipelines alike (the golden differential suites
+// pin this); TimeoutMS and the artifact selectors (IncludeDOT,
 // IncludeGo, GoPackage) are excluded because they do not change the
 // converter, only how much of it is rendered into the response.
 type DeriveOptions struct {
 	// Workers is the engine worker count for the safety phase; 0 means the
 	// server default. The result is bit-identical for every value.
 	Workers int `json:"workers,omitempty"`
-	// Engine selects the composition pipeline when Components are given:
-	// "lazy" (default, demand-driven) or "indexed" (eager index-space).
+	// Engine names the composition pipeline for Components. The server
+	// accepts "", "lazy" and "indexed" and runs the demand-driven (lazy)
+	// pipeline for all three; any other value is a bad request.
 	Engine string `json:"engine,omitempty"`
 	// Normalize determinizes the service first if it is not in normal form;
 	// without it a non-normal service is a bad request.

@@ -1,7 +1,7 @@
-// Shared tuple interning for the two fused composition engines.
+// Tuple interning for the demand-driven composition.
 //
-// Both IndexedMany and LazyMany assign composite state ids by interning the
-// component-state tuple of each discovered state. The key scheme is tiered:
+// LazyMany assigns composite state ids by interning the component-state
+// tuple of each discovered state. The key scheme is tiered:
 //
 //   - mixed-radix uint64 key + paged direct-mapped array when the full
 //     product count is at most denseInternLimit: one indexed load per
@@ -12,9 +12,6 @@
 //     exceeds the dense limit;
 //   - string key over the raw tuple bytes when the product overflows uint64
 //     entirely (dozens of components).
-//
-// Keeping the logic here, instead of duplicated in each engine, is what
-// guarantees the two engines agree on state identity.
 package compose
 
 // internPageShift sizes the dense-intern pages: 1<<16 int32 entries =
@@ -60,7 +57,7 @@ func newTupleIntern(tb *compTables, numStates []int) *tupleIntern {
 // intern returns the id of the composite state with the given component
 // tuple. If the tuple is new it is assigned the id next and isNew is true
 // (the caller records the tuple under that id). Not safe for concurrent
-// use; Lazy serializes on its mutex, IndexedMany is single-threaded.
+// use; Lazy serializes on its mutex.
 func (ti *tupleIntern) intern(tuple []int32, next int32) (id int32, isNew bool) {
 	if ti.radixOK {
 		key := uint64(0)

@@ -3,22 +3,111 @@ package compose
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"protoquot/internal/spec"
 )
 
-// assertLazyMatchesIndexed saturates a demand-driven composition and asserts
-// it is name-isomorphic to the fused eager sweep over the same components.
-// Lazy state ids follow demand order rather than BFS order, so the
-// comparison goes through namedListing, which is invariant under
-// renumbering.
-func assertLazyMatchesIndexed(t *testing.T, comps ...*spec.Spec) *Lazy {
+// namedListing renders a machine as its sorted set of named transitions
+// plus header lines — a canonical form that is invariant under state
+// renumbering, which is exactly the freedom LazyMany has relative to the
+// left fold.
+type namedMachine interface {
+	Name() string
+	NumStates() int
+	Init() spec.State
+	Alphabet() []spec.Event
+	ExtEdges(spec.State) []spec.ExtEdge
+	IntEdges(spec.State) []spec.State
+	StateName(spec.State) string
+}
+
+func namedListing(m namedMachine) string {
+	var lines []string
+	for st := 0; st < m.NumStates(); st++ {
+		from := m.StateName(spec.State(st))
+		for _, ed := range m.ExtEdges(spec.State(st)) {
+			lines = append(lines, fmt.Sprintf("%s -%s-> %s", from, ed.Event, m.StateName(ed.To)))
+		}
+		for _, t := range m.IntEdges(spec.State(st)) {
+			lines = append(lines, fmt.Sprintf("%s --> %s", from, m.StateName(t)))
+		}
+	}
+	sort.Strings(lines)
+	evs := make([]string, len(m.Alphabet()))
+	for i, e := range m.Alphabet() {
+		evs[i] = string(e)
+	}
+	header := []string{
+		"name " + m.Name(),
+		"init " + m.StateName(m.Init()),
+		"events " + strings.Join(evs, " "),
+		fmt.Sprintf("states %d", m.NumStates()),
+	}
+	return strings.Join(append(header, lines...), "\n")
+}
+
+// indexedListing renders a Lazy through its index-level surface — Rows,
+// whose Edge.Ev indexes Alphabet() — in namedListing's format, so it
+// compares directly against namedListing of any machine. Like namedListing,
+// it re-reads NumStates every iteration, so the walk saturates the product.
+// It also checks the row contract the fused deriver relies on: external
+// edges strictly increasing in (Ev, To), internal successors strictly
+// ascending, and every index in range.
+func indexedListing(t *testing.T, lz *Lazy) string {
 	t.Helper()
-	x, err := IndexedMany(comps...)
+	alpha := lz.Alphabet()
+	var lines []string
+	for st := 0; st < lz.NumStates(); st++ {
+		from := lz.StateName(spec.State(st))
+		ext, intl := lz.Rows(spec.State(st))
+		for i, ed := range ext {
+			if ed.Ev < 0 || int(ed.Ev) >= len(alpha) || ed.To < 0 || int(ed.To) >= lz.NumStates() {
+				t.Fatalf("state %d: edge %+v out of range", st, ed)
+			}
+			if i > 0 && (ext[i-1].Ev > ed.Ev || ext[i-1].Ev == ed.Ev && ext[i-1].To >= ed.To) {
+				t.Fatalf("state %d: external row not strictly sorted by (Ev, To): %v", st, ext)
+			}
+			lines = append(lines, fmt.Sprintf("%s -%s-> %s", from, alpha[ed.Ev], lz.StateName(spec.State(ed.To))))
+		}
+		for i, to := range intl {
+			if to < 0 || int(to) >= lz.NumStates() {
+				t.Fatalf("state %d: internal successor %d out of range", st, to)
+			}
+			if i > 0 && intl[i-1] >= to {
+				t.Fatalf("state %d: internal row not strictly ascending: %v", st, intl)
+			}
+			lines = append(lines, fmt.Sprintf("%s --> %s", from, lz.StateName(spec.State(to))))
+		}
+	}
+	sort.Strings(lines)
+	evs := make([]string, len(alpha))
+	for i, e := range alpha {
+		evs[i] = string(e)
+	}
+	header := []string{
+		"name " + lz.Name(),
+		"init " + lz.StateName(lz.Init()),
+		"events " + strings.Join(evs, " "),
+		fmt.Sprintf("states %d", lz.NumStates()),
+	}
+	return strings.Join(append(header, lines...), "\n")
+}
+
+// assertLazyMatchesMany saturates a demand-driven composition and asserts
+// it is name-isomorphic to the left fold over the same components: same
+// composite name, init name, alphabet, state count, and set of named
+// transitions. Lazy state ids follow demand order rather than the fold's,
+// so the comparison goes through namedListing, which is invariant under
+// renumbering.
+func assertLazyMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
+	t.Helper()
+	eager, err := Many(comps...)
 	if err != nil {
-		t.Fatalf("IndexedMany: %v", err)
+		t.Fatalf("Many: %v", err)
 	}
 	lz, err := LazyMany(comps...)
 	if err != nil {
@@ -26,13 +115,13 @@ func assertLazyMatchesIndexed(t *testing.T, comps ...*spec.Spec) *Lazy {
 	}
 	// namedListing re-reads NumStates every iteration and ExtEdges/IntEdges
 	// expand on demand, so walking the listing saturates the product.
-	if got, want := namedListing(lz), namedListing(x); got != want {
-		t.Fatalf("lazy composition differs from indexed sweep\n--- lazy ---\n%.2000s\n--- indexed ---\n%.2000s", got, want)
+	if got, want := namedListing(lz), namedListing(eager); got != want {
+		t.Fatalf("lazy composition differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
 	}
 	exp, disc, _ := lz.ExpansionStats()
-	if exp != disc || disc != x.NumStates() {
+	if exp != disc || disc != eager.NumStates() {
 		t.Fatalf("saturated lazy stats = %d expanded / %d discovered, want both = %d reachable",
-			exp, disc, x.NumStates())
+			exp, disc, eager.NumStates())
 	}
 	// The materialized Spec must agree with the Lazy view it came from.
 	ls, err := lz.Spec()
@@ -45,55 +134,156 @@ func assertLazyMatchesIndexed(t *testing.T, comps ...*spec.Spec) *Lazy {
 	return lz
 }
 
-func TestLazyMatchesIndexedBasic(t *testing.T) {
+// assertIndexedMatchesMany is assertLazyMatchesMany for the index-level
+// surface: a fresh LazyMany is saturated through Rows alone, never through
+// ExtEdges/IntEdges, and its indexedListing must equal the left fold's
+// namedListing.
+func assertIndexedMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
+	t.Helper()
+	eager, err := Many(comps...)
+	if err != nil {
+		t.Fatalf("Many: %v", err)
+	}
+	lz, err := LazyMany(comps...)
+	if err != nil {
+		t.Fatalf("LazyMany: %v", err)
+	}
+	if got, want := indexedListing(t, lz), namedListing(eager); got != want {
+		t.Fatalf("indexed rows differ from eager fold\n--- indexed ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+	}
+	exp, disc, _ := lz.ExpansionStats()
+	if exp != disc || disc != eager.NumStates() {
+		t.Fatalf("saturated lazy stats = %d expanded / %d discovered, want both = %d reachable",
+			exp, disc, eager.NumStates())
+	}
+	return lz
+}
+
+func chanSpec(name, send, recv string) *spec.Spec {
+	b := spec.NewBuilder(name)
+	b.Init("e").Ext("e", spec.Event(send), "f").Ext("f", spec.Event(recv), "e")
+	return b.MustBuild()
+}
+
+// basicSystems is a sender alone, the sender with one channel, and a
+// sender–channel–channel–receiver chain.
+func basicSystems() [][]*spec.Spec {
 	snd := spec.NewBuilder("snd")
 	snd.Init("s0").Ext("s0", "acc", "s1").Ext("s1", "-x", "s0")
 	rcv := spec.NewBuilder("rcv")
 	rcv.Init("r0").Ext("r0", "+y", "r1").Ext("r1", "del", "r0")
-	cases := [][]*spec.Spec{
+	return [][]*spec.Spec{
 		{snd.MustBuild()},
 		{snd.MustBuild(), chanSpec("C", "-x", "+x")},
 		{snd.MustBuild(), chanSpec("C", "-x", "+x"), chanSpec("D", "-y", "+y"), rcv.MustBuild()},
 	}
-	for _, comps := range cases {
-		lz := assertLazyMatchesIndexed(t, comps...)
+}
+
+// randomSystem draws 2–4 random components wired through fresh channel
+// alphabets, with private events and internal moves.
+func randomSystem(rng *rand.Rand) []*spec.Spec {
+	k := 2 + rng.Intn(3)
+	comps := make([]*spec.Spec, k)
+	for i := range comps {
+		b := spec.NewBuilder(fmt.Sprintf("m%d", i))
+		n := 2 + rng.Intn(3)
+		for s := 0; s < n; s++ {
+			b.State(fmt.Sprintf("q%d", s))
+		}
+		b.Init("q0")
+		// Private events.
+		for s := 0; s < n; s++ {
+			if rng.Intn(2) == 0 {
+				b.Ext(fmt.Sprintf("q%d", s), spec.Event(fmt.Sprintf("p%d.%d", i, s)), fmt.Sprintf("q%d", rng.Intn(n)))
+			}
+			if rng.Intn(3) == 0 {
+				b.Int(fmt.Sprintf("q%d", s), fmt.Sprintf("q%d", rng.Intn(n)))
+			}
+		}
+		// Shared events with the next component (pairwise-disjoint by
+		// construction: event linkI occurs only in components I-1, I).
+		if i > 0 {
+			b.Ext("q0", spec.Event(fmt.Sprintf("link%d", i)), fmt.Sprintf("q%d", rng.Intn(n)))
+		}
+		if i < k-1 {
+			b.Ext(fmt.Sprintf("q%d", rng.Intn(n)), spec.Event(fmt.Sprintf("link%d", i+1)), "q0")
+		}
+		comps[i] = b.MustBuild()
+	}
+	return comps
+}
+
+// TestLazyMatchesIndexedBasic checks the named Environment surface
+// (ExtEdges/IntEdges) against the left fold, and against the index-level
+// Rows surface of the same Lazy.
+func TestLazyMatchesIndexedBasic(t *testing.T) {
+	for _, comps := range basicSystems() {
+		lz := assertLazyMatchesMany(t, comps...)
+		if lz.Init() != 0 {
+			t.Errorf("lazy init = %d, want 0", lz.Init())
+		}
+		if got, want := namedListing(lz), indexedListing(t, lz); got != want {
+			t.Fatalf("named surface differs from indexed rows\n--- named ---\n%.2000s\n--- indexed ---\n%.2000s", got, want)
+		}
+	}
+}
+
+// TestIndexedMatchesManyBasic checks the index-level Rows surface, which the
+// fused deriver consumes, against the left fold.
+func TestIndexedMatchesManyBasic(t *testing.T) {
+	for _, comps := range basicSystems() {
+		lz := assertIndexedMatchesMany(t, comps...)
 		if lz.Init() != 0 {
 			t.Errorf("lazy init = %d, want 0", lz.Init())
 		}
 	}
 }
 
+// TestLazyMatchesManyInternalMoves covers component-internal transitions
+// and internal self-loops surviving the product.
+func TestLazyMatchesManyInternalMoves(t *testing.T) {
+	a := spec.NewBuilder("A")
+	a.Init("a0").Ext("a0", "go", "a1").Int("a1", "a2").Int("a2", "a2").Ext("a2", "-m", "a0")
+	b := spec.NewBuilder("B")
+	b.Init("b0").Ext("b0", "+m", "b1").Int("b1", "b0")
+	assertLazyMatchesMany(t, a.MustBuild(), chanSpec("M", "-m", "+m"), b.MustBuild())
+}
+
 // TestLazyMatchesIndexedRandom is the differential sweep over random
-// component systems, mirroring TestIndexedMatchesManyRandom.
+// component systems through the named surface: demand-driven vs folded, and
+// named vs indexed on the same Lazy.
 func TestLazyMatchesIndexedRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
-		k := 2 + rng.Intn(3)
-		comps := make([]*spec.Spec, k)
-		for i := range comps {
-			b := spec.NewBuilder(fmt.Sprintf("m%d", i))
-			n := 2 + rng.Intn(3)
-			for s := 0; s < n; s++ {
-				b.State(fmt.Sprintf("q%d", s))
-			}
-			b.Init("q0")
-			for s := 0; s < n; s++ {
-				if rng.Intn(2) == 0 {
-					b.Ext(fmt.Sprintf("q%d", s), spec.Event(fmt.Sprintf("p%d.%d", i, s)), fmt.Sprintf("q%d", rng.Intn(n)))
-				}
-				if rng.Intn(3) == 0 {
-					b.Int(fmt.Sprintf("q%d", s), fmt.Sprintf("q%d", rng.Intn(n)))
-				}
-			}
-			if i > 0 {
-				b.Ext("q0", spec.Event(fmt.Sprintf("link%d", i)), fmt.Sprintf("q%d", rng.Intn(n)))
-			}
-			if i < k-1 {
-				b.Ext(fmt.Sprintf("q%d", rng.Intn(n)), spec.Event(fmt.Sprintf("link%d", i+1)), "q0")
-			}
-			comps[i] = b.MustBuild()
+		lz := assertLazyMatchesMany(t, randomSystem(rng)...)
+		if got, want := namedListing(lz), indexedListing(t, lz); got != want {
+			t.Fatalf("trial %d: named surface differs from indexed rows\n--- named ---\n%.2000s\n--- indexed ---\n%.2000s", trial, got, want)
 		}
-		assertLazyMatchesIndexed(t, comps...)
+	}
+}
+
+// TestIndexedMatchesManyRandom is the differential sweep over random
+// component systems through the index-level Rows surface.
+func TestIndexedMatchesManyRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		assertIndexedMatchesMany(t, randomSystem(rng)...)
+	}
+}
+
+// TestIndexedLazyNames checks composite names are only materialized on
+// demand and are stable across repeated queries.
+func TestIndexedLazyNames(t *testing.T) {
+	snd := spec.NewBuilder("snd")
+	snd.Init("s0").Ext("s0", "acc", "s1").Ext("s1", "-x", "s0")
+	lz := MustLazyMany(snd.MustBuild(), chanSpec("C", "-x", "+x"))
+	if lz.names[lz.Init()] != "" {
+		t.Fatalf("init name materialized before any StateName call: %q", lz.names[lz.Init()])
+	}
+	n1 := lz.StateName(lz.Init())
+	n2 := lz.StateName(lz.Init())
+	if n1 != n2 || n1 != "s0|e" {
+		t.Fatalf("StateName(init) = %q / %q, want stable \"s0|e\"", n1, n2)
 	}
 }
 
@@ -161,7 +351,10 @@ func TestLazyConcurrentRows(t *testing.T) {
 		comps = append(comps, b.MustBuild())
 	}
 	lz := MustLazyMany(comps...)
-	ref := MustIndexedMany(comps...)
+	ref, err := Many(comps...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -183,6 +376,6 @@ func TestLazyConcurrentRows(t *testing.T) {
 	}
 	wg.Wait()
 	if got, want := namedListing(lz), namedListing(ref); got != want {
-		t.Fatalf("lazy product after concurrent hammering differs from indexed\n--- lazy ---\n%.2000s\n--- indexed ---\n%.2000s", got, want)
+		t.Fatalf("lazy product after concurrent hammering differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
 	}
 }

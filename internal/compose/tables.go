@@ -1,10 +1,8 @@
-// Compiled component tables shared by the two fused composition engines.
+// Compiled component tables for the demand-driven composition.
 //
-// IndexedMany (eager BFS) and LazyMany (demand-driven) walk the same n-way
-// product; everything that can be precomputed without touching a single
-// composite state — global event interning, the rendezvous partner table,
-// per-component dense edge rows — lives here so the two engines cannot
-// drift apart on the product's semantics.
+// Everything LazyMany can precompute without touching a single composite
+// state — global event interning, the rendezvous partner table,
+// per-component dense edge rows — lives here, so expansion is map-free.
 package compose
 
 import (
@@ -20,11 +18,6 @@ type cedge struct{ ev, to int32 }
 
 // compTables is the compiled read-only description of a component list.
 type compTables struct {
-	// allEvents is every event of every component, interned in sorted-name
-	// order so integer comparison of event ids agrees with the canonical
-	// (string) edge order.
-	allEvents []spec.Event
-	evID      map[spec.Event]int32
 	// external is the composite's external alphabet: the events owned by
 	// exactly one component, sorted. extIdx maps a global event id to its
 	// position in external, or -1 for shared (internal) events.
@@ -46,8 +39,8 @@ type compTables struct {
 
 // denseInternLimit is the largest mixed-radix product for which tuple
 // interning uses the paged direct-mapped array (intern.go) instead of a
-// hash map. Successor interning is the hottest loop of both composition
-// engines; the array turns each lookup into one indexed load. Pages are
+// hash map. Successor interning is the hottest loop of the composition;
+// the array turns each lookup into one indexed load. Pages are
 // allocated only for touched key ranges, so the limit is bounded by the
 // page-directory size (a 2^30 product needs a 16K-pointer directory, and
 // only the explored slice pays for pages), not by product × 4 bytes as the
@@ -68,15 +61,18 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 			ownersOf[e] = append(ownersOf[e], int32(ci))
 		}
 	}
-	t.allEvents = make([]spec.Event, 0, len(ownersOf))
+	// Global event ids follow sorted-name order, so the external alphabet
+	// comes out sorted and integer comparison of its indices agrees with the
+	// canonical (string) edge order.
+	allEvents := make([]spec.Event, 0, len(ownersOf))
 	for e := range ownersOf {
-		t.allEvents = append(t.allEvents, e)
+		allEvents = append(allEvents, e)
 	}
-	sort.Slice(t.allEvents, func(i, j int) bool { return t.allEvents[i] < t.allEvents[j] })
-	t.evID = make(map[spec.Event]int32, len(t.allEvents))
-	t.extIdx = make([]int32, len(t.allEvents))
-	for i, e := range t.allEvents {
-		t.evID[e] = int32(i)
+	sort.Slice(allEvents, func(i, j int) bool { return allEvents[i] < allEvents[j] })
+	evID := make(map[spec.Event]int32, len(allEvents))
+	t.extIdx = make([]int32, len(allEvents))
+	for i, e := range allEvents {
+		evID[e] = int32(i)
 		t.extIdx[i] = -1
 		if len(ownersOf[e]) == 1 {
 			t.extIdx[i] = int32(len(t.external))
@@ -84,7 +80,7 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 		}
 	}
 
-	nev := len(t.allEvents)
+	nev := len(allEvents)
 	t.partner = make([][]int32, len(components))
 	for ci := range components {
 		t.partner[ci] = make([]int32, nev)
@@ -94,8 +90,8 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 	}
 	for e, owners := range ownersOf {
 		if len(owners) == 2 {
-			t.partner[owners[0]][t.evID[e]] = owners[1]
-			t.partner[owners[1]][t.evID[e]] = owners[0]
+			t.partner[owners[0]][evID[e]] = owners[1]
+			t.partner[owners[1]][evID[e]] = owners[0]
 		}
 	}
 
@@ -106,7 +102,7 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 		t.cintl[ci] = make([][]int32, c.NumStates())
 		for s := 0; s < c.NumStates(); s++ {
 			for _, ed := range c.ExtEdges(spec.State(s)) {
-				t.cext[ci][s] = append(t.cext[ci][s], cedge{ev: t.evID[ed.Event], to: int32(ed.To)})
+				t.cext[ci][s] = append(t.cext[ci][s], cedge{ev: evID[ed.Event], to: int32(ed.To)})
 			}
 			for _, to := range c.IntEdges(spec.State(s)) {
 				t.cintl[ci][s] = append(t.cintl[ci][s], int32(to))

@@ -30,29 +30,20 @@ func twoState(t *testing.T, i int) *spec.Spec {
 // TestCompileRejectsZeroStateComponent pins the overflow-guard fix: the old
 // radix check computed (1<<63)/n and panicked with a division by zero when
 // a zero-value component (NumStates() == 0) slipped in. It must now be a
-// clean error from every composition entry point.
+// clean error from the fused composition.
 func TestCompileRejectsZeroStateComponent(t *testing.T) {
-	good := twoState(t, 0)
-	for _, build := range []struct {
-		name string
-		fn   func() error
-	}{
-		{"indexed", func() error { _, err := IndexedMany(good, new(spec.Spec)); return err }},
-		{"lazy", func() error { _, err := LazyMany(good, new(spec.Spec)); return err }},
-	} {
-		err := build.fn()
-		if err == nil {
-			t.Fatalf("%s: composing a zero-state component succeeded, want error", build.name)
-		}
-		if !strings.Contains(err.Error(), "no states") {
-			t.Fatalf("%s: error = %q, want a 'no states' diagnostic", build.name, err)
-		}
+	_, err := LazyMany(twoState(t, 0), new(spec.Spec))
+	if err == nil {
+		t.Fatal("composing a zero-state component succeeded, want error")
+	}
+	if !strings.Contains(err.Error(), "no states") {
+		t.Fatalf("error = %q, want a 'no states' diagnostic", err)
 	}
 }
 
 // TestCompileRadixOverflowFallsBackToStringKeys drives the product count
-// past uint64 (65 two-state components = 2^65) and checks the engines still
-// compose correctly on the string-keyed intern path.
+// past uint64 (65 two-state components = 2^65) and checks the composition
+// still works on the string-keyed intern path.
 func TestCompileRadixOverflowFallsBackToStringKeys(t *testing.T) {
 	comps := make([]*spec.Spec, 65)
 	for i := range comps {

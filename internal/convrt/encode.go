@@ -105,6 +105,16 @@ func Decode(data []byte) (*Table, error) {
 	if nStates <= 0 || nEvents < 0 || nStates > maxDim || nEvents > maxDim {
 		return nil, fmt.Errorf("convrt: decode line %d: implausible shape %d×%d", line, nStates, nEvents)
 	}
+	// The slices below are preallocated from the header, so a hostile header
+	// must not be able to claim more than the input can hold: every event
+	// and state line takes at least len(`event ""`)+1 bytes, and every row
+	// at least len("row")+1 plus 2 bytes per cell. Both dimensions are at
+	// most 2^24, so the product cannot overflow int64.
+	minBytes := int64(nEvents)*9 + int64(nStates)*(9+4+2*int64(nEvents))
+	if minBytes > int64(len(data)) {
+		return nil, fmt.Errorf("convrt: decode line %d: shape %d×%d needs at least %d bytes, input has %d",
+			line, nStates, nEvents, minBytes, len(data))
+	}
 	t := &Table{
 		name:       name,
 		init:       init,

@@ -202,6 +202,11 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		{"unsorted alphabet", strings.Replace(
 			strings.Replace(good, "event \"+a\"", "event \"~z\"", 1), "event \"-b\"", "event \"+a\"", 1)},
 		{"duplicate state", strings.Replace(good, "state \"s1\"", "state \"s0\"", 1)},
+		// Headers claiming far more cells than the input holds: the first
+		// once overflowed the preallocation's capacity, the second once
+		// exhausted memory before a single row was read.
+		{"hostile shape overflow", hostileHeaders[0]},
+		{"hostile shape oom", hostileHeaders[1]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

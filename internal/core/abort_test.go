@@ -124,14 +124,14 @@ func TestNoQuotientErrorDiagnostic(t *testing.T) {
 }
 
 func TestTraceAndLogAdapter(t *testing.T) {
-	// Options.Log must keep producing exactly the legacy lines, and
-	// Options.Trace must see both the structured level events and the
-	// summaries, with both options set at once.
+	// LogAdapter driven through Options.Trace must produce exactly the
+	// summary lines, while the same trace stream carries both the
+	// structured level events and the summaries.
 	var buf bytes.Buffer
 	var events []TraceEvent
+	logTrace := LogAdapter(&buf)
 	res, err := Derive(altService(t), relayB(t), Options{
-		Log:   &buf,
-		Trace: func(ev TraceEvent) { events = append(events, ev) },
+		Trace: func(ev TraceEvent) { events = append(events, ev); logTrace(ev) },
 	})
 	if err != nil {
 		t.Fatalf("Derive: %v", err)
@@ -140,7 +140,7 @@ func TestTraceAndLogAdapter(t *testing.T) {
 	want := "safety phase: 2 states, 2 transitions, 5 tracked (a,b) pairs\n" +
 		"progress phase: iteration 1 removed nothing; fixpoint\n"
 	if out != want {
-		t.Errorf("Log output changed:\n got %q\nwant %q", out, want)
+		t.Errorf("LogAdapter output changed:\n got %q\nwant %q", out, want)
 	}
 	var levels, summaries int
 	for _, ev := range events {

@@ -106,8 +106,7 @@ func (m *Metrics) InternHitRate() float64 {
 //   - progress sweep summary: Iteration, Removed (0 on the fixpoint
 //     sweep); Detail set.
 //
-// Events with a non-empty Detail are exactly the lines the deprecated
-// Options.Log writer used to receive; LogAdapter relies on that.
+// Events with a non-empty Detail are the summary lines LogAdapter prints.
 type TraceEvent struct {
 	// Phase is "safety" or "progress".
 	Phase string
@@ -132,11 +131,10 @@ type TraceEvent struct {
 	Removed   int
 }
 
-// LogAdapter converts a structured trace stream back into the line format
-// the deprecated Options.Log writer produced: it prints the Detail of
-// summary events and ignores everything else. Options.Log is implemented
-// as exactly this adapter; callers migrating to Options.Trace can wrap
-// their old writer with it to keep identical output.
+// LogAdapter formats a structured trace stream as a line-oriented
+// narration of the derivation: it prints the Detail of summary events
+// (safety-phase growth, per-sweep progress-phase removals) and ignores
+// everything else. Set Options.Trace to LogAdapter(w) to narrate to w.
 func LogAdapter(w io.Writer) func(TraceEvent) {
 	return func(ev TraceEvent) {
 		if ev.Detail == "" {

@@ -17,7 +17,7 @@ import (
 
 // System is the read-only stepping surface the engine needs: initial
 // state, outgoing edges, and names for reporting. Both *spec.Spec and
-// *compose.Indexed satisfy it, so large composed environments can be
+// *compose.Lazy satisfy it, so large composed environments can be
 // simulated straight from the fused index-space composition without ever
 // materializing a string-keyed *spec.Spec. ExtEdges and IntEdges must
 // return stable orders (the sorted orders both implementations guarantee);

@@ -186,28 +186,29 @@ func TestWalkDerivedConverterSystem(t *testing.T) {
 	}
 }
 
-// TestRunnerOverIndexedComposition drives the engine from a fused
-// index-space composition without materializing a *spec.Spec: the System
+// TestRunnerOverIndexedComposition drives the engine from the fused
+// index-space composition (compose.LazyMany, expanded on demand as the walk
+// reaches new states) without materializing a *spec.Spec: the System
 // interface is the contract that makes that possible. Walk traces are not
 // required to match the eager composition move for move (edge sort orders
 // use each representation's own state numbering), so the assertions are
 // representation-independent: liveness of the walk, exactly-once semantics,
 // and agreement on deadlock freedom.
 func TestRunnerOverIndexedComposition(t *testing.T) {
-	x := compose.MustIndexedMany(protocols.ABSender(), protocols.ABChannel(), protocols.ABReceiver())
+	x := compose.MustLazyMany(protocols.ABSender(), protocols.ABChannel(), protocols.ABReceiver())
 	r := New(x, rand.New(rand.NewSource(1989)))
 	w := r.Walk(20000)
 	if w.Deadlocked {
-		t.Fatalf("indexed AB system deadlocked at %s", w.FinalState)
+		t.Fatalf("lazy AB system deadlocked at %s", w.FinalState)
 	}
 	if w.EventCount["acc"] < 5 || w.EventCount["del"] < 5 {
-		t.Errorf("indexed AB system made too little progress: %v", w.EventCount)
+		t.Errorf("lazy AB system made too little progress: %v", w.EventCount)
 	}
 	if w.EventCount["del"] > w.EventCount["acc"] {
 		t.Error("delivered more than accepted — exactly-once broken")
 	}
 	if _, st, found := FindDeadlock(x); found {
-		t.Errorf("FindDeadlock over indexed composition found %s; eager system is deadlock-free", st)
+		t.Errorf("FindDeadlock over lazy composition found %s; eager system is deadlock-free", st)
 	}
 	if tr, st, bad := CheckInvariant(x, func(s System, st spec.State) bool {
 		return len(s.ExtEdges(st))+len(s.IntEdges(st)) > 0

@@ -166,7 +166,7 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 		return diverge("wellformed", "compose: %v", err)
 	}
 
-	// Engine matrix: three pipelines × worker counts, all bit-identical.
+	// Engine matrix: two pipelines × worker counts, all bit-identical.
 	base := core.Options{OmitVacuous: true, MaxStates: opt.MaxStates}
 	var ref outcome
 	var refRes *core.Result
@@ -181,13 +181,6 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 		}
 		legs := []leg{
 			{"spec", func() (*core.Result, error) { return core.Derive(a, b, opts) }},
-			{"indexed", func() (*core.Result, error) {
-				x, xerr := compose.IndexedMany(sys.Components...)
-				if xerr != nil {
-					return nil, xerr
-				}
-				return core.DeriveEnv(a, x, opts)
-			}},
 			{"lazy", func() (*core.Result, error) {
 				lz, lerr := compose.LazyMany(sys.Components...)
 				if lerr != nil {

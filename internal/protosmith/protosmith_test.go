@@ -85,7 +85,7 @@ func TestCampaignSmoke(t *testing.T) {
 	if len(rep.Failures) != 0 {
 		t.Fatalf("unexpected divergences:\n%s", rep)
 	}
-	if rep.Systems != 60 || rep.EngineRuns < 60*10 {
+	if rep.Systems != 60 || rep.EngineRuns < 60*7 {
 		t.Errorf("campaign underran: %d systems, %d engine runs", rep.Systems, rep.EngineRuns)
 	}
 	if rep.OracleSafetyProbes == 0 || rep.BaselineProbes == 0 {

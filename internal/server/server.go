@@ -221,7 +221,6 @@ type compiledRequest struct {
 	a        *spec.Spec
 	envs     []*spec.Spec
 	comps    []*spec.Spec
-	engine   string // "lazy" or "indexed"; only used with comps
 	coreOpts core.Options
 	prune    bool
 	minimize bool
@@ -293,13 +292,10 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 		cr.comps = append(cr.comps, sp)
 	}
 	switch req.Options.Engine {
-	case "", "lazy":
-		cr.engine = "lazy"
-	case "indexed":
-		cr.engine = "indexed"
+	case "", "lazy", "indexed":
 	default:
 		return nil, &api.Error{Code: api.ErrCodeBadRequest,
-			Message: fmt.Sprintf("options.engine: unknown engine %q (lazy or indexed)", req.Options.Engine)}
+			Message: fmt.Sprintf("options.engine: unknown engine %q (accepted: lazy, indexed; both run the lazy pipeline)", req.Options.Engine)}
 	}
 
 	maxStates := req.Options.MaxStates
@@ -344,20 +340,13 @@ func (s *Server) executeDerivation(cr *compiledRequest) flightResult {
 
 	var res *core.Result
 	var derr error
-	switch {
-	case len(cr.comps) > 0 && cr.engine == "indexed":
-		x, err := compose.IndexedMany(cr.comps...)
-		if err != nil {
-			return flightResult{err: &api.Error{Code: api.ErrCodeBadRequest, Message: err.Error()}}
-		}
-		res, derr = core.DeriveEnvContext(dctx, cr.a, x, cr.coreOpts)
-	case len(cr.comps) > 0:
+	if len(cr.comps) > 0 {
 		x, err := compose.LazyMany(cr.comps...)
 		if err != nil {
 			return flightResult{err: &api.Error{Code: api.ErrCodeBadRequest, Message: err.Error()}}
 		}
 		res, derr = core.DeriveEnvContext(dctx, cr.a, x, cr.coreOpts)
-	default:
+	} else {
 		res, derr = core.DeriveRobustContext(dctx, cr.a, cr.envs, cr.coreOpts)
 	}
 

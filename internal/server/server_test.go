@@ -336,9 +336,9 @@ func TestSpecUploadAndDeriveByRef(t *testing.T) {
 }
 
 func TestComponentsLazyAndIndexedShareCacheKey(t *testing.T) {
-	// The engine result is bit-identical across pipelines, so engine choice
-	// is excluded from the key: an indexed derivation warms the cache for a
-	// lazy one.
+	// "indexed" is still accepted on the wire and runs the lazy pipeline;
+	// engine choice is excluded from the key, so a request naming it warms
+	// the cache for one naming "lazy".
 	_, ts := newTestServer(t, Config{})
 	f := specgen.Chain(2)
 	comps := make([]api.SpecSource, len(f.Components))
