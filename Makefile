@@ -102,9 +102,10 @@ bench-cluster:
 
 # The execution-runtime gate: 1000 concurrent converter sessions through
 # the table-compiled runtime under a seeded fault schedule, with online
-# conformance checking against the spec tracker. -assert-clean exits
-# non-zero unless every session completes with zero conformance
-# violations and zero lost sessions.
+# conformance checking against the monitor determinized from the
+# converter's specification. -assert-clean exits non-zero unless every
+# session completes with zero conformance violations and zero lost
+# sessions.
 convrt-smoke:
 	$(GO) run ./cmd/convrt -sessions 1000 -steps 300 -seed 1 \
 		-faults 'loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02' \
@@ -130,16 +131,18 @@ bench-convrt:
 		-bench-out BENCH_pr10.json -label pr10-paper-noconform
 
 # Short fuzzing bursts over the wire decoder, the DSL parser, the
-# canonical-form hasher, and the compiled-table decoder: enough to catch
-# regressions in frame bounds-checking, grammar handling, hash stability,
-# and table-header bounds without slowing the gate down. Longer campaigns:
-# raise -fuzztime manually.
+# canonical-form hasher, the compiled-table decoder, and quotd's derive
+# request decoder: enough to catch regressions in frame bounds-checking,
+# grammar handling, hash stability, table-header bounds, and typed request
+# rejection without slowing the gate down. Longer campaigns: raise
+# -fuzztime manually.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/convrt
+	$(GO) test -run '^$$' -fuzz '^FuzzDeriveRequest$$' -fuzztime 5s ./internal/server
 
 # The randomized differential gate: a fixed-seed protosmith campaign across
 # both engine pipelines at workers 1, 2, and 4, cross-checked against

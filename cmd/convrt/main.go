@@ -57,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		faultsS  = fs.String("faults", "", "fault model, e.g. loss=0.05,dup=0.1,reorder=0.05,corrupt=0.01,delay=1ms,burst=3")
 		seed     = fs.Int64("seed", 1, "seed reproducing every session walk and fault schedule")
 		confEv   = fs.Int("conform-every", 64, "audit the full enabled set every n steps per session (0 = never)")
-		noConf   = fs.Bool("no-conform", false, "disable the online conformance tracker entirely (pure throughput mode)")
+		noConf   = fs.Bool("no-conform", false, "disable online conformance checking entirely (pure throughput mode)")
 		timeout  = fs.Duration("timeout", 0, "wall-clock cap for the whole run (0 = unlimited)")
 		assert   = fs.Bool("assert-clean", false, "exit 2 unless all sessions completed with zero violations")
 		emit     = fs.String("emit-table", "", "also write the compiled table artifact to this file and continue")
@@ -170,8 +170,9 @@ func loadConverter(convPath, family, tblPath string) (*convrt.Table, *spec.Spec,
 			return nil, nil, "", err
 		}
 		// The table is self-describing: reconstruct the reference from it,
-		// so conformance still checks the execution path against an
-		// independent interpreter (spec.TraceTracker).
+		// so conformance still checks the execution path, against a monitor
+		// the runner determinizes from the reference independently of
+		// Compile.
 		ref, err := table.Spec()
 		if err != nil {
 			return nil, nil, "", fmt.Errorf("reconstructing reference: %w", err)

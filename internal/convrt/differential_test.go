@@ -40,6 +40,7 @@ func checkDifferential(t *testing.T, s *spec.Spec) {
 	}
 	exhaustiveEquiv(t, tab, s)
 	walkEquiv(t, tab, s, 300, 0xC0FFEE)
+	monitorEquiv(t, s, 300, 0xC0FFEE)
 	data := Encode(tab)
 	dec, err := Decode(data)
 	if err != nil {

@@ -18,12 +18,14 @@ import (
 type Config struct {
 	// Table is the compiled converter every session executes. Required.
 	Table *Table
-	// Reference, when non-nil, attaches a spec.TraceTracker to every
-	// session: each executed event is replayed into the tracker and any
-	// disagreement latches a conformance violation. It should be the
+	// Reference, when non-nil, turns on online conformance checking.
+	// NewRunner determinizes it once into a monitor table over Table's
+	// event ids, failing when that takes more than 2^20 states; every
+	// session then advances each executed event through the monitor,
+	// and a refusal latches a conformance violation. It should be the
 	// specification Table was compiled from (or one trace-equivalent to
-	// it); Table.Spec() reconstructs one when only the table artifact is
-	// at hand.
+	// it); Table.Spec() reconstructs one when only the table artifact is at
+	// hand.
 	Reference *spec.Spec
 	// Sessions is the number of concurrent sessions; default 1.
 	Sessions int
@@ -41,7 +43,7 @@ type Config struct {
 	// Seed makes the whole run — every session's walk and fault schedule —
 	// reproducible.
 	Seed int64
-	// ConformEvery audits the full enabled set (table vs tracker) every n
+	// ConformEvery audits the full enabled set (table vs monitor) every n
 	// executed steps per session; 0 disables the audit, and it only runs
 	// when Reference is set. The per-event safety check is always on with
 	// a Reference.
@@ -106,12 +108,18 @@ type Runner struct {
 	started atomic.Bool
 }
 
-// NewRunner validates cfg and prepares sessions (allocation happens here,
-// not on the run path).
+// NewRunner validates cfg, builds the conformance monitor, and prepares
+// sessions (allocation happens here, not on the run path).
 func NewRunner(cfg Config) (*Runner, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	var mon *monitor
+	if cfg.Reference != nil {
+		if mon, err = newMonitor(cfg.Reference, cfg.Table.Events()); err != nil {
+			return nil, err
+		}
 	}
 	r := &Runner{cfg: cfg}
 	r.workers = make([]*workerMetrics, cfg.Workers)
@@ -125,7 +133,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.workers[w] = m
 		for i := range r.shards[w] {
 			s := &r.shards[w][i]
-			s.init(int32(lo+i), cfg.Table, cfg.Reference, cfg.Seed, cfg.Window,
+			s.init(int32(lo+i), cfg.Table, mon, cfg.Seed, cfg.Window,
 				cfg.StepsPerSession, cfg.ConformEvery)
 			s.faults = faultSched{model: cfg.Faults}
 		}

@@ -2,6 +2,7 @@ package convrt
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +160,11 @@ func TestRunDetectsMiscompiledTable(t *testing.T) {
 	if v.Kind != "safety" {
 		t.Fatalf("violation kind %q, want safety", v.Kind)
 	}
+	// The table reaches s2 while the reference is back at s0, where only
+	// +a is enabled.
+	if want := []spec.Event{"+a"}; !slices.Equal(v.Enabled, want) {
+		t.Fatalf("violation Enabled = %v, want the reference's %v", v.Enabled, want)
+	}
 }
 
 // TestRunDetectsRestrictiveTable drops a transition from the table. The
@@ -192,6 +198,9 @@ func TestRunDetectsRestrictiveTable(t *testing.T) {
 	if !found {
 		t.Fatalf("no enabled-set violation in %+v", rep.ViolationDetails)
 	}
+	if want := []spec.Event{"+a", "-b"}; !slices.Equal(rep.ViolationDetails[0].Enabled, want) {
+		t.Fatalf("violation Enabled = %v, want the reference's %v", rep.ViolationDetails[0].Enabled, want)
+	}
 }
 
 func TestRunCancellation(t *testing.T) {
@@ -215,7 +224,7 @@ func TestRunCancellation(t *testing.T) {
 
 // TestRunWithoutReference pins pure-throughput mode: a nil Reference with
 // a positive ConformEvery must run to completion with conformance fully
-// off (no tracker, no audits) rather than dereferencing a nil tracker.
+// off (no monitor, no audits) rather than dereferencing a nil monitor.
 func TestRunWithoutReference(t *testing.T) {
 	tab, _ := compileLoop(t)
 	faults, err := rt.ParseFaults("loss=0.1,dup=0.1")
@@ -328,8 +337,8 @@ func TestLiveMetricsUnderRace(t *testing.T) {
 // TestSessionPumpDoesNotAllocate pins the acceptance criterion: the
 // steady-state execution path — deliver, table step, latency observe,
 // fresh offer burst — performs zero allocations per step once a session is
-// initialized. Conformance tracking is deliberately off this path (the
-// tracker keeps per-state maps); Config.Reference documents that.
+// initialized. TestSessionPumpCheckedDoesNotAllocate extends it to the
+// conformance monitor.
 func TestSessionPumpDoesNotAllocate(t *testing.T) {
 	tab, _ := compileLoop(t)
 	m := &workerMetrics{vioMu: &sync.Mutex{}, vios: &[]Violation{}, vioCap_: 1}
@@ -352,17 +361,37 @@ func TestSessionPumpDoesNotAllocate(t *testing.T) {
 
 // TestSessionPumpWithFaultsDoesNotAllocate extends the zero-allocation
 // contract to the fault-injection path (drop/dup/reorder draws, ring
-// pushes) — everything except delay, whose wake path sleeps, and the
-// tracker.
+// pushes) — everything except delay, whose wake path sleeps.
 func TestSessionPumpWithFaultsDoesNotAllocate(t *testing.T) {
-	tab, _ := compileLoop(t)
+	s := pumpFaultyWire(t, false)
+	if s.stepsDone == 0 {
+		t.Fatal("session made no steps")
+	}
+}
+
+// TestSessionPumpCheckedDoesNotAllocate is the faulty-wire pump with the
+// conformance monitor attached and an enabled-set audit after every step:
+// checking, too, allocates nothing.
+func TestSessionPumpCheckedDoesNotAllocate(t *testing.T) {
+	s := pumpFaultyWire(t, true)
+	if s.stepsDone == 0 || s.failed {
+		t.Fatalf("session did not run clean: steps=%d failed=%v", s.stepsDone, s.failed)
+	}
+}
+
+// pumpFaultyWire asserts that pumping one session over a faulty wire
+// allocates nothing, and returns the session for inspection. A checked
+// session carries the monitor and audits after every step.
+func pumpFaultyWire(t *testing.T, checked bool) *Session {
+	t.Helper()
+	tab, mon, conformEvery := pumpSetup(t, checked, 1)
 	faults, err := rt.ParseFaults("loss=0.2,dup=0.2,reorder=0.2,corrupt=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &workerMetrics{vioMu: &sync.Mutex{}, vios: &[]Violation{}, vioCap_: 1}
-	var s Session
-	s.init(0, tab, nil, 123, 4, 1<<30, 0)
+	s := &Session{}
+	s.init(0, tab, mon, 123, 4, 1<<30, conformEvery)
 	s.faults = faultSched{model: faults}
 	var now int64
 	allocs := testing.AllocsPerRun(2000, func() {
@@ -372,9 +401,10 @@ func TestSessionPumpWithFaultsDoesNotAllocate(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("faulty-wire pump allocated %.1f per run, want 0", allocs)
 	}
-	if s.stepsDone == 0 {
-		t.Fatal("session made no steps")
+	if conformEvery > 0 && m.audits.Load() == 0 {
+		t.Fatal("no enabled-set audit ran")
 	}
+	return s
 }
 
 func BenchmarkTableStep(b *testing.B) {
@@ -389,15 +419,39 @@ func BenchmarkTableStep(b *testing.B) {
 	}
 }
 
-func BenchmarkSessionPump(b *testing.B) {
-	tab, _ := compileLoop(b)
+func BenchmarkSessionPump(b *testing.B) { benchmarkPump(b, false) }
+
+// BenchmarkSessionPumpChecked is BenchmarkSessionPump with the conformance
+// monitor on and the default cmd/convrt audit period.
+func BenchmarkSessionPumpChecked(b *testing.B) { benchmarkPump(b, true) }
+
+// pumpSetup compiles the loop table and, for a checked session, its
+// conformance monitor with the given audit period.
+func pumpSetup(t testing.TB, checked bool, conformEvery int) (*Table, *monitor, int) {
+	t.Helper()
+	tab, ref := compileLoop(t)
+	if !checked {
+		return tab, nil, 0
+	}
+	mon, err := newMonitor(ref, tab.Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, mon, conformEvery
+}
+
+func benchmarkPump(b *testing.B, checked bool) {
+	tab, mon, conformEvery := pumpSetup(b, checked, 64)
 	m := &workerMetrics{vioMu: &sync.Mutex{}, vios: &[]Violation{}, vioCap_: 1}
 	var s Session
-	s.init(0, tab, nil, 99, 4, 1<<62, 0)
+	s.init(0, tab, mon, 99, 4, 1<<30, conformEvery)
 	b.ReportAllocs()
 	var now int64
 	for i := 0; i < b.N; i++ {
 		now += int64(time.Millisecond)
 		s.pump(now, m)
+	}
+	if s.failed {
+		b.Fatal("session failed")
 	}
 }

@@ -1,6 +1,7 @@
 package convrt
 
 import (
+	"slices"
 	"time"
 
 	"protoquot/internal/runtime"
@@ -27,18 +28,20 @@ import (
 //     not enable is likewise discarded as stale.
 //
 // Every event the session *executes* is therefore enabled in the compiled
-// table at the moment of execution; the online conformance check replays
-// the same event into a spec.TraceTracker over the source specification
-// and latches a violation if the tracker disagrees — table-vs-spec
-// divergence, the runtime counterpart of the differential suite.
+// table at the moment of execution; the online conformance check advances
+// the same event through a monitor determinized from the reference
+// specification and latches a violation if the monitor refuses it —
+// table-vs-spec divergence, the runtime counterpart of the differential
+// suite.
 //
 // A session is owned by exactly one worker goroutine (see Runner); only
-// the immutable *Table is shared. The steady-state pump path — deliver,
-// step, offer — allocates nothing.
+// the immutable *Table and monitor are shared. The steady-state pump path —
+// deliver, step, check, offer, audit — allocates nothing.
 type Session struct {
-	t       *Table
-	tracker *spec.TraceTracker // nil when conformance is off
-	rng     uint64             // splitmix64 state; never zero
+	t   *Table
+	mon *monitor // nil when conformance is off
+	cur int32    // monitor state: the reference's frontier after the executed trace
+	rng uint64   // splitmix64 state; never zero
 
 	state int32 // execution state
 	pred  int32 // driver's predicted state for the current burst
@@ -59,10 +62,8 @@ type Session struct {
 	done      bool
 	failed    bool
 
-	// conformEvery audits the full enabled set (table vs tracker) every n
-	// executed steps; 0 disables the audit. The audit allocates (tracker
-	// enabled sets are built per call) and is deliberately off the
-	// steady-state path.
+	// conformEvery audits the full enabled set (table vs monitor) every n
+	// executed steps; 0 disables the audit.
 	conformEvery int
 	sinceAudit   int
 
@@ -76,15 +77,13 @@ type wireMsg struct {
 	readyNs int64 // earliest delivery time (delay faults); 0 = immediate
 }
 
-// initSession resets s onto table t at the given seed. ref is the
-// conformance reference (nil disables tracking).
-func (s *Session) init(id int32, t *Table, ref *spec.Spec, seed int64, window, target, conformEvery int) {
+// init resets s onto table t at the given seed. mon is the conformance
+// monitor (nil disables checking).
+func (s *Session) init(id int32, t *Table, mon *monitor, seed int64, window, target, conformEvery int) {
 	s.id = id
 	s.t = t
-	s.tracker = nil
-	if ref != nil {
-		s.tracker = ref.Track()
-	}
+	s.mon = mon
+	s.cur = 0
 	s.rng = uint64(seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 1
 	s.state = t.Init()
 	s.pred = s.state
@@ -97,8 +96,8 @@ func (s *Session) init(id int32, t *Table, ref *spec.Spec, seed int64, window, t
 	s.done = false
 	s.failed = false
 	s.conformEvery = conformEvery
-	if s.tracker == nil {
-		// The enabled-set audit compares against the tracker; without a
+	if s.mon == nil {
+		// The enabled-set audit compares against the monitor; without a
 		// reference there is nothing to audit.
 		s.conformEvery = 0
 	}
@@ -149,9 +148,13 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 			m.stale.Add(1)
 			continue
 		}
-		if s.tracker != nil && !s.tracker.Step(s.t.EventName(ev)) {
-			s.fail(m, ev)
-			return true
+		if s.mon != nil {
+			cur := s.mon.step(s.cur, ev)
+			if cur == NoState {
+				s.fail(m, ev)
+				return true
+			}
+			s.cur = cur
 		}
 		s.state = nxt
 		s.stepsDone++
@@ -259,13 +262,11 @@ func (s *Session) push(msg wireMsg) {
 }
 
 // reset wraps the session around after a terminal state: back to the
-// initial state, tracker re-anchored at the empty trace.
+// initial state, monitor re-anchored at the empty trace.
 func (s *Session) reset(m *workerMetrics) {
 	s.state = s.t.Init()
 	s.pred = s.state
-	if s.tracker != nil {
-		s.tracker.Reset()
-	}
+	s.cur = 0
 	m.resets.Add(1)
 }
 
@@ -283,29 +284,19 @@ func (s *Session) fail(m *workerMetrics, ev int32) {
 		State:   s.t.StateName(s.state),
 		Event:   s.t.EventName(ev),
 		Steps:   s.stepsDone,
-		Enabled: s.tracker.Enabled(),
+		Enabled: s.mon.enabledNames(s.cur),
 	})
 }
 
 // auditEnabled compares the full enabled set of the compiled table against
-// the tracker's — the sampled two-sided conformance check (the per-step
+// the monitor's — the sampled two-sided conformance check (the per-step
 // check only catches a table that is too permissive; the audit also
-// catches one that is too restrictive). Returns false when a violation was
-// latched.
+// catches one that is too restrictive, or a reference that enables events
+// outside the table alphabet). Returns false when a violation was latched.
 func (s *Session) auditEnabled(m *workerMetrics) bool {
 	m.audits.Add(1)
-	want := s.tracker.Enabled()
 	got := s.t.Enabled(s.state)
-	match := len(want) == len(got)
-	if match {
-		for i, ev := range got {
-			if s.t.EventName(ev) != want[i] {
-				match = false
-				break
-			}
-		}
-	}
-	if match {
+	if !s.mon.outside[s.cur] && slices.Equal(s.mon.enabled(s.cur), got) {
 		return true
 	}
 	s.failed = true
@@ -322,7 +313,7 @@ func (s *Session) auditEnabled(m *workerMetrics) bool {
 		Kind:         "enabled-set",
 		State:        s.t.StateName(s.state),
 		Steps:        s.stepsDone,
-		Enabled:      want,
+		Enabled:      s.mon.enabledNames(s.cur),
 		TableEnabled: enabled,
 	})
 	return false
