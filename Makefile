@@ -25,10 +25,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# One iteration of every derivation-engine benchmark: catches bit-rot in
-# the bench harness and smoke-tests the parallel engine under -benchtime=1x.
+# One iteration of every derivation-engine and prune benchmark: catches
+# bit-rot in the bench harness and smoke-tests the parallel engine and the
+# compiled prune check under -benchtime=1x.
 benchsmoke:
-	$(GO) test -run '^$$' -bench Derive -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Derive|Prune' -benchtime 1x .
 
 # Full engine benchmarks with allocation figures, then the quotbench JSON
 # trajectory into BENCH_pr4.json: both pipelines over the families the
@@ -146,7 +147,9 @@ fuzz-smoke:
 
 # The randomized differential gate: a fixed-seed protosmith campaign across
 # both engine pipelines at workers 1, 2, and 4, cross-checked against
-# the sat checker, the raw-edge oracles, and the baseline candidate probes.
+# the sat checker, the raw-edge oracles, the baseline candidate probes, and
+# the prune leg (the pruned converter re-checked by Verify, trace inclusion
+# in the derived one, and the raw-edge progress oracle).
 # Fails (exit 2) on any divergence or malformed generated system; -shrink
 # reduces a failure to a minimal reproducer committed under
 # testdata/protosmith/.

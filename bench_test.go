@@ -124,6 +124,33 @@ func BenchmarkFigure14Prune(b *testing.B) {
 	b.ReportMetric(float64(states), "states")
 }
 
+// BenchmarkPruneChain3 prunes the chain(3) converter, the largest prune the
+// serve benchmark's families ask of quotd on a miss.
+func BenchmarkPruneChain3(b *testing.B) {
+	f, err := specgen.ParseFamily("chain(3)")
+	if err != nil {
+		b.Fatal(err)
+	}
+	env, err := compose.Many(f.Components...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Derive(f.Service, env, core.Options{OmitVacuous: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var states int
+	for i := 0; i < b.N; i++ {
+		pruned, err := core.Prune(f.Service, env, res.Converter)
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = pruned.NumStates()
+	}
+	b.ReportMetric(float64(states), "states")
+}
+
 // --- E10: Section 6 transport configurations (figures 16–18) ---
 
 func BenchmarkFigure16PassThroughCheck(b *testing.B) {

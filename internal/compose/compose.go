@@ -48,7 +48,7 @@ func Pair(a, b *spec.Spec) *spec.Spec {
 	// iff its composite name has been built. Naming every visited pair
 	// exactly once matters because each pair is renamed O(degree) times
 	// during edge emission, and string concatenation dominated profiles of
-	// Verify-heavy workloads (Prune re-verifies per candidate removal).
+	// Verify-heavy workloads.
 	type pair struct{ pa, pb spec.State }
 	names := make(map[pair]string, a.NumStates()*b.NumStates())
 	nameOf := func(p pair) string {

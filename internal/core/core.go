@@ -498,24 +498,7 @@ func (d *deriver) prepare() {
 			nb := int32(b.NumStates())
 			d.numBs[v] = nb
 			packed += nb
-			edges := make([][]bedge, nb)
-			ints := make([][]int32, nb)
-			for st := int32(0); st < nb; st++ {
-				src := b.ExtEdges(spec.State(st))
-				out := make([]bedge, len(src))
-				for i, ed := range src {
-					out[i] = bedge{Ev: eid[ed.Event], To: int32(ed.To)}
-				}
-				edges[st] = out
-				tos := b.IntEdges(spec.State(st))
-				row := make([]int32, len(tos))
-				for i, t := range tos {
-					row[i] = int32(t)
-				}
-				ints[st] = row
-			}
-			d.bext[v] = edges
-			d.bintl[v] = ints
+			d.bext[v], d.bintl[v] = compileRows(b, eid)
 		}
 	}
 	// Under a demand-driven environment no edge tables are copied (the
@@ -585,6 +568,29 @@ func (d *deriver) variantOf(pb int32) int {
 		v--
 	}
 	return v
+}
+
+// compileRows copies an eager environment's transition structure into dense
+// per-state rows: external edges with events resolved through eid, and
+// internal successors.
+func compileRows(b Environment, eid map[spec.Event]int32) (ext [][]bedge, intl [][]int32) {
+	n := b.NumStates()
+	ext, intl = make([][]bedge, n), make([][]int32, n)
+	for st := 0; st < n; st++ {
+		src := b.ExtEdges(spec.State(st))
+		out := make([]bedge, len(src))
+		for i, ed := range src {
+			out[i] = bedge{Ev: eid[ed.Event], To: int32(ed.To)}
+		}
+		ext[st] = out
+		tos := b.IntEdges(spec.State(st))
+		row := make([]int32, len(tos))
+		for i, t := range tos {
+			row[i] = int32(t)
+		}
+		intl[st] = row
+	}
+	return ext, intl
 }
 
 // rowsOf returns b-state b's external edges (events resolved to Σ_B ids)

@@ -52,7 +52,9 @@ type Report struct {
 	OracleSafetyProbes int
 	BaselineProbes     int
 	BaselineConfirmed  int
-	Failures           []Failure
+	// Pruned counts systems whose pruned converter passed the prune leg.
+	Pruned   int
+	Failures []Failure
 }
 
 // Run executes the campaign.
@@ -71,6 +73,9 @@ func (c Campaign) Run() *Report {
 		rep.BaselineProbes += cr.BaselineProbes
 		if cr.BaselineConfirmed {
 			rep.BaselineConfirmed++
+		}
+		if cr.Pruned {
+			rep.Pruned++
 		}
 		if cr.Divergence == nil {
 			rep.Verdicts[cr.Verdict]++
@@ -117,6 +122,7 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "\n  oracle: progress accepted on %d systems, %d hereditary-safety probes", r.OracleProgress, r.OracleSafetyProbes)
 	fmt.Fprintf(&b, "\n  baseline: %d candidates checked, %d independently confirmed existence", r.BaselineProbes, r.BaselineConfirmed)
+	fmt.Fprintf(&b, "\n  prune: %d pruned converters re-checked", r.Pruned)
 	if len(r.Failures) == 0 {
 		fmt.Fprintf(&b, "\n  divergences: none")
 	}

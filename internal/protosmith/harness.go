@@ -66,7 +66,7 @@ func (o CheckOptions) normalized() CheckOptions {
 // can propagate it directly.
 type Divergence struct {
 	// Leg names the disagreeing check, e.g. "engine:lazy-w4",
-	// "sat-verify", "oracle-progress", "oracle-safety",
+	// "sat-verify", "oracle-progress", "prune", "oracle-safety",
 	// "baseline-okumura", "wellformed".
 	Leg string
 	// Detail is a human-readable description of the disagreement.
@@ -93,6 +93,9 @@ type CheckReport struct {
 	// comparisons that ran (they are gated by OracleStateLimit).
 	OracleProgress     bool
 	OracleSafetyProbes int
+	// Pruned is true when the prune leg ran (it shares OracleStateLimit's
+	// gate) and its pruned converter passed every check.
+	Pruned bool
 	// BaselineProbes counts bottom-up candidates driven through the
 	// a posteriori global check; BaselineConfirmed is true when at least
 	// one of them independently proved converter existence.
@@ -243,6 +246,27 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 				"raw-edge progress oracle rejects B‖C after %s", sat.FormatTrace(witness))
 		}
 		rep.OracleProgress = true
+	}
+
+	// Prune leg: the pruned converter must still satisfy A by the sat
+	// checker, keep only traces of the converter it was pruned from, and
+	// pass the raw-edge progress oracle, which shares no code with Prune's
+	// compiled candidate check.
+	if smallEnough && rep.Exists {
+		pruned, perr := core.Prune(a, b, conv)
+		if perr != nil {
+			return diverge("prune", "Prune refuses the verified converter: %v", perr)
+		}
+		if verr := core.Verify(a, b, pruned); verr != nil {
+			return diverge("prune", "pruned converter fails independent check: %v", verr)
+		}
+		if serr := sat.Safety(pruned, conv); serr != nil {
+			return diverge("prune", "pruned converter is not trace-included in the derived one: %v", serr)
+		}
+		if witness, ok := oracle.CheckProgress(compose.Pair(b, pruned), a); !ok {
+			return diverge("prune", "raw-edge progress oracle rejects B‖C_pruned after %s", sat.FormatTrace(witness))
+		}
+		rep.Pruned = true
 	}
 
 	// C0: the full safety-phase converter, vacuous states kept. By

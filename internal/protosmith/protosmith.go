@@ -22,6 +22,9 @@
 //   - internal/oracle: the raw-edge progress reference must accept B‖C,
 //     and the safety-phase converter's trace set must match the paper's
 //     hereditary-safety predicate on probe traces (Theorem 1);
+//   - core.Prune: the pruned converter must pass core.Verify, be
+//     trace-included in the derived one, and pass the raw-edge progress
+//     reference over B‖C_pruned;
 //   - internal/baseline: if an Okumura seed candidate or a Lam projection
 //     relay passes the a posteriori global check, the quotient engine must
 //     report that a converter exists, and the candidate's traces must embed

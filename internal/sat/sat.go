@@ -164,6 +164,13 @@ func Progress(b, a *spec.Spec) error {
 	if err := Safety(b, a); err != nil {
 		return err
 	}
+	return progressWalk(b, a)
+}
+
+// progressWalk is the progress search proper: a walk over (b, ψ_A.t)
+// configurations checking prog at each. A must be in normal form and B must
+// satisfy A with respect to safety.
+func progressWalk(b, a *spec.Spec) error {
 	type cfg struct {
 		b spec.State
 		a spec.State // ψ_A.t for the trace reaching this configuration
@@ -221,11 +228,15 @@ func Prog(a *spec.Spec, as spec.State, readyB []spec.Event) bool {
 }
 
 // Satisfies checks both safety and progress; the first failure is returned.
+// The safety search runs once: it is Progress's precondition too.
 func Satisfies(b, a *spec.Spec) error {
 	if err := Safety(b, a); err != nil {
 		return err
 	}
-	return Progress(b, a)
+	if err := a.IsNormalForm(); err != nil {
+		return fmt.Errorf("sat: %w", err)
+	}
+	return progressWalk(b, a)
 }
 
 // TraceEquivalent reports whether two specifications over the same

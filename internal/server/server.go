@@ -338,17 +338,21 @@ func (s *Server) executeDerivation(cr *compiledRequest) flightResult {
 	dctx, cancel := context.WithTimeout(s.baseCtx, cr.timeout)
 	defer cancel()
 
-	var res *core.Result
-	var derr error
+	// envs are the environments the derivation runs over; prune checks the
+	// converter against the same ones, reusing the lazy composite's rows.
+	var envs []core.Environment
 	if len(cr.comps) > 0 {
 		x, err := compose.LazyMany(cr.comps...)
 		if err != nil {
 			return flightResult{err: &api.Error{Code: api.ErrCodeBadRequest, Message: err.Error()}}
 		}
-		res, derr = core.DeriveEnvContext(dctx, cr.a, x, cr.coreOpts)
+		envs = []core.Environment{x}
 	} else {
-		res, derr = core.DeriveRobustContext(dctx, cr.a, cr.envs, cr.coreOpts)
+		for _, b := range cr.envs {
+			envs = append(envs, b)
+		}
 	}
+	res, derr := core.DeriveEnvsContext(dctx, cr.a, envs, cr.coreOpts)
 
 	if derr != nil {
 		var nq *core.NoQuotientError
@@ -375,15 +379,7 @@ func (s *Server) executeDerivation(cr *compiledRequest) flightResult {
 
 	conv := res.Converter
 	if cr.prune && !cr.coreOpts.SafetyOnly {
-		envs := cr.envs
-		if len(cr.comps) > 0 {
-			b, err := compose.Many(cr.comps...)
-			if err != nil {
-				return flightResult{err: &api.Error{Code: api.ErrCodeBadRequest, Message: err.Error()}}
-			}
-			envs = []*spec.Spec{b}
-		}
-		pruned, err := core.PruneRobust(cr.a, envs, conv)
+		pruned, err := core.PruneEnvs(cr.a, envs, conv)
 		if err != nil {
 			return flightResult{err: &api.Error{Code: api.ErrCodeInternal,
 				Message: fmt.Sprintf("prune: %v", err)}}
