@@ -681,20 +681,29 @@ func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 	benchFamilyLazyEngine(b, specgen.Ring(6))
 }
 
-// BenchmarkDeriveAllocBudgetChain7 is the allocation-regression smoke: a
-// chain(7) demand-driven derivation must stay under a pinned heap budget.
-// The ceiling is ~1.5× the measured cost (chain(7) allocates ~61 MB
-// end-to-end), so ordinary drift passes and a lost arena-reuse or
+// The allocation-regression smokes: a demand-driven derivation must stay
+// under a pinned heap budget. Each ceiling is ~1.5× the measured cost when
+// it was set, so ordinary drift passes and a lost arena-reuse or
 // growth-policy regression — the class of bug that once cost +190 MB on
-// chain(9) — fails the benchsmoke gate instead of landing silently. The
-// process-wide Sys check is a gross leak backstop; it is process-global
-// (earlier benchmarks in the same run contribute), hence the slack.
+// chain(9) — fails the benchsmoke gate instead of landing silently.
+// chain(7) (~61 MB when pinned, ~45 MB now) has nine huge converter states;
+// ring(5) (~97 MB) has 5,152 small ones, so between them they cover both
+// shapes of progress sweep.
+
 func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
-	const (
-		allocCeiling = 96 << 20
-		sysCeiling   = 2 << 30
-	)
-	f := specgen.Chain(7)
+	benchAllocBudget(b, specgen.Chain(7), 96<<20)
+}
+
+func BenchmarkDeriveAllocBudgetRing5(b *testing.B) {
+	benchAllocBudget(b, specgen.Ring(5), 140<<20)
+}
+
+// benchAllocBudget derives f once per iteration and fails when a derivation
+// allocates more than allocCeiling bytes. The process-wide Sys check is a
+// gross leak backstop; it is process-global (earlier benchmarks in the same
+// run contribute), hence the slack.
+func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
+	const sysCeiling = 2 << 30
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env, err := compose.LazyMany(f.Components...)
@@ -709,8 +718,8 @@ func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
 		}
 		goruntime.ReadMemStats(&after)
 		if got := after.TotalAlloc - before.TotalAlloc; got > allocCeiling {
-			b.Fatalf("chain(7) derivation allocated %d MB, budget is %d MB",
-				got>>20, allocCeiling>>20)
+			b.Fatalf("%s derivation allocated %d MB, budget is %d MB",
+				f.Name, got>>20, allocCeiling>>20)
 		}
 		if after.Sys > sysCeiling {
 			b.Fatalf("process Sys grew to %d MB, ceiling is %d MB", after.Sys>>20, sysCeiling>>20)

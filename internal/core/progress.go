@@ -21,34 +21,29 @@
 //     computation runs Tarjan SCC condensation over the combo graph and a
 //     reverse-topological DP, with edges into still-valid columns consumed
 //     as memoized leaves (the τ-closure cache hits of core.Metrics).
-//   - The wide, pb-major sweep (this PR): a sweep's Tarjan graph used to
-//     have one node per (column, slot) — on chain-scale instances, millions
-//     of nodes whose construction dominated the phase. But the graph's
-//     τ-edges are column-independent and its Int-edges only redirect the
-//     column, so when a sweep touches at most 64 columns the engine instead
-//     runs ONE Tarjan over the packed-b states (refreshReadyWide): each pb
-//     carries a 64-bit membership mask over the affected columns, masks for
-//     all member columns are computed together in a dense node-major
-//     scratch, and within-SCC fixpoint iteration absorbs the (sound,
-//     order-only) overapproximation of collapsing per-column edges onto the
-//     pb graph. The mask system is monotone, so its least fixpoint — the
-//     exact τ*-reachability closure — is what both paths compute: the wide
-//     sweep is bit-identical to the narrow one. Sweeps touching more
-//     columns keep the narrow per-(column, slot) Tarjan with successor
-//     arenas and rank-bitmap slot lookup (PR 5).
-//   - Work-stealing sweep scheduling (this PR): both paths used to process
-//     the condensation level by level with a barrier per level; skewed
-//     levels serialized the sweep. The DP now runs on per-SCC atomic
-//     dependency counters with per-worker stealing deques (sched.go);
-//     single-worker sweeps simply walk Tarjan's emission order, which is
-//     already reverse-topological. The verdict scan fans over workers too,
-//     sharding large pair sets by runs so a handful of huge columns cannot
-//     serialize it, and switches to the batched sat.ProgBlock kernel on
-//     dense columns.
+//   - One pb-major sweep: the combo graph has a node per (column, slot),
+//     but its τ-edges do not depend on the column and its Int-edges only
+//     redirect it, so every per-column graph is a quotient of one graph over
+//     the packed-b states. A sweep runs ONE Tarjan over the pbs that occur
+//     in any affected column; each pb lists its (column, slot) members, and
+//     an SCC's members compute their masks straight into the column-major
+//     memo. Collapsing per-column edges onto the pb graph can only merge
+//     SCCs, and within-SCC fixpoint iteration absorbs the merge: the mask
+//     system is monotone, so each mask still converges to its least
+//     fixpoint, the exact τ*-reachability closure. Scratch is O(slots), the
+//     order of the memo itself, whatever the number of affected columns.
+//   - Work-stealing sweep scheduling: the DP runs on per-SCC atomic
+//     dependency counters with per-worker stealing deques (sched.go) rather
+//     than level by level with a barrier, so skewed levels cannot serialize
+//     a sweep; single-worker sweeps simply walk Tarjan's emission order,
+//     which is already reverse-topological. The verdict scan fans over
+//     workers too, sharding large pair sets by runs so a handful of huge
+//     columns cannot serialize it, and switches to the batched
+//     sat.ProgBlock kernel on dense columns.
 //   - Determinism everywhere: every SCC writes only its members' slots and
 //     each mask is the unique least fixpoint of a monotone union system, so
 //     removal order — and therefore every downstream artifact — is
-//     bit-identical for every worker count and for both sweep paths.
+//     bit-identical for every worker count.
 //
 // The prog verdict itself is sat.AcceptanceIndex.Prog: A's acceptance sets
 // precompiled to minimal bitmasks, one subset test per candidate.
@@ -69,17 +64,6 @@ import (
 // bitmap for O(1) slot lookup instead of binary search. Below it the bitmap
 // (totalB bits + prefix counts) costs more to build than it saves.
 const rankThreshold = 128
-
-// wideColumnLimit is the most affected columns a sweep may have and still
-// take the wide pb-major path: one bit per column in a pb's membership
-// mask. A variable, not a constant, so tests can force the narrow path and
-// cross-check the two (TestNarrowWideSweepsAgree).
-var wideColumnLimit = 64
-
-// wideMemWords caps the wide path's dense mask scratch, in uint64 words
-// (32M words = 256 MiB); sweeps that would exceed it fall back to the
-// narrow path, which allocates per live slot instead of per (pb, column).
-var wideMemWords = 32 << 20
 
 // minSchedSCCs is the condensation size below which a sweep computes masks
 // inline even with workers available — scheduling overhead would exceed
@@ -104,12 +88,11 @@ type progTables struct {
 	ints [][]int32
 
 	// Per converter state ("column"): the sorted packed-b combo table, the
-	// flat ready-mask storage (len(combos)×words), the per-slot Tarjan node
-	// id scratch, whether the column's masks are current, and — for large
-	// columns — the rank bitmap accelerating slotOf.
+	// flat ready-mask storage (len(combos)×words), whether the column's
+	// masks are current, and — for large columns — the rank bitmap
+	// accelerating slotOf.
 	combos    [][]int32
 	ready     [][]uint64
-	slotNode  [][]int32
 	valid     []bool
 	comboBits [][]uint64
 	comboRank [][]int32
@@ -117,16 +100,23 @@ type progTables struct {
 	// Sweep scratch, persisted so every sweep after the first reuses the
 	// first sweep's capacity instead of re-growing it allocation by
 	// allocation (the first sweep visits every column; later sweeps a
-	// shrinking closure). SCC membership is stored flat: SCC si's members
-	// are sccMembers[sccOff[si]:sccOff[si+1]]. The narrow path stores
-	// (column, slot) node ids in these arrays, the wide path pb node ids.
-	tnodes     []tnode
-	tarena     []succRef
-	tlow       []int32
-	tonStack   []bool
-	tsccOf     []int32
-	tstack     []int32
-	tframes    []tframe
+	// shrinking closure). A sweep's nodes are the pbs of its columns,
+	// numbered in first-touch order: node nid is pb active[nid], and its
+	// (column, slot) members are members[memOff[nid]:memOff[nid+1]]. node
+	// spans the packed-b domain and is restored to all -1 after every sweep,
+	// so only the touched entries are ever paid for. SCC membership is
+	// stored flat: SCC si's nodes are sccMembers[sccOff[si]:sccOff[si+1]].
+	node       []int32 // per pb: node id this sweep, or -1
+	active     []int32
+	memOff     []int32
+	members    []colSlot
+	dfn        []int32 // per node: Tarjan DFS number, or -1
+	low        []int32
+	onStack    []bool
+	self       []bool // per node: has a pb-graph self-edge (needs fixpoint)
+	sccOf      []int32
+	stack      []int32
+	frames     []tframe
 	sccMembers []int32
 	sccOff     []int32
 
@@ -137,17 +127,12 @@ type progTables struct {
 	sccFill    []int32
 	sccDepOff  []int32
 	sccDepList []int32
+}
 
-	// Wide-sweep (pb-major) state; see refreshReadyWide. wMember and wNode
-	// span the packed-b domain and are restored to all-zero / all -1 after
-	// every wide sweep, so only the touched entries are ever paid for.
-	wMember []uint64 // per pb: membership bitmask over the sweep's columns
-	wNode   []int32  // per pb: dense node id this sweep, or -1
-	wActive []int32  // node id → pb
-	wReady  []uint64 // node-major mask scratch: [(node*m + j) * words]
-	wDfn    []int32  // per node: Tarjan DFS number, or -1
-	wSelf   []bool   // per node: has a pb-graph self-edge (needs fixpoint)
-	colOf   []int32  // converter state → index into the sweep's cols, or -1
+// colSlot is one member of a sweep node: the index of its column in the
+// sweep's column list, and the pb's slot in that column's combo table.
+type colSlot struct {
+	col, slot int32
 }
 
 // initProgTables builds the acceptance index, base ready masks, and empty
@@ -221,7 +206,6 @@ func (d *deriver) initProgTables() error {
 	n := len(d.states)
 	pt.combos = make([][]int32, n)
 	pt.ready = make([][]uint64, n)
-	pt.slotNode = make([][]int32, n)
 	pt.valid = make([]bool, n)
 	pt.comboBits = make([][]uint64, n)
 	pt.comboRank = make([][]int32, n)
@@ -248,7 +232,6 @@ func (pt *progTables) column(d *deriver, ci int32) []int32 {
 	})
 	pt.combos[ci] = out
 	pt.ready[ci] = make([]uint64, len(out)*pt.words)
-	pt.slotNode[ci] = make([]int32, len(out))
 	if len(out) >= rankThreshold {
 		nw := (int(pt.totalB) + 63) / 64
 		bm := make([]uint64, nw)
@@ -413,25 +396,6 @@ func predClosure(preds [][]int32, removed []int32, alive []bool) []int32 {
 	return out
 }
 
-// tnode is one narrow-path Tarjan node: a (column, slot) composite state
-// scheduled for ready-mask recomputation this sweep. Its successor
-// references live in the shared arena at [succStart, succEnd) — resolved
-// exactly once, at node creation, then iterated by the SCC walk, the
-// dependency builder, and the mask DP.
-type tnode struct {
-	ci, slot           int32
-	succStart, succEnd int32
-}
-
-// succRef is one resolved successor: the target (column, slot), and whether
-// the target column's masks were already valid when the node was created
-// (a memoized leaf — it contributes its mask but is not part of this
-// sweep's graph).
-type succRef struct {
-	ci, slot int32
-	memo     bool
-}
-
 // tframe is one iterative-DFS frame of a Tarjan walk: a node, the resume
 // position within its successor range, and the range end.
 type tframe struct {
@@ -443,10 +407,7 @@ type tframe struct {
 // refreshReady brings the ready masks of every affected live column up to
 // date. It first invalidates the affected columns (the memo-soundness
 // obligation: these are exactly the states whose composite reachability
-// changed), then dispatches on sweep shape: at most wideColumnLimit
-// affected columns takes the wide pb-major path, anything bigger (or a
-// wide sweep that would blow the memory cap) the narrow per-slot path.
-// Both compute the same masks — see the package comment.
+// changed), then recomputes them in one pb-major sweep.
 func (d *deriver) refreshReady(alive []bool, affected []int32) {
 	pt := d.prog
 	cols := make([]int32, 0, len(affected))
@@ -464,311 +425,84 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 	if len(cols) == 0 {
 		return
 	}
-	if len(cols) > wideColumnLimit || !d.refreshReadyWide(alive, cols) {
-		d.refreshReadyNarrow(alive, cols)
-	}
+	d.sweep(alive, cols)
 	for _, ci := range cols {
 		pt.valid[ci] = true
 	}
 }
 
-// refreshReadyNarrow is the per-(column, slot) sweep: an iterative Tarjan
-// SCC pass over the invalid combo graph — edges into valid columns are
-// consumed as memoized leaves — followed by a reverse-topological DP over
-// the condensation, work-stolen across workers when the sweep is big
-// enough (sequential sweeps just follow Tarjan's emission order, which is
-// successors-first).
-func (d *deriver) refreshReadyNarrow(alive []bool, cols []int32) {
+// sweep recomputes the ready masks of the invalidated columns cols: one
+// Tarjan over the packed-b states that appear in any of them, then a
+// reverse-topological DP over the condensation in which each SCC writes its
+// members' masks into pt.ready, work-stolen across workers when the sweep
+// is big enough. Edges into still-valid columns are memoized leaves.
+//
+// The condensation order is valid for every column because every Int-edge
+// some (column, slot) needs maps to a pb edge that is present whenever its
+// target is in the sweep; see the package comment for why merged SCCs still
+// reach the per-slot least fixpoint.
+func (d *deriver) sweep(alive []bool, cols []int32) {
 	pt := d.prog
-	want := 0 // exact Tarjan node count: one per invalidated slot
-	for _, ci := range cols {
-		want += len(pt.combos[ci])
-		sn := pt.slotNode[ci]
-		for i := range sn {
-			sn[i] = -1
-		}
-	}
-
-	// Iterative Tarjan over the invalid-column combo graph. The per-node
-	// slices are sized exactly (want is exact); the arena grows as edges
-	// resolve but keeps its capacity across sweeps.
-	nodes := growCap(pt.tnodes, want)
-	arena := growCap(pt.tarena, 2*want)
-	low := growCap(pt.tlow, want)
-	onStack := growCap(pt.tonStack, want)
-	sccOf := growCap(pt.tsccOf, want)
-	stack := growCap(pt.tstack, want)
-	sccMembers := growCap(pt.sccMembers, want)
-	sccOff := append(pt.sccOff[:0], 0)
-	callStack := pt.tframes[:0]
-
-	// addNode registers the Tarjan node for (ci, slot) and resolves its
-	// successors into the arena: B's internal moves stay in the same column
-	// (ascending), synchronized Int events redirect through the converter's
-	// transition (bext order); edges into valid columns become memo leaves,
-	// unreachable targets are dropped here so no later pass re-filters them.
-	addNode := func(ci, slot int32) int32 {
-		id := int32(len(nodes))
-		start := int32(len(arena))
-		pb := pt.combos[ci][slot]
-		v := d.variantOf(pb)
-		ext, ints := pt.ext[pb], pt.ints[pb]
-		for _, t := range ints {
-			s := pt.slotOf(ci, d.boff[v]+t)
-			if s < 0 {
-				continue // cannot happen: pair sets are τ-closed; defensive
-			}
-			arena = append(arena, succRef{ci: ci, slot: s})
-		}
-		for _, ed := range ext {
-			ii := d.intlIndex[ed.Ev]
-			if ii < 0 {
-				continue // external to the composite
-			}
-			t := d.states[ci].succ[ii]
-			if t < 0 || !alive[t] {
-				continue
-			}
-			s := pt.slotOf(t, d.boff[v]+ed.To)
-			if s < 0 {
-				continue // closure property; defensive
-			}
-			arena = append(arena, succRef{ci: t, slot: s, memo: pt.valid[t]})
-		}
-		nodes = append(nodes, tnode{ci: ci, slot: slot, succStart: start, succEnd: int32(len(arena))})
-		low = append(low, id)
-		onStack = append(onStack, true)
-		sccOf = append(sccOf, -1)
-		pt.slotNode[ci][slot] = id
-		stack = append(stack, id)
-		return id
-	}
-
-	visit := func(rootCi, rootSlot int32) {
-		if pt.slotNode[rootCi][rootSlot] >= 0 {
-			return
-		}
-		callStack = callStack[:0]
-		id := addNode(rootCi, rootSlot)
-		callStack = append(callStack, tframe{node: id, ei: nodes[id].succStart, end: nodes[id].succEnd})
-		for len(callStack) > 0 {
-			f := &callStack[len(callStack)-1]
-			if f.ei >= f.end {
-				// Exhausted: maybe emit an SCC, then return to caller.
-				if low[f.node] == f.node {
-					si := int32(len(sccOff)) - 1
-					for {
-						m := stack[len(stack)-1]
-						stack = stack[:len(stack)-1]
-						onStack[m] = false
-						sccOf[m] = si
-						sccMembers = append(sccMembers, m)
-						if m == f.node {
-							break
-						}
-					}
-					sccOff = append(sccOff, int32(len(sccMembers)))
-				}
-				callStack = callStack[:len(callStack)-1]
-				if len(callStack) > 0 {
-					parent := &callStack[len(callStack)-1]
-					if low[f.node] < low[parent.node] {
-						low[parent.node] = low[f.node]
-					}
-				}
-				continue
-			}
-			r := arena[f.ei]
-			f.ei++
-			if r.memo {
-				continue // memoized leaf: no SCC structure
-			}
-			tid := pt.slotNode[r.ci][r.slot]
-			if tid < 0 {
-				tid = addNode(r.ci, r.slot)
-				// f may be stale after the appends above; push re-derives
-				// everything from tid.
-				callStack = append(callStack, tframe{node: tid, ei: nodes[tid].succStart, end: nodes[tid].succEnd})
-			} else if onStack[tid] {
-				if tid < low[f.node] {
-					low[f.node] = tid
-				}
-			}
-		}
-	}
-	for _, ci := range cols {
-		for slot := range pt.combos[ci] {
-			visit(ci, int32(slot))
-		}
-	}
-	d.met.ReadySetRebuilds += len(nodes)
-
 	w := pt.words
-	var hits int64
-	nsccs := len(sccOff) - 1
-	computeSCC := func(si int32, mask []uint64) {
-		members := sccMembers[sccOff[si]:sccOff[si+1]]
-		localHits := int64(0)
-		if w == 1 {
-			// Scalar fast path for the common single-word ready universe.
-			var acc uint64
-			for _, m := range members {
-				nd := nodes[m]
-				acc |= pt.bready[pt.combos[nd.ci][nd.slot]]
-				for _, r := range arena[nd.succStart:nd.succEnd] {
-					if !r.memo && sccOf[pt.slotNode[r.ci][r.slot]] == si {
-						continue // intra-SCC edge: same mask by definition
-					}
-					if r.memo {
-						localHits++
-					}
-					acc |= pt.ready[r.ci][r.slot]
-				}
-			}
-			for _, m := range members {
-				nd := nodes[m]
-				pt.ready[nd.ci][nd.slot] = acc
-			}
-			atomic.AddInt64(&hits, localHits)
-			return
-		}
-		for i := range mask {
-			mask[i] = 0
-		}
-		for _, m := range members {
-			nd := nodes[m]
-			pb := pt.combos[nd.ci][nd.slot]
-			sat.OrInto(mask, pt.bready[int(pb)*w:int(pb)*w+w])
-			for _, r := range arena[nd.succStart:nd.succEnd] {
-				if !r.memo && sccOf[pt.slotNode[r.ci][r.slot]] == si {
-					continue // intra-SCC edge: same mask by definition
-				}
-				if r.memo {
-					localHits++
-				}
-				sat.OrInto(mask, pt.ready[r.ci][int(r.slot)*w:int(r.slot)*w+w])
-			}
-		}
-		for _, m := range members {
-			nd := nodes[m]
-			copy(pt.ready[nd.ci][int(nd.slot)*w:int(nd.slot)*w+w], mask)
-		}
-		atomic.AddInt64(&hits, localHits)
-	}
-	if workers := d.workers; workers > 1 && nsccs >= minSchedSCCs {
-		forEach := func(si int32, emit func(ts int32)) {
-			for _, m := range sccMembers[sccOff[si]:sccOff[si+1]] {
-				nd := nodes[m]
-				for _, r := range arena[nd.succStart:nd.succEnd] {
-					if !r.memo {
-						emit(sccOf[pt.slotNode[r.ci][r.slot]])
-					}
-				}
-			}
-		}
-		deps, depOff, depList := pt.buildSCCDeps(nsccs, forEach)
-		masks := make([][]uint64, workers)
-		for i := range masks {
-			masks[i] = make([]uint64, w)
-		}
-		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeSCC(si, masks[wk]) })
-		d.met.SweepSteals += int(steals)
-	} else {
-		// Tarjan emits an SCC only after every SCC reachable from it, so
-		// ascending emission order is a valid reverse-topological schedule.
-		mask := make([]uint64, w)
-		for si := 0; si < nsccs; si++ {
-			computeSCC(int32(si), mask)
+	if pt.node == nil {
+		pt.node = make([]int32, pt.totalB)
+		for i := range pt.node {
+			pt.node[i] = -1
 		}
 	}
-	d.met.TauCacheHits += int(hits)
-
-	// Park the scratch (at its grown capacity) for the next sweep.
-	pt.tnodes, pt.tarena = nodes, arena
-	pt.tlow, pt.tonStack, pt.tsccOf, pt.tstack = low, onStack, sccOf, stack
-	pt.tframes = callStack
-	pt.sccMembers, pt.sccOff = sccMembers, sccOff
-}
-
-// refreshReadyWide is the pb-major sweep for narrow-column shapes (at most
-// wideColumnLimit affected columns): one Tarjan over the packed-b states
-// that appear in any affected column, with per-pb membership masks and a
-// dense node-major mask scratch holding one ready mask per (pb, member
-// column). Collapsing per-column edges onto the pb graph can only merge
-// SCCs, never split an order constraint — the τ-edges are genuinely
-// column-independent, and every Int-edge some column needs maps to a pb
-// edge that is present whenever its target participates in the sweep — so
-// the condensation order is valid for every column, and within-SCC
-// fixpoint iteration converges each mask to the unique least fixpoint the
-// narrow path computes slot by slot. Returns false (leaving all state
-// restored) when the scratch would exceed wideMemWords.
-func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
-	pt := d.prog
-	m := len(cols)
-	w := pt.words
-	if pt.wMember == nil {
-		pt.wMember = make([]uint64, pt.totalB)
-		pt.wNode = make([]int32, pt.totalB)
-		for i := range pt.wNode {
-			pt.wNode[i] = -1
-		}
-		pt.colOf = make([]int32, len(d.states))
-		for i := range pt.colOf {
-			pt.colOf[i] = -1
-		}
-	}
-	// Membership pass: one bit per affected column per pb; node ids are
-	// assigned in first-touch order. Everything set here is undone before
-	// returning (on both the bail-out and the success path), keeping the
-	// domain-sized arrays at their zero state between sweeps.
-	active := pt.wActive[:0]
+	// Membership pass: node ids in first-touch order, with each node's
+	// member count parked in memOff. Then a counting sort lays the (column,
+	// slot) members out per node; filling in reverse leaves every memOff
+	// entry at its node's start and each node's members in column order.
+	active := pt.active[:0]
+	memOff := pt.memOff[:0]
 	slots := 0
-	for j, ci := range cols {
-		bit := uint64(1) << uint(j)
+	for _, ci := range cols {
 		for _, pb := range pt.combos[ci] {
-			if pt.wMember[pb] == 0 {
-				pt.wNode[pb] = int32(len(active))
+			nid := pt.node[pb]
+			if nid < 0 {
+				nid = int32(len(active))
+				pt.node[pb] = nid
 				active = append(active, pb)
+				memOff = append(memOff, 0)
 			}
-			pt.wMember[pb] |= bit
+			memOff[nid]++
 		}
 		slots += len(pt.combos[ci])
-		pt.colOf[ci] = int32(j)
 	}
 	nAct := len(active)
-	cleanup := func() {
-		for _, pb := range active {
-			pt.wMember[pb] = 0
-			pt.wNode[pb] = -1
-		}
-		for _, ci := range cols {
-			pt.colOf[ci] = -1
-		}
-		pt.wActive = active[:0]
+	for i := 1; i < nAct; i++ {
+		memOff[i] += memOff[i-1]
 	}
-	if nAct*m*w > wideMemWords {
-		cleanup()
-		return false
+	memOff = append(memOff, int32(slots))
+	members := resizeSlice(pt.members, slots)
+	for j := len(cols) - 1; j >= 0; j-- {
+		combos := pt.combos[cols[j]]
+		for s := len(combos) - 1; s >= 0; s-- {
+			nid := pt.node[combos[s]]
+			memOff[nid]--
+			members[memOff[nid]] = colSlot{col: int32(j), slot: int32(s)}
+		}
+		clear(pt.ready[cols[j]]) // ⊥, the fixpoint iteration's start
 	}
 
 	// Iterative Tarjan over the pb graph, successors resolved on the fly
-	// (τ targets stay in-sweep by closure; Int targets join when any member
-	// column could redirect into them). Self-edges don't affect SCC
-	// structure but flag the node for fixpoint iteration: an Int self-edge
-	// can carry a cross-column dependency (pb, j) → (pb, j').
-	dfn := resizeSlice(pt.wDfn, nAct)
-	low := resizeSlice(pt.tlow, nAct)
-	sccOf := resizeSlice(pt.tsccOf, nAct)
-	onStack := resizeSlice(pt.tonStack, nAct)
-	self := resizeSlice(pt.wSelf, nAct)
+	// (τ targets stay in-sweep by closure; Int targets join when they are in
+	// the sweep). Self-edges don't affect SCC structure but flag the node
+	// for fixpoint iteration: an Int self-edge can carry a cross-column
+	// dependency (pb, ci) → (pb, ci').
+	dfn := resizeSlice(pt.dfn, nAct)
+	low := resizeSlice(pt.low, nAct)
+	sccOf := resizeSlice(pt.sccOf, nAct)
+	onStack := resizeSlice(pt.onStack, nAct)
+	self := resizeSlice(pt.self, nAct)
 	for i := 0; i < nAct; i++ {
 		dfn[i] = -1
 		onStack[i] = false
 		self[i] = false
 	}
-	stack := pt.tstack[:0]
-	frames := pt.tframes[:0]
+	stack := pt.stack[:0]
+	frames := pt.frames[:0]
 	sccMembers := growCap(pt.sccMembers, nAct)
 	sccOff := append(pt.sccOff[:0], 0)
 
@@ -781,11 +515,11 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 		pb := active[nid]
 		frames = append(frames, tframe{node: nid, ei: 0, end: int32(len(pt.ints[pb]) + len(pt.ext[pb]))})
 	}
-	for _, root := range active {
-		if dfn[pt.wNode[root]] >= 0 {
+	for root := int32(0); root < int32(nAct); root++ {
+		if dfn[root] >= 0 {
 			continue
 		}
-		push(pt.wNode[root])
+		push(root)
 		for len(frames) > 0 {
 			f := &frames[len(frames)-1]
 			nid := f.node
@@ -821,8 +555,7 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 			} else {
 				ed := pt.ext[pb][int(f.ei)-len(ints)]
 				if d.intlIndex[ed.Ev] >= 0 {
-					t := d.boff[d.variantOf(pb)] + ed.To
-					if pt.wMember[t] != 0 {
+					if t := d.boff[d.variantOf(pb)] + ed.To; pt.node[t] >= 0 {
 						q = t
 					}
 				}
@@ -835,7 +568,7 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 				self[nid] = true
 				continue
 			}
-			tn := pt.wNode[q]
+			tn := pt.node[q]
 			if dfn[tn] < 0 {
 				push(tn) // f is stale after this; the loop refetches it
 			} else if onStack[tn] && dfn[tn] < low[nid] {
@@ -845,42 +578,30 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 	}
 	d.met.ReadySetRebuilds += slots
 
-	// Dense mask scratch, node-major: all member columns of a pb are
-	// adjacent, so the DP streams each row's edges once and updates every
-	// column in cache order. Masks start at ⊥; monotone union iteration
-	// makes the final content the least fixpoint regardless of order.
-	need := nAct * m * w
-	if cap(pt.wReady) < need {
-		pt.wReady = make([]uint64, need)
-	} else {
-		pt.wReady = pt.wReady[:need]
-		for i := range pt.wReady {
-			pt.wReady[i] = 0
-		}
-	}
-	wr := pt.wReady
-
+	// The DP reaches every mask through slotOf: a τ-edge stays in the
+	// member's column, an Int-edge moves to the column the converter's
+	// transition leads to. Memo hits are counted on the first pass only,
+	// one per resolved edge into a valid column.
 	var hits int64
-	computeWide := func(si int32, acc []uint64) {
-		members := sccMembers[sccOff[si]:sccOff[si+1]]
+	computeSCC := func(si int32, acc []uint64) {
+		nodes := sccMembers[sccOff[si]:sccOff[si+1]]
 		pass := func(count bool) bool {
 			changed := false
 			localHits := int64(0)
-			for _, nid := range members {
+			for _, nid := range nodes {
 				pb := active[nid]
-				v := d.variantOf(pb)
+				boff := d.boff[d.variantOf(pb)]
 				ints, ext := pt.ints[pb], pt.ext[pb]
-				if w == 1 {
-					base := pt.bready[pb]
-					for rest := pt.wMember[pb]; rest != 0; {
-						j := bits.TrailingZeros64(rest)
-						rest &^= 1 << uint(j)
-						ci := cols[j]
-						acc0 := base
+				for _, mb := range members[memOff[nid]:memOff[nid+1]] {
+					ci := cols[mb.col]
+					succ := d.states[ci].succ
+					if w == 1 {
+						a := pt.bready[pb]
 						for _, t := range ints {
-							acc0 |= wr[int(pt.wNode[d.boff[v]+t])*m+j]
+							if s := pt.slotOf(ci, boff+t); s >= 0 {
+								a |= pt.ready[ci][s]
+							}
 						}
-						succ := d.states[ci].succ
 						for _, ed := range ext {
 							ii := d.intlIndex[ed.Ev]
 							if ii < 0 {
@@ -890,34 +611,25 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 							if t < 0 || !alive[t] {
 								continue
 							}
-							q := d.boff[v] + ed.To
-							if jj := pt.colOf[t]; jj >= 0 {
-								acc0 |= wr[int(pt.wNode[q])*m+int(jj)]
-							} else if s := pt.slotOf(t, q); s >= 0 {
-								acc0 |= pt.ready[t][s]
-								if count {
+							if s := pt.slotOf(t, boff+ed.To); s >= 0 {
+								a |= pt.ready[t][s]
+								if count && pt.valid[t] {
 									localHits++
 								}
 							}
 						}
-						if idx := int(nid)*m + j; wr[idx] != acc0 {
-							wr[idx] = acc0
+						if dst := &pt.ready[ci][mb.slot]; *dst != a {
+							*dst = a
 							changed = true
 						}
+						continue
 					}
-					continue
-				}
-				base := pt.bready[int(pb)*w : int(pb)*w+w]
-				for rest := pt.wMember[pb]; rest != 0; {
-					j := bits.TrailingZeros64(rest)
-					rest &^= 1 << uint(j)
-					ci := cols[j]
-					copy(acc, base)
+					copy(acc, pt.bready[int(pb)*w:int(pb)*w+w])
 					for _, t := range ints {
-						o := (int(pt.wNode[d.boff[v]+t])*m + j) * w
-						sat.OrInto(acc, wr[o:o+w])
+						if s := pt.slotOf(ci, boff+t); s >= 0 {
+							sat.OrInto(acc, pt.ready[ci][int(s)*w:int(s)*w+w])
+						}
 					}
-					succ := d.states[ci].succ
 					for _, ed := range ext {
 						ii := d.intlIndex[ed.Ev]
 						if ii < 0 {
@@ -927,29 +639,20 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 						if t < 0 || !alive[t] {
 							continue
 						}
-						q := d.boff[v] + ed.To
-						if jj := pt.colOf[t]; jj >= 0 {
-							o := (int(pt.wNode[q])*m + int(jj)) * w
-							sat.OrInto(acc, wr[o:o+w])
-						} else if s := pt.slotOf(t, q); s >= 0 {
+						if s := pt.slotOf(t, boff+ed.To); s >= 0 {
 							sat.OrInto(acc, pt.ready[t][int(s)*w:int(s)*w+w])
-							if count {
+							if count && pt.valid[t] {
 								localHits++
 							}
 						}
 					}
-					o := (int(nid)*m + j) * w
-					dst := wr[o : o+w]
-					same := true
+					dst := pt.ready[ci][int(mb.slot)*w : int(mb.slot)*w+w]
 					for i := range acc {
 						if acc[i] != dst[i] {
-							same = false
+							copy(dst, acc)
+							changed = true
 							break
 						}
-					}
-					if !same {
-						copy(dst, acc)
-						changed = true
 					}
 				}
 			}
@@ -959,10 +662,8 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 			return changed
 		}
 		// A singleton SCC without self-edges is already final after one
-		// pass; anything else iterates to the fixpoint. Memo hits are
-		// counted on the first pass only, matching the narrow path's
-		// one-count-per-edge accounting.
-		if len(members) == 1 && !self[members[0]] {
+		// pass; anything else iterates to the fixpoint.
+		if len(nodes) == 1 && !self[nodes[0]] {
 			pass(true)
 			return
 		}
@@ -976,16 +677,16 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 		forEach := func(si int32, emit func(ts int32)) {
 			for _, nid := range sccMembers[sccOff[si]:sccOff[si+1]] {
 				pb := active[nid]
-				v := d.variantOf(pb)
+				boff := d.boff[d.variantOf(pb)]
 				for _, t := range pt.ints[pb] {
-					emit(sccOf[pt.wNode[d.boff[v]+t]])
+					emit(sccOf[pt.node[boff+t]])
 				}
 				for _, ed := range pt.ext[pb] {
 					if d.intlIndex[ed.Ev] < 0 {
 						continue
 					}
-					if q := d.boff[v] + ed.To; pt.wMember[q] != 0 {
-						emit(sccOf[pt.wNode[q]])
+					if tn := pt.node[boff+ed.To]; tn >= 0 {
+						emit(sccOf[tn])
 					}
 				}
 			}
@@ -996,40 +697,26 @@ func (d *deriver) refreshReadyWide(alive []bool, cols []int32) bool {
 			accs[i] = make([]uint64, w)
 		}
 		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeWide(si, accs[wk]) })
+			func(si int32, wk int) { computeSCC(si, accs[wk]) })
 		d.met.SweepSteals += int(steals)
 	} else {
+		// Tarjan emits an SCC only after every SCC reachable from it, so
+		// ascending emission order is a valid reverse-topological schedule.
 		acc := make([]uint64, w)
 		for si := 0; si < nsccs; si++ {
-			computeWide(int32(si), acc)
+			computeSCC(int32(si), acc)
 		}
 	}
 	d.met.TauCacheHits += int(hits)
 
-	// Scatter the node-major masks back into the column-major memo the
-	// verdict scan and future sweeps' memo leaves read.
-	for j, ci := range cols {
-		combos := pt.combos[ci]
-		dst := pt.ready[ci]
-		if w == 1 {
-			for s, pb := range combos {
-				dst[s] = wr[int(pt.wNode[pb])*m+j]
-			}
-			continue
-		}
-		for s, pb := range combos {
-			o := (int(pt.wNode[pb])*m + j) * w
-			copy(dst[s*w:(s+1)*w], wr[o:o+w])
-		}
+	// Restore node to all -1 and park the scratch for the next sweep.
+	for _, pb := range active {
+		pt.node[pb] = -1
 	}
-
-	cleanup()
-	// Park the scratch for the next sweep.
-	pt.wDfn, pt.tlow, pt.tsccOf = dfn, low, sccOf
-	pt.tonStack, pt.wSelf = onStack, self
-	pt.tstack, pt.tframes = stack[:0], frames[:0]
+	pt.active, pt.memOff, pt.members = active[:0], memOff[:0], members
+	pt.dfn, pt.low, pt.sccOf, pt.onStack, pt.self = dfn, low, sccOf, onStack, self
+	pt.stack, pt.frames = stack[:0], frames[:0]
 	pt.sccMembers, pt.sccOff = sccMembers, sccOff
-	return true
 }
 
 // buildSCCDeps builds the dependency counters and dependents CSR the

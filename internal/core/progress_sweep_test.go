@@ -1,0 +1,186 @@
+package core_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"protoquot/internal/compose"
+	"protoquot/internal/core"
+	"protoquot/internal/oracle"
+	"protoquot/internal/protocols"
+	"protoquot/internal/spec"
+	"protoquot/internal/specgen"
+)
+
+func mustBuild(t *testing.T, b *spec.Builder) *spec.Spec {
+	t.Helper()
+	s, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return s
+}
+
+// sweepOutcome is a derivation's bit-identity surface for the sweep test:
+// converter text, stats with wall times and steal counts zeroed, and error
+// string.
+type sweepOutcome struct {
+	text  string
+	stats core.Stats
+	err   string
+}
+
+// TestProgressSweepAcrossWorkers derives systems that exercise every shape
+// of progress sweep — incremental removal, progress-phase nonexistence, a
+// two-variant robust derivation with τ-memo hits, and specgen chain,
+// chaindrop and ring instances — at 1, 2 and 4 workers. Every run must
+// produce the same converter and statistics, and every converter must pass
+// the raw-edge progress oracle against each environment variant.
+func TestProgressSweepAcrossWorkers(t *testing.T) {
+	type system struct {
+		name string
+		a    *spec.Spec
+		bs   []*spec.Spec
+	}
+	var systems []system
+	// extra service events, each a self-loop at the initial states, widen
+	// the ready masks: 0 keeps them one word, 70 makes them two.
+	for _, extra := range []int{0, 70} {
+		loops := func(b *spec.Builder, st string) *spec.Builder {
+			for i := 0; i < extra; i++ {
+				b.Ext(st, spec.Event(fmt.Sprintf("n%d", i)), st)
+			}
+			return b
+		}
+		alt := mustBuild(t, loops(spec.NewBuilder("S").Init("v0").Ext("v0", "acc", "v1").Ext("v1", "del", "v0"), "v0"))
+		removal := loops(spec.NewBuilder("B").Init("b0"), "b0")
+		removal.Ext("b0", "acc", "b1")
+		removal.Ext("b1", "x", "b2").Ext("b2", "del", "b0")
+		removal.Ext("b1", "y", "b3").Ext("b3", "z", "b4")
+		variant := func(lossy bool) *spec.Spec {
+			bb := loops(spec.NewBuilder("B").Init("b0"), "b0")
+			bb.Ext("b0", "acc", "b1").Ext("b1", "x", "b2").Ext("b2", "del", "b0")
+			bb.Ext("b1", "y", "b0").Ext("b2", "y", "b2")
+			if lossy {
+				bb.Int("b1", "b0")
+			}
+			return mustBuild(t, bb)
+		}
+		doomed := loops(spec.NewBuilder("B").Event("del").Init("b0"), "b0")
+		doomed.Ext("b0", "acc", "b1").Ext("b1", "x", "b2")
+		suffix := ""
+		if extra > 0 {
+			suffix = "-wide"
+		}
+		systems = append(systems,
+			system{"removal" + suffix, alt, []*spec.Spec{mustBuild(t, removal)}},
+			system{"doomed" + suffix, alt, []*spec.Spec{mustBuild(t, doomed)}},
+			system{"robust" + suffix, alt, []*spec.Spec{variant(false), variant(true)}})
+	}
+	for _, fn := range []string{"chain(3)", "chaindrop(3)", "ring(3)"} {
+		fam, err := specgen.ParseFamily(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := compose.Many(fam.Components...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, system{fam.Name, fam.Service, []*spec.Spec{b}})
+	}
+
+	for _, sys := range systems {
+		t.Run(sys.name, func(t *testing.T) {
+			var ref sweepOutcome
+			for i, w := range []int{1, 2, 4} {
+				// One intern shard: the shard count sizes PairArenaBytes, and
+				// TestShardedInternDifferential owns that dimension.
+				res, err := core.DeriveRobust(sys.a, sys.bs, core.Options{Workers: w, InternShards: 1})
+				var got sweepOutcome
+				if err != nil {
+					got.err = err.Error()
+				}
+				if res != nil {
+					got.stats = res.Stats
+					m := &got.stats.Metrics
+					if m.Workers != w {
+						t.Errorf("workers=%d: Metrics.Workers = %d", w, m.Workers)
+					}
+					m.Workers = 0
+					m.SafetyWall, m.ProgressWall, m.EnvExpansionNs = 0, 0, 0
+					m.SweepSteals = 0
+					if res.Converter != nil {
+						got.text = res.Converter.Format()
+						for _, b := range sys.bs {
+							if trace, ok := oracle.CheckProgress(compose.Pair(b, res.Converter), sys.a); !ok {
+								t.Errorf("workers=%d: converter fails the progress oracle against %s after %v",
+									w, b.Name(), trace)
+							}
+						}
+					}
+				}
+				if i == 0 {
+					ref = got
+					continue
+				}
+				if got != ref {
+					t.Errorf("workers=%d diverges from workers=1:\n%s\nstats %+v err %q\n--- vs ---\n%s\nstats %+v err %q",
+						w, got.text, got.stats, got.err, ref.text, ref.stats, ref.err)
+				}
+			}
+			if strings.HasPrefix(sys.name, "doomed") && ref.err == "" {
+				t.Error("doomed system derived a converter")
+			}
+		})
+	}
+}
+
+// TestProgressSweepMetricsPinned pins the progress phase's deterministic
+// counters on the families the repository benchmark's per-layer metrics
+// (core.ready_set_rebuilds, core.tau_cache_hit_rate, core.tau_invalidated)
+// are computed from, and on a paper system with τ-memo hits, so that a
+// change to the sweep cannot move them unnoticed.
+func TestProgressSweepMetricsPinned(t *testing.T) {
+	type pin struct {
+		iterations, removed, rebuilds, hits, invalidated, scans int
+	}
+	pins := []struct {
+		name string
+		want pin
+	}{
+		{"chain(5)", pin{1, 0, 21504, 0, 0, 9}},
+		{"chaindrop(5)", pin{2, 7, 53248, 0, 21504, 25}},
+		{"ring(4)", pin{1, 0, 6297, 0, 0, 1040}},
+		{"fig18", pin{3, 254, 5351, 112, 671, 513}},
+	}
+	for _, p := range pins {
+		for _, w := range []int{1, 2} {
+			opts := core.Options{OmitVacuous: true, Workers: w}
+			var res *core.Result
+			var err error
+			if p.name == "fig18" {
+				res, err = core.Derive(protocols.CST(), protocols.TransportB18(), opts)
+			} else {
+				fam, ferr := specgen.ParseFamily(p.name)
+				if ferr != nil {
+					t.Fatal(ferr)
+				}
+				env, cerr := compose.LazyMany(fam.Components...)
+				if cerr != nil {
+					t.Fatal(cerr)
+				}
+				res, err = core.DeriveEnv(fam.Service, env, opts)
+			}
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", p.name, w, err)
+			}
+			s := res.Stats
+			got := pin{s.ProgressIterations, s.RemovedStates, s.Metrics.ReadySetRebuilds,
+				s.Metrics.TauCacheHits, s.Metrics.TauInvalidated, s.Metrics.ProgressScans}
+			if got != p.want {
+				t.Errorf("%s workers=%d: sweep metrics %+v, pinned %+v", p.name, w, got, p.want)
+			}
+		}
+	}
+}

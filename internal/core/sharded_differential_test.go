@@ -8,6 +8,28 @@ import (
 	"protoquot/internal/specgen"
 )
 
+// deriveOutcome captures the full bit-identity surface of a derivation:
+// converter text, stats (wall times zeroed), existence, and error string.
+func deriveOutcome(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) (string, Stats, bool, string) {
+	t.Helper()
+	res, err := DeriveRobust(a, bs, opts)
+	var text, errs string
+	var stats Stats
+	var exists bool
+	if err != nil {
+		errs = err.Error()
+	}
+	if res != nil {
+		exists = res.Exists
+		stats = res.Stats
+		stats.Metrics = Metrics{} // wall times and steal counts legitimately differ
+		if res.Converter != nil {
+			text = res.Converter.Format()
+		}
+	}
+	return text, stats, exists, errs
+}
+
 // withSafetyKnobs runs f with the safety-phase package knobs overridden,
 // restoring them afterwards. Every combination must be invisible in the
 // derivation outcome: the knobs steer storage layout and skipped work, not
