@@ -687,15 +687,16 @@ func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 // growth-policy regression — the class of bug that once cost +190 MB on
 // chain(9) — fails the benchsmoke gate instead of landing silently.
 // chain(7) (~61 MB when pinned, ~45 MB now) has nine huge converter states;
-// ring(5) (~97 MB) has 5,152 small ones, so between them they cover both
-// shapes of progress sweep.
+// ring(5) (~84 MiB, pinned at ~1.3×) has 5,152 small ones, so between them
+// they cover both shapes of progress sweep, and ring(5) also emits a
+// 5,152-state converter.
 
 func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
 	benchAllocBudget(b, specgen.Chain(7), 96<<20)
 }
 
 func BenchmarkDeriveAllocBudgetRing5(b *testing.B) {
-	benchAllocBudget(b, specgen.Ring(5), 140<<20)
+	benchAllocBudget(b, specgen.Ring(5), 110<<20)
 }
 
 // benchAllocBudget derives f once per iteration and fails when a derivation

@@ -284,6 +284,7 @@ type deriver struct {
 	memo      *seedMemo
 	succArena *int32Arena
 	states    []cstate
+	alive     []bool // per converter state: not removed by the progress phase
 	met       *Metrics
 	prog      *progTables // progress-phase memo tables; nil until that phase
 
@@ -360,6 +361,16 @@ func DeriveEnvContext(ctx context.Context, a *spec.Spec, b Environment, opts Opt
 // over arbitrary Environment variants, with cancellation. Every other
 // Derive* function funnels here.
 func DeriveEnvsContext(ctx context.Context, a *spec.Spec, bs []Environment, opts Options) (*Result, error) {
+	d, err := newDeriver(ctx, a, bs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// newDeriver checks the derivation's preconditions and builds a deriver
+// with its dense tables prepared.
+func newDeriver(ctx context.Context, a *spec.Spec, bs []Environment, opts Options) (*deriver, error) {
 	if err := a.IsNormalForm(); err != nil {
 		return nil, fmt.Errorf("quotient: service spec: %w", err)
 	}
@@ -413,7 +424,7 @@ func DeriveEnvsContext(ctx context.Context, a *spec.Spec, bs []Environment, opts
 		d.workers = 1
 	}
 	d.prepare()
-	return d.run()
+	return d, nil
 }
 
 // minimizeEnv pre-reduces one environment for Options.MinimizeComponents:
@@ -644,6 +655,7 @@ func (d *deriver) run() (*Result, error) {
 	for i := range alive {
 		alive[i] = true
 	}
+	d.alive = alive
 	if !d.opts.SafetyOnly {
 		t1 := time.Now()
 		err = d.progressPhase(res, alive)
@@ -657,28 +669,10 @@ func (d *deriver) run() (*Result, error) {
 	}
 
 	// ---- Emit the converter spec ----
-	bld := spec.NewBuilder(fmt.Sprintf("C(%s/%s)", d.a.Name(), d.bs[0].Name()))
-	for _, e := range d.intl {
-		bld.Event(e)
-	}
-	bld.Init(d.stateName(0))
-	for ci := range d.states {
-		if !alive[ci] {
-			continue
-		}
-		name := d.stateName(int32(ci))
-		bld.State(name)
-		for ei, t := range d.states[ci].succ {
-			if t >= 0 && alive[t] {
-				bld.Ext(name, d.intl[ei], d.stateName(t))
-			}
-		}
-	}
-	c, err := bld.Build()
+	c, err := d.emitConverter()
 	if err != nil {
 		return nil, fmt.Errorf("quotient: building converter: %w", err)
 	}
-	c = c.Trim()
 	res.Converter = c
 	res.Exists = true
 	res.Stats.FinalStates = c.NumStates()
@@ -714,6 +708,110 @@ func (d *deriver) run() (*Result, error) {
 	}
 	d.fillEnvMetrics()
 	return res, nil
+}
+
+// converterName is the name of the emitted converter spec.
+func (d *deriver) converterName() string {
+	return fmt.Sprintf("C(%s/%s)", d.a.Name(), d.bs[0].Name())
+}
+
+// emitConverter builds the converter — the live states reachable from state
+// 0 — straight from the integer safety graph, with one spec.FromDense call.
+// It numbers the states exactly as spec.Builder followed by Spec.Trim would
+// (DESIGN.md §12, "Dense emission"), so the emitted text is the same:
+//
+//  1. Builder order: state 0 (the Init call), then each live state in index
+//     order, each followed by its live successors; a state keeps the place
+//     of its first mention.
+//  2. Trim order: walking the states in Builder order, each state reachable
+//     from state 0 is mentioned, then its successors in event order. Trim
+//     visits edges sorted by event name; d.intl is sorted (Environment
+//     alphabets are) and a converter has one edge per event, so succ's
+//     index order is that order.
+func (d *deriver) emitConverter() (*spec.Spec, error) {
+	alive := d.alive
+	n := len(d.states)
+	// id[ci] is ci's place in order, or -1 before its first mention.
+	id := make([]int32, n)
+	var order []int32
+	restart := func(capacity int) {
+		for i := range id {
+			id[i] = -1
+		}
+		order = make([]int32, 0, capacity)
+	}
+	mention := func(ci int32) {
+		if id[ci] < 0 {
+			id[ci] = int32(len(order))
+			order = append(order, ci)
+		}
+	}
+
+	restart(n)
+	mention(0)
+	for ci := int32(0); ci < int32(n); ci++ {
+		if !alive[ci] {
+			continue
+		}
+		mention(ci)
+		for _, t := range d.states[ci].succ {
+			if t >= 0 && alive[t] {
+				mention(t)
+			}
+		}
+	}
+	built := order
+
+	reach := make([]bool, n)
+	reach[0] = true
+	stack := []int32{0}
+	for len(stack) > 0 {
+		ci := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, t := range d.states[ci].succ {
+			if t >= 0 && alive[t] && !reach[t] {
+				reach[t] = true
+				stack = append(stack, t)
+			}
+		}
+	}
+
+	restart(len(built))
+	nedges := 0
+	for _, ci := range built {
+		if !reach[ci] {
+			continue
+		}
+		mention(ci)
+		for _, t := range d.states[ci].succ {
+			if t >= 0 && alive[t] {
+				mention(t)
+				nedges++
+			}
+		}
+	}
+	final := order
+
+	names := make([]string, len(final))
+	ext := make([][]spec.ExtEdge, len(final))
+	edges := make([]spec.ExtEdge, 0, nedges)
+	for i, ci := range final {
+		names[i] = d.stateName(ci)
+		start := len(edges)
+		for ei, t := range d.states[ci].succ {
+			if t >= 0 && alive[t] {
+				edges = append(edges, spec.ExtEdge{Event: d.intl[ei], To: spec.State(id[t])})
+			}
+		}
+		ext[i] = edges[start:]
+	}
+	return spec.FromDense(spec.Dense{
+		Name:       d.converterName(),
+		StateNames: names,
+		Init:       0,
+		Alphabet:   d.intl,
+		Ext:        ext,
+	})
 }
 
 // fillSafetyMetrics records the safety phase's interning, memoization, and

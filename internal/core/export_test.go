@@ -1,6 +1,11 @@
 package core
 
-import "protoquot/internal/spec"
+import (
+	"context"
+	"fmt"
+
+	"protoquot/internal/spec"
+)
 
 // Hooks for the external prune differential suite (prunecheck_test.go),
 // which imports protosmith and so cannot live inside package core.
@@ -32,4 +37,90 @@ func PruneCheckVerdicts(a *spec.Spec, bs []Environment, c *spec.Spec) (input boo
 		}
 	}
 	return pc.ok(noRemoval), states, edges, nil
+}
+
+// DeriveWithReferenceEmit derives like DeriveEnvsContext and, when a
+// converter exists, also emits it with referenceEmit from the same
+// surviving states, so the two emitters can be compared.
+func DeriveWithReferenceEmit(a *spec.Spec, bs []Environment, opts Options) (res *Result, ref *spec.Spec, err error) {
+	d, err := newDeriver(context.Background(), a, bs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err = d.run()
+	if err != nil || !res.Exists {
+		return res, nil, err
+	}
+	ref, err = d.referenceEmit()
+	return res, ref, err
+}
+
+// referenceEmit is the converter emitter as it was before emitConverter,
+// kept as its oracle: every live state and transition goes through
+// spec.Builder's name maps, and Spec.Trim then rebuilds the spec restricted
+// to the states reachable from the initial one.
+func (d *deriver) referenceEmit() (*spec.Spec, error) {
+	bld := spec.NewBuilder(d.converterName())
+	for _, e := range d.intl {
+		bld.Event(e)
+	}
+	bld.Init(d.stateName(0))
+	for ci := range d.states {
+		if !d.alive[ci] {
+			continue
+		}
+		name := d.stateName(int32(ci))
+		bld.State(name)
+		for ei, t := range d.states[ci].succ {
+			if t >= 0 && d.alive[t] {
+				bld.Ext(name, d.intl[ei], d.stateName(t))
+			}
+		}
+	}
+	c, err := bld.Build()
+	if err != nil {
+		return nil, err
+	}
+	return c.Trim(), nil
+}
+
+// CheckProgressLayout runs the safety phase, builds the progress phase's
+// pb-major memo — whose pbs are those the first sweep sweeps — and checks
+// the invariant the sweep's merge walk relies on: for every pb and each of
+// its τ-successors t, pb's columns are a subset of t's. It returns the
+// number of (pb, t) pairs checked, 0 when the safety phase proves that no
+// converter exists, and the first violation found.
+func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs int, err error) {
+	d, err := newDeriver(context.Background(), a, bs, opts)
+	if err != nil {
+		return 0, err
+	}
+	d.met = &Metrics{}
+	if err := d.safetyPhase(); err != nil {
+		if _, ok := err.(*NoQuotientError); ok {
+			return 0, nil
+		}
+		return 0, err
+	}
+	if err := d.initProgTables(); err != nil {
+		return 0, err
+	}
+	pt := d.prog
+	for pb := int32(0); pb < pt.totalB; pb++ {
+		cols := pt.pbCol[pt.pbOff[pb]:pt.pbOff[pb+1]]
+		if len(cols) == 0 {
+			continue
+		}
+		boff := d.boff[d.variantOf(pb)]
+		for _, t := range pt.ints[pb] {
+			q := boff + t
+			pairs++
+			for _, c := range cols {
+				if pt.pos(q, c) < 0 {
+					return pairs, fmt.Errorf("pb %d is in column %d but its τ-successor %d is not", pb, c, q)
+				}
+			}
+		}
+	}
+	return pairs, nil
 }

@@ -105,12 +105,6 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 // the sharded verdict scan partitions work by.
 func (ps pairset) runs() int { return len(ps) / 2 }
 
-// runStart returns the first (lowest) pair index of run r; runs hold
-// nonzero words, so every run has one.
-func (ps pairset) runStart(r int) int32 {
-	return int32(ps[2*r])<<6 + int32(bits.TrailingZeros64(ps[2*r+1]))
-}
-
 // forEachRunRange visits the pair indices of runs [lo, hi) in ascending
 // order, stopping early when f returns true.
 func (ps pairset) forEachRunRange(lo, hi int, f func(p int32) bool) {

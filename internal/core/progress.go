@@ -2,36 +2,46 @@
 //
 // A sweep removes every converter state containing a pair whose composite
 // ready sets cannot satisfy A's acceptance sets; removal changes
-// reachability, so sweeps repeat to a fixpoint. Five ideas keep the phase
+// reachability, so sweeps repeat to a fixpoint. Six ideas keep the phase
 // cheap on large instances:
 //
 //   - Incrementality (PR 1): deleting state r only changes verdicts of
 //     converter states that could reach r, so each sweep after the first
 //     re-examines only the predecessor closure of the previous sweep's
 //     removals, over the static safety-phase graph.
-//   - Dense memoized ready sets (PR 3): the composite states ⟨b,c⟩ of
-//     B‖C that matter are exactly the (v,b) projections of c's pair set
-//     (pair sets are closed under B's internal moves and synchronized Int
-//     steps land in the successor's pair set), so each converter state c
-//     owns a static sorted "combo" table and a flat array of ready masks —
-//     bitmasks over Ext laid out by sat.ReadyIndex. Masks survive sweeps;
-//     invalidation clears whole columns (every combo of an affected
-//     converter state), which is exactly the predecessor closure the
-//     incremental sweep re-examines, so a memo can never be stale. Ready
-//     computation runs Tarjan SCC condensation over the combo graph and a
-//     reverse-topological DP, with edges into still-valid columns consumed
-//     as memoized leaves (the τ-closure cache hits of core.Metrics).
-//   - One pb-major sweep: the combo graph has a node per (column, slot),
-//     but its τ-edges do not depend on the column and its Int-edges only
-//     redirect it, so every per-column graph is a quotient of one graph over
-//     the packed-b states. A sweep runs ONE Tarjan over the pbs that occur
-//     in any affected column; each pb lists its (column, slot) members, and
-//     an SCC's members compute their masks straight into the column-major
-//     memo. Collapsing per-column edges onto the pb graph can only merge
-//     SCCs, and within-SCC fixpoint iteration absorbs the merge: the mask
-//     system is monotone, so each mask still converges to its least
-//     fixpoint, the exact τ*-reachability closure. Scratch is O(slots), the
-//     order of the memo itself, whatever the number of affected columns.
+//   - Dense memoized ready sets: the composite states ⟨b,c⟩ of B‖C that
+//     matter are exactly the (v,b) projections of c's pair set (pair sets
+//     are closed under B's internal moves and synchronized Int steps land
+//     in the successor's pair set), so each converter state c — a "column"
+//     — owns a static sorted "combo" table of packed-b states (pbs), and
+//     each (pb, column) slot a ready mask: a bitmask over Ext laid out by
+//     sat.ReadyIndex. Masks survive sweeps; invalidation drops whole
+//     columns (every slot of an affected converter state), which is exactly
+//     the predecessor closure the incremental sweep re-examines, so a memo
+//     can never be stale. Edges into still-valid columns are consumed as
+//     memoized leaves (the τ-closure cache hits of core.Metrics).
+//   - A pb-major memo: the combo tables are transposed once per derivation
+//     into per-pb column lists, ascending, and the masks are stored at the
+//     same positions, so a pb's masks for all its columns share cache
+//     lines. A slot's mask is bready[pb], plus the masks of pb's
+//     τ-successors in the same column, plus those of its Int-successors in
+//     the column the converter's transition leads to. A τ-successor t
+//     always resolves in the member's column — pair-set closure puts t in
+//     every column pb is in — so pb's columns are a subset of t's, and one
+//     merge walk of the two lists finds every member's successor slot. An
+//     Int-successor's column varies per member, so it is found by a short
+//     search of the successor's column list (pos), as is each pb's mask in
+//     the verdict scan.
+//   - One pb-graph sweep: the per-(column, slot) graph's τ-edges do not
+//     depend on the column and its Int-edges only redirect it, so every
+//     per-column graph is a quotient of one graph over the pbs. A sweep
+//     runs ONE Tarjan over the pbs that occur in any affected column, and
+//     an SCC computes the masks of its pbs' in-sweep columns in place.
+//     Collapsing per-column edges onto the pb graph can only merge SCCs,
+//     and within-SCC fixpoint iteration absorbs the merge: the mask system
+//     is monotone, so each mask still converges to its least fixpoint, the
+//     exact τ*-reachability closure. Scratch is O(pbs), whatever the number
+//     of affected columns.
 //   - Work-stealing sweep scheduling: the DP runs on per-SCC atomic
 //     dependency counters with per-worker stealing deques (sched.go) rather
 //     than level by level with a barrier, so skewed levels cannot serialize
@@ -51,7 +61,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -60,10 +69,10 @@ import (
 	"protoquot/internal/spec"
 )
 
-// rankThreshold is the combo-table size at which a column gets a rank
-// bitmap for O(1) slot lookup instead of binary search. Below it the bitmap
-// (totalB bits + prefix counts) costs more to build than it saves.
-const rankThreshold = 128
+// blockMinSlots is the combo-table size below which the verdict scan never
+// takes the batched ProgBlock path: gathering a small column's masks costs
+// more than the per-pair tests it saves.
+const blockMinSlots = 128
 
 // minSchedSCCs is the condensation size below which a sweep computes masks
 // inline even with workers available — scheduling overhead would exceed
@@ -87,29 +96,32 @@ type progTables struct {
 	ext  [][]bedge
 	ints [][]int32
 
-	// Per converter state ("column"): the sorted packed-b combo table, the
-	// flat ready-mask storage (len(combos)×words), whether the column's
-	// masks are current, and — for large columns — the rank bitmap
-	// accelerating slotOf.
-	combos    [][]int32
-	ready     [][]uint64
-	valid     []bool
-	comboBits [][]uint64
-	comboRank [][]int32
+	// Per converter state ("column"): the sorted packed-b combo table and
+	// whether the column's masks are current.
+	combos [][]int32
+	valid  []bool
+
+	// The pb-major memo, the transpose of the combo tables: pb's columns,
+	// ascending, are pbCol[pbOff[pb]:pbOff[pb+1]], and the mask of (pb,
+	// pbCol[k]) is mask[k*words:(k+1)*words]. A pb's masks for all its
+	// columns share cache lines, and pos finds one by a short search.
+	pbOff []int32
+	pbCol []int32
+	mask  []uint64
 
 	// Sweep scratch, persisted so every sweep after the first reuses the
 	// first sweep's capacity instead of re-growing it allocation by
 	// allocation (the first sweep visits every column; later sweeps a
 	// shrinking closure). A sweep's nodes are the pbs of its columns,
 	// numbered in first-touch order: node nid is pb active[nid], and its
-	// (column, slot) members are members[memOff[nid]:memOff[nid+1]]. node
-	// spans the packed-b domain and is restored to all -1 after every sweep,
-	// so only the touched entries are ever paid for. SCC membership is
-	// stored flat: SCC si's nodes are sccMembers[sccOff[si]:sccOff[si+1]].
+	// members are the entries of pb's column range whose column is in the
+	// sweep (inSweep). node spans the packed-b domain and is restored to all
+	// -1 after every sweep, so only the touched entries are ever paid for.
+	// SCC membership is stored flat: SCC si's nodes are
+	// sccMembers[sccOff[si]:sccOff[si+1]].
+	inSweep    []bool  // per column: being recomputed this sweep
 	node       []int32 // per pb: node id this sweep, or -1
 	active     []int32
-	memOff     []int32
-	members    []colSlot
 	dfn        []int32 // per node: Tarjan DFS number, or -1
 	low        []int32
 	onStack    []bool
@@ -129,14 +141,8 @@ type progTables struct {
 	sccDepList []int32
 }
 
-// colSlot is one member of a sweep node: the index of its column in the
-// sweep's column list, and the pb's slot in that column's combo table.
-type colSlot struct {
-	col, slot int32
-}
-
-// initProgTables builds the acceptance index, base ready masks, and empty
-// column tables. Combo tables are projected lazily per column.
+// initProgTables builds the acceptance index, the base ready masks, every
+// column's combo table, and the pb-major memo.
 func (d *deriver) initProgTables() error {
 	readyIx, err := sat.NewReadyIndex(d.a.Alphabet())
 	if err != nil {
@@ -203,78 +209,69 @@ func (d *deriver) initProgTables() error {
 			}
 		}
 	}
+	// Combo tables: each column's sorted, deduplicated packed-b projection
+	// of its pair set. The pb-major pair encoding delivers pairs in
+	// ascending packed-b order, so a projection is one dedup pass, no sort.
 	n := len(d.states)
+	numA := int32(d.numA)
 	pt.combos = make([][]int32, n)
-	pt.ready = make([][]uint64, n)
 	pt.valid = make([]bool, n)
-	pt.comboBits = make([][]uint64, n)
-	pt.comboRank = make([][]int32, n)
+	pt.pbOff = make([]int32, pt.totalB+1)
+	for ci := range pt.combos {
+		out := make([]int32, 0, 8)
+		last := int32(-1)
+		d.table.get(int32(ci)).forEach(func(p int32) {
+			if pb := p / numA; pb != last {
+				out = append(out, pb)
+				last = pb
+				pt.pbOff[pb+1]++
+			}
+		})
+		pt.combos[ci] = out
+	}
+	// Transpose: counts to offsets, then each column appends itself to its
+	// pbs' ranges in ascending column order.
+	for pb := int32(0); pb < pt.totalB; pb++ {
+		pt.pbOff[pb+1] += pt.pbOff[pb]
+	}
+	slots := pt.pbOff[pt.totalB]
+	pt.pbCol = make([]int32, slots)
+	pt.mask = make([]uint64, int(slots)*pt.words)
+	next := append([]int32(nil), pt.pbOff[:pt.totalB]...)
+	for ci, combos := range pt.combos {
+		for _, pb := range combos {
+			pt.pbCol[next[pb]] = int32(ci)
+			next[pb]++
+		}
+	}
+	pt.inSweep = make([]bool, n)
 	d.prog = pt
 	return nil
 }
 
-// column ensures converter state ci's combo table exists: the sorted,
-// deduplicated packed-b projection of its pair set. The pb-major pair
-// encoding delivers pairs in ascending packed-b order, so the projection is
-// a single dedup pass — no sort.
-func (pt *progTables) column(d *deriver, ci int32) []int32 {
-	if pt.combos[ci] != nil {
-		return pt.combos[ci]
-	}
-	numA := int32(d.numA)
-	out := make([]int32, 0, 8)
-	last := int32(-1)
-	d.table.get(ci).forEach(func(p int32) {
-		if pb := p / numA; pb != last {
-			out = append(out, pb)
-			last = pb
-		}
-	})
-	pt.combos[ci] = out
-	pt.ready[ci] = make([]uint64, len(out)*pt.words)
-	if len(out) >= rankThreshold {
-		nw := (int(pt.totalB) + 63) / 64
-		bm := make([]uint64, nw)
-		for _, pb := range out {
-			bm[pb>>6] |= 1 << (uint(pb) & 63)
-		}
-		rank := make([]int32, nw)
-		c := int32(0)
-		for i, w := range bm {
-			rank[i] = c
-			c += int32(bits.OnesCount64(w))
-		}
-		pt.comboBits[ci] = bm
-		pt.comboRank[ci] = rank
-	}
-	return out
-}
-
-// slotOf locates packed-b id pb in ci's combo table; -1 if absent. Large
-// columns answer from the rank bitmap in O(1); small ones binary-search.
-func (pt *progTables) slotOf(ci, pb int32) int32 {
-	if bm := pt.comboBits[ci]; bm != nil {
-		w := pb >> 6
-		bit := uint64(1) << (uint(pb) & 63)
-		if bm[w]&bit == 0 {
-			return -1
-		}
-		return pt.comboRank[ci][w] + int32(bits.OnesCount64(bm[w]&(bit-1)))
-	}
-	combos := pt.combos[ci]
-	lo, hi := 0, len(combos)
+// pos returns the memo position of (pb, column ci) — the index of ci in
+// pb's column range — or -1 when ci's pair set has no pair with pb.
+func (pt *progTables) pos(pb, ci int32) int32 {
+	lo, end := pt.pbOff[pb], pt.pbOff[pb+1]
+	hi := end
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if combos[mid] < pb {
+		mid := int32(uint32(lo+hi) >> 1)
+		if pt.pbCol[mid] < ci {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(combos) && combos[lo] == pb {
-		return int32(lo)
+	if lo < end && pt.pbCol[lo] == ci {
+		return lo
 	}
 	return -1
+}
+
+// maskAt returns the mask stored at memo position k.
+func (pt *progTables) maskAt(k int32) []uint64 {
+	w := pt.words
+	return pt.mask[int(k)*w : int(k)*w+w]
 }
 
 func (d *deriver) progressPhase(res *Result, alive []bool) error {
@@ -415,10 +412,9 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 		if !alive[ci] {
 			continue
 		}
-		combos := pt.column(d, ci)
 		if pt.valid[ci] {
 			pt.valid[ci] = false
-			d.met.TauInvalidated += len(combos)
+			d.met.TauInvalidated += len(pt.combos[ci])
 		}
 		cols = append(cols, ci)
 	}
@@ -434,8 +430,9 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 // sweep recomputes the ready masks of the invalidated columns cols: one
 // Tarjan over the packed-b states that appear in any of them, then a
 // reverse-topological DP over the condensation in which each SCC writes its
-// members' masks into pt.ready, work-stolen across workers when the sweep
-// is big enough. Edges into still-valid columns are memoized leaves.
+// members' masks into the pb-major memo, work-stolen across workers when
+// the sweep is big enough. Edges into still-valid columns are memoized
+// leaves.
 //
 // The condensation order is valid for every column because every Int-edge
 // some (column, slot) needs maps to a pb edge that is present whenever its
@@ -450,41 +447,31 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			pt.node[i] = -1
 		}
 	}
-	// Membership pass: node ids in first-touch order, with each node's
-	// member count parked in memOff. Then a counting sort lays the (column,
-	// slot) members out per node; filling in reverse leaves every memOff
-	// entry at its node's start and each node's members in column order.
+	// Membership pass: node ids in first-touch order. A node's members are
+	// its in-sweep columns; their masks start at ⊥, the fixpoint
+	// iteration's start.
+	inSweep := pt.inSweep
+	for _, ci := range cols {
+		inSweep[ci] = true
+	}
 	active := pt.active[:0]
-	memOff := pt.memOff[:0]
 	slots := 0
 	for _, ci := range cols {
 		for _, pb := range pt.combos[ci] {
-			nid := pt.node[pb]
-			if nid < 0 {
-				nid = int32(len(active))
-				pt.node[pb] = nid
-				active = append(active, pb)
-				memOff = append(memOff, 0)
+			if pt.node[pb] >= 0 {
+				continue
 			}
-			memOff[nid]++
+			pt.node[pb] = int32(len(active))
+			active = append(active, pb)
+			for k := pt.pbOff[pb]; k < pt.pbOff[pb+1]; k++ {
+				if inSweep[pt.pbCol[k]] {
+					clear(pt.maskAt(k))
+				}
+			}
 		}
 		slots += len(pt.combos[ci])
 	}
 	nAct := len(active)
-	for i := 1; i < nAct; i++ {
-		memOff[i] += memOff[i-1]
-	}
-	memOff = append(memOff, int32(slots))
-	members := resizeSlice(pt.members, slots)
-	for j := len(cols) - 1; j >= 0; j-- {
-		combos := pt.combos[cols[j]]
-		for s := len(combos) - 1; s >= 0; s-- {
-			nid := pt.node[combos[s]]
-			memOff[nid]--
-			members[memOff[nid]] = colSlot{col: int32(j), slot: int32(s)}
-		}
-		clear(pt.ready[cols[j]]) // ⊥, the fixpoint iteration's start
-	}
 
 	// Iterative Tarjan over the pb graph, successors resolved on the fly
 	// (τ targets stay in-sweep by closure; Int targets join when they are in
@@ -578,12 +565,16 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 	}
 	d.met.ReadySetRebuilds += slots
 
-	// The DP reaches every mask through slotOf: a τ-edge stays in the
-	// member's column, an Int-edge moves to the column the converter's
-	// transition leads to. Memo hits are counted on the first pass only,
-	// one per resolved edge into a valid column.
+	// The DP reads the memo by position. A τ-edge stays in the member's
+	// column, and pb's columns are a subset of each τ-successor's (pair sets
+	// are closed under B's internal moves), so one merge walk per
+	// τ-successor finds every member's successor position. An Int-edge moves
+	// to the column the converter's transition leads to, found by pos. A
+	// node's members accumulate in buf, a per-worker scratch indexed like
+	// pb's column range. Memo hits are counted on the first pass only, one
+	// per resolved edge into a valid column.
 	var hits int64
-	computeSCC := func(si int32, acc []uint64) {
+	computeSCC := func(si int32, buf *[]uint64) {
 		nodes := sccMembers[sccOff[si]:sccOff[si+1]]
 		pass := func(count bool) bool {
 			changed := false
@@ -591,65 +582,83 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			for _, nid := range nodes {
 				pb := active[nid]
 				boff := d.boff[d.variantOf(pb)]
-				ints, ext := pt.ints[pb], pt.ext[pb]
-				for _, mb := range members[memOff[nid]:memOff[nid+1]] {
-					ci := cols[mb.col]
-					succ := d.states[ci].succ
+				lo := pt.pbOff[pb]
+				pcols := pt.pbCol[lo:pt.pbOff[pb+1]]
+				acc := resizeSlice(*buf, len(pcols)*w)
+				*buf = acc
+				base := pt.bready[int(pb)*w : int(pb)*w+w]
+				for k, c := range pcols {
+					if !inSweep[c] {
+						continue
+					}
 					if w == 1 {
-						a := pt.bready[pb]
-						for _, t := range ints {
-							if s := pt.slotOf(ci, boff+t); s >= 0 {
-								a |= pt.ready[ci][s]
-							}
+						acc[k] = base[0]
+					} else {
+						copy(acc[k*w:k*w+w], base)
+					}
+				}
+				for _, t := range pt.ints[pb] {
+					q := boff + t
+					qlo := pt.pbOff[q]
+					qcols := pt.pbCol[qlo:pt.pbOff[q+1]]
+					j := 0
+					for k, c := range pcols {
+						if !inSweep[c] {
+							continue
 						}
-						for _, ed := range ext {
-							ii := d.intlIndex[ed.Ev]
-							if ii < 0 {
-								continue
-							}
-							t := succ[ii]
-							if t < 0 || !alive[t] {
-								continue
-							}
-							if s := pt.slotOf(t, boff+ed.To); s >= 0 {
-								a |= pt.ready[t][s]
-								if count && pt.valid[t] {
-									localHits++
-								}
-							}
+						for qcols[j] != c {
+							j++
 						}
-						if dst := &pt.ready[ci][mb.slot]; *dst != a {
-							*dst = a
+						if w == 1 {
+							acc[k] |= pt.mask[qlo+int32(j)]
+						} else {
+							sat.OrInto(acc[k*w:k*w+w], pt.maskAt(qlo+int32(j)))
+						}
+					}
+				}
+				for _, ed := range pt.ext[pb] {
+					ii := d.intlIndex[ed.Ev]
+					if ii < 0 {
+						continue
+					}
+					q := boff + ed.To
+					for k, c := range pcols {
+						if !inSweep[c] {
+							continue
+						}
+						t := d.states[c].succ[ii]
+						if t < 0 || !alive[t] {
+							continue
+						}
+						j := pt.pos(q, t)
+						if j < 0 {
+							continue
+						}
+						if w == 1 {
+							acc[k] |= pt.mask[j]
+						} else {
+							sat.OrInto(acc[k*w:k*w+w], pt.maskAt(j))
+						}
+						if count && pt.valid[t] {
+							localHits++
+						}
+					}
+				}
+				for k, c := range pcols {
+					if !inSweep[c] {
+						continue
+					}
+					if w == 1 {
+						if dst := &pt.mask[lo+int32(k)]; *dst != acc[k] {
+							*dst = acc[k]
 							changed = true
 						}
 						continue
 					}
-					copy(acc, pt.bready[int(pb)*w:int(pb)*w+w])
-					for _, t := range ints {
-						if s := pt.slotOf(ci, boff+t); s >= 0 {
-							sat.OrInto(acc, pt.ready[ci][int(s)*w:int(s)*w+w])
-						}
-					}
-					for _, ed := range ext {
-						ii := d.intlIndex[ed.Ev]
-						if ii < 0 {
-							continue
-						}
-						t := succ[ii]
-						if t < 0 || !alive[t] {
-							continue
-						}
-						if s := pt.slotOf(t, boff+ed.To); s >= 0 {
-							sat.OrInto(acc, pt.ready[t][int(s)*w:int(s)*w+w])
-							if count && pt.valid[t] {
-								localHits++
-							}
-						}
-					}
-					dst := pt.ready[ci][int(mb.slot)*w : int(mb.slot)*w+w]
-					for i := range acc {
-						if acc[i] != dst[i] {
-							copy(dst, acc)
+					src, dst := acc[k*w:k*w+w], pt.maskAt(lo+int32(k))
+					for i := range src {
+						if src[i] != dst[i] {
+							copy(dst, src)
 							changed = true
 							break
 						}
@@ -692,28 +701,29 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			}
 		}
 		deps, depOff, depList := pt.buildSCCDeps(nsccs, forEach)
-		accs := make([][]uint64, workers)
-		for i := range accs {
-			accs[i] = make([]uint64, w)
-		}
+		bufs := make([][]uint64, workers)
 		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeSCC(si, accs[wk]) })
+			func(si int32, wk int) { computeSCC(si, &bufs[wk]) })
 		d.met.SweepSteals += int(steals)
 	} else {
 		// Tarjan emits an SCC only after every SCC reachable from it, so
 		// ascending emission order is a valid reverse-topological schedule.
-		acc := make([]uint64, w)
+		var buf []uint64
 		for si := 0; si < nsccs; si++ {
-			computeSCC(int32(si), acc)
+			computeSCC(int32(si), &buf)
 		}
 	}
 	d.met.TauCacheHits += int(hits)
 
-	// Restore node to all -1 and park the scratch for the next sweep.
+	// Restore node to all -1 and inSweep to all false, and park the scratch
+	// for the next sweep.
 	for _, pb := range active {
 		pt.node[pb] = -1
 	}
-	pt.active, pt.memOff, pt.members = active[:0], memOff[:0], members
+	for _, ci := range cols {
+		inSweep[ci] = false
+	}
+	pt.active = active[:0]
 	pt.dfn, pt.low, pt.sccOf, pt.onStack, pt.self = dfn, low, sccOf, onStack, self
 	pt.stack, pt.frames = stack[:0], frames[:0]
 	pt.sccMembers, pt.sccOff = sccMembers, sccOff
@@ -806,12 +816,10 @@ type scanTask struct {
 }
 
 // verdictScan evaluates prog for every pair of every affected live state.
-// The pb-major encoding delivers a state's pairs in nondecreasing packed-b
-// order — the same order as its combo table — so a merge-walk cursor finds
-// each pair's ready-mask slot without per-pair lookup (shards re-anchor
-// their cursor once via slotOf). The removal list is assembled from
-// per-state flags in affected order, so it is identical for every worker
-// count and sharding.
+// The pb-major encoding delivers a state's pairs grouped by packed-b, so
+// each pb's mask is found once, by pos, for all of its pairs. The removal
+// list is assembled from per-state flags in affected order, so it is
+// identical for every worker count and sharding.
 func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 	pt := d.prog
 	w := pt.words
@@ -822,45 +830,42 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 	// any shard short-circuits the others.
 	scanRange := func(i int, lo, hi int) {
 		ci := affected[i]
-		set := d.table.get(ci)
-		combos := pt.combos[ci]
-		cursor := 0
-		if lo > 0 {
-			if c := pt.slotOf(ci, set.runStart(lo)/numA); c >= 0 {
-				cursor = int(c)
-			}
-		}
-		set.forEachRunRange(lo, hi, func(p int32) bool {
+		last := int32(-1)
+		var m []uint64
+		d.table.get(ci).forEachRunRange(lo, hi, func(p int32) bool {
 			if atomic.LoadInt32(&bad[i]) != 0 {
 				return true
 			}
-			a := p % numA
-			pb := p / numA
-			for cursor < len(combos) && combos[cursor] < pb {
-				cursor++
+			if pb := p / numA; pb != last {
+				k := pt.pos(pb, ci)
+				if k < 0 {
+					atomic.StoreInt32(&bad[i], 1) // cannot happen: combos are the projection
+					return true
+				}
+				m, last = pt.maskAt(k), pb
 			}
-			if cursor == len(combos) || combos[cursor] != pb {
-				atomic.StoreInt32(&bad[i], 1) // cannot happen: combos are the projection
-				return true
-			}
-			if !pt.accIx.Prog(spec.State(a), pt.ready[ci][cursor*w:cursor*w+w]) {
+			if !pt.accIx.Prog(spec.State(p%numA), m) {
 				atomic.StoreInt32(&bad[i], 1)
 				return true
 			}
 			return false
 		})
 	}
-	// scanBlock is the dense-column path: evaluate every A-state against
-	// the whole mask column with one ProgBlock stream each, then walk the
-	// pairs testing verdict bits.
+	// scanBlock is the dense-column path: gather the column's masks, in
+	// combo order, evaluate every A-state against them with one ProgBlock
+	// stream each, then walk the pairs testing verdict bits.
 	scanBlock := func(i int) {
 		ci := affected[i]
 		combos := pt.combos[ci]
 		nslots := len(combos)
+		col := make([]uint64, nslots*w)
+		for s, pb := range combos {
+			copy(col[s*w:s*w+w], pt.maskAt(pt.pos(pb, ci)))
+		}
 		vw := (nslots + 63) / 64
 		out := make([]uint64, d.numA*vw)
 		for a := 0; a < d.numA; a++ {
-			pt.accIx.ProgBlock(spec.State(a), pt.ready[ci], nslots, out[a*vw:(a+1)*vw])
+			pt.accIx.ProgBlock(spec.State(a), col, nslots, out[a*vw:(a+1)*vw])
 		}
 		cursor := 0
 		d.table.get(ci).forEachUntil(func(p int32) bool {
@@ -882,7 +887,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 	// enough in (a, pb) pairs that the pair walk dominates.
 	blockEligible := func(ci int32) bool {
 		nslots := len(pt.combos[ci])
-		return nslots >= rankThreshold && d.numA > 1 &&
+		return nslots >= blockMinSlots && d.numA > 1 &&
 			4*d.table.get(ci).count() >= 3*d.numA*nslots
 	}
 	scanState := func(i int) {
@@ -968,22 +973,11 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 // deterministically from the still-valid masks.
 func (d *deriver) firstBadPair(ci int32) int32 {
 	pt := d.prog
-	w := pt.words
 	numA := int32(d.numA)
-	combos := pt.combos[ci]
-	cursor := 0
 	blame := int32(-1)
 	d.table.get(ci).forEachUntil(func(p int32) bool {
-		a := p % numA
-		pb := p / numA
-		for cursor < len(combos) && combos[cursor] < pb {
-			cursor++
-		}
-		if cursor == len(combos) || combos[cursor] != pb {
-			blame = p
-			return true
-		}
-		if !pt.accIx.Prog(spec.State(a), pt.ready[ci][cursor*w:cursor*w+w]) {
+		k := pt.pos(p/numA, ci)
+		if k < 0 || !pt.accIx.Prog(spec.State(p%numA), pt.maskAt(k)) {
 			blame = p
 			return true
 		}

@@ -36,7 +36,9 @@ type sweepOutcome struct {
 // two-variant robust derivation with τ-memo hits, and specgen chain,
 // chaindrop and ring instances — at 1, 2 and 4 workers. Every run must
 // produce the same converter and statistics, and every converter must pass
-// the raw-edge progress oracle against each environment variant.
+// the raw-edge progress oracle against each environment variant. Each
+// system's pb-major memo must also satisfy the merge walk's invariant: a
+// pb's columns are a subset of each of its τ-successors' columns.
 func TestProgressSweepAcrossWorkers(t *testing.T) {
 	type system struct {
 		name string
@@ -90,8 +92,19 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 		systems = append(systems, system{fam.Name, fam.Service, []*spec.Spec{b}})
 	}
 
+	tauPairs := 0
 	for _, sys := range systems {
 		t.Run(sys.name, func(t *testing.T) {
+			envs := make([]core.Environment, len(sys.bs))
+			for v, b := range sys.bs {
+				envs[v] = b
+			}
+			pairs, err := core.CheckProgressLayout(sys.a, envs, core.Options{})
+			if err != nil {
+				t.Errorf("pb-major memo layout: %v", err)
+			}
+			tauPairs += pairs
+
 			var ref sweepOutcome
 			for i, w := range []int{1, 2, 4} {
 				// One intern shard: the shard count sizes PairArenaBytes, and
@@ -133,6 +146,9 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 				t.Error("doomed system derived a converter")
 			}
 		})
+	}
+	if tauPairs == 0 {
+		t.Error("no system has a τ-successor in its progress memo; the layout check is vacuous")
 	}
 }
 

@@ -146,8 +146,17 @@ func TestSoakCombinedFaultsClean(t *testing.T) {
 }
 
 // TestSoakDeterministicPerSeed: two runs with the same seed must agree on
-// every counter; a different seed must diverge somewhere in the fault
-// schedule.
+// every outcome the seed fixes; a different seed must diverge somewhere in
+// the fault schedule. The seed fixes the run up to its last
+// acknowledgement: the deliveries, the service events, and the data link's
+// fault counters. It does not fix
+//   - the reorder counters: a reorder draw overtakes only a same-kind frame
+//     the receiving goroutine has not read yet. In a stop-and-wait run that
+//     frame is a copy of the overtaking one, so nothing else depends on it;
+//   - the converter's event count and the ack link's counters, which include
+//     whatever the converter does after the last acknowledgement leaves —
+//     recording that send, re-acknowledging a stale duplicate — before the
+//     run takes its final snapshot.
 func TestSoakDeterministicPerSeed(t *testing.T) {
 	conv, err := deployedConverter()
 	if err != nil {
@@ -165,12 +174,24 @@ func TestSoakDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.Elapsed = 0 // wall-clock is the one legitimately varying field
 		return res
 	}
+	type fixed struct {
+		Acked, Delivered  int
+		InOrder, Deadlock bool
+		Violation         *ConformanceError
+		ConvErr           error
+		SvcEvents         int
+		Forward           FaultStats
+	}
+	fixedOf := func(r *SoakResult) fixed {
+		fwd := r.Forward
+		fwd.Reordered = 0
+		return fixed{r.Acked, r.Delivered, r.InOrder, r.Deadlock, r.Violation, r.ConvErr, r.SvcEvents, fwd}
+	}
 	a, b := run(7), run(7)
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("same seed diverged:\n%+v\n%+v", a, b)
+	if fa, fb := fixedOf(a), fixedOf(b); !reflect.DeepEqual(fa, fb) {
+		t.Errorf("same seed diverged:\n%+v\n%+v", fa, fb)
 	}
 	c := run(8)
 	if reflect.DeepEqual(a.Forward, c.Forward) && reflect.DeepEqual(a.Reverse, c.Reverse) {

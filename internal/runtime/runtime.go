@@ -36,7 +36,10 @@ type Msg struct {
 // Links are single-producer: one goroutine calls Send, any number call
 // Recv. The fault schedule is drawn under the link mutex, so for a
 // stop-and-wait protocol the entire run is a deterministic function of the
-// seed.
+// seed, except the Reordered counter: a reorder draw overtakes only a frame
+// the receiver has not yet read, which depends on goroutine scheduling. In
+// a stop-and-wait run the overtaken frame is a copy of the overtaking one,
+// so the delivered sequence does not depend on it.
 type Link struct {
 	c       chan Msg
 	timeout chan<- struct{}

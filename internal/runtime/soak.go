@@ -14,7 +14,11 @@ import (
 // the shared substrate of `convsim -scenario abns` and the robustness
 // acceptance tests: the whole run — fault schedule, event order, and
 // statistics — is a deterministic function of (converter, faults, seed),
-// so any failure reproduces from its printed seed.
+// so any failure reproduces from its printed seed. Two things escape the
+// seed: the links' Reordered counters (see Link), and what the converter
+// does after the last acknowledgement leaves, which races with the final
+// snapshot and so may or may not show in ConvEvents and the Reverse
+// counters.
 
 // SoakConfig configures one soak run.
 type SoakConfig struct {
