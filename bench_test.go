@@ -18,6 +18,7 @@ import (
 	"protoquot/internal/baseline"
 	"protoquot/internal/compose"
 	"protoquot/internal/core"
+	"protoquot/internal/dsl"
 	"protoquot/internal/engine"
 	"protoquot/internal/protocols"
 	"protoquot/internal/runtime"
@@ -725,6 +726,74 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 		if after.Sys > sysCeiling {
 			b.Fatalf("process Sys grew to %d MB, ceiling is %d MB", after.Sys>>20, sysCeiling>>20)
 		}
+	}
+}
+
+// BenchmarkDerivePruneMissAllocBudget gates what one quotd cache miss
+// allocates, layer by layer, on each family the serve benchmark asks for:
+// parsing one component from its text, deriving over the lazy composition
+// (compose.LazyMany plus core.DeriveEnvsContext), and pruning over the same
+// composition (core.PruneEnvs). Each ceiling is ~1.5× the layer's measured
+// cost when it was set. Before parse and derive scratch was sized to the
+// input, parse took ~69 KB per spec and derive 1.25–2.0 MB per family, so a
+// return of fixed-size scratch fails here.
+func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
+	// Measured when set (bytes): parse 7,664 (ring(2) 11,184); derive
+	// 146k / 229k / 183k / 354k / 263k; prune 91k / 364k / 91k / 364k / 87k.
+	budgets := []struct {
+		family               string
+		parse, derive, prune uint64 // KiB
+	}{
+		{"chain(2)", 12, 220, 140},
+		{"chain(3)", 12, 345, 550},
+		{"chaindrop(2)", 12, 275, 140},
+		{"chaindrop(3)", 12, 530, 550},
+		{"ring(2)", 17, 395, 130},
+	}
+	for _, bud := range budgets {
+		f, err := specgen.ParseFamily(bud.family)
+		if err != nil {
+			b.Fatal(err)
+		}
+		text := dsl.String(f.Components[0])
+		b.Run(bud.family, func(b *testing.B) {
+			var parse, derive, prune uint64
+			for i := 0; i < b.N; i++ {
+				var m0, m1, m2, m3 goruntime.MemStats
+				goruntime.GC()
+				goruntime.ReadMemStats(&m0)
+				if _, err := dsl.ParseString(text); err != nil {
+					b.Fatal(err)
+				}
+				goruntime.ReadMemStats(&m1)
+				env, err := compose.LazyMany(f.Components...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				envs := []core.Environment{env}
+				res, err := core.DeriveEnvsContext(context.Background(), f.Service, envs, core.Options{OmitVacuous: true, Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				goruntime.ReadMemStats(&m2)
+				if _, err := core.PruneEnvs(f.Service, envs, res.Converter); err != nil {
+					b.Fatal(err)
+				}
+				goruntime.ReadMemStats(&m3)
+				parse, derive, prune = m1.TotalAlloc-m0.TotalAlloc, m2.TotalAlloc-m1.TotalAlloc, m3.TotalAlloc-m2.TotalAlloc
+				for _, l := range []struct {
+					layer       string
+					got, budget uint64
+				}{{"parse", parse, bud.parse << 10}, {"derive", derive, bud.derive << 10}, {"prune", prune, bud.prune << 10}} {
+					if l.got > l.budget {
+						b.Errorf("%s: %s allocated %d bytes, budget is %d", bud.family, l.layer, l.got, l.budget)
+					}
+				}
+			}
+			b.ReportMetric(float64(parse), "parse-B")
+			b.ReportMetric(float64(derive), "derive-B")
+			b.ReportMetric(float64(prune), "prune-B")
+		})
 	}
 }
 

@@ -16,10 +16,24 @@
 // chunks appended, so published sub-slices never move.
 package compose
 
-// arenaChunk is the default chunk capacity in elements. 1<<14 edges is
-// 128 KiB per chunk — large enough to amortize allocation, small enough
-// that a tiny derivation doesn't pin megabytes.
+// arenaChunk caps the chunk capacity in elements. 1<<14 edges is 128 KiB
+// per chunk — large enough to amortize allocation at million-state scale.
 const arenaChunk = 1 << 14
+
+// firstChunk is the capacity, in elements, of each storage kind's first
+// chunk.
+const firstChunk = 256
+
+// chunkSize is the capacity of a storage kind's k-th chunk: firstChunk
+// doubled once per earlier chunk, capped at arenaChunk, so a composite of a
+// few hundred states reserves a few KiB rather than two full chunks.
+func chunkSize(k int) int {
+	c := firstChunk
+	for ; k > 0 && c < arenaChunk; k-- {
+		c *= 2
+	}
+	return c
+}
 
 // rowArena owns the backing storage of all published rows of one Lazy.
 type rowArena struct {
@@ -36,10 +50,7 @@ func (ar *rowArena) allocEdges(n int) []Edge {
 	}
 	last := len(ar.edgeChunks) - 1
 	if last < 0 || cap(ar.edgeChunks[last])-len(ar.edgeChunks[last]) < n {
-		c := arenaChunk
-		if n > c {
-			c = n
-		}
+		c := max(chunkSize(len(ar.edgeChunks)), n)
 		ar.edgeChunks = append(ar.edgeChunks, make([]Edge, 0, c))
 		ar.bytes += int64(c) * 8 // sizeof(Edge)
 		last++
@@ -57,10 +68,7 @@ func (ar *rowArena) allocInts(n int) []int32 {
 	}
 	last := len(ar.intChunks) - 1
 	if last < 0 || cap(ar.intChunks[last])-len(ar.intChunks[last]) < n {
-		c := arenaChunk
-		if n > c {
-			c = n
-		}
+		c := max(chunkSize(len(ar.intChunks)), n)
 		ar.intChunks = append(ar.intChunks, make([]int32, 0, c))
 		ar.bytes += int64(c) * 4
 		last++

@@ -895,7 +895,10 @@ func (d *deriver) safetyPhase() error {
 	if batch < 1 {
 		batch = 1
 	}
-	results := make([]phiResult, batch*ne)
+	// results grows by doubling to the largest batch the frontier has needed,
+	// so a small derivation never pays for a full batch × |Int| block;
+	// expandState overwrites every field, so growing copies nothing.
+	var results []phiResult
 	lo, hi := 0, 1
 	for level := 0; lo < hi; level++ {
 		if err := d.ctx.Err(); err != nil {
@@ -910,6 +913,9 @@ func (d *deriver) safetyPhase() error {
 		d.emit(TraceEvent{Phase: "safety", Level: level, Frontier: frontier, States: len(d.states)})
 		for blo := lo; blo < hi; blo += batch {
 			bhi := min(blo+batch, hi)
+			if need := (bhi - blo) * ne; need > len(results) {
+				results = make([]phiResult, min(max(need, 2*len(results)), batch*ne))
+			}
 			res := results[:(bhi-blo)*ne]
 			d.expandBatch(blo, bhi, res)
 			d.mergeBatch(blo, bhi, res)

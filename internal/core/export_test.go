@@ -10,11 +10,68 @@ import (
 // Hooks for the external prune differential suite (prunecheck_test.go),
 // which imports protosmith and so cannot live inside package core.
 
-// RemoveState and RemoveEdge build Prune's candidate converters.
+// RemoveState and RemoveEdge build Prune's candidate converters through
+// spec.Builder and Spec.Trim, as Prune did before it applied removals to
+// integer tables; refPruneRobust is built on them.
 var (
 	RemoveState = removeState
 	RemoveEdge  = removeEdge
 )
+
+// removeState rebuilds cur without state victim (and without its incident
+// transitions), trimmed to reachable states. Returns nil if the victim is
+// the initial state.
+func removeState(cur *spec.Spec, victim spec.State) *spec.Spec {
+	if victim == cur.Init() {
+		return nil
+	}
+	b := spec.NewBuilder(cur.Name())
+	for _, e := range cur.Alphabet() {
+		b.Event(e)
+	}
+	b.Init(cur.StateName(cur.Init()))
+	for st := 0; st < cur.NumStates(); st++ {
+		if spec.State(st) == victim {
+			continue
+		}
+		b.State(cur.StateName(spec.State(st)))
+		for _, ed := range cur.ExtEdges(spec.State(st)) {
+			if ed.To == victim {
+				continue
+			}
+			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
+		}
+		for _, t := range cur.IntEdges(spec.State(st)) {
+			if t == victim {
+				continue
+			}
+			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
+		}
+	}
+	return b.MustBuild().Trim()
+}
+
+// removeEdge rebuilds cur without one external transition, trimmed.
+func removeEdge(cur *spec.Spec, from spec.State, victim spec.ExtEdge) *spec.Spec {
+	b := spec.NewBuilder(cur.Name())
+	for _, e := range cur.Alphabet() {
+		b.Event(e)
+	}
+	b.Init(cur.StateName(cur.Init()))
+	for st := 0; st < cur.NumStates(); st++ {
+		b.State(cur.StateName(spec.State(st)))
+		for _, ed := range cur.ExtEdges(spec.State(st)) {
+			if spec.State(st) == from && ed == victim {
+				continue
+			}
+			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
+		}
+		for _, t := range cur.IntEdges(spec.State(st)) {
+			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
+		}
+	}
+	return b.MustBuild().Trim()
+}
 
 // PruneCheckVerdicts returns the compiled prune checker's verdicts on
 // converter c: for c itself, for c without each state (false for the

@@ -133,11 +133,26 @@ func (ps pairset) equal(o pairset) bool { return sat.WordsEqual(ps, o) }
 // routed to their shard without a worker-side hash call.
 var emptyPairsetHash = pairset(nil).hash()
 
-// pairArenaChunkWords is the default arena chunk capacity: 1<<13 uint64
-// words = 64 KiB per chunk. A variable, not a constant, so the differential
-// tests can force tiny chunks and exercise every chunk-boundary path
+// pairArenaChunkWords caps the arena chunk capacity: 1<<13 uint64 words =
+// 64 KiB per chunk. A variable, not a constant, so the differential tests
+// can force tiny chunks and exercise every chunk-boundary path
 // (TestShardedInternDifferential).
 var pairArenaChunkWords = 1 << 13
+
+// firstChunk is the capacity, in elements, of an arena's first chunk.
+const firstChunk = 256
+
+// chunkSize is the capacity of an arena's k-th chunk: firstChunk doubled
+// once per earlier chunk, capped at limit. A small derivation reserves a
+// few KiB instead of a full chunk per arena; a large one reaches the cap
+// after a handful of chunks.
+func chunkSize(k, limit int) int {
+	c := min(firstChunk, limit)
+	for ; k > 0 && c < limit; k-- {
+		c *= 2
+	}
+	return min(c, limit)
+}
 
 // pairArena is chunked append-only uint64 storage. Sealed chunks never move
 // or shrink, so placed pairsets remain valid slice headers for the life of
@@ -145,7 +160,7 @@ var pairArenaChunkWords = 1 << 13
 // (worker scratch arenas during expansion, shard arenas during their shard's
 // merge walk, the memo arena on the sequential renumber path).
 type pairArena struct {
-	chunkWords int
+	chunkWords int // cap on chunkSize; a larger alloc gets a chunk of its own
 	chunks     [][]uint64
 	cur        int   // chunk new allocations fill; earlier chunks are sealed
 	reserved   int64 // total reserved chunk bytes
@@ -166,10 +181,7 @@ func (ar *pairArena) alloc(n int) []uint64 {
 		ar.cur++
 	}
 	if ar.cur == len(ar.chunks) {
-		c := ar.chunkWords
-		if n > c {
-			c = n
-		}
+		c := max(chunkSize(len(ar.chunks), ar.chunkWords), n)
 		ar.chunks = append(ar.chunks, make([]uint64, 0, c))
 		ar.reserved += int64(c) * 8
 	}
@@ -216,7 +228,7 @@ func (ar *pairArena) reset() {
 // int32Arena is pairArena for int32 rows — the converter's successor rows,
 // one len(intl) row per state, which used to be one heap allocation each.
 type int32Arena struct {
-	chunkInts int
+	chunkInts int // cap on chunkSize
 	chunks    [][]int32
 	reserved  int64
 }
@@ -229,10 +241,7 @@ func (ar *int32Arena) alloc(n int) []int32 {
 	}
 	last := len(ar.chunks) - 1
 	if last < 0 || cap(ar.chunks[last])-len(ar.chunks[last]) < n {
-		c := ar.chunkInts
-		if n > c {
-			c = n
-		}
+		c := max(chunkSize(len(ar.chunks), ar.chunkInts), n)
 		ar.chunks = append(ar.chunks, make([]int32, 0, c))
 		ar.reserved += int64(c) * 4
 		last++

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"protoquot/internal/compose"
 	"protoquot/internal/spec"
@@ -14,10 +16,15 @@ import (
 // and is best done by hand"; Prune automates a greedy version. Every
 // candidate removal — each state, then each transition, restarting after
 // every accepted one — costs one compiled check over integer tables of
-// B‖C′ (pruneChecker), which returns the verdict Verify would; only
-// accepted removals are rebuilt as specs. A check is linear in the
-// reachable part of B‖C′ (times at most |S_A| for the ψ walk), so Prune is
-// O(candidates · |B‖C|) for a fixed service.
+// B‖C′ (pruneChecker), which returns the verdict Verify would. An accepted
+// removal is applied to the checker's converter tables, which are then
+// trimmed and renumbered exactly as spec.Builder + Spec.Trim would number
+// the rebuilt converter (apply): that numbering is a first-mention order,
+// not the old index order, and the greedy loop's candidate order depends
+// on it. The result is emitted once, by spec.FromDense with the input's
+// state names. A check is linear in the reachable part of B‖C′ (times at
+// most |S_A| for the ψ walk), so Prune is O(candidates · |B‖C|) for a
+// fixed service.
 //
 // The result is a correct converter whose trace set is a subset of the
 // input's; it is locally minimal (no single state or transition can be
@@ -60,47 +67,170 @@ func PruneEnvs(a *spec.Spec, bs []Environment, c *spec.Spec) (*spec.Spec, error)
 		}
 		return nil, fmt.Errorf("quotient: internal error: prune checker rejects an input Verify accepts")
 	}
-	cur := c
-	for {
-		next, changed := pc.pruneOnce(cur)
-		if !changed {
-			return cur, nil
-		}
-		cur = next
-	}
-}
-
-// pruneOnce attempts one pass of state removals then transition removals,
-// returning the improved converter and whether anything changed.
-func (pc *pruneChecker) pruneOnce(cur *spec.Spec) (*spec.Spec, bool) {
 	changed := false
-	accept := func(next *spec.Spec) {
-		cur = next
-		pc.setConverter(cur)
+	for pc.pruneOnce() {
 		changed = true
 	}
+	if !changed {
+		return c, nil
+	}
+	return pc.converter(c)
+}
+
+// pruneOnce attempts one pass of state removals then transition removals
+// over the checker's converter tables, reporting whether anything changed.
+func (pc *pruneChecker) pruneOnce() bool {
+	changed := false
 	// States (never the initial one), in stable order.
-	for st := 0; st < cur.NumStates(); st++ {
-		if spec.State(st) == cur.Init() {
+	for st := int32(0); st < int32(len(pc.cExt)); st++ {
+		if st == pc.cInit {
 			continue
 		}
-		if pc.ok(removal{state: int32(st), from: -1, edge: -1}) {
-			accept(removeState(cur, spec.State(st)))
+		if rm := (removal{state: st, from: -1, edge: -1}); pc.ok(rm) {
+			pc.apply(rm)
+			changed = true
 			st = -1 // restart: indices shifted
 		}
 	}
-	// Individual transitions.
-	for st := 0; st < cur.NumStates(); st++ {
-		edges := cur.ExtEdges(spec.State(st))
-		for ei := 0; ei < len(edges); ei++ {
-			if pc.ok(removal{state: -1, from: int32(st), edge: ei}) {
-				accept(removeEdge(cur, spec.State(st), edges[ei]))
-				edges = cur.ExtEdges(spec.State(st))
+	// Individual transitions. An accepted one may trim the converter to st
+	// states or fewer, which ends the pass.
+	for st := int32(0); st < int32(len(pc.cExt)); st++ {
+		for ei := 0; st < int32(len(pc.cExt)) && ei < len(pc.cExt[st]); ei++ {
+			if rm := (removal{state: -1, from: st, edge: ei}); pc.ok(rm) {
+				pc.apply(rm)
+				changed = true
 				ei = -1
 			}
 		}
 	}
-	return cur, changed
+	return changed
+}
+
+// apply removes rm from the checker's converter tables and trims them to
+// the states reachable from the initial one. The survivors are numbered
+// exactly as rebuilding the converter through spec.Builder and then
+// Spec.Trim would number them, so the candidate order of the greedy loop —
+// and with it the pruned converter — does not depend on how the removal is
+// carried out. Both numberings are one renumber pass: the Builder's over
+// every state but a removed one, then Trim's over the reachable states.
+func (pc *pruneChecker) apply(rm removal) {
+	keep := make([]bool, len(pc.cExt))
+	for st := range keep {
+		keep[st] = int32(st) != rm.state
+	}
+	if rm.state >= 0 {
+		for st := range pc.cExt {
+			pc.cExt[st] = slices.DeleteFunc(pc.cExt[st], func(ed bedge) bool { return ed.To == rm.state })
+			pc.cIntl[st] = slices.DeleteFunc(pc.cIntl[st], func(t int32) bool { return t == rm.state })
+		}
+	} else {
+		pc.cExt[rm.from] = slices.Delete(pc.cExt[rm.from], rm.edge, rm.edge+1)
+	}
+	pc.renumber(keep)
+
+	reach := keep[:len(pc.cExt)]
+	clear(reach)
+	var stack []int32
+	visit := func(t int32) {
+		if !reach[t] {
+			reach[t] = true
+			stack = append(stack, t)
+		}
+	}
+	visit(pc.cInit)
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ed := range pc.cExt[st] {
+			visit(ed.To)
+		}
+		for _, t := range pc.cIntl[st] {
+			visit(t)
+		}
+	}
+	pc.renumber(reach)
+}
+
+// renumber keeps the states keep admits and numbers them as spec.Builder
+// numbers states declared in index order: the initial state first, then
+// each kept state followed by the targets of its external and then its
+// internal edges, each at its first mention. Edges are re-sorted by (event,
+// target), the order spec.Spec keeps them in. Every edge of a kept state
+// must lead to a kept state.
+func (pc *pruneChecker) renumber(keep []bool) {
+	id := make([]int32, len(pc.cExt))
+	for st := range id {
+		id[st] = -1
+	}
+	order := make([]int32, 0, len(pc.cExt))
+	mention := func(st int32) {
+		if id[st] < 0 {
+			id[st] = int32(len(order))
+			order = append(order, st)
+		}
+	}
+	mention(pc.cInit)
+	for st := range pc.cExt {
+		if !keep[st] {
+			continue
+		}
+		mention(int32(st))
+		for _, ed := range pc.cExt[st] {
+			mention(ed.To)
+		}
+		for _, t := range pc.cIntl[st] {
+			mention(t)
+		}
+	}
+	ext := make([][]bedge, len(order))
+	intl := make([][]int32, len(order))
+	orig := make([]int32, len(order))
+	for i, st := range order {
+		row := pc.cExt[st]
+		for j := range row {
+			row[j].To = id[row[j].To]
+		}
+		slices.SortFunc(row, func(x, y bedge) int {
+			if x.Ev != y.Ev {
+				return cmp.Compare(x.Ev, y.Ev)
+			}
+			return cmp.Compare(x.To, y.To)
+		})
+		tos := pc.cIntl[st]
+		for j := range tos {
+			tos[j] = id[tos[j]]
+		}
+		slices.Sort(tos)
+		ext[i], intl[i], orig[i] = row, tos, pc.cOrig[st]
+	}
+	pc.cInit, pc.cExt, pc.cIntl, pc.cOrig = 0, ext, intl, orig
+}
+
+// converter emits the checker's converter tables as a specification with
+// c's name and alphabet, each state named after the state of c it came
+// from.
+func (pc *pruneChecker) converter(c *spec.Spec) (*spec.Spec, error) {
+	alphabet := c.Alphabet()
+	names := make([]string, len(pc.cExt))
+	ext := make([][]spec.ExtEdge, len(pc.cExt))
+	intl := make([][]spec.State, len(pc.cExt))
+	for st := range names {
+		names[st] = c.StateName(spec.State(pc.cOrig[st]))
+		for _, ed := range pc.cExt[st] {
+			ext[st] = append(ext[st], spec.ExtEdge{Event: alphabet[ed.Ev], To: spec.State(ed.To)})
+		}
+		for _, t := range pc.cIntl[st] {
+			intl[st] = append(intl[st], spec.State(t))
+		}
+	}
+	return spec.FromDense(spec.Dense{
+		Name:       c.Name(),
+		StateNames: names,
+		Init:       spec.State(pc.cInit),
+		Alphabet:   alphabet,
+		Ext:        ext,
+		Int:        intl,
+	})
 }
 
 // verifyEnvs is VerifyRobust over environments, materializing demand-driven
@@ -122,59 +252,4 @@ func verifyEnvs(a *spec.Spec, bs []Environment, c *spec.Spec) error {
 		}
 	}
 	return VerifyRobust(a, specs, c)
-}
-
-// removeState rebuilds cur without state victim (and without its incident
-// transitions), trimmed to reachable states. Returns nil if the victim is
-// the initial state.
-func removeState(cur *spec.Spec, victim spec.State) *spec.Spec {
-	if victim == cur.Init() {
-		return nil
-	}
-	b := spec.NewBuilder(cur.Name())
-	for _, e := range cur.Alphabet() {
-		b.Event(e)
-	}
-	b.Init(cur.StateName(cur.Init()))
-	for st := 0; st < cur.NumStates(); st++ {
-		if spec.State(st) == victim {
-			continue
-		}
-		b.State(cur.StateName(spec.State(st)))
-		for _, ed := range cur.ExtEdges(spec.State(st)) {
-			if ed.To == victim {
-				continue
-			}
-			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
-		}
-		for _, t := range cur.IntEdges(spec.State(st)) {
-			if t == victim {
-				continue
-			}
-			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
-		}
-	}
-	return b.MustBuild().Trim()
-}
-
-// removeEdge rebuilds cur without one external transition, trimmed.
-func removeEdge(cur *spec.Spec, from spec.State, victim spec.ExtEdge) *spec.Spec {
-	b := spec.NewBuilder(cur.Name())
-	for _, e := range cur.Alphabet() {
-		b.Event(e)
-	}
-	b.Init(cur.StateName(cur.Init()))
-	for st := 0; st < cur.NumStates(); st++ {
-		b.State(cur.StateName(spec.State(st)))
-		for _, ed := range cur.ExtEdges(spec.State(st)) {
-			if spec.State(st) == from && ed == victim {
-				continue
-			}
-			b.Ext(cur.StateName(spec.State(st)), ed.Event, cur.StateName(ed.To))
-		}
-		for _, t := range cur.IntEdges(spec.State(st)) {
-			b.Int(cur.StateName(spec.State(st)), cur.StateName(t))
-		}
-	}
-	return b.MustBuild().Trim()
 }

@@ -13,8 +13,9 @@ import (
 // converter minus one state or one external transition, without building C′
 // or B‖C′ as specifications. It is compiled once per PruneEnvs call: each
 // variant's edge rows with events resolved to integer ids, A's ψ-step
-// table, and an AcceptanceIndex over Σ_A; only the converter's own small
-// tables are recompiled after a removal is accepted.
+// table, and an AcceptanceIndex over Σ_A. The converter's own small tables
+// are compiled once too; an accepted removal is applied to them in place
+// (prune.go).
 //
 // A candidate is checked per variant in four steps: intern the reachable
 // (b, c) pairs of B‖C′ (a removed state is never entered, a removed
@@ -35,11 +36,13 @@ type pruneChecker struct {
 	acc   *sat.AcceptanceIndex
 	words int // τ-mask stride over Σ_A
 
-	// The current converter: external edges with event ids, internal
-	// successors.
+	// The current converter: external edges with event ids (indices into
+	// the input converter's alphabet), internal successors, and the input
+	// converter's state each state stands for.
 	cInit int32
 	cExt  [][]bedge
 	cIntl [][]int32
+	cOrig []int32
 
 	// Per-candidate scratch, reused across candidates. Composite state x is
 	// the pair (pb[x], pc[x]); its internal successors are
@@ -89,11 +92,26 @@ type tarjanFrame struct{ v, pos int32 }
 // converter c. It fails when the checker cannot decide Verify's verdict: A
 // is not in normal form, or some Σ(B_i‖C) differs from Σ_A.
 func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecker, error) {
-	pc := &pruneChecker{cEvent: make(map[spec.Event]int32, len(c.Alphabet()))}
+	n := c.NumStates()
+	pc := &pruneChecker{
+		cEvent: make(map[spec.Event]int32, len(c.Alphabet())),
+		cInit:  int32(c.Init()),
+		cExt:   make([][]bedge, n),
+		cIntl:  make([][]int32, n),
+		cOrig:  make([]int32, n),
+	}
 	for i, e := range c.Alphabet() {
 		pc.cEvent[e] = int32(i)
 	}
-	pc.setConverter(c)
+	for st := 0; st < n; st++ {
+		for _, ed := range c.ExtEdges(spec.State(st)) {
+			pc.cExt[st] = append(pc.cExt[st], bedge{Ev: pc.cEvent[ed.Event], To: int32(ed.To)})
+		}
+		for _, t := range c.IntEdges(spec.State(st)) {
+			pc.cIntl[st] = append(pc.cIntl[st], int32(t))
+		}
+		pc.cOrig[st] = int32(st)
+	}
 	if len(bs) == 0 {
 		return pc, nil // no variant to satisfy: every candidate passes
 	}
@@ -152,29 +170,6 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 		pc.vars = append(pc.vars, v)
 	}
 	return pc, nil
-}
-
-// setConverter compiles c, the converter later candidates remove from. Its
-// alphabet must be the one the checker was built with (removals keep it).
-func (pc *pruneChecker) setConverter(c *spec.Spec) {
-	n := c.NumStates()
-	pc.cInit = int32(c.Init())
-	pc.cExt = make([][]bedge, n)
-	pc.cIntl = make([][]int32, n)
-	for st := 0; st < n; st++ {
-		src := c.ExtEdges(spec.State(st))
-		row := make([]bedge, len(src))
-		for i, ed := range src {
-			row[i] = bedge{Ev: pc.cEvent[ed.Event], To: int32(ed.To)}
-		}
-		pc.cExt[st] = row
-		tos := c.IntEdges(spec.State(st))
-		intl := make([]int32, len(tos))
-		for i, t := range tos {
-			intl[i] = int32(t)
-		}
-		pc.cIntl[st] = intl
-	}
 }
 
 // ok reports whether every variant composed with the current converter

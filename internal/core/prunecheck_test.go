@@ -85,6 +85,11 @@ func pruneSystems(t *testing.T) []pruneSystem {
 		}
 		systems[i].conv = res.Converter
 	}
+	for _, sys := range systems[:1] {
+		sys.name += "-reordered"
+		sys.conv = reorderedConverter(sys.conv)
+		systems = append(systems, sys)
+	}
 	const want = 25
 	found := 0
 	for seed := int64(0); seed < 400 && found < want; seed++ {
@@ -105,6 +110,29 @@ func pruneSystems(t *testing.T) []pruneSystem {
 		t.Fatalf("only %d derivable protosmith systems in 400 seeds, want %d", found, want)
 	}
 	return systems
+}
+
+// reorderedConverter is c rebuilt with its states declared to the Builder
+// in reverse index order, behind a new initial state "pre" (declared last)
+// whose one internal transition enters c's initial state. Its initial state
+// is not state 0, no state keeps its index, and it has an internal edge, so
+// pruning it exercises the init-first renumbering, edge re-sorting and the
+// internal rows.
+func reorderedConverter(c *spec.Spec) *spec.Spec {
+	b := spec.NewBuilder(c.Name())
+	for _, e := range c.Alphabet() {
+		b.Event(e)
+	}
+	for st := c.NumStates() - 1; st >= 0; st-- {
+		b.State(c.StateName(spec.State(st)))
+	}
+	b.Init("pre").Int("pre", c.StateName(c.Init()))
+	for st := c.NumStates() - 1; st >= 0; st-- {
+		for _, ed := range c.ExtEdges(spec.State(st)) {
+			b.Ext(c.StateName(spec.State(st)), ed.Event, c.StateName(ed.To))
+		}
+	}
+	return b.MustBuild()
 }
 
 // exhaustiveProduct bounds |S_B| · |S_C| for verifying every removal of a
@@ -169,9 +197,12 @@ func checkVerdicts(t *testing.T, sys pruneSystem, conv *spec.Spec) int {
 // For every single-state and single-transition removal of each derived
 // converter (a stride of them past exhaustiveProduct) and of its pruned
 // result, the compiled verdict must equal VerifyRobust on the rebuilt
-// candidate; PruneRobust must return, by Format, exactly what the reference
-// Builder+Verify loop returns; and pruning over the demand-driven
-// composition (quotd's path) must agree with pruning over the eager one.
+// candidate; PruneRobust, which applies removals to integer tables, must
+// return, by Format and Hash, exactly what the reference Builder+Verify loop
+// returns; and pruning over the demand-driven composition (quotd's path)
+// must agree with pruning over the eager one. The corpus includes the serve
+// benchmark's five families and a converter whose initial state is not
+// state 0.
 func TestPruneCheckerMatchesVerify(t *testing.T) {
 	for _, sys := range pruneSystems(t) {
 		conv := sys.conv
@@ -187,7 +218,7 @@ func TestPruneCheckerMatchesVerify(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference prune: %v", err)
 			}
-			if got.Format() != want.Format() {
+			if got.Format() != want.Format() || got.Hash() != want.Hash() {
 				t.Errorf("PruneRobust differs from the reference loop\n--- got ---\n%s--- want ---\n%s", got.Format(), want.Format())
 			}
 			checkVerdicts(t, sys, got)
@@ -201,7 +232,7 @@ func TestPruneCheckerMatchesVerify(t *testing.T) {
 				if err != nil {
 					t.Fatalf("PruneEnvs over the lazy composition: %v", err)
 				}
-				if lazy.Format() != got.Format() {
+				if lazy.Format() != got.Format() || lazy.Hash() != got.Hash() {
 					t.Errorf("pruning over the lazy composition differs\n--- lazy ---\n%s--- eager ---\n%s", lazy.Format(), got.Format())
 				}
 			}

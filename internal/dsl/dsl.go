@@ -39,10 +39,16 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("dsl: line %d: %s", e.Line, e.Msg)
 }
 
-// Parse reads every specification in the stream.
+// maxLine is the longest line Parse accepts; a longer one fails with
+// bufio.ErrTooLong.
+const maxLine = 4 << 20
+
+// Parse reads every specification in the stream. The line buffer starts at
+// the scanner's 4 KiB and doubles only for longer lines, so a small spec
+// costs a small buffer.
 func Parse(r io.Reader) ([]*spec.Spec, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Buffer(nil, maxLine)
 	var out []*spec.Spec
 	var b *spec.Builder
 	line := 0

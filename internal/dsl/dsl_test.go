@@ -1,6 +1,9 @@
 package dsl
 
 import (
+	"bufio"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -103,6 +106,34 @@ func TestParseErrorLineNumbers(t *testing.T) {
 	}
 	if pe.Line != 3 {
 		t.Errorf("Line = %d, want 3", pe.Line)
+	}
+}
+
+// The line buffer grows from 4 KiB on demand: a ~100 KiB line parses to the
+// spec the Builder makes from the same declarations, and a line past the
+// 4 MiB limit still fails with bufio.ErrTooLong.
+func TestParseLineLimit(t *testing.T) {
+	want := spec.NewBuilder("wide").Init("s0").Ext("s0", "x", "s0")
+	var line strings.Builder
+	line.WriteString("state")
+	for i := 0; line.Len() < 100<<10; i++ {
+		name := fmt.Sprintf("s%d", i)
+		line.WriteString(" " + name)
+		want.State(name)
+	}
+	src := "spec wide\ninit s0\n" + line.String() + "\next s0 x s0\n"
+	got, err := ParseString(src)
+	if err != nil {
+		t.Fatalf("ParseString of a %d-byte line: %v", line.Len(), err)
+	}
+	w := want.MustBuild()
+	if got.Format() != w.Format() || got.Hash() != w.Hash() {
+		t.Errorf("a %d-byte state line parsed to %v, want %v", line.Len(), got, w)
+	}
+
+	long := "spec A\ninit a0\nstate " + strings.Repeat("a", maxLine) + "\n"
+	if _, err := ParseString(long); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a line over %d bytes: error %v, want bufio.ErrTooLong", maxLine, err)
 	}
 }
 
