@@ -633,10 +633,9 @@ func BenchmarkAblationChannelModel(b *testing.B) {
 //
 // Each specgen family runs through the two pipelines: eager string-keyed
 // composition feeding Derive ("spec engine"), and the demand-driven
-// composition whose exploration the safety phase drives ("lazy engine"). The
-// quotbench command records the same comparison as committed JSON
-// (BENCH_pr3.json, BENCH_pr4.json); these benchmarks keep it visible to
-// `go test -bench`.
+// composition whose exploration the safety phase drives ("lazy engine").
+// BENCH_pr3.json and BENCH_pr4.json hold the same comparison as frozen
+// history; these benchmarks keep it visible to `go test -bench`.
 
 func benchFamilySpecEngine(b *testing.B, f specgen.Family) {
 	b.ReportAllocs()
@@ -651,17 +650,24 @@ func benchFamilySpecEngine(b *testing.B, f specgen.Family) {
 	}
 }
 
+// benchFamilyLazyEngine also reports the last iteration's safety and
+// progress phase walls.
 func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 	b.ReportAllocs()
+	var m core.Metrics
 	for i := 0; i < b.N; i++ {
 		env, err := compose.LazyMany(f.Components...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true}); err != nil {
+		res, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true})
+		if err != nil {
 			b.Fatal(err)
 		}
+		m = res.Stats.Metrics
 	}
+	b.ReportMetric(float64(m.SafetyWall.Nanoseconds())/1e6, "safety-ms")
+	b.ReportMetric(float64(m.ProgressWall.Nanoseconds())/1e6, "progress-ms")
 }
 
 func BenchmarkDeriveChainSpecEngine(b *testing.B)     { benchFamilySpecEngine(b, specgen.Chain(5)) }
@@ -669,9 +675,8 @@ func BenchmarkDeriveChainLazyEngine(b *testing.B)     { benchFamilyLazyEngine(b,
 func BenchmarkDeriveChainDropSpecEngine(b *testing.B) { benchFamilySpecEngine(b, specgen.ChainDrop(4)) }
 func BenchmarkDeriveChainDropLazyEngine(b *testing.B) { benchFamilyLazyEngine(b, specgen.ChainDrop(4)) }
 
-// Frontier instances (this PR's BenchFamilies tail): demand-driven engine
-// only — the eager pipelines materialize the full product and belong under
-// quotbench's -derivetimeout, not in a -benchtime 1x smoke.
+// Frontier instances: demand-driven engine only — the eager pipelines
+// materialize the full product, which a -benchtime 1x smoke cannot afford.
 func BenchmarkDeriveChainFrontierLazyEngine(b *testing.B) {
 	benchFamilyLazyEngine(b, specgen.Chain(8))
 }
@@ -680,6 +685,13 @@ func BenchmarkDeriveChainDropFrontierLazyEngine(b *testing.B) {
 }
 func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 	benchFamilyLazyEngine(b, specgen.Ring(6))
+}
+
+// chain(9), a 1,048,576-state composite environment, is the frontier row
+// EXPERIMENTS.md reports. Its name keeps it out of `make benchsmoke`; run
+// it with `go test -run '^$' -bench FrontierChain9 -benchtime 1x .`.
+func BenchmarkFrontierChain9(b *testing.B) {
+	benchFamilyLazyEngine(b, specgen.Chain(9))
 }
 
 // The allocation-regression smokes: a demand-driven derivation must stay

@@ -8,7 +8,6 @@
 //	       [-faults loss=0.05,dup=0.1,reorder=0.05,corrupt=0.01,delay=1ms]
 //	       [-seed s] [-conform-every n] [-no-conform] [-timeout d]
 //	       [-assert-clean] [-emit-table file] [-json]
-//	       [-bench-out file.json] [-label name]
 //	       [-converter file.spec | -family chain(2) | -table file.table]
 //
 // The converter under load defaults to the paper's Figure 14 system
@@ -19,8 +18,8 @@
 //
 // -assert-clean exits 2 unless every session completed with zero
 // conformance violations and zero failed sessions — the smoke gate's
-// contract. -bench-out appends a quotbench-style JSON record (msgs/sec,
-// p50/p99 step latency) for the benchmark history.
+// contract. -json prints the report, msgs/sec and p50/p99 step latency
+// included, as one JSON document.
 package main
 
 import (
@@ -62,8 +61,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		assert   = fs.Bool("assert-clean", false, "exit 2 unless all sessions completed with zero violations")
 		emit     = fs.String("emit-table", "", "also write the compiled table artifact to this file and continue")
 		jsonOut  = fs.Bool("json", false, "print the report as JSON instead of text")
-		benchOut = fs.String("bench-out", "", "append a benchmark record to this JSON file")
-		label    = fs.String("label", "dev", "label for the benchmark record")
 		convPath = fs.String("converter", "", "load the converter from .spec DSL (must be deterministic, no internal transitions)")
 		family   = fs.String("family", "", "derive the converter from a specgen family instance, e.g. chain(2)")
 		tblPath  = fs.String("table", "", "load a compiled-table artifact (the quotd <key>.table class)")
@@ -129,12 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	} else {
 		printReport(stdout, src, table, rep, ref != nil)
 	}
-	if *benchOut != "" {
-		if err := appendBenchRecord(*benchOut, *label, src, rep, *sessions, *steps, *faultsS, *seed); err != nil {
-			fmt.Fprintf(stderr, "convrt: bench-out: %v\n", err)
-			return 1
-		}
-	}
 	if *assert {
 		if rep.SessionsFailed > 0 || rep.Violations > 0 || rep.Canceled > 0 ||
 			rep.SessionsCompleted != int64(*sessions) {
@@ -197,15 +188,18 @@ func loadConverter(convPath, family, tblPath string) (*convrt.Table, *spec.Spec,
 		if err != nil {
 			return nil, nil, "", err
 		}
-		env, err := compose.Many(fam.Components...)
+		// quotd's path: derive over the lazy composition, then prune over
+		// the same environment, reusing its expanded rows.
+		x, err := compose.LazyMany(fam.Components...)
 		if err != nil {
 			return nil, nil, "", err
 		}
-		res, err := core.Derive(fam.Service, env, core.Options{OmitVacuous: true})
+		envs := []core.Environment{x}
+		res, err := core.DeriveEnvsContext(context.Background(), fam.Service, envs, core.Options{OmitVacuous: true})
 		if err != nil {
 			return nil, nil, "", fmt.Errorf("deriving %s: %w", family, err)
 		}
-		conv, err := core.Prune(fam.Service, env, res.Converter)
+		conv, err := core.PruneEnvs(fam.Service, envs, res.Converter)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -279,48 +273,4 @@ func writeJSONReport(w io.Writer, src string, t *convrt.Table, rep *convrt.Repor
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// benchDoc mirrors the quotbench output convention: a note plus a runs
-// array, appended across invocations so BENCH_*.json accumulates history.
-type benchDoc struct {
-	Note string       `json:"note"`
-	Runs []benchEntry `json:"runs"`
-}
-
-type benchEntry struct {
-	Label      string  `json:"label"`
-	Source     string  `json:"source"`
-	Sessions   int     `json:"sessions"`
-	Steps      int     `json:"steps_per_session"`
-	Faults     string  `json:"faults,omitempty"`
-	Seed       int64   `json:"seed"`
-	MsgsPerSec float64 `json:"msgs_per_sec"`
-	P50StepNs  int64   `json:"p50_step_ns"`
-	P99StepNs  int64   `json:"p99_step_ns"`
-	TotalNs    int64   `json:"total_ns"`
-	StepsRun   int64   `json:"steps_executed"`
-	Violations int64   `json:"violations"`
-	Failed     int64   `json:"sessions_failed"`
-}
-
-func appendBenchRecord(path, label, src string, rep *convrt.Report, sessions, steps int, faults string, seed int64) error {
-	doc := benchDoc{Note: "convrt load-harness runs: concurrent converter sessions over a faulty bounded-FIFO wire; latency is enqueue-to-execute per step"}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s unreadable: %w", path, err)
-		}
-	}
-	doc.Runs = append(doc.Runs, benchEntry{
-		Label: label, Source: src, Sessions: sessions, Steps: steps,
-		Faults: faults, Seed: seed,
-		MsgsPerSec: rep.MsgsPerSec, P50StepNs: rep.P50StepNs, P99StepNs: rep.P99StepNs,
-		TotalNs: rep.Elapsed.Nanoseconds(), StepsRun: rep.Steps,
-		Violations: rep.Violations, Failed: rep.SessionsFailed,
-	})
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

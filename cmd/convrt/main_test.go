@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"protoquot/internal/compose"
 	"protoquot/internal/convrt"
+	"protoquot/internal/core"
+	"protoquot/internal/specgen"
 )
 
 func runHarness(t *testing.T, args ...string) (int, string, string) {
@@ -95,12 +98,46 @@ func TestConverterSpecSource(t *testing.T) {
 	}
 }
 
-func TestJSONReportAndBenchOut(t *testing.T) {
-	dir := t.TempDir()
-	bench := filepath.Join(dir, "bench.json")
-	code, out, errb := runHarness(t,
-		"-sessions", "10", "-steps", "50", "-json",
-		"-bench-out", bench, "-label", "test1")
+// TestFamilyTableMatchesEagerDerivation checks that -family, which derives
+// and prunes over the lazy composition, emits exactly the table of the
+// eager compose.Many + Derive + Prune pipeline.
+func TestFamilyTableMatchesEagerDerivation(t *testing.T) {
+	p := filepath.Join(t.TempDir(), "chain2.table")
+	if code, _, errb := runHarness(t,
+		"-family", "chain(2)", "-sessions", "1", "-steps", "1", "-emit-table", p); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	got, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam, err := specgen.ParseFamily("chain(2)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := compose.Many(fam.Components...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Derive(fam.Service, env, core.Options{OmitVacuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, err := core.Prune(fam.Service, env, res.Converter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := convrt.Compile(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := convrt.Encode(table); !bytes.Equal(got, want) {
+		t.Errorf("-family table differs from the eager pipeline's:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+func TestJSONReport(t *testing.T) {
+	code, out, errb := runHarness(t, "-sessions", "10", "-steps", "50", "-json")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
@@ -111,24 +148,8 @@ func TestJSONReportAndBenchOut(t *testing.T) {
 	if rep.Report == nil || rep.Report.Steps != 10*50 {
 		t.Fatalf("report wrong: %+v", rep)
 	}
-	// A second run appends, preserving history.
-	if code, _, errb := runHarness(t,
-		"-sessions", "10", "-steps", "50", "-bench-out", bench, "-label", "test2"); code != 0 {
-		t.Fatalf("second run: exit %d, stderr: %s", code, errb)
-	}
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Runs) != 2 || doc.Runs[0].Label != "test1" || doc.Runs[1].Label != "test2" {
-		t.Fatalf("bench history wrong: %+v", doc.Runs)
-	}
-	if doc.Runs[0].MsgsPerSec <= 0 || doc.Runs[0].P99StepNs <= 0 {
-		t.Fatalf("bench record empty: %+v", doc.Runs[0])
+	if rep.Report.MsgsPerSec <= 0 || rep.Report.P99StepNs <= 0 {
+		t.Fatalf("report carries no throughput or latency: %+v", rep.Report)
 	}
 }
 

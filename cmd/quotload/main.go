@@ -5,7 +5,7 @@
 // > 0 after round one), identical answers everywhere, and no duplicate
 // engine runs cluster-wide (one derivation per distinct key while the ring
 // is stable). It prints the warm-vs-cold latency table that EXPERIMENTS.md
-// reports and can append a run to a quotbench-style JSON trajectory.
+// reports.
 //
 // By default it starts an in-process daemon on an ephemeral port, so `make
 // loadtest` needs no running server. -cluster n starts n in-process nodes
@@ -25,8 +25,6 @@
 //	-seed n         RNG seed for uniform/zipf request sequences
 //	-kill           kill one shard during round 2 and restart it for the
 //	                final round (in-process cluster only; needs -rounds >= 3)
-//	-bench-out f    append {label, nodes, hit ratio, latency} to this JSON
-//	-bench-label s  label for the -bench-out run
 //
 // Each client is pinned to a home node (round-robin), like clients behind
 // a per-node balancer; transport failures fail over to the other nodes via
@@ -40,7 +38,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -114,20 +111,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("quotload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		clients    = fs.Int("clients", 8, "concurrent clients")
-		rounds     = fs.Int("rounds", 3, "rounds per client (round 1 cold, rest warm)")
-		families   = fs.String("families", "chain(3),chain(4),chaindrop(4)", "specgen families to derive")
-		addr       = fs.String("addr", "", "comma-separated addresses of an already-running quotd deployment")
-		timeout    = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
-		clusterN   = fs.Int("cluster", 1, "in-process shards to start (ignored with -addr)")
-		variants   = fs.Int("variants", 1, "key variants per family (multiplies the keyspace)")
-		dist       = fs.String("dist", "seq", "per-client request distribution: seq, uniform, zipf")
-		zipfS      = fs.Float64("zipf-s", 1.2, "zipf skew exponent (> 1)")
-		zipfV      = fs.Float64("zipf-v", 1.0, "zipf value offset (>= 1)")
-		seed       = fs.Int64("seed", 1, "RNG seed for uniform/zipf sequences")
-		kill       = fs.Bool("kill", false, "kill one in-process shard during round 2, restart before the last round")
-		benchOut   = fs.String("bench-out", "", "append this run to a quotbench-style JSON file")
-		benchLabel = fs.String("bench-label", "quotload", "label for the -bench-out run")
+		clients  = fs.Int("clients", 8, "concurrent clients")
+		rounds   = fs.Int("rounds", 3, "rounds per client (round 1 cold, rest warm)")
+		families = fs.String("families", "chain(3),chain(4),chaindrop(4)", "specgen families to derive")
+		addr     = fs.String("addr", "", "comma-separated addresses of an already-running quotd deployment")
+		timeout  = fs.Duration("timeout", 60*time.Second, "per-request client timeout")
+		clusterN = fs.Int("cluster", 1, "in-process shards to start (ignored with -addr)")
+		variants = fs.Int("variants", 1, "key variants per family (multiplies the keyspace)")
+		dist     = fs.String("dist", "seq", "per-client request distribution: seq, uniform, zipf")
+		zipfS    = fs.Float64("zipf-s", 1.2, "zipf skew exponent (> 1)")
+		zipfV    = fs.Float64("zipf-v", 1.0, "zipf value offset (>= 1)")
+		seed     = fs.Int64("seed", 1, "RNG seed for uniform/zipf sequences")
+		kill     = fs.Bool("kill", false, "kill one in-process shard during round 2, restart before the last round")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -343,20 +338,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *benchOut != "" {
-		if err := appendBench(*benchOut, benchRun{
-			Label: *benchLabel, Nodes: len(addrs), Clients: *clients, Rounds: *rounds,
-			Dist: *dist, Killed: *kill, Requests: total, DistinctKeys: distinct,
-			Derives: sums.Derives, PeerFills: sums.PeerFills, HotReplicated: sums.HotReplicated,
-			HitRatio:  ratio(hits, total),
-			ColdP50Ns: medianNs(results, false), WarmP50Ns: medianNs(results, true),
-		}); err != nil {
-			fmt.Fprintf(stderr, "quotload: bench-out: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "quotload: appended run %q to %s\n", *benchLabel, *benchOut)
-	}
-
 	if failed {
 		return 1
 	}
@@ -520,61 +501,11 @@ func printLatencyTable(w io.Writer, jobs []job, results []oneResult) {
 	}
 }
 
-// benchRun is one quotload measurement in the quotbench JSON conventions:
-// a flat labelled record, nanosecond latencies, appended to a trajectory
-// file so node-count scaling reads as consecutive runs.
-type benchRun struct {
-	Label         string  `json:"label"`
-	Nodes         int     `json:"nodes"`
-	Clients       int     `json:"clients"`
-	Rounds        int     `json:"rounds"`
-	Dist          string  `json:"dist"`
-	Killed        bool    `json:"killed,omitempty"`
-	Requests      int     `json:"requests"`
-	DistinctKeys  int     `json:"distinct_keys"`
-	Derives       int64   `json:"derives"`
-	PeerFills     int64   `json:"peer_fills"`
-	HotReplicated int64   `json:"hot_replicated,omitempty"`
-	HitRatio      float64 `json:"hit_ratio"`
-	ColdP50Ns     int64   `json:"cold_p50_ns"`
-	WarmP50Ns     int64   `json:"warm_p50_ns"`
-}
-
-type benchDoc struct {
-	Note string     `json:"note"`
-	Runs []benchRun `json:"runs"`
-}
-
-func appendBench(path string, run benchRun) error {
-	doc := benchDoc{Note: "quotload cluster trajectory: client-observed latency and cluster-wide dedup per node count; times are median nanoseconds"}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	doc.Runs = append(doc.Runs, run)
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func ratio(hits, total int) float64 {
 	if total == 0 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-func medianNs(results []oneResult, cached bool) int64 {
-	var xs []float64
-	for _, r := range results {
-		if r.err == nil && r.cached == cached {
-			xs = append(xs, float64(r.elapsed.Nanoseconds()))
-		}
-	}
-	return int64(median(xs))
 }
 
 func median(xs []float64) float64 {

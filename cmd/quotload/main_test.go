@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -55,28 +53,6 @@ func TestLoadTestKillRejoin(t *testing.T) {
 	if !strings.Contains(out.String(), "killing shard") ||
 		!strings.Contains(out.String(), "restarting shard") {
 		t.Errorf("kill/restart not logged:\n%s", out.String())
-	}
-}
-
-// TestLoadTestBenchOut appends two runs to one trajectory file.
-func TestLoadTestBenchOut(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	for i, label := range []string{"n1", "n2"} {
-		var out, errb strings.Builder
-		code := run([]string{"-clients", "2", "-rounds", "2", "-families", "chain(3)",
-			"-bench-out", path, "-bench-label", label}, &out, &errb)
-		if code != 0 {
-			t.Fatalf("run %d: exit %d\n%s", i, code, errb.String())
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"label": "n1"`, `"label": "n2"`, `"distinct_keys": 1`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("bench file missing %s:\n%s", want, data)
-		}
 	}
 }
 

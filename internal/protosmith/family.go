@@ -9,7 +9,7 @@ import (
 )
 
 // The generated kinds registered with the specgen family registry, so
-// quotbench, quotload, and every other ParseFamily consumer can name
+// quotload and every other ParseFamily consumer can name
 // protosmith systems exactly like the hand-written ones:
 //
 //	rand(n)      — random system, wedges disabled

@@ -1,12 +1,10 @@
-// Family registry shared by the benchmark and fuzzing tooling: family
-// kinds are registered under a short name, "kind(n)" instance names parse
-// to sized instances, and BenchFamilies pins the registered bench sweep —
-// including the sizes (chain(8), chaindrop(7), ring(6)) that only became
-// tractable once the demand-driven environment and arena row storage landed.
+// Family registry shared by the benchmark, load and fuzzing tooling: family
+// kinds are registered under a short name, and "kind(n)" instance names
+// parse to sized instances.
 //
 // The registry is open: other packages (notably internal/protosmith, whose
 // randomized systems register as the "rand"/"randwedge" kinds) add kinds
-// from init, so quotbench, quotload, and any ParseFamily caller can consume
+// from init, so quotload and any other ParseFamily caller can consume
 // generated families by name exactly like the hand-written ones.
 package specgen
 
@@ -115,18 +113,4 @@ func init() {
 	MustRegister("chain", sized("chain", Chain))
 	MustRegister("chaindrop", sized("chaindrop", ChainDrop))
 	MustRegister("ring", sized("ring", Ring))
-}
-
-// BenchFamilies is the registered benchmark sweep, smallest to largest per
-// kind. The tail instances — chain(9) (~1M-state product), chaindrop(7),
-// ring(6) — are sized for the demand-driven engine with arena row storage
-// and the word-parallel safety phase; eager engines should run them under a
-// derivation timeout. chain(10) (~4.2M-state product) is deliberately left
-// out of the default sweep and run explicitly by the bench-frontier target.
-func BenchFamilies() []string {
-	return []string{
-		"chain(4)", "chain(5)", "chain(6)", "chain(7)", "chain(8)", "chain(9)",
-		"chaindrop(4)", "chaindrop(5)", "chaindrop(6)", "chaindrop(7)",
-		"ring(2)", "ring(3)", "ring(4)", "ring(5)", "ring(6)",
-	}
 }
