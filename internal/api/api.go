@@ -387,6 +387,7 @@ type StatsResponse struct {
 	Timeouts       int64 `json:"timeouts"`
 
 	CacheHits       int64 `json:"cache_hits"`
+	CacheAliasHits  int64 `json:"cache_alias_hits"` // hits found by request-body digest, part of CacheHits
 	CacheMisses     int64 `json:"cache_misses"`
 	CacheEvictions  int64 `json:"cache_evictions"`
 	CacheDiskHits   int64 `json:"cache_disk_hits"`

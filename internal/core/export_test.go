@@ -82,18 +82,104 @@ func PruneCheckVerdicts(a *spec.Spec, bs []Environment, c *spec.Spec) (input boo
 	if err != nil {
 		return false, nil, nil, err
 	}
-	states = make([]bool, c.NumStates())
-	edges = make([][]bool, c.NumStates())
+	states, edges = pc.verdicts()
+	return pc.ok(noRemoval), states, edges, nil
+}
+
+// verdicts returns the checker's verdict on every candidate removal from
+// its current converter, indexed as PruneCheckVerdicts indexes them. It
+// leaves the check counter as it found it.
+func (pc *pruneChecker) verdicts() (states []bool, edges [][]bool) {
+	checks := pc.checks
+	states = make([]bool, len(pc.cExt))
+	edges = make([][]bool, len(pc.cExt))
 	for st := range states {
-		if spec.State(st) != c.Init() {
+		if int32(st) != pc.cInit {
 			states[st] = pc.ok(removal{state: int32(st), from: -1, edge: -1})
 		}
-		edges[st] = make([]bool, len(c.ExtEdges(spec.State(st))))
+		edges[st] = make([]bool, len(pc.cExt[st]))
 		for ei := range edges[st] {
 			edges[st][ei] = pc.ok(removal{state: -1, from: int32(st), edge: ei})
 		}
 	}
-	return pc.ok(noRemoval), states, edges, nil
+	pc.checks = checks
+	return states, edges
+}
+
+// PruneReplay prunes c as PruneEnvs does and returns the result with the
+// number of checks the greedy loop ran. After each accepted removal it
+// calls visit, when non-nil, with the converter as it then stands and the
+// checker's verdicts on removing each of its states and external
+// transitions (indexed as PruneCheckVerdicts indexes them), which the
+// checker decides with every accepted removal so far in its filters. With
+// visit it also requires the filtered composite of every variant to match a
+// fresh exploration of the current converter in its numbers of reachable
+// composites, internal moves and external moves, and fails if not.
+func PruneReplay(a *spec.Spec, bs []Environment, c *spec.Spec,
+	visit func(cur *spec.Spec, states []bool, edges [][]bool)) (pruned *spec.Spec, checks int, err error) {
+	pc, err := newPruneChecker(a, bs, c)
+	if err != nil {
+		return nil, 0, err
+	}
+	if !pc.ok(noRemoval) {
+		return nil, 0, fmt.Errorf("prune checker rejects the input converter")
+	}
+	var mismatch error
+	if visit != nil {
+		pc.applied = func() {
+			cur, err := pc.converter(c)
+			if err != nil {
+				panic(err)
+			}
+			fresh, err := newPruneChecker(a, bs, cur)
+			if err != nil {
+				panic(err)
+			}
+			for i := range pc.vars {
+				got, want := pc.footprint(&pc.vars[i]), fresh.footprint(&fresh.vars[i])
+				if got != want && mismatch == nil {
+					mismatch = fmt.Errorf("variant %d: filtered composite reaches %v (composites, internal, external), a fresh one %v", i, got, want)
+				}
+			}
+			states, edges := pc.verdicts()
+			visit(cur, states, edges)
+		}
+	}
+	pruned, err = pc.prune(c)
+	if err == nil {
+		err = mismatch
+	}
+	return pruned, pc.checks, err
+}
+
+// footprint counts the composites, internal moves and external moves of
+// v that the filters leave reachable from the initial composite.
+func (pc *pruneChecker) footprint(v *pruneVariant) [3]int {
+	var n [3]int
+	seen := make([]bool, len(v.pc))
+	seen[0] = true
+	stack := []int32{0}
+	follow := func(y, use int32, kind int) {
+		if pc.live(v, y, use) {
+			n[kind]++
+			if !seen[y] {
+				seen[y] = true
+				stack = append(stack, y)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n[0]++
+		for i := v.intOff[x]; i < v.intOff[x+1]; i++ {
+			follow(v.intTo[i], v.intUse[i], 1)
+		}
+		for i := v.extOff[x]; i < v.extOff[x+1]; i++ {
+			follow(v.ext[i].To, v.extUse[i], 2)
+		}
+	}
+	return n
 }
 
 // DeriveWithReferenceEmit derives like DeriveEnvsContext and, when a

@@ -15,16 +15,19 @@ import (
 // message loss. The paper notes such removal "is computationally expensive
 // and is best done by hand"; Prune automates a greedy version. Every
 // candidate removal — each state, then each transition, restarting after
-// every accepted one — costs one compiled check over integer tables of
-// B‖C′ (pruneChecker), which returns the verdict Verify would. An accepted
-// removal is applied to the checker's converter tables, which are then
+// every accepted one — costs one walk of the compiled checker
+// (pruneChecker), which explores each variant's B‖C once and returns the
+// verdict Verify would give for B‖C′. An accepted removal joins the
+// checker's filters and is applied to its converter tables, which are then
 // trimmed and renumbered exactly as spec.Builder + Spec.Trim would number
 // the rebuilt converter (apply): that numbering is a first-mention order,
 // not the old index order, and the greedy loop's candidate order depends
-// on it. The result is emitted once, by spec.FromDense with the input's
-// state names. A check is linear in the reachable part of B‖C′ (times at
-// most |S_A| for the ψ walk), so Prune is O(candidates · |B‖C|) for a
-// fixed service.
+// on it. A pass whose last accepted removal is a state ends the loop: it
+// has rejected every candidate of the final converter already. The result
+// is emitted once, by spec.FromDense with the input's state names. A walk
+// stops at the first failing configuration and is at most linear in the
+// reachable part of B‖C′ (times |S_A| for the ψ walk), so Prune costs one
+// exploration of B‖C plus the candidates' walked footprints.
 //
 // The result is a correct converter whose trace set is a subset of the
 // input's; it is locally minimal (no single state or transition can be
@@ -67,9 +70,19 @@ func PruneEnvs(a *spec.Spec, bs []Environment, c *spec.Spec) (*spec.Spec, error)
 		}
 		return nil, fmt.Errorf("quotient: internal error: prune checker rejects an input Verify accepts")
 	}
+	return pc.prune(c)
+}
+
+// prune runs the greedy loop from input converter c, which the checker
+// accepts, and emits the result.
+func (pc *pruneChecker) prune(c *spec.Spec) (*spec.Spec, error) {
 	changed := false
-	for pc.pruneOnce() {
-		changed = true
+	for {
+		progress, settled := pc.pruneOnce()
+		changed = changed || progress
+		if !progress || settled {
+			break
+		}
 	}
 	if !changed {
 		return c, nil
@@ -78,9 +91,13 @@ func PruneEnvs(a *spec.Spec, bs []Environment, c *spec.Spec) (*spec.Spec, error)
 }
 
 // pruneOnce attempts one pass of state removals then transition removals
-// over the checker's converter tables, reporting whether anything changed.
-func (pc *pruneChecker) pruneOnce() bool {
-	changed := false
+// over the checker's converter tables. It reports whether anything changed,
+// and whether the pass settled the converter: when its last accepted
+// removal was a state, the state loop restarted and rejected every state,
+// then the transition loop rejected every transition, all against the
+// converter as it now stands, so another pass would only repeat those
+// verdicts.
+func (pc *pruneChecker) pruneOnce() (changed, settled bool) {
 	// States (never the initial one), in stable order.
 	for st := int32(0); st < int32(len(pc.cExt)); st++ {
 		if st == pc.cInit {
@@ -88,7 +105,7 @@ func (pc *pruneChecker) pruneOnce() bool {
 		}
 		if rm := (removal{state: st, from: -1, edge: -1}); pc.ok(rm) {
 			pc.apply(rm)
-			changed = true
+			changed, settled = true, true
 			st = -1 // restart: indices shifted
 		}
 	}
@@ -98,29 +115,38 @@ func (pc *pruneChecker) pruneOnce() bool {
 		for ei := 0; st < int32(len(pc.cExt)) && ei < len(pc.cExt[st]); ei++ {
 			if rm := (removal{state: -1, from: st, edge: ei}); pc.ok(rm) {
 				pc.apply(rm)
-				changed = true
+				changed, settled = true, false
 				ei = -1
 			}
 		}
 	}
-	return changed
+	return changed, settled
 }
 
-// apply removes rm from the checker's converter tables and trims them to
-// the states reachable from the initial one. The survivors are numbered
-// exactly as rebuilding the converter through spec.Builder and then
-// Spec.Trim would number them, so the candidate order of the greedy loop —
-// and with it the pruned converter — does not depend on how the removal is
-// carried out. Both numberings are one renumber pass: the Builder's over
-// every state but a removed one, then Trim's over the reachable states.
+// apply removes rm from the checker's converter tables, records it in the
+// checker's filters, and trims the tables to the states reachable from the
+// initial one. The survivors are numbered exactly as rebuilding the
+// converter through spec.Builder and then Spec.Trim would number them, so
+// the candidate order of the greedy loop — and with it the pruned
+// converter — does not depend on how the removal is carried out. Both
+// numberings are one renumber pass: the Builder's over every state but a
+// removed one, then Trim's over the reachable states.
 func (pc *pruneChecker) apply(rm removal) {
+	if rm.state >= 0 {
+		pc.goneState[pc.cOrig[rm.state]] = true
+	} else {
+		pc.goneEdge[pc.cExt[rm.from][rm.edge].ID] = true
+	}
+	if pc.applied != nil {
+		defer pc.applied()
+	}
 	keep := make([]bool, len(pc.cExt))
 	for st := range keep {
 		keep[st] = int32(st) != rm.state
 	}
 	if rm.state >= 0 {
 		for st := range pc.cExt {
-			pc.cExt[st] = slices.DeleteFunc(pc.cExt[st], func(ed bedge) bool { return ed.To == rm.state })
+			pc.cExt[st] = slices.DeleteFunc(pc.cExt[st], func(ed cedge) bool { return ed.To == rm.state })
 			pc.cIntl[st] = slices.DeleteFunc(pc.cIntl[st], func(t int32) bool { return t == rm.state })
 		}
 	} else {
@@ -182,7 +208,7 @@ func (pc *pruneChecker) renumber(keep []bool) {
 			mention(t)
 		}
 	}
-	ext := make([][]bedge, len(order))
+	ext := make([][]cedge, len(order))
 	intl := make([][]int32, len(order))
 	orig := make([]int32, len(order))
 	for i, st := range order {
@@ -190,7 +216,7 @@ func (pc *pruneChecker) renumber(keep []bool) {
 		for j := range row {
 			row[j].To = id[row[j].To]
 		}
-		slices.SortFunc(row, func(x, y bedge) int {
+		slices.SortFunc(row, func(x, y cedge) int {
 			if x.Ev != y.Ev {
 				return cmp.Compare(x.Ev, y.Ev)
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -147,26 +148,41 @@ const exhaustiveProduct = 250_000
 // candidate, and returns how many candidates it compared.
 func checkVerdicts(t *testing.T, sys pruneSystem, conv *spec.Spec) int {
 	t.Helper()
-	envs := make([]core.Environment, len(sys.bs))
-	for v, b := range sys.bs {
-		envs[v] = b
-	}
-	input, states, edges, err := core.PruneCheckVerdicts(sys.a, envs, conv)
+	input, states, edges, err := core.PruneCheckVerdicts(sys.a, envsOf(sys.bs), conv)
 	if err != nil {
 		t.Fatalf("checker: %v", err)
 	}
 	if !input {
 		t.Fatalf("checker rejects the converter")
 	}
+	return compareVerdicts(t, sys, conv, states, edges, 24, 0)
+}
+
+func envsOf(bs []*spec.Spec) []core.Environment {
+	envs := make([]core.Environment, len(bs))
+	for v, b := range bs {
+		envs[v] = b
+	}
+	return envs
+}
+
+// compareVerdicts compares the checker's verdicts on conv's candidate
+// removals, indexed as core.PruneCheckVerdicts indexes them, with
+// VerifyRobust on each candidate rebuilt through spec.Builder and Trim, and
+// returns how many it compared. Past exhaustiveProduct it compares about
+// budget of them, every stride-th candidate starting from offset modulo the
+// stride.
+func compareVerdicts(t *testing.T, sys pruneSystem, conv *spec.Spec, states []bool, edges [][]bool, budget, offset int) int {
+	t.Helper()
 	candidates := conv.NumStates() - 1 + conv.NumExternalTransitions()
 	stride := 1
 	if sys.bs[0].NumStates()*conv.NumStates() > exhaustiveProduct {
-		stride = candidates/24 + 1
+		stride = candidates/budget + 1
 	}
 	k, compared := 0, 0
 	sample := func() bool {
 		k++
-		if (k-1)%stride != 0 {
+		if (k-1)%stride != offset%stride {
 			return false
 		}
 		compared++
@@ -298,5 +314,76 @@ func TestPruneErrorPaths(t *testing.T) {
 				t.Errorf("PruneRobust error %q, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestPruneVerdictsAfterRemovals replays PruneRobust's greedy loop over the
+// differential corpus. The checker decides a candidate over the input's
+// composite filtered by every removal accepted so far, so after each
+// accepted removal its verdict on every remaining candidate (a stride of
+// them past exhaustiveProduct) must equal VerifyRobust on the candidate
+// rebuilt from the converter as it then stands. Past exhaustiveProduct each
+// step compares a stride of 3 candidates, starting one candidate later than
+// the step before, so the steps together cover different removals. The
+// replayed result must be PruneRobust's, and at each step the filtered
+// composite must reach as many composites, internal moves and external moves
+// as a fresh exploration of the converter as it stands (PruneReplay checks
+// it), which no verdict here would notice if an accepted edge removal were
+// left out of the filters.
+func TestPruneVerdictsAfterRemovals(t *testing.T) {
+	for _, sys := range pruneSystems(t) {
+		t.Run(sys.name, func(t *testing.T) {
+			steps := 0
+			pruned, _, err := core.PruneReplay(sys.a, envsOf(sys.bs), sys.conv,
+				func(cur *spec.Spec, states []bool, edges [][]bool) {
+					compareVerdicts(t, sys, cur, states, edges, 3, steps)
+					steps++
+				})
+			if err != nil {
+				t.Fatalf("PruneReplay: %v", err)
+			}
+			want, err := core.PruneRobust(sys.a, sys.bs, sys.conv)
+			if err != nil {
+				t.Fatalf("PruneRobust: %v", err)
+			}
+			if pruned.Format() != want.Format() || pruned.Hash() != want.Hash() {
+				t.Errorf("replayed prune differs from PruneRobust\n--- replay ---\n%s--- PruneRobust ---\n%s", pruned.Format(), want.Format())
+			}
+			if steps == 0 && pruned != sys.conv {
+				t.Error("the converter changed without an accepted removal")
+			}
+		})
+	}
+}
+
+// TestPruneCheckCounts pins how many checks PruneEnvs runs on each serve
+// family over the lazy composition quotd prunes over, the input check
+// included. The greedy loop stops after a pass whose last accepted removal
+// is a state, because that pass has already rejected every state and every
+// transition of the final converter; a confirming pass would add 11 checks
+// on each chain family and 13 on ring(2).
+func TestPruneCheckCounts(t *testing.T) {
+	want := map[string]int{"chain(2)": 18, "chain(3)": 18, "chaindrop(2)": 18, "chaindrop(3)": 18, "ring(2)": 40}
+	for _, fn := range []string{"chain(2)", "chain(3)", "chaindrop(2)", "chaindrop(3)", "ring(2)"} {
+		fam, err := specgen.ParseFamily(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lz, err := compose.LazyMany(fam.Components...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs := []core.Environment{lz}
+		res, err := core.DeriveEnvsContext(context.Background(), fam.Service, envs, core.Options{OmitVacuous: true})
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		_, checks, err := core.PruneReplay(fam.Service, envs, res.Converter, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		if checks != want[fn] {
+			t.Errorf("%s: PruneEnvs ran %d checks, want %d", fn, checks, want[fn])
+		}
 	}
 }

@@ -31,8 +31,11 @@ func MaskSubset(a, b []uint64) bool {
 func maskSubset(a, b []uint64) bool { return MaskSubset(a, b) }
 
 // OrInto unions src into dst word-parallel: dst |= src. The masks must have
-// equal stride.
+// equal stride, which is 0 when the alphabet is empty.
 func OrInto(dst, src []uint64) {
+	if len(src) == 0 {
+		return
+	}
 	_ = dst[len(src)-1] // one bounds check for the whole loop
 	for w := range src {
 		dst[w] |= src[w]

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,18 +25,38 @@ import (
 // served from them bit-identically. Renderings (DOT, Go source) are not
 // stored; they are deterministic functions of the converter, recomputed on
 // demand and, under disk persistence, written once as sibling artifacts.
+//
+// Beside the key index the cache keeps an alias index: the SHA-256 of a
+// request body that the full request path resolved to an entry's key. The
+// aliases live on their entry, at most aliasesPerEntry of them, and leave
+// with it, so the alias index is bounded by the cache's own bound. DESIGN.md
+// §9 argues when a body digest may stand in for the key.
 // All methods are safe for concurrent use.
 type Cache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List // front = most recently used; values are *api.Artifact
-	byKey map[string]*list.Element
-	dir   string // "" disables persistence
-	logf  func(format string, args ...any)
+	mu      sync.Mutex
+	max     int
+	ll      *list.List // front = most recently used; values are *cacheEntry
+	byKey   map[string]*list.Element
+	byAlias map[[sha256.Size]byte]*list.Element
+	dir     string // "" disables persistence
+	logf    func(format string, args ...any)
 
-	hits, misses, evictions atomic.Int64
-	diskHits, diskErrors    atomic.Int64
+	hits, misses, evictions, aliasHits atomic.Int64
+	diskHits, diskErrors               atomic.Int64
 }
+
+// cacheEntry is one stored artifact and the body digests that alias it,
+// oldest first.
+type cacheEntry struct {
+	art     *api.Artifact
+	aliases [][sha256.Size]byte
+}
+
+// aliasesPerEntry bounds the body digests kept per entry. Bodies that differ
+// only in what the key ignores (whitespace, renderings, timeouts) share an
+// entry; past the bound the oldest alias is dropped, and its body takes the
+// full path again.
+const aliasesPerEntry = 4
 
 // NewCache returns a cache bounded to max entries (min 1). dir, when
 // non-empty, enables disk persistence: every stored entry is written
@@ -57,11 +78,12 @@ func NewCache(max int, dir string, logf func(format string, args ...any)) (*Cach
 		}
 	}
 	return &Cache{
-		max:   max,
-		ll:    list.New(),
-		byKey: make(map[string]*list.Element),
-		dir:   dir,
-		logf:  logf,
+		max:     max,
+		ll:      list.New(),
+		byKey:   make(map[string]*list.Element),
+		byAlias: make(map[[sha256.Size]byte]*list.Element),
+		dir:     dir,
+		logf:    logf,
 	}, nil
 }
 
@@ -71,7 +93,7 @@ func (c *Cache) Get(key string) (*api.Artifact, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		e := el.Value.(*api.Artifact)
+		e := el.Value.(*cacheEntry).art
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return e, true
@@ -89,6 +111,58 @@ func (c *Cache) Get(key string) (*api.Artifact, bool) {
 	return nil, false
 }
 
+// GetAlias returns the in-memory entry that body digest d aliases, counting
+// a hit (and an alias hit) when there is one. A miss is not counted: the
+// request goes on to Get.
+func (c *Cache) GetAlias(d [sha256.Size]byte) (*api.Artifact, bool) {
+	c.mu.Lock()
+	el, ok := c.byAlias[d]
+	if !ok {
+		c.mu.Unlock()
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	e := el.Value.(*cacheEntry).art
+	c.mu.Unlock()
+	c.hits.Add(1)
+	c.aliasHits.Add(1)
+	return e, true
+}
+
+// Alias records body digest d as an alias of the in-memory entry stored
+// under key. It does nothing when key is not in memory or d is already an
+// alias.
+func (c *Cache) Alias(d [sha256.Size]byte, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.byKey[key]
+	if !ok {
+		return
+	}
+	if _, known := c.byAlias[d]; known {
+		return
+	}
+	ce := el.Value.(*cacheEntry)
+	if len(ce.aliases) == aliasesPerEntry {
+		delete(c.byAlias, ce.aliases[0])
+		ce.aliases = append(ce.aliases[:0], ce.aliases[1:]...)
+	}
+	ce.aliases = append(ce.aliases, d)
+	c.byAlias[d] = el
+}
+
+// peek returns the in-memory entry stored under key without counting a
+// lookup: the flight path's re-check after the request's counted miss.
+func (c *Cache) peek(key string) (*api.Artifact, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*cacheEntry).art, true
+	}
+	return nil, false
+}
+
 // Put stores an entry, evicting the least recently used entry beyond the
 // bound and writing through to disk when persistence is enabled.
 func (c *Cache) Put(e *api.Artifact) {
@@ -99,14 +173,17 @@ func (c *Cache) insert(e *api.Artifact, persist bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[e.Key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value = e
+		el.Value.(*cacheEntry).art = e // same key, same answer: aliases stay
 	} else {
-		c.byKey[e.Key] = c.ll.PushFront(e)
+		c.byKey[e.Key] = c.ll.PushFront(&cacheEntry{art: e})
 		for c.ll.Len() > c.max {
 			back := c.ll.Back()
-			old := back.Value.(*api.Artifact)
+			old := back.Value.(*cacheEntry)
 			c.ll.Remove(back)
-			delete(c.byKey, old.Key)
+			delete(c.byKey, old.art.Key)
+			for _, d := range old.aliases {
+				delete(c.byAlias, d)
+			}
 			c.evictions.Add(1)
 		}
 	}
@@ -131,7 +208,7 @@ func (c *Cache) Keys() []string {
 	defer c.mu.Unlock()
 	out := make([]string, 0, c.ll.Len())
 	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		out = append(out, el.Value.(*api.Artifact).Key)
+		out = append(out, el.Value.(*cacheEntry).art.Key)
 	}
 	return out
 }
@@ -141,6 +218,9 @@ func (c *Cache) Counters() (hits, misses, evictions, diskHits, diskErrors int64)
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load(),
 		c.diskHits.Load(), c.diskErrors.Load()
 }
+
+// AliasHits returns how many of the hits were found through a body digest.
+func (c *Cache) AliasHits() int64 { return c.aliasHits.Load() }
 
 // entryPath sanity-checks the key before using it as a file name: CacheKey
 // only ever produces lowercase hex, so anything else is rejected rather

@@ -148,7 +148,7 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 	e, cached := s.cache.Get(cr.key)
 	if !cached {
 		var werr *api.Error
-		if e, _, werr = s.deriveFlight(r.Context(), cr); werr != nil {
+		if e, cached, _, werr = s.deriveFlight(r.Context(), cr); werr != nil {
 			writeJSON(w, api.HTTPStatus(werr.Code), werr)
 			return
 		}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -59,27 +62,52 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // shutdown). In cluster mode a local miss for a key another shard owns is
 // filled from that owner; an unreachable owner falls back to the local
 // engine, so shard loss is never a client-visible failure.
+//
+// A request whose specs are all inline is first looked up by the SHA-256
+// of its body in the cache's alias index, which maps bodies the full path
+// has resolved to their cache key: a repeat of such a body is answered
+// without parsing, normalizing or hashing its specs (DESIGN.md §9).
 func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
 	s.met.deriveRequests.Add(1)
 
 	var req api.DeriveRequest
+	var body bytes.Buffer
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.TeeReader(r.Body, &body))
+	if err := dec.Decode(&req); err != nil {
 		s.failRequest(w, id, start, &api.Error{Code: api.ErrCodeBadRequest,
 			Message: "body: " + err.Error()})
 		return
+	}
+	inline := allInline(&req)
+	var digest [sha256.Size]byte
+	if inline {
+		// The decoded request is a function of the bytes up to the end of
+		// its JSON value; what the decoder read beyond it is not hashed.
+		digest = sha256.Sum256(body.Bytes()[:dec.InputOffset()])
+		if e, ok := s.cache.GetAlias(digest); ok {
+			s.respondEntry(w, id, start, &req.Options, e, true, false, "")
+			return
+		}
 	}
 	cr, werr := s.compile(&req)
 	if werr != nil {
 		s.failRequest(w, id, start, werr)
 		return
 	}
+	if inline {
+		// Attach the alias once the entry is stored; a no-op if it is not.
+		defer s.cache.Alias(digest, cr.key)
+	}
 
 	if e, ok := s.cache.Get(cr.key); ok {
 		s.respondEntry(w, id, start, &req.Options, e, true, false, "")
 		return
+	}
+	if s.afterMiss != nil {
+		s.afterMiss(cr.key)
 	}
 
 	if fill, shard := s.tryPeerFill(r.Context(), cr, &req); fill != nil {
@@ -87,12 +115,29 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	e, coalesced, werr := s.deriveFlight(r.Context(), cr)
+	e, cached, coalesced, werr := s.deriveFlight(r.Context(), cr)
 	if werr != nil {
 		s.failRequest(w, id, start, werr)
 		return
 	}
-	s.respondEntry(w, id, start, &req.Options, e, false, coalesced, "")
+	s.respondEntry(w, id, start, &req.Options, e, cached, coalesced, "")
+}
+
+// allInline reports whether every spec of req is given inline, so that the
+// request's answer depends on its bytes and the server's Config alone, not
+// on the spec registry.
+func allInline(req *api.DeriveRequest) bool {
+	if req.Service.Ref != "" {
+		return false
+	}
+	for _, srcs := range [][]api.SpecSource{req.Envs, req.Components} {
+		for _, src := range srcs {
+			if src.Ref != "" {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // respondEntry renders one cacheable outcome into the response envelope,

@@ -68,8 +68,9 @@ func (p *pool) depths() (queueDepth, inflight int64) {
 
 // flightResult is what a completed flight hands every waiter.
 type flightResult struct {
-	entry *api.Artifact // cacheable outcome (converter or nonexistence)
-	err   error         // non-cacheable failure (timeout, overload, internal)
+	entry  *api.Artifact // cacheable outcome (converter or nonexistence)
+	cached bool          // entry was found in the cache, not derived
+	err    error         // non-cacheable failure (timeout, overload, internal)
 }
 
 // flight is one in-progress derivation, shared by every request that asked

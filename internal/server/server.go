@@ -131,6 +131,10 @@ type Server struct {
 	// a pool slot and before it enters the engine. Test hook: lets tests
 	// make singleflight coalescing deterministic.
 	preDerive func(key string)
+	// afterMiss, when non-nil, is called by the derive handler between its
+	// cache miss and the peer fill or flight. Test hook: lets tests force
+	// another request's flight to complete in that window.
+	afterMiss func(key string)
 }
 
 // New builds a Server. The only error source is an unusable cache
@@ -405,9 +409,16 @@ func (s *Server) executeDerivation(cr *compiledRequest) flightResult {
 // deriveFlight is the node-local engine path shared by client derivations
 // and peer fills: singleflight around pool + engine. The caller has already
 // missed the cache; successful (cacheable) outcomes are stored before being
-// returned.
-func (s *Server) deriveFlight(ctx context.Context, cr *compiledRequest) (e *api.Artifact, coalesced bool, werr *api.Error) {
+// returned. cached reports an answer the flight found in the cache after
+// all.
+func (s *Server) deriveFlight(ctx context.Context, cr *compiledRequest) (e *api.Artifact, cached, coalesced bool, werr *api.Error) {
 	fr, joined, err := s.flights.do(ctx, cr.key, func() flightResult {
+		// A flight for this key may have stored its entry and left the
+		// flight map between the caller's miss and this flight's start.
+		// The caller's lookup already counted, so this one does not.
+		if e, ok := s.cache.peek(cr.key); ok {
+			return flightResult{entry: e, cached: true}
+		}
 		// The queue wait draws down the same per-request budget the engine
 		// runs under; the derivation itself re-derives its deadline from
 		// baseCtx inside executeDerivation.
@@ -437,7 +448,7 @@ func (s *Server) deriveFlight(ctx context.Context, cr *compiledRequest) (e *api.
 	if err != nil {
 		// This request gave up waiting on someone else's flight; the flight
 		// itself keeps running into the cache.
-		return nil, true, &api.Error{Code: api.ErrCodeCanceled,
+		return nil, false, true, &api.Error{Code: api.ErrCodeCanceled,
 			Message: "request canceled while waiting for an identical in-flight derivation"}
 	}
 	if joined {
@@ -451,9 +462,9 @@ func (s *Server) deriveFlight(ctx context.Context, cr *compiledRequest) (e *api.
 		if we.Code == api.ErrCodeInternal {
 			s.met.deriveErrors.Add(1)
 		}
-		return nil, joined, we
+		return nil, false, joined, we
 	}
-	return fr.entry, joined, nil
+	return fr.entry, fr.cached, joined, nil
 }
 
 func (s *Server) statsSnapshot() api.StatsResponse {
@@ -475,6 +486,7 @@ func (s *Server) statsSnapshot() api.StatsResponse {
 		Timeouts:       s.met.timeouts.Load(),
 
 		CacheHits:       hits,
+		CacheAliasHits:  s.cache.AliasHits(),
 		CacheMisses:     misses,
 		CacheEvictions:  evictions,
 		CacheDiskHits:   diskHits,
