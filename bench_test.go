@@ -650,7 +650,8 @@ func benchFamilySpecEngine(b *testing.B, f specgen.Family) {
 	}
 }
 
-// benchFamilyLazyEngine also reports the last iteration's safety and
+// benchFamilyLazyEngine also reports the last iteration's environment
+// expansion time (spent inside the safety phase) and its safety and
 // progress phase walls.
 func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 	b.ReportAllocs()
@@ -666,6 +667,7 @@ func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 		}
 		m = res.Stats.Metrics
 	}
+	b.ReportMetric(float64(m.EnvExpansionNs)/1e6, "expand-ms")
 	b.ReportMetric(float64(m.SafetyWall.Nanoseconds())/1e6, "safety-ms")
 	b.ReportMetric(float64(m.ProgressWall.Nanoseconds())/1e6, "progress-ms")
 }
@@ -699,13 +701,14 @@ func BenchmarkFrontierChain9(b *testing.B) {
 // it was set, so ordinary drift passes and a lost arena-reuse or
 // growth-policy regression — the class of bug that once cost +190 MB on
 // chain(9) — fails the benchsmoke gate instead of landing silently.
-// chain(7) (~61 MB when pinned, ~45 MB now) has nine huge converter states;
-// ring(5) (~84 MiB, pinned at ~1.3×) has 5,152 small ones, so between them
-// they cover both shapes of progress sweep, and ring(5) also emits a
-// 5,152-state converter.
+// chain(7) (30.5 MiB measured, pinned at 46 MiB) has nine huge converter
+// states; ring(5) (75.3 MiB measured; its 110 MiB pin, ~1.46×, was set
+// when it cost ~84 MiB and is only ever tightened) has 5,152 small ones, so
+// between them they cover both shapes of progress sweep, and ring(5) also
+// emits a 5,152-state converter. Each run reports its cost as derive-MiB.
 
 func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
-	benchAllocBudget(b, specgen.Chain(7), 96<<20)
+	benchAllocBudget(b, specgen.Chain(7), 46<<20)
 }
 
 func BenchmarkDeriveAllocBudgetRing5(b *testing.B) {
@@ -719,6 +722,7 @@ func BenchmarkDeriveAllocBudgetRing5(b *testing.B) {
 func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 	const sysCeiling = 2 << 30
 	b.ReportAllocs()
+	var got uint64
 	for i := 0; i < b.N; i++ {
 		env, err := compose.LazyMany(f.Components...)
 		if err != nil {
@@ -731,7 +735,7 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 			b.Fatal(err)
 		}
 		goruntime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > allocCeiling {
+		if got = after.TotalAlloc - before.TotalAlloc; got > allocCeiling {
 			b.Fatalf("%s derivation allocated %d MB, budget is %d MB",
 				f.Name, got>>20, allocCeiling>>20)
 		}
@@ -739,6 +743,7 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 			b.Fatalf("process Sys grew to %d MB, ceiling is %d MB", after.Sys>>20, sysCeiling>>20)
 		}
 	}
+	b.ReportMetric(float64(got)/(1<<20), "derive-MiB")
 }
 
 // BenchmarkDerivePruneMissAllocBudget gates what one quotd cache miss

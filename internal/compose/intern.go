@@ -1,90 +1,138 @@
-// Tuple interning for the demand-driven composition.
+// State interning for the demand-driven composition.
 //
-// LazyMany assigns composite state ids by interning the component-state
-// tuple of each discovered state. The key scheme is tiered:
+// LazyMany assigns composite state ids in discovery order and keeps, per
+// id, just enough to recover the component-state tuple. The scheme is
+// tiered:
 //
-//   - mixed-radix uint64 key + paged direct-mapped array when the full
-//     product count is at most denseInternLimit: one indexed load per
-//     lookup, with pages allocated only for the key ranges the exploration
-//     actually touches (a demand-driven walk of a 2^28-state product may
-//     touch a few thousand pages out of tens of thousands);
-//   - mixed-radix uint64 key + hash map when the product fits a uint64 but
-//     exceeds the dense limit;
-//   - string key over the raw tuple bytes when the product overflows uint64
-//     entirely (dozens of components).
+//   - tierDense: a mixed-radix uint64 key per state, looked up in a paged
+//     direct-mapped array when the full product count is at most
+//     denseInternLimit: one indexed load per lookup, with pages allocated
+//     only for the key ranges the exploration actually touches (a
+//     demand-driven walk of a 2^28-state product may touch a few thousand
+//     pages out of tens of thousands);
+//   - tierHashed: the same key per state, looked up in an open-addressed
+//     table of state ids over the key array, when the product fits a
+//     uint64 but exceeds the dense limit;
+//   - tierString: the raw k-int32 tuple per state, looked up in a map keyed
+//     by the tuple bytes, when the product overflows uint64 entirely
+//     (dozens of components).
+//
+// On the radix tiers a state costs one uint64 of identity, the tuple is
+// decoded from the key on expansion, and a successor's key is the parent's
+// plus (to − from)·weight per moved component, so interning a successor
+// touches no tuple memory at all.
 package compose
+
+type internTier int
+
+const (
+	tierDense internTier = iota
+	tierHashed
+	tierString
+)
+
+// tierOf picks the intern tier for a compiled component list.
+func tierOf(tb *compTables) internTier {
+	switch {
+	case !tb.radixOK:
+		return tierString
+	case tb.product <= denseInternLimit:
+		return tierDense
+	default:
+		return tierHashed
+	}
+}
 
 // internPageShift sizes the dense-intern pages: 1<<16 int32 entries =
 // 256 KiB per page, allocated on first touch of the key range.
 const internPageShift = 16
 
-type tupleIntern struct {
-	radices []uint64 // NumStates per component, for the mixed-radix key
-	radixOK bool
+// hashFirstSlots is the hashed tier's initial table size. The table doubles
+// whenever it would pass half full, so growth costs O(states) in total; a
+// small start keeps a composite that stays small small.
+const hashFirstSlots = 1 << 4
 
-	pages   [][]int32 // paged direct-mapped by radix key; nil page = untouched
+// stateIntern maps composite states to dense ids and back. Not safe for
+// concurrent use; Lazy serializes on its mutex.
+type stateIntern struct {
+	k       int
+	radices []uint64 // NumStates per component
+	// weights[ci] is the key's place value of component ci: a tuple's key is
+	// Σ tuple[ci]·weights[ci], the most significant component first. nil on
+	// the string tier.
+	weights []uint64
+	keys    []uint64 // by state id; radix tiers
+
+	pages   [][]int32 // tierDense: paged direct-mapped by key; nil page = untouched
 	pageLen int       // entries per page (smaller than a full page only for tiny products)
-	seenU   map[uint64]int32
-	seenS   map[string]int32
-	keyBuf  []byte
+
+	slots []int32 // tierHashed: open-addressed state ids, -1 = empty
+	shift uint    // 64 − log2(len(slots)), for Fibonacci hashing
+
+	tuples []int32 // tierString: k values per state id
+	seenS  map[string]int32
+	keyBuf []byte
 }
 
-// newTupleIntern builds the intern for a compiled component list.
-func newTupleIntern(tb *compTables, numStates []int) *tupleIntern {
-	ti := &tupleIntern{
-		radices: make([]uint64, len(numStates)),
-		radixOK: tb.radixOK,
-		keyBuf:  make([]byte, 4*len(numStates)),
-	}
+// newStateIntern builds an empty intern of the given tier for a compiled
+// component list.
+func newStateIntern(tb *compTables, numStates []int, tier internTier) *stateIntern {
+	k := len(numStates)
+	ti := &stateIntern{k: k, radices: make([]uint64, k)}
 	for i, n := range numStates {
 		ti.radices[i] = uint64(n)
 	}
-	switch {
-	case !tb.radixOK:
+	switch tier {
+	case tierString:
 		ti.seenS = make(map[string]int32)
-	case tb.product <= denseInternLimit:
+		ti.keyBuf = make([]byte, 4*k)
+		return ti
+	case tierDense:
 		ti.pages = make([][]int32, (tb.product>>internPageShift)+1)
 		ti.pageLen = 1 << internPageShift
 		if tb.product < uint64(ti.pageLen) {
 			ti.pageLen = int(tb.product) // single partial page
 		}
-	default:
-		ti.seenU = make(map[uint64]int32)
+	case tierHashed:
+		ti.rehash(hashFirstSlots)
+	}
+	ti.weights = make([]uint64, k)
+	w := uint64(1)
+	for ci := k - 1; ci >= 0; ci-- {
+		ti.weights[ci] = w
+		w *= ti.radices[ci]
 	}
 	return ti
 }
 
+// keyOf returns a tuple's mixed-radix key. Radix tiers only.
+func (ti *stateIntern) keyOf(tuple []int32) uint64 {
+	key := uint64(0)
+	for ci, s := range tuple {
+		key += uint64(s) * ti.weights[ci]
+	}
+	return key
+}
+
+// decode writes state id's component tuple into dst (len k).
+func (ti *stateIntern) decode(id int32, dst []int32) {
+	if ti.weights == nil {
+		copy(dst, ti.tuples[int(id)*ti.k:int(id)*ti.k+ti.k])
+		return
+	}
+	key := ti.keys[id]
+	for ci := ti.k - 1; ci >= 0; ci-- {
+		r := ti.radices[ci]
+		dst[ci] = int32(key % r)
+		key /= r
+	}
+}
+
 // intern returns the id of the composite state with the given component
-// tuple. If the tuple is new it is assigned the id next and isNew is true
-// (the caller records the tuple under that id). Not safe for concurrent
-// use; Lazy serializes on its mutex.
-func (ti *tupleIntern) intern(tuple []int32, next int32) (id int32, isNew bool) {
-	if ti.radixOK {
-		key := uint64(0)
-		for ci, s := range tuple {
-			key = key*ti.radices[ci] + uint64(s)
-		}
-		if ti.pages != nil {
-			pg := ti.pages[key>>internPageShift]
-			if pg == nil {
-				pg = make([]int32, ti.pageLen)
-				for i := range pg {
-					pg[i] = -1
-				}
-				ti.pages[key>>internPageShift] = pg
-			}
-			slot := &pg[key&(1<<internPageShift-1)]
-			if *slot >= 0 {
-				return *slot, false
-			}
-			*slot = next
-			return next, true
-		}
-		if id, ok := ti.seenU[key]; ok {
-			return id, false
-		}
-		ti.seenU[key] = next
-		return next, true
+// tuple, assigning the next id when the tuple is new (isNew).
+func (ti *stateIntern) intern(tuple []int32) (id int32, isNew bool) {
+	if ti.weights != nil {
+		return ti.internKey(ti.keyOf(tuple))
 	}
 	for ci, s := range tuple {
 		ti.keyBuf[4*ci] = byte(s)
@@ -95,6 +143,79 @@ func (ti *tupleIntern) intern(tuple []int32, next int32) (id int32, isNew bool) 
 	if id, ok := ti.seenS[string(ti.keyBuf)]; ok {
 		return id, false
 	}
-	ti.seenS[string(ti.keyBuf)] = next
-	return next, true
+	id = int32(len(ti.tuples) / ti.k)
+	ti.seenS[string(ti.keyBuf)] = id
+	ti.tuples = appendDoubling(ti.tuples, tuple...)
+	return id, true
+}
+
+// internKey is intern for a state given by its key. Radix tiers only.
+func (ti *stateIntern) internKey(key uint64) (id int32, isNew bool) {
+	next := int32(len(ti.keys))
+	if ti.pages != nil {
+		pg := ti.pages[key>>internPageShift]
+		if pg == nil {
+			pg = make([]int32, ti.pageLen)
+			for i := range pg {
+				pg[i] = -1
+			}
+			ti.pages[key>>internPageShift] = pg
+		}
+		slot := &pg[key&(1<<internPageShift-1)]
+		if *slot >= 0 {
+			return *slot, false
+		}
+		*slot = next
+		ti.keys = appendDoubling(ti.keys, key)
+		return next, true
+	}
+	mask := uint64(len(ti.slots) - 1)
+	for h := (key * 0x9e3779b97f4a7c15) >> ti.shift; ; h = (h + 1) & mask {
+		id := ti.slots[h]
+		if id < 0 {
+			ti.slots[h] = next
+			ti.keys = appendDoubling(ti.keys, key)
+			if 2*len(ti.keys) > len(ti.slots) {
+				ti.rehash(2 * len(ti.slots))
+			}
+			return next, true
+		}
+		if ti.keys[id] == key {
+			return id, false
+		}
+	}
+}
+
+// rehash rebuilds the hashed tier's table at n slots (a power of two) from
+// the key array.
+func (ti *stateIntern) rehash(n int) {
+	ti.slots = make([]int32, n)
+	for i := range ti.slots {
+		ti.slots[i] = -1
+	}
+	ti.shift = 64
+	for s := n; s > 1; s >>= 1 {
+		ti.shift--
+	}
+	mask := uint64(n - 1)
+	for id, key := range ti.keys {
+		h := (key * 0x9e3779b97f4a7c15) >> ti.shift
+		for ti.slots[h] >= 0 {
+			h = (h + 1) & mask
+		}
+		ti.slots[h] = int32(id)
+	}
+}
+
+// appendDoubling is append with explicit doubling: append's ~1.25× growth
+// curve for large slices costs ~5× the final size in cumulative
+// allocation, and at a million discovered states the per-state spine
+// dominates the composition's alloc_bytes.
+func appendDoubling[T any](s []T, vs ...T) []T {
+	if need := len(s) + len(vs); need > cap(s) {
+		grown := make([]T, len(s), max(2*cap(s), need, 256))
+		copy(grown, s)
+		s = grown
+	}
+	return append(s, vs...)
 }

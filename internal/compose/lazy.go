@@ -81,18 +81,17 @@ type Lazy struct {
 	discovered atomic.Int64
 	expandNs   atomic.Int64
 
-	// mu guards discovery and expansion: the tuple intern, the tuple
-	// arena, the row arenas, the lazily materialized names, and the
-	// scratch buffers.
+	// mu guards discovery and expansion: the state intern, the row arenas,
+	// the name cache, and the scratch buffers.
 	mu      sync.Mutex
-	tuples  []int32
-	ti      *tupleIntern
+	ti      *stateIntern
 	arena   rowArena
-	peakRow int64 // largest single published row, in bytes
-	succBuf []int32
-	extBuf  []Edge // expansion staging; published rows are arena sub-slices
+	peakRow int64   // largest single published row, in bytes
+	tuple   []int32 // the expanding state's decoded component tuple
+	succBuf []int32 // a successor's tuple, on the string tier
+	extBuf  []Edge  // expansion staging; published rows are arena sub-slices
 	intlBuf []int32
-	names   []string
+	names   map[spec.State]string // StateName's cache, filled on demand
 }
 
 // LazyMany builds the demand-driven composition of the components. It
@@ -101,12 +100,21 @@ type Lazy struct {
 // interned up front. Events shared by exactly two components synchronize and
 // become internal; events owned by one remain external.
 func LazyMany(components ...*spec.Spec) (*Lazy, error) {
+	return lazyMany(components, -1)
+}
+
+// lazyMany is LazyMany with the intern tier forced when tier >= 0, so tests
+// can drive every tier on small inputs.
+func lazyMany(components []*spec.Spec, tier internTier) (*Lazy, error) {
 	if len(components) == 0 {
 		return nil, fmt.Errorf("compose: no components")
 	}
 	tb, err := compileComponents(components)
 	if err != nil {
 		return nil, err
+	}
+	if tier < 0 {
+		tier = tierOf(tb)
 	}
 	numStates := make([]int, len(components))
 	for i, c := range components {
@@ -118,8 +126,10 @@ func LazyMany(components ...*spec.Spec) (*Lazy, error) {
 		k:        len(components),
 		tb:       tb,
 		eventSet: make(map[spec.Event]struct{}, len(tb.external)),
-		ti:       newTupleIntern(tb, numStates),
+		ti:       newStateIntern(tb, numStates, tier),
+		tuple:    make([]int32, len(components)),
 		succBuf:  make([]int32, len(components)),
+		names:    make(map[spec.State]string),
 	}
 	for _, e := range tb.external {
 		x.eventSet[e] = struct{}{}
@@ -131,7 +141,8 @@ func LazyMany(components ...*spec.Spec) (*Lazy, error) {
 		initTuple[ci] = int32(c.Init())
 	}
 	x.mu.Lock()
-	x.internLocked(initTuple) // id 0 = composite init
+	x.ti.intern(initTuple) // id 0 = composite init
+	x.discoveredLocked(0)
 	x.mu.Unlock()
 	return x, nil
 }
@@ -154,36 +165,10 @@ func foldName(components []*spec.Spec) string {
 	return name
 }
 
-// internLocked returns the id of the composite state with the given
-// component tuple, discovering (and allocating a row slot for) it if new.
+// discoveredLocked records that interning just assigned id to a new state:
+// it allocates the state's row slot and publishes the discovered count.
 // Caller holds mu.
-func (x *Lazy) internLocked(tuple []int32) int32 {
-	id, isNew := x.ti.intern(tuple, int32(len(x.tuples)/x.k))
-	if isNew {
-		x.addLocked(tuple)
-	}
-	return id
-}
-
-func (x *Lazy) addLocked(tuple []int32) {
-	id := int32(len(x.tuples) / x.k)
-	// Grow the tuple spine and name table by explicit doubling: append's
-	// ~1.25× growth curve for large slices costs ~5× the final size in
-	// cumulative allocation, and at a million discovered states these two
-	// slices dominate the composition's alloc_bytes. Readers that captured
-	// a sub-slice keep the old backing array, exactly as under append.
-	if need := len(x.tuples) + x.k; need > cap(x.tuples) {
-		grown := make([]int32, len(x.tuples), max(2*cap(x.tuples), need, 256*x.k))
-		copy(grown, x.tuples)
-		x.tuples = grown
-	}
-	x.tuples = append(x.tuples, tuple...)
-	if len(x.names) == cap(x.names) {
-		grown := make([]string, len(x.names), max(2*cap(x.names), 256))
-		copy(grown, x.names)
-		x.names = grown
-	}
-	x.names = append(x.names, "")
+func (x *Lazy) discoveredLocked(id int32) {
 	cur := *x.dir.Load()
 	if need := (int(id) >> lazyPageShift) + 1; need > len(cur) {
 		grown := make([]*lazyPage, need)
@@ -194,6 +179,33 @@ func (x *Lazy) addLocked(tuple []int32) {
 		x.dir.Store(&grown)
 	}
 	x.discovered.Store(int64(id) + 1)
+}
+
+// succLocked interns the successor of state key/tuple in which component ci
+// moves to to and, when pj >= 0, component pj moves to toJ. On the radix
+// tiers the successor's key is computed from the parent's, with no tuple
+// copy. Caller holds mu.
+func (x *Lazy) succLocked(key uint64, tuple []int32, ci int, to int32, pj int32, toJ int32) int32 {
+	var id int32
+	var isNew bool
+	if w := x.ti.weights; w != nil {
+		key += uint64(int64(to-tuple[ci])) * w[ci]
+		if pj >= 0 {
+			key += uint64(int64(toJ-tuple[pj])) * w[pj]
+		}
+		id, isNew = x.ti.internKey(key)
+	} else {
+		copy(x.succBuf, tuple)
+		x.succBuf[ci] = to
+		if pj >= 0 {
+			x.succBuf[pj] = toJ
+		}
+		id, isNew = x.ti.intern(x.succBuf)
+	}
+	if isNew {
+		x.discoveredLocked(id)
+	}
+	return id
 }
 
 func (x *Lazy) row(st int32) *lazyRow {
@@ -230,26 +242,23 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 		return r.ext, r.intl
 	}
 	start := time.Now()
-	// tuple aliases the arena as it is now; interning successors may grow
-	// (reallocate) x.tuples, but the captured backing array keeps st's
-	// values, which never change.
-	tuple := x.tuples[int(st)*x.k : int(st)*x.k+x.k]
+	tuple := x.tuple
+	x.ti.decode(st, tuple)
+	var key uint64
+	if x.ti.weights != nil {
+		key = x.ti.keys[st]
+	}
 	ext := x.extBuf[:0]
 	intl := x.intlBuf[:0]
-	step := func(ci int, to int32) int32 {
-		copy(x.succBuf, tuple)
-		x.succBuf[ci] = to
-		return x.internLocked(x.succBuf)
-	}
 	tb := x.tb
 	for ci := range x.comps {
 		for _, t := range tb.cintl[ci][tuple[ci]] {
-			intl = append(intl, step(ci, t))
+			intl = append(intl, x.succLocked(key, tuple, ci, t, -1, 0))
 		}
 		for _, ed := range tb.cext[ci][tuple[ci]] {
 			pj := tb.partner[ci][ed.ev]
 			if pj < 0 {
-				q := step(ci, ed.to)
+				q := x.succLocked(key, tuple, ci, ed.to, -1, 0)
 				ext = append(ext, Edge{Ev: tb.extIdx[ed.ev], To: q})
 				continue
 			}
@@ -260,9 +269,7 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 				if bd.ev != ed.ev {
 					continue
 				}
-				copy(x.succBuf, tuple)
-				x.succBuf[ci], x.succBuf[pj] = ed.to, bd.to
-				intl = append(intl, x.internLocked(x.succBuf))
+				intl = append(intl, x.succLocked(key, tuple, ci, ed.to, pj, bd.to))
 			}
 		}
 	}
@@ -393,10 +400,19 @@ func (x *Lazy) Components() []*spec.Spec { return x.comps }
 func (x *Lazy) StateName(st spec.State) string {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if n := x.names[st]; n != "" {
+	if n, ok := x.names[st]; ok {
 		return n
 	}
-	tuple := x.tuples[int(st)*x.k : int(st)*x.k+x.k]
+	n := x.nameLocked(st)
+	x.names[st] = n
+	return n
+}
+
+// nameLocked builds st's composite name from its decoded tuple. Caller
+// holds mu.
+func (x *Lazy) nameLocked(st spec.State) string {
+	tuple := make([]int32, x.k)
+	x.ti.decode(int32(st), tuple)
 	buf := make([]byte, 0, 8*x.k)
 	for ci, c := range x.comps {
 		if ci > 0 {
@@ -404,8 +420,7 @@ func (x *Lazy) StateName(st spec.State) string {
 		}
 		buf = append(buf, c.StateName(spec.State(tuple[ci]))...)
 	}
-	x.names[st] = string(buf)
-	return x.names[st]
+	return string(buf)
 }
 
 // Spec saturates the product (expanding every reachable state) and
@@ -425,8 +440,12 @@ func (x *Lazy) Spec() (*spec.Spec, error) {
 		Ext:        make([][]spec.ExtEdge, n),
 		Int:        make([][]spec.State, n),
 	}
+	x.mu.Lock()
 	for st := 0; st < n; st++ {
-		d.StateNames[st] = x.StateName(spec.State(st))
+		d.StateNames[st] = x.nameLocked(spec.State(st))
+	}
+	x.mu.Unlock()
+	for st := 0; st < n; st++ {
 		d.Ext[st] = x.ExtEdges(spec.State(st))
 		d.Int[st] = x.IntEdges(spec.State(st))
 	}

@@ -272,13 +272,24 @@ func TestIndexedMatchesManyRandom(t *testing.T) {
 }
 
 // TestIndexedLazyNames checks composite names are only materialized on
-// demand and are stable across repeated queries.
+// demand — Spec names every state without filling StateName's cache — and
+// are stable across repeated queries.
 func TestIndexedLazyNames(t *testing.T) {
 	snd := spec.NewBuilder("snd")
 	snd.Init("s0").Ext("s0", "acc", "s1").Ext("s1", "-x", "s0")
 	lz := MustLazyMany(snd.MustBuild(), chanSpec("C", "-x", "+x"))
 	if lz.names[lz.Init()] != "" {
 		t.Fatalf("init name materialized before any StateName call: %q", lz.names[lz.Init()])
+	}
+	s, err := lz.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.StateName(s.Init()); got != "s0|e" {
+		t.Fatalf("Spec init name = %q, want \"s0|e\"", got)
+	}
+	if len(lz.names) != 0 {
+		t.Fatalf("Spec filled StateName's cache with %d names", len(lz.names))
 	}
 	n1 := lz.StateName(lz.Init())
 	n2 := lz.StateName(lz.Init())

@@ -114,28 +114,26 @@ func TestPagedInternAboveOldDenseLimit(t *testing.T) {
 	for i, c := range comps {
 		numStates[i] = c.NumStates()
 	}
-	ti := newTupleIntern(tb, numStates)
+	ti := newStateIntern(tb, numStates, tierOf(tb))
 	if ti.pages == nil {
 		t.Fatalf("product 2^26 did not select the paged dense intern")
 	}
 	tuple := make([]int32, len(comps))
 	seen := map[int32]bool{}
-	next := int32(0)
 	for trial := 0; trial < 200; trial++ {
 		for i := range tuple {
 			tuple[i] = int32((trial * (i + 3)) % 4)
 		}
-		id, isNew := ti.intern(tuple, next)
+		id, isNew := ti.intern(tuple)
 		if isNew {
 			if seen[id] {
 				t.Fatalf("trial %d: new tuple assigned already-used id %d", trial, id)
 			}
 			seen[id] = true
-			next++
 		}
 		// Re-interning the same tuple must return the same id without
 		// claiming a new one.
-		id2, isNew2 := ti.intern(tuple, next)
+		id2, isNew2 := ti.intern(tuple)
 		if isNew2 || id2 != id {
 			t.Fatalf("trial %d: re-intern gave (id=%d, new=%v), want (%d, false)", trial, id2, isNew2, id)
 		}

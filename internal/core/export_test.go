@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"protoquot/internal/spec"
 )
@@ -228,10 +229,14 @@ func (d *deriver) referenceEmit() (*spec.Spec, error) {
 }
 
 // CheckProgressLayout runs the safety phase, builds the progress phase's
-// pb-major memo — whose pbs are those the first sweep sweeps — and checks
-// the invariant the sweep's merge walk relies on: for every pb and each of
-// its τ-successors t, pb's columns are a subset of t's. It returns the
-// number of (pb, t) pairs checked, 0 when the safety phase proves that no
+// tables — whose pbs are those the first sweep sweeps — and checks two
+// things the sweep relies on. The compiled edge table must equal the
+// environment's rows: every pb's τ-successors, and exactly its external
+// edges on Int events, with their Int index and target, in row order, as
+// absolute pbs (none for a demand-driven state that was never expanded).
+// And the merge walk's invariant must hold: for every pb and each of its
+// τ-successors t, pb's columns are a subset of t's. It returns the number
+// of (pb, t) pairs checked, 0 when the safety phase proves that no
 // converter exists, and the first violation found.
 func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs int, err error) {
 	d, err := newDeriver(context.Background(), a, bs, opts)
@@ -249,14 +254,49 @@ func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs in
 		return 0, err
 	}
 	pt := d.prog
+	if len(pt.tauOff) != int(pt.totalB)+1 || len(pt.intOff) != int(pt.totalB)+1 ||
+		int(pt.tauOff[pt.totalB]) != len(pt.tau) || int(pt.intOff[pt.totalB]) != len(pt.ints) {
+		return 0, fmt.Errorf("edge table is not sized to its %d pbs", pt.totalB)
+	}
 	for pb := int32(0); pb < pt.totalB; pb++ {
+		// The expected rows come from the environment's own surface, by
+		// event name: ExtEdges/IntEdges on the eager path, and on the lazy
+		// path PeekRows, which reads without expanding.
+		v := d.variantOf(pb)
+		boff := d.boff[v]
+		var wantTau []int32
+		var wantInts []intEdge
+		addInt := func(ev spec.Event, to int32) {
+			if ii := slices.Index(d.intl, ev); ii >= 0 {
+				wantInts = append(wantInts, intEdge{ii: int32(ii), to: boff + to})
+			}
+		}
+		if d.lazy != nil {
+			ext, intl, _ := d.lazy.PeekRows(spec.State(pb))
+			wantTau = append(wantTau, intl...)
+			for _, ed := range ext {
+				addInt(d.lazy.Alphabet()[ed.Ev], ed.To)
+			}
+		} else {
+			st := spec.State(pb - boff)
+			for _, t := range d.bs[v].IntEdges(st) {
+				wantTau = append(wantTau, boff+int32(t))
+			}
+			for _, ed := range d.bs[v].ExtEdges(st) {
+				addInt(ed.Event, int32(ed.To))
+			}
+		}
+		if got := pt.tauOf(pb); !slices.Equal(got, wantTau) {
+			return pairs, fmt.Errorf("pb %d: edge table τ-successors %v, environment rows give %v", pb, got, wantTau)
+		}
+		if got := pt.intsOf(pb); !slices.Equal(got, wantInts) {
+			return pairs, fmt.Errorf("pb %d: edge table Int edges %v, environment rows give %v", pb, got, wantInts)
+		}
 		cols := pt.pbCol[pt.pbOff[pb]:pt.pbOff[pb+1]]
 		if len(cols) == 0 {
 			continue
 		}
-		boff := d.boff[d.variantOf(pb)]
-		for _, t := range pt.ints[pb] {
-			q := boff + t
+		for _, q := range pt.tauOf(pb) {
 			pairs++
 			for _, c := range cols {
 				if pt.pos(q, c) < 0 {

@@ -89,12 +89,17 @@ type progTables struct {
 
 	bready []uint64 // totalB × words: τ.b ∩ Ext as a mask, per packed b
 
-	// ext/ints are the resolved edge rows per packed b, captured once at
-	// init (slice headers only) so successor resolution never goes back
-	// through the environment — in particular never through compose.Lazy's
-	// atomic published-row check, and never forcing an expansion.
-	ext  [][]bedge
-	ints [][]int32
+	// The compiled edge table: two exactly sized CSRs over the packed-b
+	// domain, built once at init, so the sweep never goes back through the
+	// environment's rows (in particular never through compose.Lazy's
+	// published-row check, and never forcing an expansion) and never
+	// resolves a variant or an event per edge. pb's τ-successors are
+	// tau[tauOff[pb]:tauOff[pb+1]] and its Int edges
+	// ints[intOff[pb]:intOff[pb+1]], in row order, both as absolute pbs.
+	tauOff []int32
+	tau    []int32
+	intOff []int32
+	ints   []intEdge
 
 	// Per converter state ("column"): the sorted packed-b combo table and
 	// whether the column's masks are current.
@@ -141,8 +146,24 @@ type progTables struct {
 	sccDepList []int32
 }
 
-// initProgTables builds the acceptance index, the base ready masks, every
-// column's combo table, and the pb-major memo.
+// intEdge is one external B-edge on an Int event in the compiled edge
+// table: the event's position in Int and the target's packed b.
+type intEdge struct {
+	ii, to int32
+}
+
+// tauOf returns pb's τ-successors from the compiled edge table.
+func (pt *progTables) tauOf(pb int32) []int32 {
+	return pt.tau[pt.tauOff[pb]:pt.tauOff[pb+1]]
+}
+
+// intsOf returns pb's Int edges from the compiled edge table.
+func (pt *progTables) intsOf(pb int32) []intEdge {
+	return pt.ints[pt.intOff[pb]:pt.intOff[pb+1]]
+}
+
+// initProgTables builds the acceptance index, the base ready masks, the
+// compiled edge table, every column's combo table, and the pb-major memo.
 func (d *deriver) initProgTables() error {
 	readyIx, err := sat.NewReadyIndex(d.a.Alphabet())
 	if err != nil {
@@ -166,8 +187,6 @@ func (d *deriver) initProgTables() error {
 		}
 	}
 	pt.bready = make([]uint64, int(pt.totalB)*pt.words)
-	pt.ext = make([][]bedge, pt.totalB)
-	pt.ints = make([][]int32, pt.totalB)
 	// bitOf is the vectorized ReadyIndex rebuild table: the mask bit of
 	// every Σ_B event id, resolved through the index's map exactly once
 	// instead of once per edge of every row.
@@ -183,29 +202,49 @@ func (d *deriver) initProgTables() error {
 		}
 		bitOf[ei] = int32(pos)
 	}
-	fill := func(pb int32, ext []bedge) {
+	// rowsAt returns pb's environment rows and its variant's packed-b
+	// offset. A lazy frontier-only state has no rows: a zero mask and no
+	// edges, never consulted.
+	rowsAt := func(pb int32) ([]bedge, []int32, int32) {
+		if d.lazy != nil {
+			ext, intl, _ := d.lazy.PeekRows(spec.State(pb))
+			return ext, intl, 0
+		}
+		v := d.variantOf(pb)
+		return d.bext[v][pb-d.boff[v]], d.bintl[v][pb-d.boff[v]], d.boff[v]
+	}
+	// Two passes compile the edge table at its exact size: the first fills
+	// the base masks and counts each pb's edges into the offsets, the second
+	// writes the edges.
+	pt.tauOff = make([]int32, pt.totalB+1)
+	pt.intOff = make([]int32, pt.totalB+1)
+	for pb := int32(0); pb < pt.totalB; pb++ {
+		ext, intl, _ := rowsAt(pb)
 		row := pt.bready[int(pb)*pt.words:]
+		nInt := int32(0)
 		for _, ed := range ext {
 			if pos := bitOf[ed.Ev]; pos >= 0 {
 				row[pos>>6] |= 1 << (uint(pos) & 63)
+			} else if d.intlIndex[ed.Ev] >= 0 {
+				nInt++
 			}
 		}
+		pt.tauOff[pb+1] = pt.tauOff[pb] + int32(len(intl))
+		pt.intOff[pb+1] = pt.intOff[pb] + nInt
 	}
-	if d.lazy != nil {
-		for pb := int32(0); pb < pt.totalB; pb++ {
-			ext, ints, ok := d.lazy.PeekRows(spec.State(pb))
-			if !ok {
-				continue // frontier-only state: zero mask, empty rows, never consulted
-			}
-			pt.ext[pb], pt.ints[pb] = ext, ints
-			fill(pb, ext)
+	pt.tau = make([]int32, pt.tauOff[pt.totalB])
+	pt.ints = make([]intEdge, pt.intOff[pt.totalB])
+	for pb := int32(0); pb < pt.totalB; pb++ {
+		ext, intl, boff := rowsAt(pb)
+		tau := pt.tau[pt.tauOff[pb]:pt.tauOff[pb+1]]
+		for i, t := range intl {
+			tau[i] = boff + t
 		}
-	} else {
-		for v := range d.bs {
-			for b := int32(0); b < d.numBs[v]; b++ {
-				pb := d.boff[v] + b
-				pt.ext[pb], pt.ints[pb] = d.bext[v][b], d.bintl[v][b]
-				fill(pb, d.bext[v][b])
+		k := pt.intOff[pb]
+		for _, ed := range ext {
+			if ii := d.intlIndex[ed.Ev]; ii >= 0 {
+				pt.ints[k] = intEdge{ii: ii, to: boff + ed.To}
+				k++
 			}
 		}
 	}
@@ -500,7 +539,8 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 		onStack[nid] = true
 		stack = append(stack, nid)
 		pb := active[nid]
-		frames = append(frames, tframe{node: nid, ei: 0, end: int32(len(pt.ints[pb]) + len(pt.ext[pb]))})
+		end := pt.tauOff[pb+1] - pt.tauOff[pb] + pt.intOff[pb+1] - pt.intOff[pb]
+		frames = append(frames, tframe{node: nid, ei: 0, end: end})
 	}
 	for root := int32(0); root < int32(nAct); root++ {
 		if dfn[root] >= 0 {
@@ -535,17 +575,11 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 				continue
 			}
 			pb := active[nid]
-			ints := pt.ints[pb]
 			q := int32(-1)
-			if int(f.ei) < len(ints) {
-				q = d.boff[d.variantOf(pb)] + ints[f.ei]
-			} else {
-				ed := pt.ext[pb][int(f.ei)-len(ints)]
-				if d.intlIndex[ed.Ev] >= 0 {
-					if t := d.boff[d.variantOf(pb)] + ed.To; pt.node[t] >= 0 {
-						q = t
-					}
-				}
+			if nTau := pt.tauOff[pb+1] - pt.tauOff[pb]; f.ei < nTau {
+				q = pt.tau[pt.tauOff[pb]+f.ei]
+			} else if t := pt.ints[pt.intOff[pb]+f.ei-nTau].to; pt.node[t] >= 0 {
+				q = t
 			}
 			f.ei++
 			if q < 0 {
@@ -581,7 +615,6 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			localHits := int64(0)
 			for _, nid := range nodes {
 				pb := active[nid]
-				boff := d.boff[d.variantOf(pb)]
 				lo := pt.pbOff[pb]
 				pcols := pt.pbCol[lo:pt.pbOff[pb+1]]
 				acc := resizeSlice(*buf, len(pcols)*w)
@@ -597,8 +630,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 						copy(acc[k*w:k*w+w], base)
 					}
 				}
-				for _, t := range pt.ints[pb] {
-					q := boff + t
+				for _, q := range pt.tauOf(pb) {
 					qlo := pt.pbOff[q]
 					qcols := pt.pbCol[qlo:pt.pbOff[q+1]]
 					j := 0
@@ -616,21 +648,16 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 						}
 					}
 				}
-				for _, ed := range pt.ext[pb] {
-					ii := d.intlIndex[ed.Ev]
-					if ii < 0 {
-						continue
-					}
-					q := boff + ed.To
+				for _, ie := range pt.intsOf(pb) {
 					for k, c := range pcols {
 						if !inSweep[c] {
 							continue
 						}
-						t := d.states[c].succ[ii]
+						t := d.states[c].succ[ie.ii]
 						if t < 0 || !alive[t] {
 							continue
 						}
-						j := pt.pos(q, t)
+						j := pt.pos(ie.to, t)
 						if j < 0 {
 							continue
 						}
@@ -686,15 +713,11 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 		forEach := func(si int32, emit func(ts int32)) {
 			for _, nid := range sccMembers[sccOff[si]:sccOff[si+1]] {
 				pb := active[nid]
-				boff := d.boff[d.variantOf(pb)]
-				for _, t := range pt.ints[pb] {
-					emit(sccOf[pt.node[boff+t]])
+				for _, q := range pt.tauOf(pb) {
+					emit(sccOf[pt.node[q]])
 				}
-				for _, ed := range pt.ext[pb] {
-					if d.intlIndex[ed.Ev] < 0 {
-						continue
-					}
-					if tn := pt.node[boff+ed.To]; tn >= 0 {
+				for _, ie := range pt.intsOf(pb) {
+					if tn := pt.node[ie.to]; tn >= 0 {
 						emit(sccOf[tn])
 					}
 				}

@@ -32,18 +32,23 @@ type sweepOutcome struct {
 }
 
 // TestProgressSweepAcrossWorkers derives systems that exercise every shape
-// of progress sweep — incremental removal, progress-phase nonexistence, a
-// two-variant robust derivation with τ-memo hits, and specgen chain,
+// of progress sweep — incremental removal, progress-phase nonexistence,
+// two-variant robust derivations (one refuted by the safety phase, one
+// deriving over both variants' packed-b ranges), and specgen chain,
 // chaindrop and ring instances — at 1, 2 and 4 workers. Every run must
 // produce the same converter and statistics, and every converter must pass
 // the raw-edge progress oracle against each environment variant. Each
-// system's pb-major memo must also satisfy the merge walk's invariant: a
-// pb's columns are a subset of each of its τ-successors' columns.
+// system's progress tables must also pass CheckProgressLayout — the
+// compiled edge table equals the environment's rows, and a pb's columns are
+// a subset of each of its τ-successors' columns — over the eager
+// environments and, for every single-variant system, over a demand-driven
+// one.
 func TestProgressSweepAcrossWorkers(t *testing.T) {
 	type system struct {
-		name string
-		a    *spec.Spec
-		bs   []*spec.Spec
+		name  string
+		a     *spec.Spec
+		bs    []*spec.Spec
+		comps []*spec.Spec // the lazy layout check's components; nil = bs[0] alone
 	}
 	var systems []system
 	// extra service events, each a self-loop at the initial states, widen
@@ -60,12 +65,15 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 		removal.Ext("b0", "acc", "b1")
 		removal.Ext("b1", "x", "b2").Ext("b2", "del", "b0")
 		removal.Ext("b1", "y", "b3").Ext("b3", "z", "b4")
-		variant := func(lossy bool) *spec.Spec {
+		// variant adds one internal move to a common base: none, a loss
+		// after acc (b1 → b0, which lets B repeat acc, so no converter
+		// exists), or a retry (b2 → b1, which a converter survives).
+		variant := func(from, to string) *spec.Spec {
 			bb := loops(spec.NewBuilder("B").Init("b0"), "b0")
 			bb.Ext("b0", "acc", "b1").Ext("b1", "x", "b2").Ext("b2", "del", "b0")
 			bb.Ext("b1", "y", "b0").Ext("b2", "y", "b2")
-			if lossy {
-				bb.Int("b1", "b0")
+			if from != "" {
+				bb.Int(from, to)
 			}
 			return mustBuild(t, bb)
 		}
@@ -76,9 +84,10 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 			suffix = "-wide"
 		}
 		systems = append(systems,
-			system{"removal" + suffix, alt, []*spec.Spec{mustBuild(t, removal)}},
-			system{"doomed" + suffix, alt, []*spec.Spec{mustBuild(t, doomed)}},
-			system{"robust" + suffix, alt, []*spec.Spec{variant(false), variant(true)}})
+			system{"removal" + suffix, alt, []*spec.Spec{mustBuild(t, removal)}, nil},
+			system{"doomed" + suffix, alt, []*spec.Spec{mustBuild(t, doomed)}, nil},
+			system{"robust" + suffix, alt, []*spec.Spec{variant("", ""), variant("b1", "b0")}, nil},
+			system{"robust-retry" + suffix, alt, []*spec.Spec{variant("", ""), variant("b2", "b1")}, nil})
 	}
 	for _, fn := range []string{"chain(3)", "chaindrop(3)", "ring(3)"} {
 		fam, err := specgen.ParseFamily(fn)
@@ -89,7 +98,7 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		systems = append(systems, system{fam.Name, fam.Service, []*spec.Spec{b}})
+		systems = append(systems, system{fam.Name, fam.Service, []*spec.Spec{b}, fam.Components})
 	}
 
 	tauPairs := 0
@@ -101,9 +110,24 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 			}
 			pairs, err := core.CheckProgressLayout(sys.a, envs, core.Options{})
 			if err != nil {
-				t.Errorf("pb-major memo layout: %v", err)
+				t.Errorf("progress layout: %v", err)
 			}
 			tauPairs += pairs
+			if len(sys.bs) == 1 {
+				comps := sys.comps
+				if comps == nil {
+					comps = sys.bs
+				}
+				lz, err := compose.LazyMany(comps...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lazyPairs, err := core.CheckProgressLayout(sys.a, []core.Environment{lz}, core.Options{})
+				if err != nil {
+					t.Errorf("progress layout, demand-driven: %v", err)
+				}
+				tauPairs += lazyPairs
+			}
 
 			var ref sweepOutcome
 			for i, w := range []int{1, 2, 4} {

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"protoquot/internal/api"
 )
@@ -129,5 +131,76 @@ func TestResponsesCarryVersionHeader(t *testing.T) {
 		if v := resp.Header.Get(api.VersionHeader); v != api.Version {
 			t.Errorf("GET %s: %s = %q, want %q", path, api.VersionHeader, v, api.Version)
 		}
+	}
+}
+
+// TestPanicInFlightFinishesIt pins that a panic inside a flight finishes
+// it: the leader and a request that joined its flight both get an internal
+// error, nothing is cached, the pool slot is released, and a fresh request
+// for the same key derives normally instead of joining a stranded flight.
+func TestPanicInFlightFinishesIt(t *testing.T) {
+	s, ts := newTestServer(t, Config{PoolWorkers: 1})
+	var calls atomic.Int32
+	s.preDerive = func(key string) {
+		if calls.Add(1) > 1 {
+			return
+		}
+		// Panic only once a second request waits on this flight.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			s.flights.mu.Lock()
+			f := s.flights.flying[key]
+			joined := f != nil && f.waiters.Load() > 0
+			s.flights.mu.Unlock()
+			if joined {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Error("no request joined the flight")
+				break
+			}
+		}
+		panic("injected engine fault")
+	}
+	body, err := json.Marshal(simpleRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		out  *api.DeriveResponse
+		code int
+		err  error
+	}
+	results := make(chan result, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			out, code, err := post(ts.URL, body)
+			results <- result{out, code, err}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if r.code != http.StatusInternalServerError || r.out.Error == nil || r.out.Error.Code != api.ErrCodeInternal {
+			t.Fatalf("request in the panicking flight: status %d, error %+v; want 500 internal", r.code, r.out.Error)
+		}
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Errorf("cache holds %d entries after a panicking flight, want 0", n)
+	}
+	if _, inflight := s.pool.depths(); inflight != 0 {
+		t.Errorf("pool reports %d running derivations after the flight, want 0", inflight)
+	}
+	out, code, err := post(ts.URL, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != http.StatusOK || !out.Exists || out.Cached || out.Coalesced {
+		t.Fatalf("fresh request after the panic: status %d, exists=%t cached=%t coalesced=%t, error %+v; want a fresh 200 derivation",
+			code, out.Exists, out.Cached, out.Coalesced, out.Error)
+	}
+	if st := getStats(t, ts.URL); st.Derives != 2 || st.DeriveErrors != 2 {
+		t.Errorf("stats derives=%d derive_errors=%d, want 2 and 2", st.Derives, st.DeriveErrors)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -96,7 +97,11 @@ func newFlightGroup() *flightGroup {
 }
 
 // do runs fn under singleflight. The second return reports whether this
-// call joined an existing flight (true) rather than leading one.
+// call joined an existing flight (true) rather than leading one. A panic in
+// fn still finishes the flight: the leader and every waiter get an internal
+// error, and the key is free for the next request. fn's own defers (the
+// pool slot) run during the unwind, and whatever fn would have cached after
+// the panic point is never stored.
 func (g *flightGroup) do(ctx context.Context, key string, fn func() flightResult) (flightResult, bool, error) {
 	g.mu.Lock()
 	if f, ok := g.flying[key]; ok {
@@ -115,7 +120,15 @@ func (g *flightGroup) do(ctx context.Context, key string, fn func() flightResult
 	g.flying[key] = f
 	g.mu.Unlock()
 
-	f.res = fn()
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				f.res = flightResult{err: &api.Error{Code: api.ErrCodeInternal,
+					Message: fmt.Sprintf("derivation panicked: %v", r)}}
+			}
+		}()
+		f.res = fn()
+	}()
 	g.mu.Lock()
 	delete(g.flying, key)
 	g.mu.Unlock()
