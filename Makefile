@@ -71,10 +71,15 @@ cluster-smoke:
 # conformance checking against the monitor determinized from the
 # converter's specification. -assert-clean exits non-zero unless every
 # session completes with zero conformance violations and zero lost
-# sessions.
+# sessions. The second fleet runs two workers, so each publishes its
+# tallies to the merged report, under burst losses and delay, which takes
+# the delayed-delivery wake path.
 convrt-smoke:
 	$(GO) run ./cmd/convrt -sessions 1000 -steps 300 -seed 1 \
 		-faults 'loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02' \
+		-assert-clean
+	$(GO) run ./cmd/convrt -sessions 1000 -steps 300 -seed 2 -workers 2 \
+		-faults 'loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,burst=3,delay=5us' \
 		-assert-clean
 
 # Short fuzzing bursts over the wire decoder, the DSL parser, the

@@ -36,6 +36,11 @@ func TestDefaultPaperRunClean(t *testing.T) {
 	if !strings.Contains(out, "0 violations") {
 		t.Errorf("missing conformance line: %s", out)
 	}
+	for _, line := range []string{"wait p50/p99 (enqueue→execute): ", "service p50/p99 (per-sweep mean per executed step): "} {
+		if !strings.Contains(out, line) {
+			t.Errorf("missing %q line: %s", line, out)
+		}
+	}
 }
 
 func TestFamilySourceAndFaults(t *testing.T) {
@@ -150,6 +155,12 @@ func TestJSONReport(t *testing.T) {
 	}
 	if rep.Report.MsgsPerSec <= 0 || rep.Report.P99StepNs <= 0 {
 		t.Fatalf("report carries no throughput or latency: %+v", rep.Report)
+	}
+	if rep.Report.ServiceP50Ns <= 0 || rep.Report.ServiceP99Ns < rep.Report.ServiceP50Ns {
+		t.Fatalf("report carries no service time: %+v", rep.Report)
+	}
+	if !strings.Contains(out, `"ServiceP99Ns"`) {
+		t.Errorf("JSON lacks ServiceP99Ns: %s", out)
 	}
 }
 

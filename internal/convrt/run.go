@@ -77,6 +77,14 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 8
 	}
+	for _, p := range []struct {
+		name string
+		p    float64
+	}{{"Loss", c.Faults.Loss}, {"Dup", c.Faults.Dup}, {"Reorder", c.Faults.Reorder}, {"Corrupt", c.Faults.Corrupt}} {
+		if !(p.p >= 0 && p.p <= 1) { // also rejects NaN
+			return c, fmt.Errorf("convrt: Config.Faults.%s = %v is not a probability in [0,1]", p.name, p.p)
+		}
+	}
 	return c, nil
 }
 
@@ -88,6 +96,14 @@ type Report struct {
 	Sessions int
 	// Canceled counts sessions still unfinished when the context ended.
 	Canceled int64
+	// ServiceP50Ns/ServiceP99Ns are quantiles of the service time per
+	// executed step, kept apart from the queue wait in P50StepNs/P99StepNs:
+	// each worker sweep contributes its wall time divided by the steps it
+	// executed, weighted by those steps. They sit on the Report, not in
+	// Metrics, because they are timing-dependent and Metrics' counters are
+	// a pure function of (seed, config).
+	ServiceP50Ns int64
+	ServiceP99Ns int64
 	// Violations holds the first few latched violation details.
 	ViolationDetails []Violation
 	// Elapsed is the run's wall time; MsgsPerSec is Steps/Elapsed.
@@ -135,7 +151,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 			s := &r.shards[w][i]
 			s.init(int32(lo+i), cfg.Table, mon, cfg.Seed, cfg.Window,
 				cfg.StepsPerSession, cfg.ConformEvery)
-			s.faults = faultSched{model: cfg.Faults}
+			s.faults = newFaultSched(cfg.Faults)
 		}
 	}
 	r.active.Store(int64(cfg.Sessions))
@@ -161,8 +177,17 @@ func (r *Runner) Metrics() Metrics {
 		s.merge(m)
 	}
 	s.SessionsActive = r.active.Load()
-	s.P50StepNs, s.P99StepNs = latencyQuantiles(r.workers)
+	s.P50StepNs, s.P99StepNs = r.quantiles(func(m *workerMetrics) *histogram { return &m.wait })
 	return s
+}
+
+// quantiles merges one published histogram per worker.
+func (r *Runner) quantiles(of func(*workerMetrics) *histogram) (p50, p99 int64) {
+	hs := make([]*histogram, len(r.workers))
+	for i, m := range r.workers {
+		hs[i] = of(m)
+	}
+	return quantiles(hs)
 }
 
 // Run drives every session to completion (or ctx cancellation) and returns
@@ -184,6 +209,7 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 
 	rep := &Report{Sessions: r.cfg.Sessions, Elapsed: time.Since(start)}
 	rep.Metrics = r.Metrics()
+	rep.ServiceP50Ns, rep.ServiceP99Ns = r.quantiles(func(m *workerMetrics) *histogram { return &m.svc })
 	rep.Canceled = int64(r.cfg.Sessions) - rep.SessionsCompleted - rep.SessionsFailed
 	r.vioMu.Lock()
 	rep.ViolationDetails = append([]Violation(nil), r.vios...)
@@ -194,21 +220,34 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, ctx.Err()
 }
 
+// publishEvery is how many session slots a worker sweeps between
+// publications of its tallies (a power of two). With the publication at
+// the end of every sweep, a live Metrics snapshot lags a worker by at most
+// publishEvery session pumps, each at most 2·Window steps and Window
+// offers, however large its shard.
+const publishEvery = 256
+
 // runShard is one worker's scheduler loop: sweep the shard's sessions,
 // pumping each; when a full sweep makes no progress, either everything is
 // done, or the earliest delayed message tells us how long to sleep. The
-// ctx check sits once per sweep, not per message.
+// ctx check and the clock read sit once per sweep, not per message.
 func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics) {
+	defer m.publish()
+	var clock sweepClock
 	remaining := len(shard)
 	for remaining > 0 {
 		if ctx.Err() != nil {
 			return
 		}
 		now := nowNs()
+		clock.tick(m, now)
 		progress := false
 		var wakeAt int64
 		remaining = 0
 		for i := range shard {
+			if i&(publishEvery-1) == publishEvery-1 {
+				m.publish()
+			}
 			s := &shard[i]
 			if s.done {
 				continue
@@ -226,6 +265,7 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 				}
 			}
 		}
+		m.publish()
 		if remaining > 0 && !progress {
 			if wakeAt > 0 {
 				// Every runnable session is waiting out a delay fault.
@@ -252,6 +292,20 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 			return
 		}
 	}
+	clock.tick(m, nowNs())
+}
+
+// sweepClock turns the per-sweep clock samples into service-time
+// observations: each sweep's wall time, up to the next sweep's sample,
+// divided by the steps it executed and weighted by them. A sweep that
+// executed nothing (one ending in a delay sleep, say) records nothing.
+type sweepClock struct{ startNs, startSteps int64 }
+
+func (c *sweepClock) tick(m *workerMetrics, now int64) {
+	if k := m.local.steps - c.startSteps; k > 0 {
+		m.svc.observe((now-c.startNs)/k, k)
+	}
+	c.startNs, c.startSteps = now, m.local.steps
 }
 
 // sleepCtx sleeps d or until ctx is done, whichever first.

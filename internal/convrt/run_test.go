@@ -2,11 +2,14 @@ package convrt
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"protoquot/internal/core"
+	"protoquot/internal/protocols"
 	rt "protoquot/internal/runtime"
 	"protoquot/internal/spec"
 )
@@ -269,6 +272,11 @@ func TestRunConfigValidation(t *testing.T) {
 	if _, err := NewRunner(Config{Table: mustCompileLoop(t)}); err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range []rt.FaultModel{{Loss: math.NaN()}, {Dup: -0.1}, {Reorder: 1.5}, {Corrupt: math.Inf(1)}} {
+		if _, err := NewRunner(Config{Table: mustCompileLoop(t), Faults: f}); err == nil {
+			t.Errorf("fault model %+v accepted", f)
+		}
+	}
 	r, _ := NewRunner(Config{Table: mustCompileLoop(t)})
 	if _, err := r.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -392,7 +400,7 @@ func pumpFaultyWire(t *testing.T, checked bool) *Session {
 	m := &workerMetrics{vioMu: &sync.Mutex{}, vios: &[]Violation{}, vioCap_: 1}
 	s := &Session{}
 	s.init(0, tab, mon, 123, 4, 1<<30, conformEvery)
-	s.faults = faultSched{model: faults}
+	s.faults = newFaultSched(faults)
 	var now int64
 	allocs := testing.AllocsPerRun(2000, func() {
 		now += int64(time.Millisecond)
@@ -453,5 +461,158 @@ func benchmarkPump(b *testing.B, checked bool) {
 	}
 	if s.failed {
 		b.Fatal("session failed")
+	}
+}
+
+// TestFleetCountersPinned pins every counter of three fleets, at 1 and 2
+// workers: how the pump counts, draws and indexes its ring may change,
+// what a fleet does may not. The first fleet is make convrt-smoke's (the
+// paper's Figure 14 converter, 1000 × 300, seed 1); the second adds burst
+// losses and delay; the third runs a table with a three-way choice and a
+// terminal state, so the modulo pick and resets are covered too.
+func TestFleetCountersPinned(t *testing.T) {
+	b := protocols.ColocatedB()
+	res, err := core.Derive(protocols.Service(), b, core.Options{OmitVacuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := core.Prune(protocols.Service(), b, res.Converter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan, err := spec.NewBuilder("fan").
+		State("s0").State("s1").State("s2").State("s3").
+		Init("s0").
+		Ext("s0", "a", "s1").Ext("s0", "b", "s2").Ext("s0", "c", "s3").
+		Ext("s1", "d", "s0").
+		Ext("s2", "e", "s3").Ext("s2", "f", "s0").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name            string
+		ref             *spec.Spec
+		faults          string
+		sessions, steps int
+		seed            int64
+		conformEvery    int
+		want            Metrics
+	}{
+		{"convrt-smoke", paper, "loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02", 1000, 300, 1, 64, Metrics{
+			Steps: 300000, Proposed: 372196, Stale: 62497,
+			Dropped: 18524, Corrupted: 7002, Duplicated: 17371, Reordered: 12896,
+			Audits: 4000, SessionsCompleted: 1000,
+		}},
+		{"burst-delay", paper, "loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,burst=3,delay=5us", 200, 300, 1, 64, Metrics{
+			Steps: 60000, Proposed: 78000, Stale: 12338,
+			Dropped: 7356, Corrupted: 1416, Duplicated: 3402, Reordered: 2565, Delayed: 69219,
+			Audits: 800, SessionsCompleted: 200,
+		}},
+		{"fan-burst", fan, "loss=0.1,dup=0.1,reorder=0.1,corrupt=0.05,burst=4", 64, 500, 5, 16, Metrics{
+			Steps: 32000, Proposed: 50114, Stale: 8459,
+			Dropped: 11426, Corrupted: 1924, Duplicated: 3754, Reordered: 2041,
+			Resets: 9553, Audits: 1984, SessionsCompleted: 64,
+		}},
+	} {
+		tab, err := Compile(c.ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults, err := rt.ParseFaults(c.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			rep, err := Run(context.Background(), Config{
+				Table: tab, Reference: c.ref,
+				Sessions: c.sessions, StepsPerSession: c.steps, Workers: workers, Window: 4,
+				Faults: faults, Seed: c.seed, ConformEvery: c.conformEvery,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := rep.Metrics
+			got.P50StepNs, got.P99StepNs, got.SessionsActive = 0, 0, 0
+			if got != c.want {
+				t.Errorf("%s, %d workers:\ngot  %+v\nwant %+v", c.name, workers, got, c.want)
+			}
+		}
+	}
+}
+
+// TestThresholdMatchesFloatDraw checks that the integer threshold decides
+// every draw exactly as the float comparison it replaced, at both draws
+// around each threshold and over a million seeded draws.
+func TestThresholdMatchesFloatDraw(t *testing.T) {
+	float := func(x uint64, p float64) bool { return float64(x>>11)/(1<<53) < p }
+	ps := []float64{0, 0x1p-53, 0.05, 0.5, 1 - 0x1p-53, 1, 0.02, 1e-300}
+	s := Session{rng: 1}
+	for _, p := range ps {
+		th := threshold(p)
+		if want := uint64(math.Ceil(p * (1 << 53))); th != want {
+			t.Fatalf("threshold(%g) = %d, want %d", p, th, want)
+		}
+		var edges []uint64
+		if th > 0 {
+			edges = append(edges, th-1)
+		}
+		if th < 1<<53 {
+			edges = append(edges, th)
+		}
+		for _, k := range edges {
+			for _, low := range []uint64{0, 1<<11 - 1} {
+				x := k<<11 | low
+				if got, want := x>>11 < th, float(x, p); got != want {
+					t.Errorf("p=%g x>>11=%d: threshold says %v, float says %v", p, k, got, want)
+				}
+			}
+		}
+		for i := 0; i < 1_000_000; i++ {
+			x := s.next64()
+			if got, want := x>>11 < th, float(x, p); got != want {
+				t.Fatalf("p=%g x=%#x: threshold says %v, float says %v", p, x, got, want)
+			}
+		}
+	}
+}
+
+// TestHistogramQuantilesWithinBucketError checks the wait histogram's
+// p50/p99 against the exact sorted quantiles of the same samples: each
+// must lie within 1/16 of the exact value.
+func TestHistogramQuantilesWithinBucketError(t *testing.T) {
+	s := Session{rng: 7}
+	for _, spread := range []uint{4, 12, 24, 40} {
+		var h histogram
+		samples := make([]int64, 100_000)
+		for i := range samples {
+			// Log-uniform durations in [1, 2^spread) ns.
+			r := s.next64()
+			e := r % uint64(spread)
+			v := int64(1<<e | r>>8&(1<<e-1))
+			samples[i] = v
+			h.observe(v, 1)
+		}
+		h.publish()
+		slices.Sort(samples)
+		p50, p99 := quantiles([]*histogram{&h})
+		for _, q := range []struct {
+			name string
+			got  int64
+			rank float64
+		}{{"p50", p50, 0.50}, {"p99", p99, 0.99}} {
+			exact := samples[int(q.rank*float64(len(samples)-1))]
+			if diff := q.got - exact; diff*16 > exact || -diff*16 > exact {
+				t.Errorf("spread 2^%d: %s = %d, exact %d: off by more than 1/16", spread, q.name, q.got, exact)
+			}
+		}
+	}
+	if p50, p99 := quantiles([]*histogram{{}}); p50 != 0 || p99 != 0 {
+		t.Errorf("empty histogram quantiles = %d, %d, want 0, 0", p50, p99)
+	}
+	for b := 0; b < histBuckets-histSub; b++ {
+		if got := bucketOf(bucketMid(b)); got != b {
+			t.Fatalf("bucketOf(bucketMid(%d)) = %d", b, got)
+		}
 	}
 }

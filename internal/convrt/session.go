@@ -1,6 +1,7 @@
 package convrt
 
 import (
+	"math"
 	"slices"
 	"time"
 
@@ -36,7 +37,9 @@ import (
 //
 // A session is owned by exactly one worker goroutine (see Runner); only
 // the immutable *Table and monitor are shared. The steady-state pump path —
-// deliver, step, check, offer, audit — allocates nothing.
+// deliver, step, check, offer, audit — allocates nothing, and counts into
+// its worker's plain tallies: the only atomic adds it makes are for an
+// audit, a reset or a session's end (see workerMetrics).
 type Session struct {
 	t   *Table
 	mon *monitor // nil when conformance is off
@@ -145,7 +148,7 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 		progress = true
 		nxt, ok := s.t.Step(s.state, ev)
 		if !ok {
-			m.stale.Add(1)
+			m.local.stale++
 			continue
 		}
 		if s.mon != nil {
@@ -158,8 +161,8 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 		}
 		s.state = nxt
 		s.stepsDone++
-		m.steps.Add(1)
-		m.observeLatency(nowNs - enq)
+		m.local.steps++
+		m.wait.observe(nowNs-enq, 1)
 		if s.conformEvery > 0 {
 			s.sinceAudit++
 			if s.sinceAudit >= s.conformEvery {
@@ -207,11 +210,11 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 			}
 			break
 		}
-		ev := enabled[int(s.next64()%uint64(len(enabled)))]
+		ev := enabled[pick(s.next64(), len(enabled))]
 		nxt, _ := s.t.Step(s.pred, ev)
 		s.pred = nxt
 		s.proposals++
-		m.proposed.Add(1)
+		m.local.proposed++
 		if s.proposals > int64(starvationFactor*s.target)+1024 {
 			s.failed = true
 			s.done = true
@@ -220,35 +223,35 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 			m.starved.Add(1)
 			return true
 		}
-		d := s.faults.next(s)
+		hit, delayNs := s.faults.next(s)
 		switch {
-		case d.drop:
-			m.dropped.Add(1)
+		case hit&faultDrop != 0:
+			m.local.dropped++
 			offered = true // the offer happened; the wire ate it
 			continue
-		case d.corrupt:
-			m.corrupted.Add(1)
+		case hit&faultCorrupt != 0:
+			m.local.corrupted++
 			offered = true
 			continue
 		}
 		msg := wireMsg{ev: ev, enqNs: nowNs}
-		if d.delayNs > 0 {
-			msg.readyNs = nowNs + d.delayNs
-			m.delayed.Add(1)
+		if delayNs > 0 {
+			msg.readyNs = nowNs + delayNs
+			m.local.delayed++
 		}
 		s.push(msg)
 		offered = true
-		if d.dup && s.count < len(s.wire) {
+		if hit&faultDup != 0 && s.count < len(s.wire) {
 			s.push(msg)
-			m.duplicated.Add(1)
+			m.local.duplicated++
 		}
-		if d.reorder && s.count >= 2 {
+		if hit&faultReorder != 0 && s.count >= 2 {
 			// Swap the two most recent offers: the new message overtakes
 			// its predecessor.
-			i1 := (s.head + s.count - 1) % len(s.wire)
-			i2 := (s.head + s.count - 2) % len(s.wire)
+			i1 := s.slot(s.count - 1)
+			i2 := s.slot(s.count - 2)
 			s.wire[i1], s.wire[i2] = s.wire[i2], s.wire[i1]
-			m.reordered.Add(1)
+			m.local.reordered++
 		}
 	}
 	return offered
@@ -257,8 +260,28 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 // push appends to the ring; callers guarantee room (window offers + dups
 // fit in the 2×window ring by construction).
 func (s *Session) push(msg wireMsg) {
-	s.wire[(s.head+s.count)%len(s.wire)] = msg
+	s.wire[s.slot(s.count)] = msg
 	s.count++
+}
+
+// slot is the ring index i places behind the head, for 0 ≤ i ≤ len(wire):
+// head < len(wire), so one conditional subtraction wraps it.
+func (s *Session) slot(i int) int {
+	j := s.head + i
+	if j >= len(s.wire) {
+		j -= len(s.wire)
+	}
+	return j
+}
+
+// pick maps a draw r onto an index in [0, n): r mod n, without the 64-bit
+// divide when n is a power of two (the driver's common one- and two-way
+// choices). The draw is consumed either way.
+func pick(r uint64, n int) int {
+	if n&(n-1) == 0 {
+		return int(r & uint64(n-1))
+	}
+	return int(r % uint64(n))
 }
 
 // reset wraps the session around after a terminal state: back to the
@@ -336,56 +359,89 @@ func (s *Session) blockedUntil(nowNs int64) int64 {
 // fault class per offer in a fixed order, so the consumed stream depends
 // only on the model and the offer count — never on outcomes — and a whole
 // run is a deterministic function of (seed, model, converter).
+//
+// Each probability is held as an integer threshold over the 53-bit draw
+// (see threshold), so a class costs one draw, a shift and a compare.
 type faultSched struct {
-	model     runtime.FaultModel
-	burstLeft int
+	loss, corrupt, dup, reorder uint64 // thresholds; 0 = class off, no draw
+	burst                       uint64 // max consecutive losses; ≤ 1 = single
+	delayNs                     uint64 // max extra latency; 0 = off
+	burstLeft                   int
 }
 
-// decision is the fate of one offer.
-type decision struct {
-	drop    bool
-	corrupt bool
-	dup     bool
-	reorder bool
-	delayNs int64
-}
-
-// chance draws a probability check without touching float conversion on
-// the zero path.
-func (f *faultSched) chance(s *Session, p float64) bool {
-	if p <= 0 {
-		return false
+// newFaultSched compiles a fault model, whose probabilities must lie in
+// [0,1], into per-class thresholds.
+func newFaultSched(m runtime.FaultModel) faultSched {
+	f := faultSched{
+		loss:    threshold(m.Loss),
+		corrupt: threshold(m.Corrupt),
+		dup:     threshold(m.Dup),
+		reorder: threshold(m.Reorder),
 	}
-	// 53-bit mantissa draw, the same distribution rand.Float64 uses.
-	return float64(s.next64()>>11)/(1<<53) < p
-}
-
-func (f *faultSched) next(s *Session) decision {
-	var d decision
-	m := f.model
-	if f.chance(s, m.Loss) {
-		d.drop = true
-		if m.Burst > 1 {
-			f.burstLeft = int(s.next64() % uint64(m.Burst))
-		}
-	}
-	if f.burstLeft > 0 && !d.drop {
-		f.burstLeft--
-		d.drop = true
-	}
-	if f.chance(s, m.Corrupt) && !d.drop {
-		d.corrupt = true
-	}
-	if f.chance(s, m.Dup) {
-		d.dup = true
-	}
-	if f.chance(s, m.Reorder) {
-		d.reorder = true
+	if m.Burst > 1 {
+		f.burst = uint64(m.Burst)
 	}
 	if m.Delay > 0 {
-		d.delayNs = int64(s.next64() % uint64(m.Delay+1))
+		f.delayNs = uint64(m.Delay)
 	}
-	return d
+	return f
+}
+
+// threshold is ⌈p·2^53⌉ for a probability p in [0,1]. A draw x passes
+// when x>>11 < threshold(p), which decides exactly as the float test
+// float64(x>>11)/2^53 < p: both sides of that test are exact in float64
+// (k = x>>11 < 2^53, and scaling by 2^53 is exact), so it reads k < p·2^53,
+// and for an integer k that is k < ⌈p·2^53⌉. p = 0 gives 0: the class is
+// off and draws nothing, as p ≤ 0 did.
+func threshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// fault is the set of fault classes that hit one offer. A bit set, not a
+// struct of bools, so the decision travels in one register: a struct
+// written byte by byte and then copied whole stalls store forwarding on
+// every offer.
+type fault uint8
+
+const (
+	faultDrop fault = 1 << iota
+	faultCorrupt
+	faultDup
+	faultReorder
+)
+
+// chance draws one probability check against threshold t; t = 0 draws
+// nothing.
+func (f *faultSched) chance(s *Session, t uint64) bool {
+	return t > 0 && s.next64()>>11 < t
+}
+
+// next draws the fate of one offer: the classes that hit it (a drop
+// excludes corruption) and its extra delivery delay.
+func (f *faultSched) next(s *Session) (hit fault, delayNs int64) {
+	if f.chance(s, f.loss) {
+		hit = faultDrop
+		if f.burst > 1 {
+			f.burstLeft = int(s.next64() % f.burst)
+		}
+	}
+	if f.burstLeft > 0 && hit == 0 {
+		f.burstLeft--
+		hit = faultDrop
+	}
+	if f.chance(s, f.corrupt) && hit == 0 {
+		hit = faultCorrupt
+	}
+	if f.chance(s, f.dup) {
+		hit |= faultDup
+	}
+	if f.chance(s, f.reorder) {
+		hit |= faultReorder
+	}
+	if f.delayNs > 0 {
+		delayNs = int64(s.next64() % (f.delayNs + 1))
+	}
+	return hit, delayNs
 }
 
 // nowNs is the monotonic-enough clock the engine samples once per worker

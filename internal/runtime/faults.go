@@ -88,7 +88,7 @@ func ParseFaults(s string) (FaultModel, error) {
 		}
 		prob := func() (float64, error) {
 			p, err := strconv.ParseFloat(v, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || !(p >= 0 && p <= 1) { // NaN fails both comparisons
 				return 0, fmt.Errorf("runtime: fault %s=%q is not a probability in [0,1]", k, v)
 			}
 			return p, nil
