@@ -84,10 +84,10 @@ convrt-smoke:
 
 # Short fuzzing bursts over the wire decoder, the DSL parser, the
 # canonical-form hasher, the compiled-table decoder, and quotd's derive
-# request decoder: enough to catch regressions in frame bounds-checking,
-# grammar handling, hash stability, table-header bounds, and typed request
-# rejection without slowing the gate down. Longer campaigns: raise
-# -fuzztime manually.
+# request and peer-fill decoders: enough to catch regressions in frame
+# bounds-checking, grammar handling, hash stability, table-header bounds,
+# typed request rejection, and peer answers keyed as /v1/derive keys them,
+# without slowing the gate down. Longer campaigns: raise -fuzztime manually.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/dsl
@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/convrt
 	$(GO) test -run '^$$' -fuzz '^FuzzDeriveRequest$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzPeerFill$$' -fuzztime 5s ./internal/server
 
 # The randomized differential gate: a fixed-seed protosmith campaign across
 # both engine pipelines at workers 1, 2, and 4, cross-checked against

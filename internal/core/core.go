@@ -38,10 +38,13 @@
 //     whole frontier, and a single-threaded merge interns the results in
 //     frontier order, so the derived converter — state numbering included —
 //     is bit-identical for every worker count.
-//   - The environment may be demand-driven (*compose.Lazy): the safety
+//   - B is read through one integer-row surface (demandEnvironment). A
+//     demand-driven environment (*compose.Lazy) is one already: the safety
 //     phase's closure walk is what first expands each composite state of B,
 //     so derivation cost tracks the reachable slice of the product rather
-//     than its full size. Metrics.EnvStatesExpanded reports the slice.
+//     than its full size, and Metrics.EnvStatesExpanded reports the slice.
+//     Any other environment (a *spec.Spec, say) is wrapped in an adapter
+//     that compiles its rows once, so the engine has one way to read B.
 //   - The progress phase is incremental (progress.go): after a sweep
 //     removes bad states, only converter states that can reach a removed
 //     state (predecessors under T_C) can see their composite ready sets
@@ -64,10 +67,10 @@ import (
 // Environment is the read-side surface the deriver needs from B. Both
 // *spec.Spec and *compose.Lazy satisfy it, so a composed environment can be
 // fed to the engine straight from the fused index-space composition,
-// without materializing composite state names: prepare copies an eager
-// environment's transition structure into dense tables once, a demand-driven
-// one hands rows over as they are expanded, and StateName is consulted only
-// on diagnostic paths (pair-set naming, error messages).
+// without materializing composite state names. The deriver reads every
+// environment as integer rows (demandEnvironment), wrapping one that does
+// not serve them itself; StateName is consulted only on diagnostic paths
+// (pair-set naming, error messages).
 //
 // ExtEdges must be sorted by (Event, To) and IntEdges ascending — the
 // orders *spec.Spec guarantees — because frontier expansion and the
@@ -83,17 +86,75 @@ type Environment interface {
 	StateName(st spec.State) string
 }
 
-// demandEnvironment is the surface of a demand-driven environment
-// (*compose.Lazy): integer-id edge rows expanded on first demand, a
-// non-expanding peek, and expansion accounting. When the (single) variant
-// implements it, prepare skips the up-front edge-table copy and the hot
-// loops pull rows straight from the environment — fusing product
-// exploration into the safety phase.
+// demandEnvironment is the one row surface the deriver reads B through:
+// integer-id edge rows (events as ids into Alphabet()), a peek that never
+// expands, and expansion accounting. *compose.Lazy implements it natively,
+// expanding a composite state on its first Rows call — which fuses product
+// exploration into the safety phase. Every other environment is served by
+// compiledEnv.
 type demandEnvironment interface {
 	Environment
 	Rows(st spec.State) ([]compose.Edge, []int32)
 	PeekRows(st spec.State) ([]compose.Edge, []int32, bool)
 	ExpansionStats() (expanded, discovered int, ns int64)
+}
+
+// compiledEnv serves an environment that does not produce integer rows
+// itself — a *spec.Spec, a minimized spec, any other Environment — through
+// demandEnvironment. Its rows are compiled once, with the environment's own
+// state ids, so every state counts as expanded from the start.
+type compiledEnv struct {
+	Environment
+	ext  [][]bedge
+	intl [][]int32
+}
+
+// asDemand returns b's row surface: b itself when it serves rows, else a
+// compiledEnv over it.
+func asDemand(b Environment) demandEnvironment {
+	if de, ok := b.(demandEnvironment); ok {
+		return de
+	}
+	ce := &compiledEnv{Environment: b}
+	ce.ext, ce.intl = compileRows(b)
+	return ce
+}
+
+func (e *compiledEnv) Rows(st spec.State) ([]bedge, []int32) { return e.ext[st], e.intl[st] }
+
+func (e *compiledEnv) PeekRows(st spec.State) ([]bedge, []int32, bool) {
+	return e.ext[st], e.intl[st], true
+}
+
+func (e *compiledEnv) ExpansionStats() (expanded, discovered int, ns int64) {
+	return len(e.ext), len(e.ext), 0
+}
+
+// compileRows copies an environment's transition structure into dense
+// per-state rows: external edges with events resolved to ids into its
+// alphabet, and internal successors.
+func compileRows(b Environment) (ext [][]bedge, intl [][]int32) {
+	eid := make(map[spec.Event]int32, len(b.Alphabet()))
+	for i, e := range b.Alphabet() {
+		eid[e] = int32(i)
+	}
+	n := b.NumStates()
+	ext, intl = make([][]bedge, n), make([][]int32, n)
+	for st := 0; st < n; st++ {
+		src := b.ExtEdges(spec.State(st))
+		out := make([]bedge, len(src))
+		for i, ed := range src {
+			out[i] = bedge{Ev: eid[ed.Event], To: int32(ed.To)}
+		}
+		ext[st] = out
+		tos := b.IntEdges(spec.State(st))
+		row := make([]int32, len(tos))
+		for i, t := range tos {
+			row[i] = int32(t)
+		}
+		intl[st] = row
+	}
+	return ext, intl
 }
 
 // Options tune the derivation. The zero value is the recommended default.
@@ -241,14 +302,14 @@ type bedge = compose.Edge
 // deriver carries the immutable inputs and the precomputed dense tables of
 // one run. Everything set up by prepare is read-only during the safety
 // phase, so expansion workers share it freely; the intern table is written
-// only on the single-threaded merge path. (Under a demand-driven
-// environment, rowsOf may expand composite states concurrently; that
-// mutation is owned and synchronized by compose.Lazy.)
+// only on the single-threaded merge path. (A demand-driven environment may
+// expand composite states concurrently under Rows; that mutation is owned
+// and synchronized by compose.Lazy.)
 type deriver struct {
 	ctx     context.Context
 	a       *spec.Spec
 	bs      []Environment       // environment variants; len 1 for plain Derive
-	lazy    demandEnvironment   // non-nil iff the single variant is demand-driven
+	envs    []demandEnvironment // bs[v]'s row surface
 	ext     map[spec.Event]bool // Ext = Σ_A
 	intl    []spec.Event        // Int = Σ_B − Ext, sorted
 	opts    Options
@@ -257,16 +318,14 @@ type deriver struct {
 	// Dense tables over Σ_B and the pair domain. A pair (v, a, b) is
 	// encoded pb-major as (boff[v]+b)*numA + a: packed-b-major order makes
 	// ascending pair order agree with the progress phase's combo tables,
-	// and leaves the domain open-ended in b — the demand-driven environment
-	// keeps discovering states while the derivation runs.
+	// and leaves the domain open-ended in the last variant's b — a
+	// demand-driven environment, always the only variant, keeps discovering
+	// states while the derivation runs.
 	events    []spec.Event // Σ_B, sorted
 	isExt     []bool       // by event id: e ∈ Ext
 	intlIndex []int32      // by event id: position in intl, or -1
 	psi       []int32      // ψ-step table, numA×nev flat; -1 = not allowed
-	bext      [][][]bedge  // [variant][bState] → resolved external edges; nil under lazy
-	bintl     [][][]int32  // [variant][bState] → internal successors; nil under lazy
-	boff      []int32      // packed-b offset per variant
-	numBs     []int32      // |S_B| per variant; 0 under lazy (open-ended)
+	boff      []int32      // packed-b offset per variant: prefix sums of NumStates
 	numA      int
 	nev       int
 
@@ -390,17 +449,15 @@ func newDeriver(ctx context.Context, a *spec.Spec, bs []Environment, opts Option
 		}
 		bs = reduced
 	}
-	var lazyEnv demandEnvironment
-	for _, b := range bs {
-		if de, ok := b.(demandEnvironment); ok {
-			if len(bs) > 1 {
-				// The pair encoding needs every variant's state count up
-				// front; a demand-driven variant discovers its states
-				// during derivation, so it must be the only one.
-				return nil, fmt.Errorf("quotient: demand-driven environment %s cannot be combined with other variants", b.Name())
-			}
-			lazyEnv = de
+	envs := make([]demandEnvironment, len(bs))
+	for v, b := range bs {
+		if _, ok := b.(demandEnvironment); ok && len(bs) > 1 {
+			// The pair encoding needs every variant's state count up front; a
+			// demand-driven variant discovers its states during derivation,
+			// so it must be the only one.
+			return nil, fmt.Errorf("quotient: demand-driven environment %s cannot be combined with other variants", b.Name())
 		}
+		envs[v] = asDemand(b)
 	}
 	ext := make(map[spec.Event]bool, len(a.Alphabet()))
 	for _, e := range a.Alphabet() {
@@ -418,7 +475,7 @@ func newDeriver(ctx context.Context, a *spec.Spec, bs []Environment, opts Option
 	if len(intl) == 0 {
 		return nil, fmt.Errorf("quotient: Int = Σ_B − Ext is empty; B leaves no interface for a converter")
 	}
-	d := &deriver{ctx: ctx, a: a, bs: bs, lazy: lazyEnv, ext: ext, intl: intl, opts: opts}
+	d := &deriver{ctx: ctx, a: a, bs: bs, envs: envs, ext: ext, intl: intl, opts: opts}
 	d.workers = opts.Workers
 	if d.workers < 1 {
 		d.workers = 1
@@ -467,8 +524,7 @@ func (d *deriver) emit(ev TraceEvent) {
 }
 
 // prepare builds the dense lookup tables the hot loops run on: event ids
-// over Σ_B, the ψ-step table of A, per-variant edge lists with resolved
-// event ids, and the pair-domain layout.
+// over Σ_B, the ψ-step table of A, and the pair-domain layout.
 func (d *deriver) prepare() {
 	d.events = d.bs[0].Alphabet()
 	d.nev = len(d.events)
@@ -498,23 +554,10 @@ func (d *deriver) prepare() {
 		}
 	}
 
-	d.boff = make([]int32, len(d.bs))
-	d.numBs = make([]int32, len(d.bs))
-	if d.lazy == nil {
-		d.bext = make([][][]bedge, len(d.bs))
-		d.bintl = make([][][]int32, len(d.bs))
-		var packed int32
-		for v, b := range d.bs {
-			d.boff[v] = packed
-			nb := int32(b.NumStates())
-			d.numBs[v] = nb
-			packed += nb
-			d.bext[v], d.bintl[v] = compileRows(b, eid)
-		}
+	d.boff = make([]int32, len(d.envs))
+	for v := 1; v < len(d.envs); v++ {
+		d.boff[v] = d.boff[v-1] + int32(d.envs[v-1].NumStates())
 	}
-	// Under a demand-driven environment no edge tables are copied (the
-	// environment is the table, expanded as the safety phase walks it) and
-	// the packed-b domain stays open-ended: boff = [0], numBs[0] = 0.
 
 	d.useMask = maskClosureEnabled && d.numA <= 64
 	if d.useMask {
@@ -581,38 +624,11 @@ func (d *deriver) variantOf(pb int32) int {
 	return v
 }
 
-// compileRows copies an eager environment's transition structure into dense
-// per-state rows: external edges with events resolved through eid, and
-// internal successors.
-func compileRows(b Environment, eid map[spec.Event]int32) (ext [][]bedge, intl [][]int32) {
-	n := b.NumStates()
-	ext, intl = make([][]bedge, n), make([][]int32, n)
-	for st := 0; st < n; st++ {
-		src := b.ExtEdges(spec.State(st))
-		out := make([]bedge, len(src))
-		for i, ed := range src {
-			out[i] = bedge{Ev: eid[ed.Event], To: int32(ed.To)}
-		}
-		ext[st] = out
-		tos := b.IntEdges(spec.State(st))
-		row := make([]int32, len(tos))
-		for i, t := range tos {
-			row[i] = int32(t)
-		}
-		intl[st] = row
-	}
-	return ext, intl
-}
-
-// rowsOf returns b-state b's external edges (events resolved to Σ_B ids)
-// and internal successors, in canonical order. Under a demand-driven
-// environment this is the fusion point: the first request for a state's
-// rows is what expands it.
-func (d *deriver) rowsOf(v int, b int32) ([]bedge, []int32) {
-	if d.lazy != nil {
-		return d.lazy.Rows(spec.State(b))
-	}
-	return d.bext[v][b], d.bintl[v][b]
+// packedStates is the size of the packed-b domain so far: every variant's
+// states, the last one's as discovered up to now.
+func (d *deriver) packedStates() int {
+	last := len(d.envs) - 1
+	return int(d.boff[last]) + d.envs[last].NumStates()
 }
 
 func (d *deriver) run() (*Result, error) {
@@ -695,7 +711,7 @@ func (d *deriver) run() (*Result, error) {
 			})
 			// Sort by name so the diagnostic is stable even when b-state
 			// ids are demand-order (scheduling-dependent under a parallel
-			// lazy derivation).
+			// demand-driven derivation).
 			sort.Slice(pairs, func(i, j int) bool {
 				if pairs[i][0] != pairs[j][0] {
 					return pairs[i][0] < pairs[j][0]
@@ -836,28 +852,26 @@ func (d *deriver) fillSafetyMetrics() {
 }
 
 // fillEnvMetrics records how much of the environment the derivation
-// touched. Under a demand-driven environment this is the reachable-slice
-// accounting (expanded « total possible when the derivation is selective);
-// eager environments were fully materialized before derivation began, so
-// expanded = total = the reachable product size, with no expansion time
-// attributed to the derivation.
+// touched, summed over the variants. A demand-driven environment reports
+// its reachable slice (expanded « total possible when the derivation is
+// selective); a compiled one was whole before derivation began, so
+// expanded = total = its state count, with no expansion time attributed to
+// the derivation. Row storage is reported by environments that keep it.
 func (d *deriver) fillEnvMetrics() {
-	if d.lazy != nil {
-		expanded, discovered, ns := d.lazy.ExpansionStats()
-		d.met.EnvStatesExpanded = expanded
-		d.met.EnvStatesTotal = discovered
-		d.met.EnvExpansionNs = ns
-		if ms, ok := d.lazy.(interface{ MemStats() (int64, int64) }); ok {
-			d.met.ArenaBytes, d.met.PeakRowBytes = ms.MemStats()
+	m := d.met
+	m.EnvStatesExpanded, m.EnvStatesTotal, m.EnvExpansionNs = 0, 0, 0
+	m.ArenaBytes, m.PeakRowBytes = 0, 0
+	for _, e := range d.envs {
+		expanded, discovered, ns := e.ExpansionStats()
+		m.EnvStatesExpanded += expanded
+		m.EnvStatesTotal += discovered
+		m.EnvExpansionNs += ns
+		if ms, ok := e.(interface{ MemStats() (int64, int64) }); ok {
+			arena, peak := ms.MemStats()
+			m.ArenaBytes += arena
+			m.PeakRowBytes = max(m.PeakRowBytes, peak)
 		}
-		return
 	}
-	total := 0
-	for _, b := range d.bs {
-		total += b.NumStates()
-	}
-	d.met.EnvStatesExpanded = total
-	d.met.EnvStatesTotal = total
 }
 
 // safetyPhase grows the largest safe converter C0 by level-synchronous

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"protoquot/internal/compose"
 	"protoquot/internal/spec"
 )
 
@@ -260,10 +261,12 @@ func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs in
 	}
 	for pb := int32(0); pb < pt.totalB; pb++ {
 		// The expected rows come from the environment's own surface, by
-		// event name: ExtEdges/IntEdges on the eager path, and on the lazy
-		// path PeekRows, which reads without expanding.
+		// event name, never from the deriver's row adapter: a spec through
+		// ExtEdges/IntEdges, and a demand-driven composition through
+		// PeekRows, which reads without expanding.
 		v := d.variantOf(pb)
 		boff := d.boff[v]
+		st := spec.State(pb - boff)
 		var wantTau []int32
 		var wantInts []intEdge
 		addInt := func(ev spec.Event, to int32) {
@@ -271,20 +274,24 @@ func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs in
 				wantInts = append(wantInts, intEdge{ii: int32(ii), to: boff + to})
 			}
 		}
-		if d.lazy != nil {
-			ext, intl, _ := d.lazy.PeekRows(spec.State(pb))
-			wantTau = append(wantTau, intl...)
-			for _, ed := range ext {
-				addInt(d.lazy.Alphabet()[ed.Ev], ed.To)
-			}
-		} else {
-			st := spec.State(pb - boff)
-			for _, t := range d.bs[v].IntEdges(st) {
+		switch b := d.bs[v].(type) {
+		case *spec.Spec:
+			for _, t := range b.IntEdges(st) {
 				wantTau = append(wantTau, boff+int32(t))
 			}
-			for _, ed := range d.bs[v].ExtEdges(st) {
+			for _, ed := range b.ExtEdges(st) {
 				addInt(ed.Event, int32(ed.To))
 			}
+		case *compose.Lazy:
+			ext, intl, _ := b.PeekRows(st)
+			for _, t := range intl {
+				wantTau = append(wantTau, boff+t)
+			}
+			for _, ed := range ext {
+				addInt(b.Alphabet()[ed.Ev], ed.To)
+			}
+		default:
+			return pairs, fmt.Errorf("variant %d: no reference rows for environment type %T", v, b)
 		}
 		if got := pt.tauOf(pb); !slices.Equal(got, wantTau) {
 			return pairs, fmt.Errorf("pb %d: edge table τ-successors %v, environment rows give %v", pb, got, wantTau)

@@ -49,18 +49,20 @@ type Metrics struct {
 	// (*compose.Lazy), Expanded counts composite states whose successor
 	// rows were computed and Total the states discovered (expanded plus the
 	// frontier they revealed) — the reachable slice, versus the full
-	// product the eager paths would have built. Under an eager environment
-	// both equal the environment's (already materialized) state count.
+	// product an eager composition would have built. Any other environment
+	// has its rows compiled whole before derivation, so both equal its
+	// state count, summed over the variants.
 	EnvStatesExpanded int
 	EnvStatesTotal    int
 	// EnvExpansionNs is the total wall time, in nanoseconds, spent
 	// expanding environment states on demand during the derivation; always
-	// 0 for eager environments (their compose cost is paid before Derive).
+	// 0 for environments that are not demand-driven (their compose cost is
+	// paid before Derive).
 	EnvExpansionNs int64
 	// ArenaBytes / PeakRowBytes describe a demand-driven environment's row
 	// storage: the bytes reserved by compose.Lazy's append-only row arenas,
-	// and the largest single state's row footprint. Both are 0 for eager
-	// environments (their tables are materialized before derivation).
+	// and the largest single state's row footprint. Both are 0 for other
+	// environments (their rows are compiled before derivation).
 	ArenaBytes   int64
 	PeakRowBytes int64
 	// PairArenaBytes is the safety phase's arena-backed pair-set storage:

@@ -16,10 +16,10 @@
 // the intern table and closure memo are read-only during expansion (the
 // merge, the sole writer, runs between batches) — with one exception: under
 // a demand-driven environment, rowsPacked may expand a composite state,
-// which serializes inside compose.Lazy. This is the fusion the lazy path is
-// built around: the safety phase's own frontier walk is what drives
-// environment exploration, and only the slice of the product the derivation
-// actually touches is ever built.
+// which serializes inside compose.Lazy. This is the fusion the
+// demand-driven path is built around: the safety phase's own frontier walk
+// is what drives environment exploration, and only the slice of the product
+// the derivation actually touches is ever built.
 //
 // Two closure engines share the walk structure:
 //
@@ -138,7 +138,9 @@ type scratch struct {
 	mseedMasks [][]uint64
 
 	// pbHint reports a cheap lower bound on the packed-b domain size, used
-	// to size the mask arrays in one step instead of doubling up to it.
+	// to size the mask arrays in one step instead of doubling up to it: the
+	// domain discovered so far (deriver.packedStates; racing with a
+	// demand-driven expansion is harmless, any value is a valid hint).
 	pbHint func() int
 
 	arena *pairArena // per-batch output storage
@@ -153,28 +155,13 @@ type scratch struct {
 }
 
 func newScratch(d *deriver) *scratch {
-	sc := &scratch{
+	return &scratch{
 		seeds:      make([][]int32, len(d.intl)),
 		mseedPbs:   make([][]int32, len(d.intl)),
 		mseedMasks: make([][]uint64, len(d.intl)),
+		pbHint:     d.packedStates,
 		arena:      newPairArena(),
 	}
-	// pbHint is a lower bound on the packed-b domain the mask arrays will
-	// end up covering: the already-discovered composite state count under a
-	// demand-driven environment (monotonic, racing with expansion is
-	// harmless — any value is a valid hint), the full packed domain under an
-	// eager one. Growing straight to it skips the intermediate doublings a
-	// cold worker would otherwise allocate and immediately outgrow.
-	sc.pbHint = func() int {
-		if d.lazy != nil {
-			return d.lazy.NumStates()
-		}
-		if n := len(d.boff); n > 0 {
-			return int(d.boff[n-1] + d.numBs[n-1])
-		}
-		return 0
-	}
-	return sc
 }
 
 // getScratch returns the persistent working set for worker w, creating it
@@ -452,14 +439,15 @@ func (sc *scratch) packPairs(ps []int32) pairset {
 	return out[:n]
 }
 
-// rowsPacked returns the rows of a packed-b id: the demand-driven path goes
-// straight to the environment (lazy ids are packed ids), the eager path
-// indexes the per-variant tables.
-func (d *deriver) rowsPacked(v int, pb int32) ([]bedge, []int32) {
-	if d.lazy != nil {
-		return d.lazy.Rows(spec.State(pb))
-	}
-	return d.bext[v][pb-d.boff[v]], d.bintl[v][pb-d.boff[v]]
+// rowsPacked returns packed-b state pb's rows and its variant's packed-b
+// offset, which turns the rows' targets into packed-b ids. Under a
+// demand-driven environment this is the fusion point: the first request for
+// a state's rows is what expands it.
+func (d *deriver) rowsPacked(pb int32) (ext []bedge, ints []int32, off int32) {
+	v := d.variantOf(pb)
+	off = d.boff[v]
+	ext, ints = d.envs[v].Rows(spec.State(pb - off))
+	return ext, ints, off
 }
 
 // closure computes the smallest pair set containing seeds that is closed
@@ -497,11 +485,9 @@ walk:
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		a := p % numA
-		pb := p / numA
-		v := d.variantOf(pb)
-		ext, ints := d.rowsPacked(v, pb)
+		ext, ints, off := d.rowsPacked(p / numA)
 		for _, t := range ints {
-			q := (d.boff[v]+t)*numA + a
+			q := (off+t)*numA + a
 			if sc.setBit(q) {
 				stack = append(stack, q)
 			}
@@ -517,7 +503,7 @@ walk:
 				ok = false
 				break walk
 			}
-			q := (d.boff[v]+ed.To)*numA + a2
+			q := (off+ed.To)*numA + a2
 			if sc.setBit(q) {
 				stack = append(stack, q)
 			}
@@ -548,10 +534,9 @@ func (d *deriver) maskWalk(sc *scratch) (out pairset, ok bool, offend spec.Event
 			continue
 		}
 		sc.adone[pb] |= delta
-		v := d.variantOf(pb)
-		ext, ints := d.rowsPacked(v, pb)
+		ext, ints, off := d.rowsPacked(pb)
 		for _, t := range ints {
-			tb := d.boff[v] + t
+			tb := off + t
 			if sc.addMask(tb, delta) {
 				sc.pstack = append(sc.pstack, tb)
 			}
@@ -569,7 +554,7 @@ func (d *deriver) maskWalk(sc *scratch) (out pairset, ok bool, offend spec.Event
 			for dm := delta; dm != 0; dm &= dm - 1 {
 				m2 |= d.psiBit[bits.TrailingZeros64(dm)*d.nev+ev]
 			}
-			tb := d.boff[v] + ed.To
+			tb := off + ed.To
 			if sc.addMask(tb, m2) {
 				sc.pstack = append(sc.pstack, tb)
 			}
@@ -595,12 +580,10 @@ func (d *deriver) expandState(sc *scratch, si int, out []phiResult) {
 	}
 	d.table.get(int32(si)).forEach(func(p int32) {
 		a := p % numA
-		pb := p / numA
-		v := d.variantOf(pb)
-		ext, _ := d.rowsPacked(v, pb)
+		ext, _, off := d.rowsPacked(p / numA)
 		for _, ed := range ext {
 			if ii := d.intlIndex[ed.Ev]; ii >= 0 {
-				sc.seeds[ii] = append(sc.seeds[ii], (d.boff[v]+ed.To)*numA+a)
+				sc.seeds[ii] = append(sc.seeds[ii], (off+ed.To)*numA+a)
 			}
 		}
 	})
@@ -650,11 +633,10 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 		if curMask == 0 {
 			return
 		}
-		v := d.variantOf(curPb)
-		ext, _ := d.rowsPacked(v, curPb)
+		ext, _, off := d.rowsPacked(curPb)
 		for _, ed := range ext {
 			if ii := d.intlIndex[ed.Ev]; ii >= 0 {
-				sc.pushSeed(ii, d.boff[v]+ed.To, curMask)
+				sc.pushSeed(ii, off+ed.To, curMask)
 			}
 		}
 	}

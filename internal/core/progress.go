@@ -174,18 +174,11 @@ func (d *deriver) initProgTables() error {
 		return fmt.Errorf("quotient: progress phase: %w", err)
 	}
 	pt := &progTables{accIx: accIx, readyIx: readyIx, words: readyIx.Words()}
-	if d.lazy != nil {
-		// The safety phase is done exploring: the packed-b domain is
-		// whatever it discovered. Only expanded states have rows (and only
-		// they can appear in pair sets); the rest keep zero masks that are
-		// never consulted.
-		_, discovered, _ := d.lazy.ExpansionStats()
-		pt.totalB = int32(discovered)
-	} else {
-		for v := range d.bs {
-			pt.totalB += d.numBs[v]
-		}
-	}
+	// The safety phase is done exploring: the packed-b domain is whatever it
+	// discovered. Only expanded states have rows (and only they can appear in
+	// pair sets); a demand-driven environment's frontier-only states keep
+	// zero masks that are never consulted.
+	pt.totalB = int32(d.packedStates())
 	pt.bready = make([]uint64, int(pt.totalB)*pt.words)
 	// bitOf is the vectorized ReadyIndex rebuild table: the mask bit of
 	// every Σ_B event id, resolved through the index's map exactly once
@@ -203,15 +196,12 @@ func (d *deriver) initProgTables() error {
 		bitOf[ei] = int32(pos)
 	}
 	// rowsAt returns pb's environment rows and its variant's packed-b
-	// offset. A lazy frontier-only state has no rows: a zero mask and no
-	// edges, never consulted.
+	// offset. A frontier-only state has no rows: a zero mask and no edges,
+	// never consulted.
 	rowsAt := func(pb int32) ([]bedge, []int32, int32) {
-		if d.lazy != nil {
-			ext, intl, _ := d.lazy.PeekRows(spec.State(pb))
-			return ext, intl, 0
-		}
 		v := d.variantOf(pb)
-		return d.bext[v][pb-d.boff[v]], d.bintl[v][pb-d.boff[v]], d.boff[v]
+		ext, intl, _ := d.envs[v].PeekRows(spec.State(pb - d.boff[v]))
+		return ext, intl, d.boff[v]
 	}
 	// Two passes compile the edge table at its exact size: the first fills
 	// the base masks and counts each pb's edges into the offsets, the second

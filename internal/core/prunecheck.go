@@ -189,7 +189,7 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 			return nil, fmt.Errorf("quotient: %s‖%s has %d external events, Σ_A has %d",
 				b.Name(), c.Name(), external, pc.nExt)
 		}
-		v := pc.explore(int32(b.Init()), newEnvRows(b), bKind, cKind)
+		v := pc.explore(asDemand(b), bKind, cKind)
 		most = max(most, len(v.pc))
 		pc.vars = append(pc.vars, v)
 	}
@@ -206,7 +206,7 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 // records their edges, following compose.Pair: moves of either side on
 // unshared events interleave (external events stay external, internal moves
 // stay internal) and shared events synchronize into internal moves.
-func (pc *pruneChecker) explore(init int32, rows envRows, bKind, cKind []int32) pruneVariant {
+func (pc *pruneChecker) explore(env demandEnvironment, bKind, cKind []int32) pruneVariant {
 	v := pruneVariant{intOff: []int32{0}, extOff: []int32{0}}
 	var pairs pairTable
 	var pb []int32
@@ -218,17 +218,17 @@ func (pc *pruneChecker) explore(init int32, rows envRows, bKind, cKind []int32) 
 		}
 		return id
 	}
-	intern(init, pc.cInit)
+	intern(int32(env.Init()), pc.cInit)
 	for x := 0; x < len(pb); x++ {
 		b, c := pb[x], v.pc[x]
-		bext, bintl := rows.rows(b)
-		for _, t := range bintl {
+		ext, ints := env.Rows(spec.State(b))
+		for _, t := range ints {
 			v.intTo, v.intUse = append(v.intTo, intern(t, c)), append(v.intUse, -1)
 		}
 		for _, t := range pc.cIntl[c] {
 			v.intTo, v.intUse = append(v.intTo, intern(b, t)), append(v.intUse, -1)
 		}
-		for _, ed := range bext {
+		for _, ed := range ext {
 			k := bKind[ed.Ev]
 			if k >= 0 {
 				v.ext, v.extUse = append(v.ext, bedge{Ev: k, To: intern(ed.To, c)}), append(v.extUse, -1)
@@ -416,34 +416,6 @@ func (pc *pruneChecker) closeTau(v *pruneVariant, root int32) int32 {
 		}
 	}
 	return pc.comp[root]
-}
-
-// envRows serves one variant's edge rows with events as ids into its
-// alphabet: straight from a demand-driven environment, which expands states
-// as the checker first reaches them, or from an eager one's compiled rows.
-type envRows struct {
-	lazy demandEnvironment
-	ext  [][]bedge
-	intl [][]int32
-}
-
-func newEnvRows(b Environment) envRows {
-	if de, ok := b.(demandEnvironment); ok {
-		return envRows{lazy: de}
-	}
-	eid := make(map[spec.Event]int32, len(b.Alphabet()))
-	for i, e := range b.Alphabet() {
-		eid[e] = int32(i)
-	}
-	ext, intl := compileRows(b, eid)
-	return envRows{ext: ext, intl: intl}
-}
-
-func (r *envRows) rows(b int32) ([]bedge, []int32) {
-	if r.lazy != nil {
-		return r.lazy.Rows(spec.State(b))
-	}
-	return r.ext[b], r.intl[b]
 }
 
 // pairTable interns 64-bit keys to dense ids by open addressing. A slot

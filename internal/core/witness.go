@@ -67,11 +67,9 @@ func (d *deriver) safetyWitness(seeds []int32) []spec.Event {
 	for head := 0; head < len(nodes); head++ {
 		p := nodes[head].pair
 		a := p % numA
-		pb := p / numA
-		v := d.variantOf(pb)
-		ext, ints := d.rowsPacked(v, pb)
+		ext, ints, off := d.rowsPacked(p / numA)
 		for _, t := range ints {
-			push((d.boff[v]+t)*numA+a, int32(head), -1)
+			push((off+t)*numA+a, int32(head), -1)
 		}
 		arow := int(a) * d.nev
 		for _, ed := range ext {
@@ -82,7 +80,7 @@ func (d *deriver) safetyWitness(seeds []int32) []spec.Event {
 			if a2 < 0 {
 				return append(d.traceTo(nodes, int32(head)), d.events[ed.Ev])
 			}
-			push((d.boff[v]+ed.To)*numA+a2, int32(head), ed.Ev)
+			push((off+ed.To)*numA+a2, int32(head), ed.Ev)
 		}
 	}
 	return nil
@@ -141,11 +139,9 @@ func (d *deriver) progressWitness(target int32) []spec.Event {
 			return d.traceTo(nodes, int32(head))
 		}
 		a := p % numA
-		pb := p / numA
-		v := d.variantOf(pb)
-		ext, ints := d.rowsPacked(v, pb)
+		ext, ints, off := d.rowsPacked(p / numA)
 		for _, t := range ints {
-			push((d.boff[v]+t)*numA+a, int32(head), -1)
+			push((off+t)*numA+a, int32(head), -1)
 		}
 		arow := int(a) * d.nev
 		for _, ed := range ext {
@@ -156,7 +152,7 @@ func (d *deriver) progressWitness(target int32) []spec.Event {
 			if a2 < 0 {
 				continue // cannot happen after a passed safety phase
 			}
-			push((d.boff[v]+ed.To)*numA+a2, int32(head), ed.Ev)
+			push((off+ed.To)*numA+a2, int32(head), ed.Ev)
 		}
 	}
 	return nil

@@ -242,18 +242,36 @@ func (c *Cache) diskGet(key string) (*api.Artifact, bool) {
 		return nil, false
 	}
 	var e api.Artifact
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key {
+	err = json.Unmarshal(data, &e)
+	var tableErr error
+	if err == nil {
+		tableErr, err = checkArtifact(&e, key)
+	}
+	if err != nil {
 		c.diskErrors.Add(1)
 		c.logf("cache: corrupt entry %s: %v", p, err)
 		return nil, false
 	}
-	// The compiled-table class is validated independently: a corrupt table
-	// is a miss for that class only, never for the artifact — drop it and
-	// rebuild from the converter, which remains the source of truth.
+	if tableErr != nil {
+		c.diskErrors.Add(1)
+		c.logf("cache: corrupt table in %s: %v (dropping that artifact class)", p, tableErr)
+	}
+	return &e, true
+}
+
+// checkArtifact vets an artifact that comes from outside this node's memory
+// — the disk store or a peer — before it is cached or served. One filed
+// under a key other than key is rejected (err). The compiled-table class is
+// validated independently: a table that does not decode is a miss for that
+// class only, never for the artifact, so it is dropped (tableErr says why)
+// and, like a missing one, rebuilt from the converter, which remains the
+// source of truth.
+func checkArtifact(e *api.Artifact, key string) (tableErr, err error) {
+	if e.Key != key {
+		return nil, fmt.Errorf("artifact filed under key %s, want %s", shortKey(e.Key), shortKey(key))
+	}
 	if e.Table != "" {
-		if _, err := convrt.Decode([]byte(e.Table)); err != nil {
-			c.diskErrors.Add(1)
-			c.logf("cache: corrupt table in %s: %v (dropping that artifact class)", p, err)
+		if _, tableErr = convrt.Decode([]byte(e.Table)); tableErr != nil {
 			e.Table = ""
 		}
 	}
@@ -264,7 +282,7 @@ func (c *Cache) diskGet(key string) (*api.Artifact, bool) {
 			}
 		}
 	}
-	return &e, true
+	return tableErr, nil
 }
 
 // diskPut writes the envelope and the converter artifacts. Each file is

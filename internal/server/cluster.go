@@ -96,11 +96,9 @@ func (s *Server) tryPeerFill(ctx context.Context, cr *compiledRequest, req *api.
 		fill, err := cs.client.PeerFill(ctx, owner, req)
 		if err == nil {
 			s.met.peerFills.Add(1)
-			if fill.Artifact.Key != cr.key {
+			if !s.admitPeerArtifact(fill.Artifact, cr.key, owner) {
 				// A peer answering for the wrong key would poison the cache;
 				// treat it as unavailable and derive locally.
-				s.logf("quotd: peer %s answered key %s for %s; ignoring", owner,
-					shortKey(fill.Artifact.Key), shortKey(cr.key))
 				break
 			}
 			if hot {
@@ -125,6 +123,21 @@ func (s *Server) tryPeerFill(ctx context.Context, cr *compiledRequest, req *api.
 		s.met.peerUnavailable.Add(1)
 	}
 	return nil, ""
+}
+
+// admitPeerArtifact applies the disk store's checks (checkArtifact) to an
+// artifact peer sent for key, logging what it rejects or repairs, and
+// reports whether the artifact may be cached and served.
+func (s *Server) admitPeerArtifact(e *api.Artifact, key, peer string) bool {
+	tableErr, err := checkArtifact(e, key)
+	if err != nil {
+		s.logf("quotd: peer %s: %v; ignoring", peer, err)
+		return false
+	}
+	if tableErr != nil {
+		s.logf("quotd: peer %s sent a corrupt table for %s: %v (rebuilt)", peer, shortKey(key), tableErr)
+	}
+	return true
 }
 
 // handlePeerFill is POST /v1/peer/artifact: another shard asks this node —
@@ -183,8 +196,9 @@ func (s *Server) handlePeerKeys(w http.ResponseWriter, r *http.Request) {
 // this node's cache — the warm-start substrate for a fresh or rejoining
 // shard (the disk store, when configured, plays the same role across
 // restarts of one node). Returns how many artifacts were loaded; individual
-// fetch failures are logged and skipped, because a partial warm start is
-// strictly better than none.
+// fetch failures, and artifacts that fail the disk store's checks
+// (checkArtifact), are logged and skipped, because a partial warm start is
+// strictly better than none. A corrupt table is rebuilt, not skipped.
 func (s *Server) PreloadFromPeer(ctx context.Context, addr string) (int, error) {
 	c := api.NewClient(addr)
 	keys, err := c.PeerKeys(ctx, addr)
@@ -196,6 +210,9 @@ func (s *Server) PreloadFromPeer(ctx context.Context, addr string) (int, error) 
 		e, err := c.PeerArtifact(ctx, addr, key)
 		if err != nil {
 			s.logf("quotd: preload %s from %s: %v", shortKey(key), addr, err)
+			continue
+		}
+		if !s.admitPeerArtifact(e, key, addr) {
 			continue
 		}
 		s.cache.Put(e)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"protoquot/internal/api"
 	"protoquot/internal/cluster"
 )
 
@@ -230,5 +231,61 @@ func TestPreloadFromPeerWarmStart(t *testing.T) {
 	}
 	if st := fresh.statsSnapshot(); st.Derives != 0 {
 		t.Errorf("preloaded node ran the engine %d times, want 0", st.Derives)
+	}
+}
+
+// TestPreloadChecksPeerArtifacts serves a warm start from a peer that lies:
+// one artifact comes back filed under a key other than the one asked for,
+// and one carries a corrupt compiled table. The preload must skip the
+// first — caching it would poison another key — and load the second with
+// its table rebuilt from the converter, as the disk store does.
+func TestPreloadChecksPeerArtifacts(t *testing.T) {
+	origin, originTS := newTestServer(t, Config{})
+	out, code := postDerive(t, originTS.URL, simpleRequest())
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	good, ok := origin.cache.Get(out.Key)
+	if !ok || good.Table == "" {
+		t.Fatalf("origin has no artifact with a table for %s", out.Key)
+	}
+	askedKey, poisonKey := strings.Repeat("a", 64), strings.Repeat("b", 64)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/peer/keys":
+			writeJSON(w, http.StatusOK, &api.PeerKeysResponse{Keys: []string{askedKey, out.Key}})
+		case "/v1/peer/artifact/" + askedKey:
+			lie := *good
+			lie.Key = poisonKey
+			writeJSON(w, http.StatusOK, &lie)
+		case "/v1/peer/artifact/" + out.Key:
+			corrupt := *good
+			corrupt.Table = "convrt-table/v1\nnot a table"
+			writeJSON(w, http.StatusOK, &corrupt)
+		default:
+			writeJSON(w, http.StatusNotFound, &api.Error{Code: api.ErrCodeNotFound, Message: r.URL.Path})
+		}
+	}))
+	defer peer.Close()
+
+	fresh, _ := newTestServer(t, Config{})
+	n, err := fresh.PreloadFromPeer(context.Background(), strings.TrimPrefix(peer.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 1 {
+		t.Errorf("preloaded %d artifacts, want 1", n)
+	}
+	for _, k := range []string{askedKey, poisonKey} {
+		if _, ok := fresh.cache.Get(k); ok {
+			t.Errorf("the misfiled artifact was cached under %s", k)
+		}
+	}
+	got, ok := fresh.cache.Get(out.Key)
+	if !ok {
+		t.Fatal("the artifact with a corrupt table was not loaded")
+	}
+	if got.Table != good.Table || got.Converter != good.Converter {
+		t.Error("the loaded artifact's table was not rebuilt to the origin's bytes")
 	}
 }
