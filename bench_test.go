@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	goruntime "runtime"
+	"syscall"
 	"testing"
 	"time"
 
@@ -689,11 +690,70 @@ func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 	benchFamilyLazyEngine(b, specgen.Ring(6))
 }
 
-// chain(9), a 1,048,576-state composite environment, is the frontier row
-// EXPERIMENTS.md reports. Its name keeps it out of `make benchsmoke`; run
-// it with `go test -run '^$' -bench FrontierChain9 -benchtime 1x .`.
-func BenchmarkFrontierChain9(b *testing.B) {
-	benchFamilyLazyEngine(b, specgen.Chain(9))
+// The frontier rows EXPERIMENTS.md reports: chaindrop(8), the derive-deep
+// family (393,216 composite states), chain(9) (1,048,576) and chain(10)
+// (4,194,304). Their names keep them out of `make benchsmoke`; run one with
+// `go test -run '^$' -bench FrontierChain10 -benchtime 1x .`.
+func BenchmarkFrontierChainDrop8(b *testing.B) { benchFrontier(b, specgen.ChainDrop(8)) }
+func BenchmarkFrontierChain9(b *testing.B)     { benchFrontier(b, specgen.Chain(9)) }
+func BenchmarkFrontierChain10(b *testing.B)    { benchFrontier(b, specgen.Chain(10)) }
+
+// benchFrontier derives f over its lazy composition once per iteration.
+// Beside the last derivation's expansion time and phase walls, it reports
+// what that derivation allocated (derive-MiB), the process's peak RSS so
+// far (peak-RSS-MiB), and, from Metrics, the bytes per discovered composite
+// state of each structure: row records, row arenas, state identity (keys
+// and intern index), pair sets and the progress store.
+func benchFrontier(b *testing.B, f specgen.Family) {
+	var m core.Metrics
+	var alloc uint64
+	for i := 0; i < b.N; i++ {
+		var before, after goruntime.MemStats
+		goruntime.GC()
+		goruntime.ReadMemStats(&before)
+		env, err := compose.LazyMany(f.Components...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		goruntime.ReadMemStats(&after)
+		alloc = after.TotalAlloc - before.TotalAlloc
+		m = res.Stats.Metrics
+	}
+	b.ReportMetric(float64(m.EnvExpansionNs)/1e6, "expand-ms")
+	b.ReportMetric(float64(m.SafetyWall.Nanoseconds())/1e6, "safety-ms")
+	b.ReportMetric(float64(m.ProgressWall.Nanoseconds())/1e6, "progress-ms")
+	b.ReportMetric(float64(alloc)/(1<<20), "derive-MiB")
+	b.ReportMetric(peakRSSMiB(), "peak-RSS-MiB")
+	states := float64(m.EnvStatesTotal)
+	for _, st := range []struct {
+		name  string
+		bytes int64
+	}{
+		{"records", m.RowRecordBytes},
+		{"arenas", m.ArenaBytes},
+		{"intern", m.InternBytes},
+		{"pairs", m.PairArenaBytes},
+		{"progress", m.ProgressBytes},
+	} {
+		b.ReportMetric(float64(st.bytes)/states, st.name+"-B/state")
+	}
+}
+
+// peakRSSMiB returns this process's peak resident set size so far, from
+// getrusage.
+func peakRSSMiB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	if goruntime.GOOS == "darwin" {
+		return float64(ru.Maxrss) / (1 << 20) // bytes
+	}
+	return float64(ru.Maxrss) / (1 << 10) // KiB
 }
 
 // The allocation-regression smokes: a demand-driven derivation must stay
@@ -701,14 +761,14 @@ func BenchmarkFrontierChain9(b *testing.B) {
 // it was set, so ordinary drift passes and a lost arena-reuse or
 // growth-policy regression — the class of bug that once cost +190 MB on
 // chain(9) — fails the benchsmoke gate instead of landing silently.
-// chain(7) (30.5 MiB measured, pinned at 46 MiB) has nine huge converter
-// states; ring(5) (75.3 MiB measured; its 110 MiB pin, ~1.46×, was set
+// chain(7) (23.5 MiB measured, pinned at 35 MiB) has nine huge converter
+// states; ring(5) (74.0 MiB measured; its 110 MiB pin, ~1.49×, was set
 // when it cost ~84 MiB and is only ever tightened) has 5,152 small ones, so
 // between them they cover both shapes of progress sweep, and ring(5) also
 // emits a 5,152-state converter. Each run reports its cost as derive-MiB.
 
 func BenchmarkDeriveAllocBudgetChain7(b *testing.B) {
-	benchAllocBudget(b, specgen.Chain(7), 46<<20)
+	benchAllocBudget(b, specgen.Chain(7), 35<<20)
 }
 
 func BenchmarkDeriveAllocBudgetRing5(b *testing.B) {
@@ -756,16 +816,16 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 // return of fixed-size scratch fails here.
 func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 	// Measured when set (bytes): parse 7,664 (ring(2) 11,184); derive
-	// 146k / 229k / 183k / 354k / 263k; prune 91k / 364k / 91k / 364k / 87k.
+	// 93k / 163k / 128k / 263k / 205k; prune 91k / 364k / 91k / 364k / 87k.
 	budgets := []struct {
 		family               string
 		parse, derive, prune uint64 // KiB
 	}{
-		{"chain(2)", 12, 220, 140},
-		{"chain(3)", 12, 345, 550},
-		{"chaindrop(2)", 12, 275, 140},
-		{"chaindrop(3)", 12, 530, 550},
-		{"ring(2)", 17, 395, 130},
+		{"chain(2)", 12, 137, 140},
+		{"chain(3)", 12, 240, 550},
+		{"chaindrop(2)", 12, 187, 140},
+		{"chaindrop(3)", 12, 386, 550},
+		{"ring(2)", 17, 301, 130},
 	}
 	for _, bud := range budgets {
 		f, err := specgen.ParseFamily(bud.family)

@@ -352,8 +352,12 @@ func printStats(w io.Writer, s core.Stats) {
 		fmt.Fprintf(w, ", %s pair arenas", fmtBytes(m.PairArenaBytes))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "progress memo:  %d ready-set rebuilds, %d τ-closure cache hits, %d invalidated\n",
+	fmt.Fprintf(w, "progress memo:  %d ready-set rebuilds, %d τ-closure cache hits, %d invalidated",
 		m.ReadySetRebuilds, m.TauCacheHits, m.TauInvalidated)
+	if m.ProgressBytes > 0 {
+		fmt.Fprintf(w, ", %s store", fmtBytes(m.ProgressBytes))
+	}
+	fmt.Fprintln(w)
 	if m.EnvStatesTotal > 0 {
 		fmt.Fprintf(w, "environment:    %d of %d states expanded", m.EnvStatesExpanded, m.EnvStatesTotal)
 		if m.EnvExpansionNs > 0 {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -251,6 +252,9 @@ func TestRunProfilesAndStatsCounters(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "progress memo:") {
 		t.Errorf("stats output missing progress-memo counters: %s", errb.String())
+	}
+	if !regexp.MustCompile(`progress memo:.*, [0-9.]+(G|M|K)?i?B store\n`).MatchString(errb.String()) {
+		t.Errorf("progress-memo line missing the store size: %s", errb.String())
 	}
 	for _, p := range []string{cpu, mem} {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {

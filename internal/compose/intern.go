@@ -186,6 +186,17 @@ func (ti *stateIntern) internKey(key uint64) (id int32, isNew bool) {
 	}
 }
 
+// bytes is the intern's reserved storage: the per-state keys or tuples and
+// the index over them (the string tier's map is not counted).
+func (ti *stateIntern) bytes() int64 {
+	n := 8*int64(cap(ti.keys)) + 4*int64(cap(ti.slots)) + 4*int64(cap(ti.tuples)) +
+		24*int64(cap(ti.pages))
+	for _, pg := range ti.pages {
+		n += 4 * int64(cap(pg))
+	}
+	return n
+}
+
 // rehash rebuilds the hashed tier's table at n slots (a power of two) from
 // the key array.
 func (ti *stateIntern) rehash(n int) {

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"protoquot/internal/spec"
 )
@@ -39,20 +40,23 @@ type Edge struct {
 	To int32
 }
 
-// Rows are stored in fixed-location pages so a published row pointer never
+// Rows are stored in fixed-location pages so a published record never
 // moves when the directory grows.
 const (
 	lazyPageShift = 10
 	lazyPageSize  = 1 << lazyPageShift
 )
 
+// lazyRow is one state's row record, 16 bytes: the arena refs of its
+// external edges and internal successors and their lengths. nIntl holds the
+// internal count plus one and publishes the record: it is stored (with
+// release semantics) only after the other fields and the arena contents are
+// written, so any reader that loads a nonzero nIntl sees the completed row
+// without taking the expansion lock. Zero means not yet expanded.
 type lazyRow struct {
-	ext  []Edge
-	intl []int32
-	// done publishes the row: it is stored (with release semantics) only
-	// after ext and intl are written, so any reader observing done=true
-	// sees the completed row without taking the expansion lock.
-	done atomic.Bool
+	ext, intl uint32
+	nExt      uint32
+	nIntl     atomic.Uint32
 }
 
 type lazyPage [lazyPageSize]lazyRow
@@ -72,9 +76,9 @@ type Lazy struct {
 
 	eventSet map[spec.Event]struct{}
 
-	// dir is the grow-only page directory: the slice of page pointers is
-	// cloned on append (under mu) and swapped in atomically, so readers
-	// never see a partially grown directory.
+	// dir is the grow-only page directory: a page is appended (under mu)
+	// and the grown header swapped in atomically, so readers never see a
+	// partially grown directory.
 	dir atomic.Pointer[[]*lazyPage]
 
 	expanded   atomic.Int64
@@ -136,6 +140,7 @@ func lazyMany(components []*spec.Spec, tier internTier) (*Lazy, error) {
 	}
 	empty := []*lazyPage{}
 	x.dir.Store(&empty)
+	x.arena.init()
 	initTuple := make([]int32, x.k)
 	for ci, c := range components {
 		initTuple[ci] = int32(c.Init())
@@ -169,14 +174,8 @@ func foldName(components []*spec.Spec) string {
 // it allocates the state's row slot and publishes the discovered count.
 // Caller holds mu.
 func (x *Lazy) discoveredLocked(id int32) {
-	cur := *x.dir.Load()
-	if need := (int(id) >> lazyPageShift) + 1; need > len(cur) {
-		grown := make([]*lazyPage, need)
-		copy(grown, cur)
-		for i := len(cur); i < need; i++ {
-			grown[i] = new(lazyPage)
-		}
-		x.dir.Store(&grown)
+	for int(id)>>lazyPageShift >= len(*x.dir.Load()) {
+		publish(&x.dir, new(lazyPage))
 	}
 	x.discovered.Store(int64(id) + 1)
 }
@@ -218,8 +217,8 @@ func (x *Lazy) row(st int32) *lazyRow {
 // on first demand. The caller must not modify the returned slices.
 func (x *Lazy) Rows(st spec.State) ([]Edge, []int32) {
 	r := x.row(int32(st))
-	if r.done.Load() {
-		return r.ext, r.intl
+	if n := r.nIntl.Load(); n != 0 {
+		return x.rowSlices(r, n-1)
 	}
 	return x.expand(int32(st))
 }
@@ -228,18 +227,25 @@ func (x *Lazy) Rows(st spec.State) ([]Edge, []int32) {
 // already been expanded, and (nil, nil, false) otherwise.
 func (x *Lazy) PeekRows(st spec.State) ([]Edge, []int32, bool) {
 	r := x.row(int32(st))
-	if r.done.Load() {
-		return r.ext, r.intl, true
+	if n := r.nIntl.Load(); n != 0 {
+		ext, intl := x.rowSlices(r, n-1)
+		return ext, intl, true
 	}
 	return nil, nil, false
+}
+
+// rowSlices resolves a published record with nIntl internal successors to
+// its arena slices.
+func (x *Lazy) rowSlices(r *lazyRow, nIntl uint32) ([]Edge, []int32) {
+	return x.arena.edges.get(r.ext, r.nExt), x.arena.ints.get(r.intl, nIntl)
 }
 
 func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	r := x.row(st)
-	if r.done.Load() {
-		return r.ext, r.intl
+	if n := r.nIntl.Load(); n != 0 {
+		return x.rowSlices(r, n-1)
 	}
 	start := time.Now()
 	tuple := x.tuple
@@ -282,26 +288,20 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	ext = dedupeEdges(ext)
 	slices.Sort(intl)
 	intl = dedupeInt32s(intl)
-	// Publish arena-backed sub-slices; the staging buffers (and their
-	// grown capacity) are reused by the next expansion, so they must never
-	// leak to a caller. Arena chunks never move, so the published headers
-	// stay valid for the Lazy's lifetime without per-row allocations.
-	if len(ext) > 0 {
-		r.ext = x.arena.allocEdges(len(ext))
-		copy(r.ext, ext)
-	}
-	if len(intl) > 0 {
-		r.intl = x.arena.allocInts(len(intl))
-		copy(r.intl, intl)
-	}
+	// Copy into the arena and publish the refs; the staging buffers (and
+	// their grown capacity) are reused by the next expansion, so they must
+	// never leak to a caller. Arena chunks never move, so a published row
+	// resolves to the same slices for the Lazy's lifetime.
+	r.ext, r.intl = x.arena.place(ext, intl)
+	r.nExt = uint32(len(ext))
 	x.extBuf, x.intlBuf = ext[:0], intl[:0]
 	if rb := int64(len(ext))*8 + int64(len(intl))*4; rb > x.peakRow {
 		x.peakRow = rb
 	}
-	r.done.Store(true) // publish: must follow the ext/intl writes
+	r.nIntl.Store(uint32(len(intl)) + 1) // publish: must follow every write above
 	x.expanded.Add(1)
 	x.expandNs.Add(time.Since(start).Nanoseconds())
-	return r.ext, r.intl
+	return x.rowSlices(r, uint32(len(intl)))
 }
 
 func dedupeEdges(edges []Edge) []Edge {
@@ -337,14 +337,25 @@ func (x *Lazy) ExpansionStats() (expanded, discovered int, ns int64) {
 	return int(x.expanded.Load()), int(x.discovered.Load()), x.expandNs.Load()
 }
 
-// MemStats reports the row-storage footprint: total bytes reserved by the
-// row arenas and the size in bytes of the largest single published row
-// (ext edges at 8 bytes each plus internal successors at 4). The deriver
-// surfaces both through core.Metrics.
-func (x *Lazy) MemStats() (arenaBytes, peakRowBytes int64) {
+// MemStats is a demand-driven composite's storage footprint, in bytes.
+type MemStats struct {
+	Arena   int64 // reserved by the row arenas
+	Records int64 // the row-record pages
+	Intern  int64 // state identity: the key array and the intern index
+	PeakRow int64 // the largest single published row: 8 per edge, 4 per successor
+}
+
+// MemStats reports the composite's storage footprint. The deriver surfaces
+// it through core.Metrics.
+func (x *Lazy) MemStats() MemStats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.arena.bytes, x.peakRow
+	return MemStats{
+		Arena:   x.arena.bytes(),
+		Records: int64(len(*x.dir.Load())) * int64(unsafe.Sizeof(lazyPage{})),
+		Intern:  x.ti.bytes(),
+		PeakRow: x.peakRow,
+	}
 }
 
 // Name returns the composite name, matching what Many would produce.

@@ -6,7 +6,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"protoquot/internal/spec"
 )
@@ -342,51 +344,124 @@ func TestLazyPeekRowsDoesNotExpand(t *testing.T) {
 	}
 }
 
-// TestLazyConcurrentRows hammers concurrent first-demand expansion: many
-// goroutines racing to expand overlapping frontiers must agree on every row
-// (the race detector checks the publication protocol).
+// TestLazyConcurrentRows hammers concurrent first-demand expansion on every
+// intern tier. Expanders race to expand random states through Rows and
+// must see every published row resolve to the same slices; peekers read
+// rows through PeekRows alone, so they never take the expansion lock and
+// only the publication protocol orders their reads after the writes (the
+// race detector checks it). The system has 32,802 states, so the row-page
+// directory grows to 33 pages, and its rows fill several arena chunks while
+// readers resolve refs through both chunk directories. The initial state
+// has more internal successors than an arena chunk holds, so its row takes
+// the dedicated-chunk path.
 func TestLazyConcurrentRows(t *testing.T) {
-	comps := []*spec.Spec{}
-	prev := ""
-	for i := 0; i < 5; i++ {
-		name := fmt.Sprintf("n%d", i)
-		b := spec.NewBuilder(name)
-		b.Init("u").Ext("u", spec.Event("go"+name), "v").Int("v", "u")
-		if prev != "" {
-			b.Ext("u", spec.Event("l"+prev), "v")
-		}
-		if i < 4 {
-			b.Ext("v", spec.Event("l"+name), "u")
-		}
-		prev = name
-		comps = append(comps, b.MustBuild())
+	const fanout = arenaChunk + 16
+	fan := spec.NewBuilder("fan").Init("u")
+	for i := 0; i < fanout; i++ {
+		v := fmt.Sprintf("v%d", i)
+		fan.Int("u", v).Ext(v, "back", "u")
 	}
-	lz := MustLazyMany(comps...)
+	tog := spec.NewBuilder("tog").Init("p").Ext("p", "flip", "q").Ext("q", "flip", "p")
+	comps := []*spec.Spec{fan.MustBuild(), tog.MustBuild()}
 	ref, err := Many(comps...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 200; i++ {
-				n := lz.NumStates()
-				st := spec.State(rng.Intn(n))
-				ext, intl := lz.Rows(st)
-				// Re-read: published rows must be identical slices.
-				ext2, intl2 := lz.Rows(st)
-				if len(ext) != len(ext2) || len(intl) != len(intl2) {
-					t.Errorf("row of %d changed between reads", st)
-					return
-				}
+	want := namedListing(ref)
+	if ref.NumStates() <= 2*lazyPageSize {
+		t.Fatalf("%d states fill fewer than three row pages", ref.NumStates())
+	}
+	for _, tc := range allTiers {
+		t.Run(tc.name, func(t *testing.T) {
+			lz, err := lazyMany(comps, tc.tier)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(int64(g))
+			var expanders, peekers sync.WaitGroup
+			var done atomic.Bool
+			for g := 0; g < 4; g++ {
+				expanders.Add(1)
+				go func(seed int64) {
+					defer expanders.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < 3000; i++ {
+						st := spec.State(rng.Intn(lz.NumStates()))
+						ext, intl := lz.Rows(st)
+						// Re-read: a published row resolves to the same slices.
+						ext2, intl2 := lz.Rows(st)
+						if !sameBacking(ext, ext2) || !sameBacking(intl, intl2) {
+							t.Errorf("row of %d changed between reads", st)
+							return
+						}
+					}
+				}(int64(g))
+				peekers.Add(1)
+				go func(seed int64) {
+					defer peekers.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for !done.Load() {
+						n := lz.NumStates()
+						ext, intl, ok := lz.PeekRows(spec.State(rng.Intn(n)))
+						if !ok {
+							continue
+						}
+						for _, ed := range ext {
+							if ed.To < 0 || int(ed.To) >= lz.NumStates() {
+								t.Errorf("published edge to %d of %d states", ed.To, n)
+								return
+							}
+						}
+						for _, to := range intl {
+							if to < 0 || int(to) >= lz.NumStates() {
+								t.Errorf("published successor %d of %d states", to, n)
+								return
+							}
+						}
+					}
+				}(int64(100 + g))
+			}
+			expanders.Wait()
+			done.Store(true)
+			peekers.Wait()
+			_, intl := lz.Rows(lz.Init())
+			if len(intl) != fanout || cap(intl) != fanout {
+				t.Errorf("initial row: %d internal successors (cap %d), want %d", len(intl), cap(intl), fanout)
+			}
+			if n := len(*lz.arena.edges.dir.Load()) + len(*lz.arena.ints.dir.Load()); n < 4 {
+				t.Errorf("rows span %d arena chunks, want several", n)
+			}
+			if got := namedListing(lz); got != want {
+				t.Fatalf("lazy product after concurrent hammering differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+			}
+		})
 	}
-	wg.Wait()
-	if got, want := namedListing(lz), namedListing(ref); got != want {
-		t.Fatalf("lazy product after concurrent hammering differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+}
+
+// sameBacking reports whether two row slices are the same slice: equal
+// length over the same first element.
+func sameBacking[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// TestLazyRowRecordIs16Bytes pins the row record's size: two arena refs and
+// two lengths, one of which publishes the record.
+func TestLazyRowRecordIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(lazyRow{}); got != 16 {
+		t.Fatalf("lazyRow is %d bytes, want 16", got)
 	}
+}
+
+// TestArenaChunkLimitPanics fills a chunk directory to the most chunks a
+// ref can name: the next chunk must be refused, not given a ref that wraps
+// onto chunk 0.
+func TestArenaChunkLimitPanics(t *testing.T) {
+	var cs chunkStore[int32]
+	full := make([][]int32, maxChunks)
+	cs.dir.Store(&full)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "chunks") {
+			t.Fatalf("alloc past %d chunks: recovered %v, want a chunk-limit panic", maxChunks, r)
+		}
+	}()
+	cs.put([]int32{1})
 }

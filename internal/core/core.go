@@ -315,18 +315,12 @@ type deriver struct {
 	opts    Options
 	workers int
 
-	// Dense tables over Σ_B and the pair domain. A pair (v, a, b) is
-	// encoded pb-major as (boff[v]+b)*numA + a: packed-b-major order makes
-	// ascending pair order agree with the progress phase's combo tables,
-	// and leaves the domain open-ended in the last variant's b — a
-	// demand-driven environment, always the only variant, keeps discovering
-	// states while the derivation runs.
+	// Dense tables over Σ_B and the pair domain.
+	pairDomain
 	events    []spec.Event // Σ_B, sorted
 	isExt     []bool       // by event id: e ∈ Ext
 	intlIndex []int32      // by event id: position in intl, or -1
 	psi       []int32      // ψ-step table, numA×nev flat; -1 = not allowed
-	boff      []int32      // packed-b offset per variant: prefix sums of NumStates
-	numA      int
 	nev       int
 
 	// Mask-closure tables, built when useMask (numA ≤ 64): psiBit[a*nev+e]
@@ -340,14 +334,26 @@ type deriver struct {
 
 	nshards   int
 	table     *internTable
-	memo      *seedMemo
 	succArena *int32Arena
 	states    []cstate
 	alive     []bool // per converter state: not removed by the progress phase
 	met       *Metrics
-	prog      *progTables // progress-phase memo tables; nil until that phase
+	prog      *progTables // progress-phase memo tables; nil outside that phase
 
+	// The safety phase's working sets, nil once it ends (releaseSafety).
+	memo      *seedMemo
 	scratches []*scratch // persistent per-worker arenas
+}
+
+// pairDomain is the layout of the (variant, a, b) pair domain. A pair is
+// encoded pb-major as (boff[v]+b)*numA + a: packed-b-major order makes
+// ascending pair order agree with the progress phase's combo tables, and
+// leaves the domain open-ended in the last variant's b — a demand-driven
+// environment, always the only variant, keeps discovering states while the
+// derivation runs.
+type pairDomain struct {
+	boff []int32 // packed-b offset per variant: prefix sums of NumStates
+	numA int
 }
 
 // cState is a converter state under construction. Its pair set is
@@ -357,7 +363,8 @@ type cstate struct {
 	succ []int32 // by intl position; -1 = no transition; nil until expanded
 }
 
-func (d *deriver) stateName(i int32) string { return fmt.Sprintf("c%d", i) }
+// stateName is converter state i's name.
+func stateName(i int32) string { return fmt.Sprintf("c%d", i) }
 
 // Derive computes the quotient of A by B. A must be in normal form with
 // Σ_A ⊆ Σ_B; Int is inferred as Σ_B − Σ_A. On success the Result carries
@@ -600,25 +607,24 @@ func resolveInternShards(req, workers int) int {
 	return p
 }
 
-// encode maps a (variant, a, b) triple to its pair-domain index
-// (pb-major; see the deriver field comments).
-func (d *deriver) encode(v int, a, b int32) int32 {
-	return (d.boff[v]+b)*int32(d.numA) + a
+// encode maps a (variant, a, b) triple to its pair-domain index.
+func (pd pairDomain) encode(v int, a, b int32) int32 {
+	return (pd.boff[v]+b)*int32(pd.numA) + a
 }
 
 // decode is the inverse of encode.
-func (d *deriver) decode(p int32) (v int, a, b int32) {
-	numA := int32(d.numA)
+func (pd pairDomain) decode(p int32) (v int, a, b int32) {
+	numA := int32(pd.numA)
 	a = p % numA
 	pb := p / numA
-	v = d.variantOf(pb)
-	return v, a, pb - d.boff[v]
+	v = pd.variantOf(pb)
+	return v, a, pb - pd.boff[v]
 }
 
 // variantOf recovers the variant index from a packed-b id.
-func (d *deriver) variantOf(pb int32) int {
-	v := len(d.boff) - 1
-	for d.boff[v] > pb {
+func (pd pairDomain) variantOf(pb int32) int {
+	v := len(pd.boff) - 1
+	for pd.boff[v] > pb {
 		v--
 	}
 	return v
@@ -642,6 +648,7 @@ func (d *deriver) run() (*Result, error) {
 	d.met.SafetyWall = time.Since(t0)
 	d.fillSafetyMetrics()
 	d.fillEnvMetrics()
+	d.releaseSafety()
 	if err != nil {
 		if nq, ok := err.(*NoQuotientError); ok {
 			return res, nq
@@ -676,6 +683,7 @@ func (d *deriver) run() (*Result, error) {
 		t1 := time.Now()
 		err = d.progressPhase(res, alive)
 		d.met.ProgressWall = time.Since(t1)
+		d.prog = nil // emission reads only the states and alive
 		if err != nil {
 			if nq, ok := err.(*NoQuotientError); ok {
 				return res, nq
@@ -693,21 +701,30 @@ func (d *deriver) run() (*Result, error) {
 	res.Exists = true
 	res.Stats.FinalStates = c.NumStates()
 	res.Stats.FinalTransitions = c.NumExternalTransitions()
-	res.pairFn = func() map[string][][2]string {
-		out := make(map[string][][2]string, len(d.states))
-		for ci := range d.states {
+	res.pairFn = pairSetNamer(d.a, d.bs, d.pairDomain, d.table.byGID, alive)
+	d.fillEnvMetrics()
+	return res, nil
+}
+
+// pairSetNamer returns Result.PairSet's table builder. It captures only what
+// naming needs — the service, the variants, the pair layout and the live
+// states' pair sets — so a Result does not keep the deriver and its
+// progress store reachable.
+func pairSetNamer(a *spec.Spec, bs []Environment, pd pairDomain, sets []pairset, alive []bool) func() map[string][][2]string {
+	return func() map[string][][2]string {
+		out := make(map[string][][2]string, len(sets))
+		for ci, set := range sets {
 			if !alive[ci] {
 				continue
 			}
-			set := d.table.get(int32(ci))
 			pairs := make([][2]string, 0, set.count())
 			set.forEach(func(p int32) {
-				v, a, b := d.decode(p)
-				bName := d.bs[v].StateName(spec.State(b))
-				if len(d.bs) > 1 {
+				v, sa, sb := pd.decode(p)
+				bName := bs[v].StateName(spec.State(sb))
+				if len(bs) > 1 {
 					bName = fmt.Sprintf("%s@%d", bName, v)
 				}
-				pairs = append(pairs, [2]string{d.a.StateName(spec.State(a)), bName})
+				pairs = append(pairs, [2]string{a.StateName(spec.State(sa)), bName})
 			})
 			// Sort by name so the diagnostic is stable even when b-state
 			// ids are demand-order (scheduling-dependent under a parallel
@@ -718,12 +735,10 @@ func (d *deriver) run() (*Result, error) {
 				}
 				return pairs[i][1] < pairs[j][1]
 			})
-			out[d.stateName(int32(ci))] = pairs
+			out[stateName(int32(ci))] = pairs
 		}
 		return out
 	}
-	d.fillEnvMetrics()
-	return res, nil
 }
 
 // converterName is the name of the emitted converter spec.
@@ -812,7 +827,7 @@ func (d *deriver) emitConverter() (*spec.Spec, error) {
 	ext := make([][]spec.ExtEdge, len(final))
 	edges := make([]spec.ExtEdge, 0, nedges)
 	for i, ci := range final {
-		names[i] = d.stateName(ci)
+		names[i] = stateName(ci)
 		start := len(edges)
 		for ei, t := range d.states[ci].succ {
 			if t >= 0 && alive[t] {
@@ -851,6 +866,16 @@ func (d *deriver) fillSafetyMetrics() {
 	}
 }
 
+// releaseSafety drops the safety phase's working sets once
+// fillSafetyMetrics has read their counters: the per-worker scratches, the
+// seed memo and the intern table's hash index. The pair sets stay, in the
+// shard arenas byGID points into; the progress phase and PairSet read them.
+func (d *deriver) releaseSafety() {
+	d.scratches = nil
+	d.memo = nil
+	d.table.dropIndex()
+}
+
 // fillEnvMetrics records how much of the environment the derivation
 // touched, summed over the variants. A demand-driven environment reports
 // its reachable slice (expanded « total possible when the derivation is
@@ -860,16 +885,18 @@ func (d *deriver) fillSafetyMetrics() {
 func (d *deriver) fillEnvMetrics() {
 	m := d.met
 	m.EnvStatesExpanded, m.EnvStatesTotal, m.EnvExpansionNs = 0, 0, 0
-	m.ArenaBytes, m.PeakRowBytes = 0, 0
+	m.ArenaBytes, m.PeakRowBytes, m.RowRecordBytes, m.InternBytes = 0, 0, 0, 0
 	for _, e := range d.envs {
 		expanded, discovered, ns := e.ExpansionStats()
 		m.EnvStatesExpanded += expanded
 		m.EnvStatesTotal += discovered
 		m.EnvExpansionNs += ns
-		if ms, ok := e.(interface{ MemStats() (int64, int64) }); ok {
-			arena, peak := ms.MemStats()
-			m.ArenaBytes += arena
-			m.PeakRowBytes = max(m.PeakRowBytes, peak)
+		if ms, ok := e.(interface{ MemStats() compose.MemStats }); ok {
+			st := ms.MemStats()
+			m.ArenaBytes += st.Arena
+			m.PeakRowBytes = max(m.PeakRowBytes, st.PeakRow)
+			m.RowRecordBytes += st.Records
+			m.InternBytes += st.Intern
 		}
 	}
 }

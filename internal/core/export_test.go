@@ -209,16 +209,16 @@ func (d *deriver) referenceEmit() (*spec.Spec, error) {
 	for _, e := range d.intl {
 		bld.Event(e)
 	}
-	bld.Init(d.stateName(0))
+	bld.Init(stateName(0))
 	for ci := range d.states {
 		if !d.alive[ci] {
 			continue
 		}
-		name := d.stateName(int32(ci))
+		name := stateName(int32(ci))
 		bld.State(name)
 		for ei, t := range d.states[ci].succ {
 			if t >= 0 && d.alive[t] {
-				bld.Ext(name, d.intl[ei], d.stateName(t))
+				bld.Ext(name, d.intl[ei], stateName(t))
 			}
 		}
 	}

@@ -332,6 +332,14 @@ func (t *internTable) internCanonical(ps pairset, h uint64) (id int32, hit bool)
 	return id, false
 }
 
+// dropIndex releases every shard's hash index once interning is over. The
+// shard arenas, which hold the sets byGID points into, stay.
+func (t *internTable) dropIndex() {
+	for i := range t.shards {
+		t.shards[i].buckets, t.shards[i].entries = nil, nil
+	}
+}
+
 // get returns the canonical pairset for an interned ID. The caller must not
 // mutate it.
 func (t *internTable) get(id int32) pairset { return t.byGID[id] }

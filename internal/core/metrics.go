@@ -61,10 +61,15 @@ type Metrics struct {
 	EnvExpansionNs int64
 	// ArenaBytes / PeakRowBytes describe a demand-driven environment's row
 	// storage: the bytes reserved by compose.Lazy's append-only row arenas,
-	// and the largest single state's row footprint. Both are 0 for other
-	// environments (their rows are compiled before derivation).
-	ArenaBytes   int64
-	PeakRowBytes int64
+	// and the largest single state's row footprint. RowRecordBytes is its
+	// row-record pages (16 bytes per discovered state, in pages of 1,024),
+	// and InternBytes its state identity: the key array and the intern
+	// index. All four are 0 for other environments (their rows are compiled
+	// before derivation).
+	ArenaBytes     int64
+	PeakRowBytes   int64
+	RowRecordBytes int64
+	InternBytes    int64
 	// PairArenaBytes is the safety phase's arena-backed pair-set storage:
 	// bytes reserved by the intern-table shard arenas, the closure-memo
 	// arena, and the converter successor rows. Per-worker scratch arenas
@@ -73,6 +78,12 @@ type Metrics struct {
 	// a given input. Complements ArenaBytes, which covers the demand-driven
 	// environment's row storage on the compose side.
 	PairArenaBytes int64
+	// ProgressBytes is the progress store: the bytes reserved for the
+	// compiled edge table, the combo tables, their pb-major transpose, the
+	// memoized masks and the base ready masks. Like PairArenaBytes it
+	// excludes sweep scratch, so it is deterministic for a given input at
+	// every worker count. 0 when the progress phase did not run.
+	ProgressBytes int64
 	// InternShards is the resolved shard count of the safety phase's
 	// pair-set intern table (Options.InternShards after rounding; defaults
 	// to a power of two matching Workers).

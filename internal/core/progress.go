@@ -101,10 +101,12 @@ type progTables struct {
 	intOff []int32
 	ints   []intEdge
 
-	// Per converter state ("column"): the sorted packed-b combo table and
-	// whether the column's masks are current.
-	combos [][]int32
-	valid  []bool
+	// Per converter state ("column"): the sorted packed-b combo table,
+	// combo[comboOff[ci]:comboOff[ci+1]], and whether the column's masks are
+	// current.
+	comboOff []int32
+	combo    []int32
+	valid    []bool
 
 	// The pb-major memo, the transpose of the combo tables: pb's columns,
 	// ascending, are pbCol[pbOff[pb]:pbOff[pb+1]], and the mask of (pb,
@@ -150,6 +152,19 @@ type progTables struct {
 // table: the event's position in Int and the target's packed b.
 type intEdge struct {
 	ii, to int32
+}
+
+// combos returns column ci's combo table.
+func (pt *progTables) combos(ci int32) []int32 {
+	return pt.combo[pt.comboOff[ci]:pt.comboOff[ci+1]]
+}
+
+// bytes is the store's reserved size (Metrics.ProgressBytes): the tables
+// initProgTables builds, without the per-column flags or the sweep scratch.
+func (pt *progTables) bytes() int64 {
+	int32s := len(pt.tauOff) + len(pt.tau) + len(pt.intOff) + 2*len(pt.ints) +
+		len(pt.comboOff) + len(pt.combo) + len(pt.pbOff) + len(pt.pbCol)
+	return 4*int64(int32s) + 8*int64(len(pt.mask)+len(pt.bready))
 }
 
 // tauOf returns pb's τ-successors from the compiled edge table.
@@ -241,40 +256,51 @@ func (d *deriver) initProgTables() error {
 	// Combo tables: each column's sorted, deduplicated packed-b projection
 	// of its pair set. The pb-major pair encoding delivers pairs in
 	// ascending packed-b order, so a projection is one dedup pass, no sort.
+	// The first pass counts every column's and every pb's slots; the second
+	// fills the combo array and its pb-major transpose, each column
+	// appending itself to its pbs' ranges in ascending column order.
 	n := len(d.states)
 	numA := int32(d.numA)
-	pt.combos = make([][]int32, n)
-	pt.valid = make([]bool, n)
-	pt.pbOff = make([]int32, pt.totalB+1)
-	for ci := range pt.combos {
-		out := make([]int32, 0, 8)
+	projectCol := func(ci int, visit func(pb int32)) {
 		last := int32(-1)
 		d.table.get(int32(ci)).forEach(func(p int32) {
 			if pb := p / numA; pb != last {
-				out = append(out, pb)
+				visit(pb)
 				last = pb
-				pt.pbOff[pb+1]++
 			}
 		})
-		pt.combos[ci] = out
 	}
-	// Transpose: counts to offsets, then each column appends itself to its
-	// pbs' ranges in ascending column order.
+	pt.comboOff = make([]int32, n+1)
+	pt.pbOff = make([]int32, pt.totalB+1)
+	for ci := 0; ci < n; ci++ {
+		k := pt.comboOff[ci]
+		projectCol(ci, func(pb int32) {
+			k++
+			pt.pbOff[pb+1]++
+		})
+		pt.comboOff[ci+1] = k
+	}
 	for pb := int32(0); pb < pt.totalB; pb++ {
 		pt.pbOff[pb+1] += pt.pbOff[pb]
 	}
 	slots := pt.pbOff[pt.totalB]
+	pt.combo = make([]int32, slots)
 	pt.pbCol = make([]int32, slots)
 	pt.mask = make([]uint64, int(slots)*pt.words)
 	next := append([]int32(nil), pt.pbOff[:pt.totalB]...)
-	for ci, combos := range pt.combos {
-		for _, pb := range combos {
+	for ci := 0; ci < n; ci++ {
+		k := pt.comboOff[ci]
+		projectCol(ci, func(pb int32) {
+			pt.combo[k] = pb
+			k++
 			pt.pbCol[next[pb]] = int32(ci)
 			next[pb]++
-		}
+		})
 	}
+	pt.valid = make([]bool, n)
 	pt.inSweep = make([]bool, n)
 	d.prog = pt
+	d.met.ProgressBytes = pt.bytes()
 	return nil
 }
 
@@ -353,7 +379,7 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 			d.emit(TraceEvent{
 				Phase:     "progress",
 				Iteration: res.Stats.ProgressIterations,
-				State:     d.stateName(ci),
+				State:     stateName(ci),
 			})
 		}
 		if !alive[0] {
@@ -443,7 +469,7 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 		}
 		if pt.valid[ci] {
 			pt.valid[ci] = false
-			d.met.TauInvalidated += len(pt.combos[ci])
+			d.met.TauInvalidated += len(pt.combos(ci))
 		}
 		cols = append(cols, ci)
 	}
@@ -486,7 +512,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 	active := pt.active[:0]
 	slots := 0
 	for _, ci := range cols {
-		for _, pb := range pt.combos[ci] {
+		for _, pb := range pt.combos(ci) {
 			if pt.node[pb] >= 0 {
 				continue
 			}
@@ -498,7 +524,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 				}
 			}
 		}
-		slots += len(pt.combos[ci])
+		slots += len(pt.combos(ci))
 	}
 	nAct := len(active)
 
@@ -869,7 +895,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 	// stream each, then walk the pairs testing verdict bits.
 	scanBlock := func(i int) {
 		ci := affected[i]
-		combos := pt.combos[ci]
+		combos := pt.combos(ci)
 		nslots := len(combos)
 		col := make([]uint64, nslots*w)
 		for s, pb := range combos {
@@ -899,7 +925,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 	// front to make each pair check O(1), so it wins only on columns dense
 	// enough in (a, pb) pairs that the pair walk dominates.
 	blockEligible := func(ci int32) bool {
-		nslots := len(pt.combos[ci])
+		nslots := len(pt.combos(ci))
 		return nslots >= blockMinSlots && d.numA > 1 &&
 			4*d.table.get(ci).count() >= 3*d.numA*nslots
 	}

@@ -42,7 +42,8 @@ type sweepOutcome struct {
 // compiled edge table equals the environment's rows, and a pb's columns are
 // a subset of each of its τ-successors' columns — over the eager
 // environments and, for every single-variant system, over a demand-driven
-// one.
+// one. The whole Metrics comparison covers ProgressBytes, which must be
+// nonzero exactly when the progress phase ran.
 func TestProgressSweepAcrossWorkers(t *testing.T) {
 	type system struct {
 		name  string
@@ -143,6 +144,10 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 					m := &got.stats.Metrics
 					if m.Workers != w {
 						t.Errorf("workers=%d: Metrics.Workers = %d", w, m.Workers)
+					}
+					if (m.ProgressBytes > 0) != (res.Stats.ProgressIterations > 0) {
+						t.Errorf("workers=%d: ProgressBytes = %d after %d progress iterations",
+							w, m.ProgressBytes, res.Stats.ProgressIterations)
 					}
 					m.Workers = 0
 					m.SafetyWall, m.ProgressWall, m.EnvExpansionNs = 0, 0, 0
