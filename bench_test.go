@@ -694,35 +694,58 @@ func BenchmarkDeriveRingFrontierLazyEngine(b *testing.B) {
 // family (393,216 composite states), chain(9) (1,048,576) and chain(10)
 // (4,194,304). Their names keep them out of `make benchsmoke`; run one with
 // `go test -run '^$' -bench FrontierChain10 -benchtime 1x .`.
-func BenchmarkFrontierChainDrop8(b *testing.B) { benchFrontier(b, specgen.ChainDrop(8)) }
-func BenchmarkFrontierChain9(b *testing.B)     { benchFrontier(b, specgen.Chain(9)) }
-func BenchmarkFrontierChain10(b *testing.B)    { benchFrontier(b, specgen.Chain(10)) }
+func BenchmarkFrontierChainDrop8(b *testing.B) { benchFrontier(b, specgen.ChainDrop(8), frontierOpts) }
+func BenchmarkFrontierChain9(b *testing.B)     { benchFrontier(b, specgen.Chain(9), frontierOpts) }
+func BenchmarkFrontierChain10(b *testing.B)    { benchFrontier(b, specgen.Chain(10), frontierOpts) }
 
-// benchFrontier derives f over its lazy composition once per iteration.
-// Beside the last derivation's expansion time and phase walls, it reports
-// what that derivation allocated (derive-MiB), the process's peak RSS so
-// far (peak-RSS-MiB), and, from Metrics, the bytes per discovered composite
+// frontierOpts are the options of the single-worker frontier rows.
+var frontierOpts = core.Options{OmitVacuous: true}
+
+// BenchmarkFrontierWorkers is the per-phase Workers 1/2 row: chaindrop(8),
+// ring(6) and chain(9) at each worker count. Options.Workers parallelizes
+// the safety phase only, so progress-ms should not move with it. On a
+// machine with fewer cores than workers no row is a scaling claim. Run it
+// with `go test -run '^$' -bench FrontierWorkers -benchtime 1x .`.
+func BenchmarkFrontierWorkers(b *testing.B) {
+	for _, f := range []specgen.Family{specgen.ChainDrop(8), specgen.Ring(6), specgen.Chain(9)} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", f.Name, workers), func(b *testing.B) {
+				benchFrontier(b, f, core.Options{OmitVacuous: true, Workers: workers})
+			})
+		}
+	}
+}
+
+// benchFrontier derives f over its lazy composition with opts once per
+// iteration. Beside the last derivation's wall time from composition to
+// result (derive-ms), expansion time and phase walls, it reports what that
+// derivation allocated (derive-MiB), the process's peak RSS so far
+// (peak-RSS-MiB), and, from Metrics, the bytes per discovered composite
 // state of each structure: row records, row arenas, state identity (keys
 // and intern index), pair sets and the progress store.
-func benchFrontier(b *testing.B, f specgen.Family) {
+func benchFrontier(b *testing.B, f specgen.Family, opts core.Options) {
 	var m core.Metrics
 	var alloc uint64
+	var wall time.Duration
 	for i := 0; i < b.N; i++ {
 		var before, after goruntime.MemStats
 		goruntime.GC()
 		goruntime.ReadMemStats(&before)
+		start := time.Now()
 		env, err := compose.LazyMany(f.Components...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.DeriveEnv(f.Service, env, core.Options{OmitVacuous: true})
+		res, err := core.DeriveEnv(f.Service, env, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		wall = time.Since(start)
 		goruntime.ReadMemStats(&after)
 		alloc = after.TotalAlloc - before.TotalAlloc
 		m = res.Stats.Metrics
 	}
+	b.ReportMetric(float64(wall.Nanoseconds())/1e6, "derive-ms")
 	b.ReportMetric(float64(m.EnvExpansionNs)/1e6, "expand-ms")
 	b.ReportMetric(float64(m.SafetyWall.Nanoseconds())/1e6, "safety-ms")
 	b.ReportMetric(float64(m.ProgressWall.Nanoseconds())/1e6, "progress-ms")

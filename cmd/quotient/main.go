@@ -368,9 +368,6 @@ func printStats(w io.Writer, s core.Stats) {
 		}
 		fmt.Fprintln(w)
 	}
-	if m.SweepSteals > 0 {
-		fmt.Fprintf(w, "sweep sched:    %d stolen SCC tasks\n", m.SweepSteals)
-	}
 }
 
 // fmtBytes renders a byte count with a binary-unit suffix, one decimal.

@@ -141,7 +141,6 @@ type WireStats struct {
 	EnvExpansionMS     float64 `json:"env_expansion_ms,omitempty"`
 	ArenaBytes         int64   `json:"arena_bytes,omitempty"`
 	PeakRowBytes       int64   `json:"peak_row_bytes,omitempty"`
-	SweepSteals        int     `json:"sweep_steals,omitempty"`
 	PairArenaBytes     int64   `json:"pair_arena_bytes,omitempty"`
 	InternShards       int     `json:"intern_shards,omitempty"`
 	ClosureMemoHits    int     `json:"closure_memo_hits,omitempty"`
@@ -174,7 +173,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		EnvExpansionMS:     float64(m.EnvExpansionNs) / 1e6,
 		ArenaBytes:         m.ArenaBytes,
 		PeakRowBytes:       m.PeakRowBytes,
-		SweepSteals:        m.SweepSteals,
 		PairArenaBytes:     m.PairArenaBytes,
 		InternShards:       m.InternShards,
 		ClosureMemoHits:    m.ClosureMemoHits,

@@ -45,10 +45,10 @@
 //     than its full size, and Metrics.EnvStatesExpanded reports the slice.
 //     Any other environment (a *spec.Spec, say) is wrapped in an adapter
 //     that compiles its rows once, so the engine has one way to read B.
-//   - The progress phase is incremental (progress.go): after a sweep
-//     removes bad states, only converter states that can reach a removed
-//     state (predecessors under T_C) can see their composite ready sets
-//     change, so only those are re-examined.
+//   - The progress phase is incremental and sequential (progress.go):
+//     after a sweep removes bad states, only converter states that can
+//     reach a removed state (predecessors under T_C) can see their
+//     composite ready sets change, so only those are re-examined.
 //   - Derivations are cancellable (DeriveContext) and observable
 //     (Options.Trace, Result.Stats.Metrics).
 package core
@@ -191,7 +191,8 @@ type Options struct {
 	// Workers is the number of goroutines expanding each safety-phase
 	// frontier; 0 and 1 both mean single-threaded. The expansion is
 	// level-synchronous with a deterministic merge, so the result is
-	// bit-identical (state numbering included) for every worker count.
+	// bit-identical (state numbering included) for every worker count. The
+	// progress phase runs on one goroutine at every worker count.
 	Workers int
 	// InternShards is the hash shard count of the safety phase's pair-set
 	// intern table; the merge gives each shard to one goroutine, so this
@@ -995,7 +996,7 @@ func (d *deriver) safetyPhase() error {
 func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
 	omit := d.opts.OmitVacuous
-	runSharded(d.nshards, d.workers, func(shard int) {
+	fanOut(d.nshards, d.workers, func(shard, _ int) {
 		s := &d.table.shards[shard]
 		for i := range results {
 			r := &results[i]

@@ -14,8 +14,8 @@
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
 // The intern table is hash-sharded. During a merge batch each shard is
-// probed and grown by at most one goroutine (sched.runSharded), so shards
-// need no locking; canonical IDs are NOT assigned by the shards — a
+// probed and grown by at most one goroutine (fanOut in parallel.go), so
+// shards need no locking; canonical IDs are NOT assigned by the shards — a
 // deterministic renumbering pass walks the batch's φ results in frontier
 // order and numbers first occurrences, so the converter's state numbering is
 // bit-identical for every worker and shard count (core.go, mergeBatch).
@@ -92,25 +92,6 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 	for i := 0; i < len(ps); i += 2 {
 		base := int32(ps[i]) << 6
 		w := ps[i+1]
-		for w != 0 {
-			if f(base + int32(bits.TrailingZeros64(w))) {
-				return
-			}
-			w &= w - 1
-		}
-	}
-}
-
-// runs returns the number of (wordIndex, bits) runs in the set — the unit
-// the sharded verdict scan partitions work by.
-func (ps pairset) runs() int { return len(ps) / 2 }
-
-// forEachRunRange visits the pair indices of runs [lo, hi) in ascending
-// order, stopping early when f returns true.
-func (ps pairset) forEachRunRange(lo, hi int, f func(p int32) bool) {
-	for r := lo; r < hi; r++ {
-		base := int32(ps[2*r]) << 6
-		w := ps[2*r+1]
 		for w != 0 {
 			if f(base + int32(bits.TrailingZeros64(w))) {
 				return

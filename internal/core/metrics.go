@@ -11,7 +11,8 @@ import (
 // Metrics describes the work the engine did producing it.
 type Metrics struct {
 	// Workers is the resolved worker count the safety phase ran with
-	// (Options.Workers, floored at 1).
+	// (Options.Workers, floored at 1). The progress phase is sequential at
+	// every worker count.
 	Workers int
 	// SafetyWall / ProgressWall are per-phase wall times.
 	SafetyWall   time.Duration
@@ -92,11 +93,6 @@ type Metrics struct {
 	// seed set was already mapped to its closure's canonical state (or to a
 	// known ok.J failure) by an earlier expansion.
 	ClosureMemoHits int
-	// SweepSteals counts task migrations in the progress phase's
-	// work-stealing SCC scheduler: SCC tasks executed by a worker other
-	// than the one whose deque they were enqueued on. Always 0 when
-	// Workers <= 1 (the scheduler only runs multi-worker sweeps).
-	SweepSteals int
 }
 
 // InternHitRate returns the fraction of intern lookups that found an

@@ -686,38 +686,46 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 }
 
 // expandBatch computes φ results for frontier states [lo, hi) into results
-// ((hi-lo)×len(intl) entries, frontier order). Work is distributed by an
-// atomic cursor rather than pre-chunking, since φ cost varies wildly
-// between states.
+// ((hi-lo)×len(intl) entries, frontier order), fanned out over the workers.
 func (d *deriver) expandBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
 	n := hi - lo
-	workers := d.workers
-	if workers > n {
-		workers = n
+	for w := 0; w < min(d.workers, n); w++ {
+		d.getScratch(w) // created here, so no goroutine grows d.scratches
 	}
+	fanOut(n, d.workers, func(i, w int) {
+		d.expandState(d.scratches[w], lo+i, results[i*ne:(i+1)*ne])
+	})
+}
+
+// fanOut calls f(i, w) once for every i in [0, n), on up to workers
+// goroutines; w < min(workers, n) names the calling goroutine, so f can
+// use per-worker state without locks. Items are handed out by an atomic
+// cursor rather than pre-chunked, since their costs vary wildly (φ results
+// per frontier state, intern shards per merge). With at most one worker it
+// is a plain loop on the caller's goroutine.
+func fanOut(n, workers int, f func(i, w int)) {
+	workers = min(workers, n)
 	if workers <= 1 {
-		sc := d.getScratch(0)
 		for i := 0; i < n; i++ {
-			d.expandState(sc, lo+i, results[i*ne:(i+1)*ne])
+			f(i, 0)
 		}
 		return
 	}
-	var cursor int64
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		sc := d.getScratch(w)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for {
-				i := int(atomic.AddInt64(&cursor, 1)) - 1
+				i := int(cursor.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				d.expandState(sc, lo+i, results[i*ne:(i+1)*ne])
+				f(i, w)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

@@ -88,3 +88,27 @@ func TestParallelBitIdenticalRobust(t *testing.T) {
 	}
 	assertWorkerInvariance(t, altService(t), []*spec.Spec{mk(false), mk(true)}, Options{})
 }
+
+// TestFanOutVisitsEachIndexOnce checks the safety phase's fan-out helper:
+// every index in [0, n) is visited exactly once, and every worker id is
+// below min(workers, n), so per-worker state indexed by it is never shared.
+func TestFanOutVisitsEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 1000} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			visits := make([]int32, n)
+			ids := make([]int32, n)
+			fanOut(n, workers, func(i, w int) {
+				visits[i]++ // each i is handed out once, so no two goroutines share a slot
+				ids[i] = int32(w)
+			})
+			for i := range visits {
+				if visits[i] != 1 {
+					t.Errorf("n=%d workers=%d: index %d visited %d times", n, workers, i, visits[i])
+				}
+				if int(ids[i]) >= min(workers, n) {
+					t.Errorf("n=%d workers=%d: index %d ran on worker %d", n, workers, i, ids[i])
+				}
+			}
+		}
+	}
+}

@@ -1,4 +1,4 @@
-// Incremental, memoized, parallel progress phase (paper Fig. 6).
+// Incremental, memoized, sequential progress phase (paper Fig. 6).
 //
 // A sweep removes every converter state containing a pair whose composite
 // ready sets cannot satisfy A's acceptance sets; removal changes
@@ -42,18 +42,19 @@
 //     is monotone, so each mask still converges to its least fixpoint, the
 //     exact τ*-reachability closure. Scratch is O(pbs), whatever the number
 //     of affected columns.
-//   - Work-stealing sweep scheduling: the DP runs on per-SCC atomic
-//     dependency counters with per-worker stealing deques (sched.go) rather
-//     than level by level with a barrier, so skewed levels cannot serialize
-//     a sweep; single-worker sweeps simply walk Tarjan's emission order,
-//     which is already reverse-topological. The verdict scan fans over
-//     workers too, sharding large pair sets by runs so a handful of huge
-//     columns cannot serialize it, and switches to the batched
-//     sat.ProgBlock kernel on dense columns.
-//   - Determinism everywhere: every SCC writes only its members' slots and
-//     each mask is the unique least fixpoint of a monotone union system, so
-//     removal order — and therefore every downstream artifact — is
-//     bit-identical for every worker count.
+//   - One sequential sweep: the DP walks Tarjan's emission order, which is
+//     already reverse-topological, and the verdict scan walks the affected
+//     states in order, switching to the batched sat.ProgBlock kernel on
+//     dense columns. The phase is sequential at every worker count
+//     (Options.Workers parallelizes the safety phase only) because every
+//     pb-graph SCC on the specgen families is a singleton, too little work
+//     to schedule: on 2 cores a work-stealing sweep ran 2–2.5× slower at 2
+//     workers than at 1 (chaindrop(8) 0.56–0.89 s → 1.45–1.80 s, chain(9)
+//     1.26–1.57 s → 2.95–3.40 s).
+//   - Determinism: each mask is the unique least fixpoint of a monotone
+//     union system, and the scan records each flagged state's first
+//     failing pair in ascending pair order, so the removals and the
+//     witness are the same at every worker count.
 //
 // The prog verdict itself is sat.AcceptanceIndex.Prog: A's acceptance sets
 // precompiled to minimal bitmasks, one subset test per candidate.
@@ -62,8 +63,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -73,11 +72,6 @@ import (
 // takes the batched ProgBlock path: gathering a small column's masks costs
 // more than the per-pair tests it saves.
 const blockMinSlots = 128
-
-// minSchedSCCs is the condensation size below which a sweep computes masks
-// inline even with workers available — scheduling overhead would exceed
-// the work.
-const minSchedSCCs = 64
 
 // progTables is the progress phase's per-derivation state, kept on the
 // deriver so repeated sweeps share the combo tables and memoized masks.
@@ -133,19 +127,10 @@ type progTables struct {
 	low        []int32
 	onStack    []bool
 	self       []bool // per node: has a pb-graph self-edge (needs fixpoint)
-	sccOf      []int32
 	stack      []int32
 	frames     []tframe
 	sccMembers []int32
 	sccOff     []int32
-
-	// Condensation dependency scratch for the work-stealing scheduler
-	// (sched.go), rebuilt per multi-worker sweep.
-	sccDeps    []int32
-	sccStamp   []int32
-	sccFill    []int32
-	sccDepOff  []int32
-	sccDepList []int32
 }
 
 // intEdge is one external B-edge on an Int event in the compiled edge
@@ -349,6 +334,7 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 		affected[i] = int32(i)
 	}
 	removedTotal := 0
+	blame0 := int32(-1)
 	for {
 		res.Stats.ProgressIterations++
 		if err := d.ctx.Err(); err != nil {
@@ -356,7 +342,8 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 				res.Stats.ProgressIterations, err)
 		}
 		d.refreshReady(alive, affected)
-		removed := d.verdictScan(alive, affected)
+		var removed []int32
+		removed, blame0 = d.verdictScan(alive, affected)
 		if len(removed) == 0 {
 			d.emit(TraceEvent{
 				Phase:     "progress",
@@ -404,17 +391,14 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 	}
 	res.Stats.RemovedStates = removedTotal
 	if !alive[0] {
-		// State 0's masks are still current (the sweep that blamed it just
-		// refreshed them and nothing has been invalidated since), so the
-		// first failing pair can be re-identified deterministically — the
-		// sharded scan itself records only a per-state flag — and a witness
-		// trace driven to it.
+		// The last scan flagged state 0 and recorded its first failing pair;
+		// the witness trace is driven to that pair.
 		return &NoQuotientError{
 			Reason: fmt.Sprintf(
 				"progress phase removed the initial state after %d iterations (%d states removed): every candidate behavior risks a progress violation of the service",
 				res.Stats.ProgressIterations, removedTotal),
 			FailedPhase:  "progress",
-			WitnessTrace: d.progressWitness(d.firstBadPair(0)),
+			WitnessTrace: d.progressWitness(blame0),
 		}
 	}
 	return nil
@@ -485,9 +469,8 @@ func (d *deriver) refreshReady(alive []bool, affected []int32) {
 // sweep recomputes the ready masks of the invalidated columns cols: one
 // Tarjan over the packed-b states that appear in any of them, then a
 // reverse-topological DP over the condensation in which each SCC writes its
-// members' masks into the pb-major memo, work-stolen across workers when
-// the sweep is big enough. Edges into still-valid columns are memoized
-// leaves.
+// members' masks into the pb-major memo. Edges into still-valid columns are
+// memoized leaves.
 //
 // The condensation order is valid for every column because every Int-edge
 // some (column, slot) needs maps to a pb edge that is present whenever its
@@ -535,7 +518,6 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 	// dependency (pb, ci) → (pb, ci').
 	dfn := resizeSlice(pt.dfn, nAct)
 	low := resizeSlice(pt.low, nAct)
-	sccOf := resizeSlice(pt.sccOf, nAct)
 	onStack := resizeSlice(pt.onStack, nAct)
 	self := resizeSlice(pt.self, nAct)
 	for i := 0; i < nAct; i++ {
@@ -568,12 +550,10 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			nid := f.node
 			if f.ei >= f.end {
 				if low[nid] == dfn[nid] {
-					si := int32(len(sccOff)) - 1
 					for {
 						mn := stack[len(stack)-1]
 						stack = stack[:len(stack)-1]
 						onStack[mn] = false
-						sccOf[mn] = si
 						sccMembers = append(sccMembers, mn)
 						if mn == nid {
 							break
@@ -620,21 +600,21 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 	// are closed under B's internal moves), so one merge walk per
 	// τ-successor finds every member's successor position. An Int-edge moves
 	// to the column the converter's transition leads to, found by pos. A
-	// node's members accumulate in buf, a per-worker scratch indexed like
-	// pb's column range. Memo hits are counted on the first pass only, one
-	// per resolved edge into a valid column.
-	var hits int64
-	computeSCC := func(si int32, buf *[]uint64) {
+	// node's members accumulate in buf, a scratch indexed like pb's column
+	// range. Memo hits are counted on the first pass only, one per resolved
+	// edge into a valid column.
+	hits := 0
+	var buf []uint64
+	computeSCC := func(si int) {
 		nodes := sccMembers[sccOff[si]:sccOff[si+1]]
 		pass := func(count bool) bool {
 			changed := false
-			localHits := int64(0)
 			for _, nid := range nodes {
 				pb := active[nid]
 				lo := pt.pbOff[pb]
 				pcols := pt.pbCol[lo:pt.pbOff[pb+1]]
-				acc := resizeSlice(*buf, len(pcols)*w)
-				*buf = acc
+				acc := resizeSlice(buf, len(pcols)*w)
+				buf = acc
 				base := pt.bready[int(pb)*w : int(pb)*w+w]
 				for k, c := range pcols {
 					if !inSweep[c] {
@@ -683,7 +663,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 							sat.OrInto(acc[k*w:k*w+w], pt.maskAt(j))
 						}
 						if count && pt.valid[t] {
-							localHits++
+							hits++
 						}
 					}
 				}
@@ -708,9 +688,6 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 					}
 				}
 			}
-			if count {
-				atomic.AddInt64(&hits, localHits)
-			}
 			return changed
 		}
 		// A singleton SCC without self-edges is already final after one
@@ -724,35 +701,12 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			}
 		}
 	}
-	nsccs := len(sccOff) - 1
-	if workers := d.workers; workers > 1 && nsccs >= minSchedSCCs {
-		forEach := func(si int32, emit func(ts int32)) {
-			for _, nid := range sccMembers[sccOff[si]:sccOff[si+1]] {
-				pb := active[nid]
-				for _, q := range pt.tauOf(pb) {
-					emit(sccOf[pt.node[q]])
-				}
-				for _, ie := range pt.intsOf(pb) {
-					if tn := pt.node[ie.to]; tn >= 0 {
-						emit(sccOf[tn])
-					}
-				}
-			}
-		}
-		deps, depOff, depList := pt.buildSCCDeps(nsccs, forEach)
-		bufs := make([][]uint64, workers)
-		steals := runSCCSched(nsccs, workers, deps, depOff, depList,
-			func(si int32, wk int) { computeSCC(si, &bufs[wk]) })
-		d.met.SweepSteals += int(steals)
-	} else {
-		// Tarjan emits an SCC only after every SCC reachable from it, so
-		// ascending emission order is a valid reverse-topological schedule.
-		var buf []uint64
-		for si := 0; si < nsccs; si++ {
-			computeSCC(int32(si), &buf)
-		}
+	// Tarjan emits an SCC only after every SCC reachable from it, so
+	// ascending emission order is a valid reverse-topological schedule.
+	for si := 0; si < len(sccOff)-1; si++ {
+		computeSCC(si)
 	}
-	d.met.TauCacheHits += int(hits)
+	d.met.TauCacheHits += hits
 
 	// Restore node to all -1 and inSweep to all false, and park the scratch
 	// for the next sweep.
@@ -763,64 +717,9 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 		inSweep[ci] = false
 	}
 	pt.active = active[:0]
-	pt.dfn, pt.low, pt.sccOf, pt.onStack, pt.self = dfn, low, sccOf, onStack, self
+	pt.dfn, pt.low, pt.onStack, pt.self = dfn, low, onStack, self
 	pt.stack, pt.frames = stack[:0], frames[:0]
 	pt.sccMembers, pt.sccOff = sccMembers, sccOff
-}
-
-// buildSCCDeps builds the dependency counters and dependents CSR the
-// scheduler (sched.go) consumes. forEach must enumerate the successor SCCs
-// of an SCC, repeats allowed and identically on every call; dedup happens
-// here via stamps. deps[si] counts si's distinct cross successors;
-// depList[depOff[ts]:depOff[ts+1]] lists the SCCs waiting on ts.
-func (pt *progTables) buildSCCDeps(nsccs int, forEach func(si int32, emit func(ts int32))) (deps, depOff, depList []int32) {
-	deps = resizeSlice(pt.sccDeps, nsccs)
-	stamp := resizeSlice(pt.sccStamp, nsccs)
-	depOff = resizeSlice(pt.sccDepOff, nsccs+1)
-	for i := 0; i < nsccs; i++ {
-		deps[i] = 0
-		stamp[i] = -1
-		depOff[i+1] = 0
-	}
-	depOff[0] = 0
-	total := 0
-	for si := 0; si < nsccs; si++ {
-		s32 := int32(si)
-		stamp[si] = s32 // intra-SCC edges are not dependencies
-		forEach(s32, func(ts int32) {
-			if stamp[ts] == s32 {
-				return
-			}
-			stamp[ts] = s32
-			deps[si]++
-			depOff[ts+1]++
-			total++
-		})
-	}
-	for i := 1; i <= nsccs; i++ {
-		depOff[i] += depOff[i-1]
-	}
-	depList = resizeSlice(pt.sccDepList, total)
-	fill := resizeSlice(pt.sccFill, nsccs)
-	copy(fill, depOff[:nsccs])
-	for i := 0; i < nsccs; i++ {
-		stamp[i] = -1 // pass 1 left its own stamps; they'd alias pass 2's
-	}
-	for si := 0; si < nsccs; si++ {
-		s32 := int32(si)
-		stamp[si] = s32
-		forEach(s32, func(ts int32) {
-			if stamp[ts] == s32 {
-				return
-			}
-			stamp[ts] = s32
-			depList[fill[ts]] = s32
-			fill[ts]++
-		})
-	}
-	pt.sccDeps, pt.sccStamp, pt.sccFill = deps, stamp, fill
-	pt.sccDepOff, pt.sccDepList = depOff, depList
-	return deps, depOff, depList
 }
 
 // growCap returns s emptied for reuse, reallocating only when its capacity
@@ -841,60 +740,45 @@ func resizeSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// Verdict-scan shape thresholds: pair sets with at least shardRuns sparse
-// runs are split into run-range shards so a few huge columns cannot
-// serialize a multi-worker scan; columns at least 3/4-dense in (a, pb)
-// pairs use the batched ProgBlock kernel instead of per-pair Prog calls.
-const shardRuns = 512
-
-// scanTask is one unit of verdict-scan work: a state (by index into the
-// affected list) and a run range of its pair set.
-type scanTask struct {
-	idx    int32
-	lo, hi int32
-}
-
-// verdictScan evaluates prog for every pair of every affected live state.
-// The pb-major encoding delivers a state's pairs grouped by packed-b, so
-// each pb's mask is found once, by pos, for all of its pairs. The removal
-// list is assembled from per-state flags in affected order, so it is
-// identical for every worker count and sharding.
-func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
+// verdictScan evaluates prog for every pair of every affected live state
+// and returns the states that fail, in affected order, with state 0's
+// blame: the first pair, in ascending pair order, whose verdict fails, or
+// -1 when state 0 passes or is not scanned. The pb-major encoding delivers
+// a state's pairs grouped by packed-b, so each pb's mask is found once, by
+// pos, for all of its pairs.
+func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, blame0 int32) {
 	pt := d.prog
 	w := pt.words
 	numA := int32(d.numA)
-	bad := make([]int32, len(affected))
 
-	// scanRange walks runs [lo, hi) of state i's pair set; a set flag from
-	// any shard short-circuits the others.
-	scanRange := func(i int, lo, hi int) {
-		ci := affected[i]
+	// scanRange walks ci's pair set and returns its first failing pair, or
+	// -1.
+	scanRange := func(ci int32) int32 {
+		blame := int32(-1)
 		last := int32(-1)
 		var m []uint64
-		d.table.get(ci).forEachRunRange(lo, hi, func(p int32) bool {
-			if atomic.LoadInt32(&bad[i]) != 0 {
-				return true
-			}
+		d.table.get(ci).forEachUntil(func(p int32) bool {
 			if pb := p / numA; pb != last {
 				k := pt.pos(pb, ci)
 				if k < 0 {
-					atomic.StoreInt32(&bad[i], 1) // cannot happen: combos are the projection
+					blame = p // cannot happen: combos are the projection
 					return true
 				}
 				m, last = pt.maskAt(k), pb
 			}
 			if !pt.accIx.Prog(spec.State(p%numA), m) {
-				atomic.StoreInt32(&bad[i], 1)
+				blame = p
 				return true
 			}
 			return false
 		})
+		return blame
 	}
 	// scanBlock is the dense-column path: gather the column's masks, in
 	// combo order, evaluate every A-state against them with one ProgBlock
-	// stream each, then walk the pairs testing verdict bits.
-	scanBlock := func(i int) {
-		ci := affected[i]
+	// stream each, then walk the pairs testing verdict bits. It stops at the
+	// same first failing pair as scanRange.
+	scanBlock := func(ci int32) int32 {
 		combos := pt.combos(ci)
 		nslots := len(combos)
 		col := make([]uint64, nslots*w)
@@ -906,6 +790,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 		for a := 0; a < d.numA; a++ {
 			pt.accIx.ProgBlock(spec.State(a), col, nslots, out[a*vw:(a+1)*vw])
 		}
+		blame := int32(-1)
 		cursor := 0
 		d.table.get(ci).forEachUntil(func(p int32) bool {
 			a := p % numA
@@ -915,112 +800,40 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) []int32 {
 			}
 			if cursor == len(combos) || combos[cursor] != pb ||
 				out[int(a)*vw+cursor>>6]&(1<<(uint(cursor)&63)) == 0 {
-				atomic.StoreInt32(&bad[i], 1)
+				blame = p
 				return true
 			}
 			return false
 		})
+		return blame
 	}
 	// blockEligible: the block path pays numA×slots candidate tests up
-	// front to make each pair check O(1), so it wins only on columns dense
-	// enough in (a, pb) pairs that the pair walk dominates.
+	// front to make each pair check O(1), so it wins only on columns at
+	// least 3/4-dense in (a, pb) pairs, where the pair walk dominates.
 	blockEligible := func(ci int32) bool {
 		nslots := len(pt.combos(ci))
 		return nslots >= blockMinSlots && d.numA > 1 &&
 			4*d.table.get(ci).count() >= 3*d.numA*nslots
 	}
-	scanState := func(i int) {
-		if ci := affected[i]; blockEligible(ci) {
-			scanBlock(i)
-		} else {
-			scanRange(i, 0, d.table.get(ci).runs())
-		}
-	}
 
-	workers := d.workers
+	blame0 = -1
 	scanned := 0
-	if workers > 1 {
-		var tasks []scanTask
-		for i, ci := range affected {
-			if !alive[ci] {
-				continue
-			}
-			scanned++
-			if nr := d.table.get(ci).runs(); nr >= shardRuns && !blockEligible(ci) {
-				for lo := 0; lo < nr; lo += shardRuns {
-					hi := min(lo+shardRuns, nr)
-					tasks = append(tasks, scanTask{idx: int32(i), lo: int32(lo), hi: int32(hi)})
-				}
-			} else {
-				tasks = append(tasks, scanTask{idx: int32(i), lo: -1})
-			}
+	for _, ci := range affected {
+		if !alive[ci] {
+			continue
 		}
-		if len(tasks) < 2*workers {
-			for _, t := range tasks {
-				if t.lo < 0 {
-					scanState(int(t.idx))
-				} else {
-					scanRange(int(t.idx), int(t.lo), int(t.hi))
-				}
-			}
-		} else {
-			var cursor int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for wk := 0; wk < workers; wk++ {
-				go func() {
-					defer wg.Done()
-					for {
-						ti := int(atomic.AddInt64(&cursor, 1)) - 1
-						if ti >= len(tasks) {
-							return
-						}
-						t := tasks[ti]
-						if t.lo < 0 {
-							scanState(int(t.idx))
-						} else {
-							scanRange(int(t.idx), int(t.lo), int(t.hi))
-						}
-					}
-				}()
-			}
-			wg.Wait()
+		scanned++
+		scan := scanRange
+		if blockEligible(ci) {
+			scan = scanBlock
 		}
-	} else {
-		for i, ci := range affected {
-			if !alive[ci] {
-				continue
+		if blame := scan(ci); blame >= 0 {
+			removed = append(removed, ci)
+			if ci == 0 {
+				blame0 = blame
 			}
-			scanned++
-			scanState(i)
 		}
 	}
 	d.met.ProgressScans += scanned
-	var removed []int32
-	for i, ci := range affected {
-		if bad[i] != 0 && alive[ci] {
-			removed = append(removed, ci)
-		}
-	}
-	return removed
-}
-
-// firstBadPair re-identifies the first pair (in ascending pair order) of
-// converter state ci whose prog verdict fails, or -1 if none does. The
-// sharded scan records only a per-state flag — which shard tripped it is
-// schedule-dependent — so the failure path recomputes the blame
-// deterministically from the still-valid masks.
-func (d *deriver) firstBadPair(ci int32) int32 {
-	pt := d.prog
-	numA := int32(d.numA)
-	blame := int32(-1)
-	d.table.get(ci).forEachUntil(func(p int32) bool {
-		k := pt.pos(p/numA, ci)
-		if k < 0 || !pt.accIx.Prog(spec.State(p%numA), pt.maskAt(k)) {
-			blame = p
-			return true
-		}
-		return false
-	})
-	return blame
+	return removed, blame0
 }

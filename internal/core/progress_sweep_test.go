@@ -23,8 +23,8 @@ func mustBuild(t *testing.T, b *spec.Builder) *spec.Spec {
 }
 
 // sweepOutcome is a derivation's bit-identity surface for the sweep test:
-// converter text, stats with wall times and steal counts zeroed, and error
-// string.
+// converter text, stats with the worker count and wall times zeroed, and
+// error string.
 type sweepOutcome struct {
 	text  string
 	stats core.Stats
@@ -151,7 +151,6 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 					}
 					m.Workers = 0
 					m.SafetyWall, m.ProgressWall, m.EnvExpansionNs = 0, 0, 0
-					m.SweepSteals = 0
 					if res.Converter != nil {
 						got.text = res.Converter.Format()
 						for _, b := range sys.bs {

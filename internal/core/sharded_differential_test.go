@@ -22,7 +22,7 @@ func deriveOutcome(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) (s
 	if res != nil {
 		exists = res.Exists
 		stats = res.Stats
-		stats.Metrics = Metrics{} // wall times and steal counts legitimately differ
+		stats.Metrics = Metrics{} // wall times, worker and shard counts legitimately differ
 		if res.Converter != nil {
 			text = res.Converter.Format()
 		}
