@@ -342,9 +342,6 @@ func printStats(w io.Writer, s core.Stats) {
 		m.ProgressWall.Round(time.Microsecond), m.ProgressScans)
 	fmt.Fprintf(w, "interning:      %d lookups, %d hits (%.1f%% hit rate)",
 		m.InternLookups, m.InternHits, 100*m.InternHitRate())
-	if m.InternShards > 1 {
-		fmt.Fprintf(w, ", %d shards", m.InternShards)
-	}
 	if m.ClosureMemoHits > 0 {
 		fmt.Fprintf(w, ", %d closure memo hits", m.ClosureMemoHits)
 	}

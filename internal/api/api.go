@@ -142,7 +142,6 @@ type WireStats struct {
 	ArenaBytes         int64   `json:"arena_bytes,omitempty"`
 	PeakRowBytes       int64   `json:"peak_row_bytes,omitempty"`
 	PairArenaBytes     int64   `json:"pair_arena_bytes,omitempty"`
-	InternShards       int     `json:"intern_shards,omitempty"`
 	ClosureMemoHits    int     `json:"closure_memo_hits,omitempty"`
 }
 
@@ -174,7 +173,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		ArenaBytes:         m.ArenaBytes,
 		PeakRowBytes:       m.PeakRowBytes,
 		PairArenaBytes:     m.PairArenaBytes,
-		InternShards:       m.InternShards,
 		ClosureMemoHits:    m.ClosureMemoHits,
 	}
 }

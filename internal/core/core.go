@@ -194,15 +194,6 @@ type Options struct {
 	// bit-identical (state numbering included) for every worker count. The
 	// progress phase runs on one goroutine at every worker count.
 	Workers int
-	// InternShards is the hash shard count of the safety phase's pair-set
-	// intern table; the merge gives each shard to one goroutine, so this
-	// bounds merge parallelism the way Workers bounds expansion
-	// parallelism. 0 picks a power of two matching Workers; other values
-	// round up to the next power of two (capped at 64). Sharding changes
-	// only how the merge parallelizes: a deterministic renumbering pass
-	// keeps the derived converter — state numbering included —
-	// bit-identical at every shard count.
-	InternShards int
 	// Trace, when non-nil, receives structured derivation events: frontier
 	// levels during the safety phase, per-state removals and sweep
 	// summaries during the progress phase. Events carrying a non-empty
@@ -333,7 +324,6 @@ type deriver struct {
 	psiBit  []uint64
 	badA    []uint64
 
-	nshards   int
 	table     *internTable
 	succArena *int32Arena
 	states    []cstate
@@ -584,28 +574,9 @@ func (d *deriver) prepare() {
 			}
 		}
 	}
-	d.nshards = resolveInternShards(d.opts.InternShards, d.workers)
-	d.table = newInternTable(d.nshards)
+	d.table = newInternTable()
 	d.memo = newSeedMemo()
 	d.succArena = newInt32Arena()
-}
-
-// resolveInternShards maps the InternShards option to an effective shard
-// count: a power of two (internTable masks the hash) in [1, 64], matching
-// Workers when unset — one shard per merge goroutine.
-func resolveInternShards(req, workers int) int {
-	n := req
-	if n <= 0 {
-		n = workers
-	}
-	if n > 64 {
-		n = 64
-	}
-	p := 1
-	for p < n {
-		p *= 2
-	}
-	return p
 }
 
 // encode maps a (variant, a, b) triple to its pair-domain index.
@@ -702,7 +673,7 @@ func (d *deriver) run() (*Result, error) {
 	res.Exists = true
 	res.Stats.FinalStates = c.NumStates()
 	res.Stats.FinalTransitions = c.NumExternalTransitions()
-	res.pairFn = pairSetNamer(d.a, d.bs, d.pairDomain, d.table.byGID, alive)
+	res.pairFn = pairSetNamer(d.a, d.bs, d.pairDomain, d.table.sets, alive)
 	d.fillEnvMetrics()
 	return res, nil
 }
@@ -848,14 +819,13 @@ func (d *deriver) emitConverter() (*spec.Spec, error) {
 
 // fillSafetyMetrics records the safety phase's interning, memoization, and
 // arena accounting. PairArenaBytes covers the storage that persists for the
-// derivation — shard arenas, the closure-memo arena, the successor rows —
+// derivation — the intern arena, the closure-memo arena, the successor rows —
 // and deliberately excludes the per-worker scratch arenas, which are
 // transient (reset every merge batch) and whose footprint would vary with
 // the worker count while this figure is deterministic for a given input.
 func (d *deriver) fillSafetyMetrics() {
-	d.met.InternLookups, d.met.InternHits = d.table.counts()
-	d.met.InternShards = d.nshards
-	d.met.PairArenaBytes = d.table.bytes() + d.memo.bytes() + d.succArena.reserved
+	d.met.InternLookups, d.met.InternHits = d.table.lookups, d.table.hits
+	d.met.PairArenaBytes = d.table.arena.reserved + d.memo.arena.reserved + d.succArena.reserved
 	d.met.ClosureMemoHits = 0
 	for _, sc := range d.scratches {
 		d.met.ClosureMemoHits += sc.memoHits
@@ -870,7 +840,8 @@ func (d *deriver) fillSafetyMetrics() {
 // releaseSafety drops the safety phase's working sets once
 // fillSafetyMetrics has read their counters: the per-worker scratches, the
 // seed memo and the intern table's hash index. The pair sets stay, in the
-// shard arenas byGID points into; the progress phase and PairSet read them.
+// intern arena the table's directory points into; the progress phase and
+// PairSet read them.
 func (d *deriver) releaseSafety() {
 	d.scratches = nil
 	d.memo = nil
@@ -905,12 +876,11 @@ func (d *deriver) fillEnvMetrics() {
 // safetyPhase grows the largest safe converter C0 by level-synchronous
 // frontier expansion. Each level is processed in merge batches of
 // safetyMergeBatch states: a batch's φ results are computed (in parallel
-// when Options.Workers > 1), interned into the sharded table (one goroutine
-// per shard), and renumbered in frontier order by mergeBatch — which
-// reproduces exactly the state numbering of a plain worklist run, so the
-// converter is bit-identical at every worker count, shard count, and batch
-// size. Batching also bounds the MaxStates overshoot: the cap is checked
-// after every batch, so a single huge frontier level can no longer run
+// when Options.Workers > 1), then interned in frontier order by mergeBatch —
+// which reproduces exactly the state numbering of a plain worklist run, so
+// the converter is bit-identical at every worker count and batch size.
+// Batching also bounds the MaxStates overshoot: the cap is checked after
+// every batch, so a single huge frontier level can no longer run
 // arbitrarily far past the configured limit before the abort fires.
 func (d *deriver) safetyPhase() error {
 	seeds := make([]int32, len(d.bs))
@@ -928,8 +898,8 @@ func (d *deriver) safetyPhase() error {
 			WitnessTrace: d.safetyWitness(seeds),
 		}
 	}
-	d.table.internCanonical(h0, h0.hash()) // ID 0 = initial state
-	sc0.arena.reset()                      // h0 now lives in shard storage
+	d.table.intern(h0, h0.hash()) // ID 0 = initial state
+	sc0.arena.reset()             // h0 now lives in the intern arena
 	d.states = append(d.states, cstate{})
 
 	ne := len(d.intl)
@@ -962,7 +932,7 @@ func (d *deriver) safetyPhase() error {
 			d.expandBatch(blo, bhi, res)
 			d.mergeBatch(blo, bhi, res)
 			for _, sc := range d.scratches {
-				sc.arena.reset() // surviving sets were copied into shard/memo storage
+				sc.arena.reset() // surviving sets were copied into intern/memo storage
 			}
 			if d.opts.MaxStates > 0 && len(d.states) > d.opts.MaxStates {
 				return fmt.Errorf("quotient: safety phase exceeded MaxStates=%d (aborted at %d states)",
@@ -974,51 +944,17 @@ func (d *deriver) safetyPhase() error {
 	return nil
 }
 
-// mergeBatch interns one batch of φ results and assigns canonical state
-// IDs, in two passes.
-//
-// M1 (parallel): every shard walks the whole result slice and claims the
-// results whose set hashes into it — probing its buckets and, on a miss,
-// copying the set into its arena as an unnumbered entry. A shard is touched
-// by exactly one goroutine, so shard state needs no locks; a claiming
-// goroutine writes only the .entry field of results it claimed, so result
-// writes are disjoint too.
-//
-// M2 (sequential): a single renumbering walk over the results in frontier
-// (state, Int-event) order assigns the next canonical ID to each entry at
-// its first occurrence. First-occurrence-in-frontier-order is precisely the
-// discovery order of the sequential worklist engine, which is what makes
-// the numbering — and everything downstream of it — independent of worker
-// and shard counts. M2 also records each computed closure in the seed memo
-// (successor ID, or memoFail for an ok.J failure), the only memo write
-// path; workers read the memo lock-free during expansion because merges and
-// expansions never overlap.
+// mergeBatch interns one batch of φ results in a single sequential walk in
+// frontier (state, Int-event) order: each set gets the next canonical ID at
+// its first occurrence, which is precisely the discovery order of the
+// sequential worklist engine, so the numbering — and everything downstream
+// of it — is independent of the worker count. The walk also records each
+// computed closure in the seed memo (successor ID, or memoFail for an ok.J
+// failure), the only memo write path; workers read the memo lock-free
+// during expansion because merges and expansions never overlap.
 func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
 	omit := d.opts.OmitVacuous
-	fanOut(d.nshards, d.workers, func(shard, _ int) {
-		s := &d.table.shards[shard]
-		for i := range results {
-			r := &results[i]
-			if !r.ok || r.memoGID >= 0 || (r.set == nil && omit) {
-				continue // omitted transition, memoized, or omitted vacuous
-			}
-			if d.table.shardOf(r.hash) != shard {
-				continue
-			}
-			set := r.set
-			if set == nil {
-				set = pairset{} // vacuous successor, kept: the empty set
-			}
-			s.lookups++
-			if e, ok := s.find(set, r.hash); ok {
-				s.hits++
-				r.entry = e
-			} else {
-				r.entry = s.add(set, r.hash)
-			}
-		}
-	})
 	i := 0
 	for si := lo; si < hi; si++ {
 		succ := d.succArena.alloc(ne)
@@ -1041,16 +977,14 @@ func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 			if r.set == nil && omit {
 				continue // vacuously safe: no trace of B matches
 			}
-			s := &d.table.shards[d.table.shardOf(r.hash)]
-			e := &s.entries[r.entry]
-			if e.gid < 0 {
-				e.gid = int32(len(d.table.byGID))
-				d.table.byGID = append(d.table.byGID, e.set)
+			// A nil set is the vacuous successor, kept: the empty set.
+			id, hit := d.table.intern(r.set, r.hash)
+			if !hit {
 				d.states = append(d.states, cstate{})
 			}
-			succ[ei] = e.gid
+			succ[ei] = id
 			if r.seedSet != nil {
-				d.memo.put(r.seedSet, r.seedHash, e.gid)
+				d.memo.put(r.seedSet, r.seedHash, id)
 			}
 		}
 		d.states[si].succ = succ

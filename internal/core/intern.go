@@ -13,12 +13,11 @@
 // append-only uint64 chunks, a published pairset is a slice header into a
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
-// The intern table is hash-sharded. During a merge batch each shard is
-// probed and grown by at most one goroutine (fanOut in parallel.go), so
-// shards need no locking; canonical IDs are NOT assigned by the shards — a
-// deterministic renumbering pass walks the batch's φ results in frontier
-// order and numbers first occurrences, so the converter's state numbering is
-// bit-identical for every worker and shard count (core.go, mergeBatch).
+// The intern table is one hash index written only by the sequential merge
+// (core.go, mergeBatch), which walks a batch's φ results in frontier
+// (state, Int-event) order and gives each set the next canonical ID at its
+// first occurrence. That is the discovery order of the paper's worklist, so
+// the converter's state numbering is bit-identical at every worker count.
 //
 // The seed memo (seedMemo) interns φ-step seed sets the same way and maps
 // each seed set to the canonical ID of its closure — or to memoFail when the
@@ -104,20 +103,20 @@ func (ps pairset) forEachUntil(f func(p int32) bool) {
 // hash is the word-parallel mixing hash of sat.HashWords; canonical form
 // makes it a set hash. Deterministic across runs (no seed) so bucket
 // behavior never depends on hash randomization — though no output depends
-// on the hash at all, since IDs come from the renumbering pass.
+// on the hash at all, since IDs follow frontier order.
 func (ps pairset) hash() uint64 { return sat.HashWords(ps) }
 
 func (ps pairset) equal(o pairset) bool { return sat.WordsEqual(ps, o) }
 
 // emptyPairsetHash is the hash of the zero-length set — the vacuous
-// converter state's pair set — precomputed so vacuous φ results can be
-// routed to their shard without a worker-side hash call.
+// converter state's pair set — precomputed so vacuous φ results reach the
+// merge hashed without a worker-side hash call.
 var emptyPairsetHash = pairset(nil).hash()
 
 // pairArenaChunkWords caps the arena chunk capacity: 1<<13 uint64 words =
 // 64 KiB per chunk. A variable, not a constant, so the differential tests
 // can force tiny chunks and exercise every chunk-boundary path
-// (TestShardedInternDifferential).
+// (TestSafetyDifferential).
 var pairArenaChunkWords = 1 << 13
 
 // firstChunk is the capacity, in elements, of an arena's first chunk.
@@ -138,8 +137,8 @@ func chunkSize(k, limit int) int {
 // pairArena is chunked append-only uint64 storage. Sealed chunks never move
 // or shrink, so placed pairsets remain valid slice headers for the life of
 // the derivation. A single goroutine owns any given arena at any given time
-// (worker scratch arenas during expansion, shard arenas during their shard's
-// merge walk, the memo arena on the sequential renumber path).
+// (worker scratch arenas during expansion, the intern and memo arenas
+// during the sequential merge).
 type pairArena struct {
 	chunkWords int // cap on chunkSize; a larger alloc gets a chunk of its own
 	chunks     [][]uint64
@@ -198,7 +197,7 @@ func (ar *pairArena) place(ps pairset) pairset {
 
 // reset rewinds every chunk to length zero, keeping capacity. Used by the
 // per-worker scratch arenas between merge batches: by then every surviving
-// φ result has been copied into shard or memo storage.
+// φ result has been copied into intern or memo storage.
 func (ar *pairArena) reset() {
 	for i := range ar.chunks {
 		ar.chunks[i] = ar.chunks[i][:0]
@@ -233,146 +232,95 @@ func (ar *int32Arena) alloc(n int) []int32 {
 	return out
 }
 
-// ientry is one interned set in a shard: the sealed arena-backed set and its
-// canonical ID, -1 until the renumbering pass assigns one. The invariant
-// between merge batches is that every entry has gid ≥ 0: renumbering covers
-// every entry a merge created, because each was created on behalf of at
-// least one φ result the renumber walk visits.
-type ientry struct {
-	set pairset
-	gid int32
+// setIndex hash-conses pairsets: open chaining on the full 64-bit hash,
+// every added set copied into the index's own arena. The intern table and
+// the seed memo are both one setIndex plus what they record per set. The
+// sequential merge is the only writer and expansion workers only read, and
+// the two never overlap, so no locking anywhere.
+type setIndex struct {
+	buckets map[uint64][]int32
+	sets    []pairset
+	arena   *pairArena
 }
 
-// internShard is one hash shard of the intern table: open chaining on the
-// full 64-bit hash, entries and their backing storage owned by the shard.
-// During a merge batch at most one goroutine touches a shard; between
-// batches the sequential paths (initial-state interning, renumbering, get)
-// have exclusive access, so no locking anywhere.
-type internShard struct {
-	buckets map[uint64][]int32
-	entries []ientry
-	arena   *pairArena
+func newSetIndex() setIndex {
+	return setIndex{buckets: make(map[uint64][]int32), arena: newPairArena()}
+}
+
+// find returns the index of ps, or -1 when it was never added.
+func (x *setIndex) find(ps pairset, h uint64) int32 {
+	for _, cand := range x.buckets[h] {
+		if x.sets[cand].equal(ps) {
+			return cand
+		}
+	}
+	return -1
+}
+
+// add copies ps, which find has just missed, into the arena and returns
+// its index: the next one.
+func (x *setIndex) add(ps pairset, h uint64) int32 {
+	i := int32(len(x.sets))
+	x.sets = append(x.sets, x.arena.place(ps))
+	x.buckets[h] = append(x.buckets[h], i)
+	return i
+}
+
+// internTable assigns one canonical ID per distinct set, IDs dense in
+// first-intern order (frontier order), doubling as converter state indices.
+// sets is the ID → set directory every reader (expansion workers, the
+// progress phase, diagnostics) goes through.
+type internTable struct {
+	setIndex
 	lookups int
 	hits    int
 }
 
-// find probes the shard for ps, returning its entry index.
-func (s *internShard) find(ps pairset, h uint64) (int32, bool) {
-	for _, cand := range s.buckets[h] {
-		if s.entries[cand].set.equal(ps) {
-			return cand, true
-		}
+func newInternTable() *internTable { return &internTable{setIndex: newSetIndex()} }
+
+// intern returns the canonical ID of ps, assigning the next one on first
+// sight.
+func (t *internTable) intern(ps pairset, h uint64) (id int32, hit bool) {
+	t.lookups++
+	if id := t.find(ps, h); id >= 0 {
+		t.hits++
+		return id, true
 	}
-	return -1, false
+	return t.add(ps, h), false
 }
 
-// add copies ps into the shard arena and appends an unnumbered entry.
-func (s *internShard) add(ps pairset, h uint64) int32 {
-	e := int32(len(s.entries))
-	s.entries = append(s.entries, ientry{set: s.arena.place(ps), gid: -1})
-	s.buckets[h] = append(s.buckets[h], e)
-	return e
-}
-
-// internTable hash-conses pairsets across its shards: one canonical ID per
-// distinct set, IDs dense in first-intern order (frontier order), doubling
-// as converter state indices. byGID is the ID → set directory every reader
-// (expansion workers, the progress phase, diagnostics) goes through.
-type internTable struct {
-	shards []internShard
-	mask   uint64
-	byGID  []pairset
-}
-
-// newInternTable builds a table with nshards shards; nshards must be a
-// power of two (resolveInternShards guarantees it).
-func newInternTable(nshards int) *internTable {
-	t := &internTable{shards: make([]internShard, nshards), mask: uint64(nshards - 1)}
-	for i := range t.shards {
-		t.shards[i] = internShard{buckets: make(map[uint64][]int32), arena: newPairArena()}
-	}
-	return t
-}
-
-func (t *internTable) shardOf(h uint64) int { return int(h & t.mask) }
-
-// internCanonical is the sequential intern path, used only for the initial
-// state's h.ε set (every other set goes through the batched merge). It
-// assigns the next canonical ID immediately.
-func (t *internTable) internCanonical(ps pairset, h uint64) (id int32, hit bool) {
-	s := &t.shards[t.shardOf(h)]
-	s.lookups++
-	if e, ok := s.find(ps, h); ok {
-		s.hits++
-		return s.entries[e].gid, true
-	}
-	e := s.add(ps, h)
-	id = int32(len(t.byGID))
-	s.entries[e].gid = id
-	t.byGID = append(t.byGID, s.entries[e].set)
-	return id, false
-}
-
-// dropIndex releases every shard's hash index once interning is over. The
-// shard arenas, which hold the sets byGID points into, stay.
-func (t *internTable) dropIndex() {
-	for i := range t.shards {
-		t.shards[i].buckets, t.shards[i].entries = nil, nil
-	}
-}
+// dropIndex releases the hash index once interning is over. The arena,
+// which holds the sets the directory points into, stays.
+func (t *internTable) dropIndex() { t.buckets = nil }
 
 // get returns the canonical pairset for an interned ID. The caller must not
 // mutate it.
-func (t *internTable) get(id int32) pairset { return t.byGID[id] }
-
-// counts aggregates the per-shard probe counters.
-func (t *internTable) counts() (lookups, hits int) {
-	for i := range t.shards {
-		lookups += t.shards[i].lookups
-		hits += t.shards[i].hits
-	}
-	return lookups, hits
-}
-
-// bytes is the total reserved arena storage across shards.
-func (t *internTable) bytes() int64 {
-	var n int64
-	for i := range t.shards {
-		n += t.shards[i].arena.reserved
-	}
-	return n
-}
+func (t *internTable) get(id int32) pairset { return t.sets[id] }
 
 // memoFail is the seedMemo result recording that the closure of a seed set
 // violates ok.J — the transition is omitted, no state exists.
 const memoFail int32 = -2
 
 // seedMemo interns canonical φ-step seed sets and maps each to the
-// canonical ID of its closure (or memoFail). Written only on the sequential
-// renumbering path of a merge batch; read concurrently by expansion workers
-// during the next batch — the phases never overlap, so no locking. Soundness
-// rests on the closure being a pure function of the seed set: the key is
-// the full canonical seed set, and under a demand-driven environment the
-// closure itself forces whatever expansion it needs, so the memoized result
-// is independent of how much of the environment was materialized when it
-// was first computed.
+// canonical ID of its closure (or memoFail). Written only by the
+// sequential merge; read concurrently by expansion workers during the next
+// batch — the phases never overlap, so no locking. Soundness rests on the
+// closure being a pure function of the seed set: the key is the full
+// canonical seed set, and under a demand-driven environment the closure
+// itself forces whatever expansion it needs, so the memoized result is
+// independent of how much of the environment was materialized when it was
+// first computed.
 type seedMemo struct {
-	buckets map[uint64][]int32
-	seeds   []pairset
-	res     []int32 // canonical state ID, or memoFail
-	arena   *pairArena
+	setIndex
+	res []int32 // canonical state ID, or memoFail
 }
 
-func newSeedMemo() *seedMemo {
-	return &seedMemo{buckets: make(map[uint64][]int32), arena: newPairArena()}
-}
+func newSeedMemo() *seedMemo { return &seedMemo{setIndex: newSetIndex()} }
 
 // lookup returns the memoized closure result for a canonical seed set.
 func (m *seedMemo) lookup(seeds pairset, h uint64) (res int32, found bool) {
-	for _, cand := range m.buckets[h] {
-		if m.seeds[cand].equal(seeds) {
-			return m.res[cand], true
-		}
+	if i := m.find(seeds, h); i >= 0 {
+		return m.res[i], true
 	}
 	return 0, false
 }
@@ -382,15 +330,9 @@ func (m *seedMemo) lookup(seeds pairset, h uint64) (res int32, found bool) {
 // ignored: both computed the same closure, so the existing entry already
 // holds the same result.
 func (m *seedMemo) put(seeds pairset, h uint64, res int32) {
-	for _, cand := range m.buckets[h] {
-		if m.seeds[cand].equal(seeds) {
-			return
-		}
+	if m.find(seeds, h) >= 0 {
+		return
 	}
-	i := int32(len(m.seeds))
-	m.seeds = append(m.seeds, m.arena.place(seeds))
+	m.add(seeds, h)
 	m.res = append(m.res, res)
-	m.buckets[h] = append(m.buckets[h], i)
 }
-
-func (m *seedMemo) bytes() int64 { return m.arena.reserved }

@@ -53,23 +53,22 @@ func abortedStates(t *testing.T, err error) int {
 // at most cap + safetyMergeBatch × |Int| states — rather than finishing
 // whatever frontier level it was on (the old per-level check let a single
 // huge level run arbitrarily far past the cap). The abort must also be
-// bit-identical across worker and shard counts, since batch boundaries are
+// bit-identical across worker counts, since batch boundaries are
 // observable through it.
 func TestMaxStatesAbortsPromptly(t *testing.T) {
 	f := specgen.Chain(7)
 	ne := numIntEvents(t, f)
 	const cap = 2
 
-	derive := func(workers, shards int) error {
+	derive := func(workers int) error {
 		lz := compose.MustLazyMany(f.Components...)
 		_, err := DeriveEnv(f.Service, lz, Options{
-			OmitVacuous: true, MaxStates: cap,
-			Workers: workers, InternShards: shards,
+			OmitVacuous: true, MaxStates: cap, Workers: workers,
 		})
 		return err
 	}
 
-	base := derive(1, 1)
+	base := derive(1)
 	n := abortedStates(t, base)
 	if n <= cap {
 		t.Errorf("aborted at %d states, within the cap %d — should not abort", n, cap)
@@ -80,10 +79,10 @@ func TestMaxStatesAbortsPromptly(t *testing.T) {
 	if !strings.Contains(base.Error(), fmt.Sprintf("exceeded MaxStates=%d", cap)) {
 		t.Errorf("abort message missing the cap: %v", base)
 	}
-	for _, cfg := range [][2]int{{2, 1}, {4, 8}} {
-		if err := derive(cfg[0], cfg[1]); err == nil || err.Error() != base.Error() {
-			t.Errorf("workers=%d shards=%d abort differs:\n%v\n--- vs workers=1 shards=1 ---\n%v",
-				cfg[0], cfg[1], err, base)
+	for _, workers := range []int{2, 4} {
+		if err := derive(workers); err == nil || err.Error() != base.Error() {
+			t.Errorf("workers=%d abort differs:\n%v\n--- vs workers=1 ---\n%v",
+				workers, err, base)
 		}
 	}
 
@@ -93,7 +92,7 @@ func TestMaxStatesAbortsPromptly(t *testing.T) {
 	saved := safetyMergeBatch
 	safetyMergeBatch = 1
 	defer func() { safetyMergeBatch = saved }()
-	n1 := abortedStates(t, derive(1, 1))
+	n1 := abortedStates(t, derive(1))
 	if limit := cap + 1*ne; n1 > limit {
 		t.Errorf("batch=1: aborted at %d states; bound is %d", n1, limit)
 	}

@@ -72,8 +72,8 @@ type Metrics struct {
 	RowRecordBytes int64
 	InternBytes    int64
 	// PairArenaBytes is the safety phase's arena-backed pair-set storage:
-	// bytes reserved by the intern-table shard arenas, the closure-memo
-	// arena, and the converter successor rows. Per-worker scratch arenas
+	// bytes reserved by the intern-table arena, the closure-memo arena,
+	// and the converter successor rows. Per-worker scratch arenas
 	// are excluded — they rewind every merge batch, and counting them would
 	// make the figure vary with Workers where this one is deterministic for
 	// a given input. Complements ArenaBytes, which covers the demand-driven
@@ -85,10 +85,6 @@ type Metrics struct {
 	// excludes sweep scratch, so it is deterministic for a given input at
 	// every worker count. 0 when the progress phase did not run.
 	ProgressBytes int64
-	// InternShards is the resolved shard count of the safety phase's
-	// pair-set intern table (Options.InternShards after rounding; defaults
-	// to a power of two matching Workers).
-	InternShards int
 	// ClosureMemoHits counts φ-step closures skipped entirely because the
 	// seed set was already mapped to its closure's canonical state (or to a
 	// known ok.J failure) by an earlier expansion.

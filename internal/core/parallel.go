@@ -6,11 +6,10 @@
 // the same construction can run level by level — and, within a level, merge
 // batch by merge batch: a fixed-size slice of the frontier has its φ(J, e)
 // results computed (this file — the concurrent part), then mergeBatch
-// (core.go) interns the results and assigns canonical IDs in (state index,
-// Int-event index) order. Discovery order, and therefore state numbering,
-// transition structure, and every downstream artifact, match the sequential
-// worklist bit for bit regardless of worker count, shard count, or batch
-// size.
+// (core.go) interns the results on one goroutine, assigning canonical IDs in
+// (state index, Int-event index) order. Discovery order, and therefore state
+// numbering, transition structure, and every downstream artifact, match the
+// sequential worklist bit for bit regardless of worker count or batch size.
 //
 // Workers share the deriver read-only — the spec tables are immutable, and
 // the intern table and closure memo are read-only during expansion (the
@@ -42,7 +41,7 @@
 // Each worker owns a scratch holding the walk state and a per-batch output
 // arena (intern.go): a closure result costs arena space, not a heap
 // allocation, and the arena rewinds after every merge once the surviving
-// sets have been copied into shard storage.
+// sets have been copied into intern storage.
 package core
 
 import (
@@ -88,8 +87,7 @@ var (
 // match any trace reaching it). ok=false means ok.J failed — the transition
 // is omitted. memoGID ≥ 0 means the closure memo already mapped this seed
 // set to a canonical state, and neither the closure nor the intern probe
-// ran. entry is filled during the merge's parallel phase (the shard entry
-// index); set and seedSet point into the producing worker's arena and are
+// ran. set and seedSet point into the producing worker's arena and are
 // valid only until that arena resets after the merge.
 type phiResult struct {
 	set      pairset
@@ -97,7 +95,6 @@ type phiResult struct {
 	seedSet  pairset // canonical φ seed set, for the memo; nil if not memoizable
 	seedHash uint64
 	memoGID  int32 // memoized successor state, or -1
-	entry    int32 // shard entry index, assigned by mergeBatch's M1 pass
 	ok       bool
 }
 
@@ -165,7 +162,8 @@ func newScratch(d *deriver) *scratch {
 }
 
 // getScratch returns the persistent working set for worker w, creating it
-// on first use. Called only from the merge path and at worker start-up.
+// on first use. Called only on the deriver's goroutine, between merges: for
+// the initial closure and before each batch's fan-out.
 func (d *deriver) getScratch(w int) *scratch {
 	for len(d.scratches) <= w {
 		d.scratches = append(d.scratches, newScratch(d))
@@ -588,7 +586,7 @@ func (d *deriver) expandState(sc *scratch, si int, out []phiResult) {
 		}
 	})
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1, entry: -1}
+		out[ei] = phiResult{memoGID: -1}
 		r := &out[ei]
 		if len(sc.seeds[ei]) == 0 {
 			r.ok = true // vacuous successor
@@ -650,7 +648,7 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 	})
 	flush()
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1, entry: -1}
+		out[ei] = phiResult{memoGID: -1}
 		r := &out[ei]
 		if len(sc.mseedPbs[ei]) == 0 {
 			r.ok = true // vacuous successor
@@ -701,9 +699,9 @@ func (d *deriver) expandBatch(lo, hi int, results []phiResult) {
 // fanOut calls f(i, w) once for every i in [0, n), on up to workers
 // goroutines; w < min(workers, n) names the calling goroutine, so f can
 // use per-worker state without locks. Items are handed out by an atomic
-// cursor rather than pre-chunked, since their costs vary wildly (φ results
-// per frontier state, intern shards per merge). With at most one worker it
-// is a plain loop on the caller's goroutine.
+// cursor rather than pre-chunked, since the cost of a frontier state's φ
+// results varies wildly. With at most one worker it is a plain loop on the
+// caller's goroutine.
 func fanOut(n, workers int, f func(i, w int)) {
 	workers = min(workers, n)
 	if workers <= 1 {

@@ -132,9 +132,7 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 
 			var ref sweepOutcome
 			for i, w := range []int{1, 2, 4} {
-				// One intern shard: the shard count sizes PairArenaBytes, and
-				// TestShardedInternDifferential owns that dimension.
-				res, err := core.DeriveRobust(sys.a, sys.bs, core.Options{Workers: w, InternShards: 1})
+				res, err := core.DeriveRobust(sys.a, sys.bs, core.Options{Workers: w})
 				var got sweepOutcome
 				if err != nil {
 					got.err = err.Error()
