@@ -83,16 +83,18 @@ convrt-smoke:
 		-assert-clean
 
 # Short fuzzing bursts over the wire decoder, the DSL parser, the
-# canonical-form hasher, the compiled-table decoder, and quotd's derive
-# request and peer-fill decoders: enough to catch regressions in frame
-# bounds-checking, grammar handling, hash stability, table-header bounds,
-# typed request rejection, and peer answers keyed as /v1/derive keys them,
+# canonical-form hasher, FromDense against a map-based reference, the
+# compiled-table decoder, and quotd's derive request and peer-fill
+# decoders: enough to catch regressions in frame bounds-checking, grammar
+# handling, hash stability, spec freezing, table-header bounds, typed
+# request rejection, and peer answers keyed as /v1/derive keys them,
 # without slowing the gate down. Longer campaigns: raise -fuzztime manually.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzFromDense$$' -fuzztime 5s ./internal/spec
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/convrt
 	$(GO) test -run '^$$' -fuzz '^FuzzDeriveRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzPeerFill$$' -fuzztime 5s ./internal/server

@@ -342,9 +342,6 @@ func printStats(w io.Writer, s core.Stats) {
 		m.ProgressWall.Round(time.Microsecond), m.ProgressScans)
 	fmt.Fprintf(w, "interning:      %d lookups, %d hits (%.1f%% hit rate)",
 		m.InternLookups, m.InternHits, 100*m.InternHitRate())
-	if m.ClosureMemoHits > 0 {
-		fmt.Fprintf(w, ", %d closure memo hits", m.ClosureMemoHits)
-	}
 	if m.PairArenaBytes > 0 {
 		fmt.Fprintf(w, ", %s pair arenas", fmtBytes(m.PairArenaBytes))
 	}

@@ -142,7 +142,6 @@ type WireStats struct {
 	ArenaBytes         int64   `json:"arena_bytes,omitempty"`
 	PeakRowBytes       int64   `json:"peak_row_bytes,omitempty"`
 	PairArenaBytes     int64   `json:"pair_arena_bytes,omitempty"`
-	ClosureMemoHits    int     `json:"closure_memo_hits,omitempty"`
 }
 
 // StatsFromCore flattens engine statistics into the wire form.
@@ -173,7 +172,6 @@ func StatsFromCore(s core.Stats) *WireStats {
 		ArenaBytes:         m.ArenaBytes,
 		PeakRowBytes:       m.PeakRowBytes,
 		PairArenaBytes:     m.PairArenaBytes,
-		ClosureMemoHits:    m.ClosureMemoHits,
 	}
 }
 

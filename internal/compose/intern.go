@@ -2,26 +2,37 @@
 //
 // LazyMany assigns composite state ids in discovery order and keeps, per
 // id, just enough to recover the component-state tuple. The scheme is
-// tiered:
+// tiered on the tuple count, the product of the component state counts:
 //
-//   - tierDense: a mixed-radix uint64 key per state, looked up in a paged
-//     direct-mapped array when the full product count is at most
-//     denseInternLimit: one indexed load per lookup, with pages allocated
-//     only for the key ranges the exploration actually touches (a
-//     demand-driven walk of a 2^28-state product may touch a few thousand
-//     pages out of tens of thousands);
+//   - tierDense: a uint64 key per state, looked up in a paged
+//     direct-mapped array when the product is at most denseInternLimit:
+//     one indexed load per lookup, with pages allocated only for the key
+//     ranges the exploration actually touches (a demand-driven walk of a
+//     2^28 key space may touch a few thousand pages out of tens of
+//     thousands);
 //   - tierHashed: the same key per state, looked up in an open-addressed
-//     table of state ids over the key array, when the product fits a
-//     uint64 but exceeds the dense limit;
+//     table of state ids over the key array, when the key fits a uint64
+//     but the product exceeds the dense limit;
 //   - tierString: the raw k-int32 tuple per state, looked up in a map keyed
-//     by the tuple bytes, when the product overflows uint64 entirely
-//     (dozens of components).
+//     by the tuple bytes, when no key fits a uint64 (dozens of
+//     components).
 //
-// On the radix tiers a state costs one uint64 of identity, the tuple is
-// decoded from the key on expansion, and a successor's key is the parent's
-// plus (to − from)·weight per moved component, so interning a successor
-// touches no tuple memory at all.
+// On the key tiers a state costs one uint64 of identity, and a successor's
+// key is the parent's plus (to − from)·weight per moved component, so
+// interning a successor touches no tuple memory at all. The key is laid
+// out as bit fields whenever they fit the tier: component ci's state
+// occupies bits.Len(NumStates−1) bits at a fixed shift, the first
+// component most significant, and the tuple is decoded with one shift and
+// mask per component. A component whose state count is not a power of two
+// leaves part of its field unused, so the dense tier's pages hold ids no
+// state can take. When the fields are wider than the tier allows (more
+// than denseKeyBits on the dense tier, more than 64 on the hashed tier)
+// the key is mixed-radix instead, weights are products of state counts
+// and decode divides, so no composition takes a slower tier for the sake
+// of the cheaper decode.
 package compose
+
+import "math/bits"
 
 type internTier int
 
@@ -31,15 +42,17 @@ const (
 	tierString
 )
 
-// tierOf picks the intern tier for a compiled component list.
+// tierOf picks the intern tier for a compiled component list. A product
+// past uint64 with a 64-bit-wide bit-field key is exactly 2^64 (every
+// state count a power of two): its keys still fit.
 func tierOf(tb *compTables) internTier {
 	switch {
-	case !tb.radixOK:
-		return tierString
-	case tb.product <= denseInternLimit:
+	case tb.productOK && tb.product <= denseInternLimit:
 		return tierDense
-	default:
+	case tb.productOK || tb.keyBits <= 64:
 		return tierHashed
+	default:
+		return tierString
 	}
 }
 
@@ -55,16 +68,21 @@ const hashFirstSlots = 1 << 4
 // stateIntern maps composite states to dense ids and back. Not safe for
 // concurrent use; Lazy serializes on its mutex.
 type stateIntern struct {
-	k       int
-	radices []uint64 // NumStates per component
-	// weights[ci] is the key's place value of component ci: a tuple's key is
-	// Σ tuple[ci]·weights[ci], the most significant component first. nil on
-	// the string tier.
+	k int
+	// weights[ci] is component ci's place value in the key: a tuple's key
+	// is Σ tuple[ci]·weights[ci], the first component most significant.
+	// nil on the string tier. In the bit-field layout every weight is a
+	// power of two, shifts[ci] is its log2 and masks[ci] the field's ones;
+	// in the mixed-radix layout shifts is nil and radices[ci] is the
+	// component's state count.
 	weights []uint64
-	keys    []uint64 // by state id; radix tiers
+	shifts  []uint8
+	masks   []uint64
+	radices []uint64
+	keys    []uint64 // by state id; key tiers
 
 	pages   [][]int32 // tierDense: paged direct-mapped by key; nil page = untouched
-	pageLen int       // entries per page (smaller than a full page only for tiny products)
+	pageLen int       // entries per page (smaller than a full page only for a tiny key space)
 
 	slots []int32 // tierHashed: open-addressed state ids, -1 = empty
 	shift uint    // 64 − log2(len(slots)), for Fibonacci hashing
@@ -75,37 +93,52 @@ type stateIntern struct {
 }
 
 // newStateIntern builds an empty intern of the given tier for a compiled
-// component list.
+// component list, with bit fields when they fit the tier.
 func newStateIntern(tb *compTables, numStates []int, tier internTier) *stateIntern {
 	k := len(numStates)
-	ti := &stateIntern{k: k, radices: make([]uint64, k)}
-	for i, n := range numStates {
-		ti.radices[i] = uint64(n)
-	}
+	ti := &stateIntern{k: k}
+	bitFields := tb.keyBits <= 64
 	switch tier {
 	case tierString:
 		ti.seenS = make(map[string]int32)
 		ti.keyBuf = make([]byte, 4*k)
 		return ti
 	case tierDense:
-		ti.pages = make([][]int32, (tb.product>>internPageShift)+1)
-		ti.pageLen = 1 << internPageShift
-		if tb.product < uint64(ti.pageLen) {
-			ti.pageLen = int(tb.product) // single partial page
+		bitFields = tb.keyBits <= denseKeyBits
+		space := tb.product
+		if bitFields {
+			space = 1 << tb.keyBits
 		}
+		ti.pages = make([][]int32, (space>>internPageShift)+1)
+		ti.pageLen = int(min(space, 1<<internPageShift)) // one partial page for a tiny space
 	case tierHashed:
 		ti.rehash(hashFirstSlots)
 	}
 	ti.weights = make([]uint64, k)
-	w := uint64(1)
+	if !bitFields {
+		ti.radices = make([]uint64, k)
+		w := uint64(1)
+		for ci := k - 1; ci >= 0; ci-- {
+			ti.weights[ci] = w
+			ti.radices[ci] = uint64(numStates[ci])
+			w *= ti.radices[ci]
+		}
+		return ti
+	}
+	ti.shifts = make([]uint8, k)
+	ti.masks = make([]uint64, k)
+	shift := 0
 	for ci := k - 1; ci >= 0; ci-- {
-		ti.weights[ci] = w
-		w *= ti.radices[ci]
+		width := bits.Len(uint(numStates[ci] - 1))
+		ti.weights[ci] = 1 << shift
+		ti.shifts[ci] = uint8(shift)
+		ti.masks[ci] = 1<<width - 1
+		shift += width
 	}
 	return ti
 }
 
-// keyOf returns a tuple's mixed-radix key. Radix tiers only.
+// keyOf returns a tuple's key. Key tiers only.
 func (ti *stateIntern) keyOf(tuple []int32) uint64 {
 	key := uint64(0)
 	for ci, s := range tuple {
@@ -116,15 +149,21 @@ func (ti *stateIntern) keyOf(tuple []int32) uint64 {
 
 // decode writes state id's component tuple into dst (len k).
 func (ti *stateIntern) decode(id int32, dst []int32) {
-	if ti.weights == nil {
+	switch {
+	case ti.shifts != nil:
+		key := ti.keys[id]
+		for ci, sh := range ti.shifts {
+			dst[ci] = int32(key >> sh & ti.masks[ci])
+		}
+	case ti.weights != nil:
+		key := ti.keys[id]
+		for ci := ti.k - 1; ci >= 0; ci-- {
+			r := ti.radices[ci]
+			dst[ci] = int32(key % r)
+			key /= r
+		}
+	default:
 		copy(dst, ti.tuples[int(id)*ti.k:int(id)*ti.k+ti.k])
-		return
-	}
-	key := ti.keys[id]
-	for ci := ti.k - 1; ci >= 0; ci-- {
-		r := ti.radices[ci]
-		dst[ci] = int32(key % r)
-		key /= r
 	}
 }
 
@@ -149,7 +188,7 @@ func (ti *stateIntern) intern(tuple []int32) (id int32, isNew bool) {
 	return id, true
 }
 
-// internKey is intern for a state given by its key. Radix tiers only.
+// internKey is intern for a state given by its key. Key tiers only.
 func (ti *stateIntern) internKey(key uint64) (id int32, isNew bool) {
 	next := int32(len(ti.keys))
 	if ti.pages != nil {

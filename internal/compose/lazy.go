@@ -181,7 +181,7 @@ func (x *Lazy) discoveredLocked(id int32) {
 }
 
 // succLocked interns the successor of state key/tuple in which component ci
-// moves to to and, when pj >= 0, component pj moves to toJ. On the radix
+// moves to to and, when pj >= 0, component pj moves to toJ. On the key
 // tiers the successor's key is computed from the parent's, with no tuple
 // copy. Caller holds mu.
 func (x *Lazy) succLocked(key uint64, tuple []int32, ci int, to int32, pj int32, toJ int32) int32 {

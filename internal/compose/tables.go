@@ -29,23 +29,28 @@ type compTables struct {
 	// Per-component dense edge tables over global event ids.
 	cext  [][][]cedge
 	cintl [][][]int32
-	// radixOK reports that the full product count fits in a uint64, so
-	// tuple interning can use a mixed-radix integer key instead of a
-	// string key over the raw tuple bytes; product is that count when it
-	// holds (meaningless otherwise).
-	radixOK bool
-	product uint64
+	// keyBits is the width of the bit-field state key: each component's
+	// state gets its own field of bits.Len(NumStates−1) bits. product is
+	// the tuple count Π NumStates, the key space of the mixed-radix key,
+	// and productOK reports that it fits a uint64 (product is meaningless
+	// otherwise). intern.go chooses the tier and the layout from these.
+	keyBits   int
+	product   uint64
+	productOK bool
 }
 
-// denseInternLimit is the largest mixed-radix product for which tuple
-// interning uses the paged direct-mapped array (intern.go) instead of a
-// hash map. Successor interning is the hottest loop of the composition;
-// the array turns each lookup into one indexed load. Pages are
-// allocated only for touched key ranges, so the limit is bounded by the
-// page-directory size (a 2^30 product needs a 16K-pointer directory, and
-// only the explored slice pays for pages), not by product × 4 bytes as the
-// pre-paging flat array was.
-const denseInternLimit = 1 << 30
+// denseInternLimit is the largest key space for which tuple interning
+// uses the paged direct-mapped array (intern.go) instead of a hash table;
+// denseKeyBits is its width, the widest bit-field key it takes. Successor interning is the hottest loop of the
+// composition; the array turns each lookup into one indexed load. Pages
+// are allocated only for touched key ranges, so the limit is bounded by
+// the page-directory size (a 2^30 key space needs a 16K-pointer
+// directory, and only the explored slice pays for pages), not by key
+// space × 4 bytes as a flat array would be.
+const (
+	denseKeyBits     = 30
+	denseInternLimit = 1 << denseKeyBits
+)
 
 // compileComponents validates the component list (pairwise-disjoint
 // interfaces, as Many requires) and builds the shared tables.
@@ -110,28 +115,18 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 		}
 	}
 
-	t.radixOK = true
-	prod := uint64(1)
+	t.product, t.productOK = 1, true
 	for _, c := range components {
-		n := uint64(c.NumStates())
+		n := c.NumStates()
 		if n == 0 {
-			// The old guard (prod > (1<<63)/n) divided by zero here; a
-			// zero-state component has no initial state and no product to
-			// speak of, so reject it outright.
+			// A zero-state component has no initial state and no product
+			// to speak of, so reject it outright.
 			return nil, fmt.Errorf("compose: component %s has no states", c.Name())
 		}
-		hi, lo := bits.Mul64(prod, n)
-		if hi != 0 {
-			// Product overflows uint64: fall back to string-keyed tuple
-			// interning. (The old guard also under-approximated the radix
-			// range by one bit; exact detection keeps 2^63..2^64-1 products
-			// on the fast integer key.)
-			t.radixOK = false
-			break
-		}
-		prod = lo
+		t.keyBits += bits.Len(uint(n - 1))
+		hi, lo := bits.Mul64(t.product, uint64(n))
+		t.product, t.productOK = lo, t.productOK && hi == 0
 	}
-	t.product = prod
 	return t, nil
 }
 

@@ -53,8 +53,8 @@ func TestCompileRadixOverflowFallsBackToStringKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.radixOK {
-		t.Fatalf("radixOK = true for a 2^65 product, want overflow fallback")
+	if tier := tierOf(tb); tb.keyBits != 65 || tier != tierString {
+		t.Fatalf("keyBits=%d tier=%d for a 2^65 product, want 65 bits on the string tier", tb.keyBits, tier)
 	}
 	lz, err := LazyMany(comps...)
 	if err != nil {
@@ -107,8 +107,8 @@ func TestPagedInternAboveOldDenseLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tb.radixOK || tb.product != 1<<26 {
-		t.Fatalf("radixOK=%v product=%d, want radix key over 2^26", tb.radixOK, tb.product)
+	if tb.keyBits != 26 {
+		t.Fatalf("keyBits=%d, want a 26-bit key", tb.keyBits)
 	}
 	numStates := make([]int, len(comps))
 	for i, c := range comps {

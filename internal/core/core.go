@@ -331,8 +331,7 @@ type deriver struct {
 	met       *Metrics
 	prog      *progTables // progress-phase memo tables; nil outside that phase
 
-	// The safety phase's working sets, nil once it ends (releaseSafety).
-	memo      *seedMemo
+	// The safety phase's working set, nil once it ends (releaseSafety).
 	scratches []*scratch // persistent per-worker arenas
 }
 
@@ -575,7 +574,6 @@ func (d *deriver) prepare() {
 		}
 	}
 	d.table = newInternTable()
-	d.memo = newSeedMemo()
 	d.succArena = newInt32Arena()
 }
 
@@ -817,34 +815,24 @@ func (d *deriver) emitConverter() (*spec.Spec, error) {
 	})
 }
 
-// fillSafetyMetrics records the safety phase's interning, memoization, and
-// arena accounting. PairArenaBytes covers the storage that persists for the
-// derivation — the intern arena, the closure-memo arena, the successor rows —
-// and deliberately excludes the per-worker scratch arenas, which are
-// transient (reset every merge batch) and whose footprint would vary with
-// the worker count while this figure is deterministic for a given input.
+// fillSafetyMetrics records the safety phase's interning and arena
+// accounting. PairArenaBytes covers the storage that persists for the
+// derivation — the intern arena and the successor rows — and deliberately
+// excludes the per-worker scratch arenas, which are transient (reset every
+// merge batch) and whose footprint would vary with the worker count while
+// this figure is deterministic for a given input.
 func (d *deriver) fillSafetyMetrics() {
 	d.met.InternLookups, d.met.InternHits = d.table.lookups, d.table.hits
-	d.met.PairArenaBytes = d.table.arena.reserved + d.memo.arena.reserved + d.succArena.reserved
-	d.met.ClosureMemoHits = 0
-	for _, sc := range d.scratches {
-		d.met.ClosureMemoHits += sc.memoHits
-		// A memo hit resolving to a state is "φ produced a set already
-		// seen" — fold it into the intern counters so they keep the exact
-		// values the memo-less engine reported (see scratch.memoOK).
-		d.met.InternLookups += sc.memoOK
-		d.met.InternHits += sc.memoOK
-	}
+	d.met.PairArenaBytes = d.table.arena.reserved + d.succArena.reserved
 }
 
 // releaseSafety drops the safety phase's working sets once
-// fillSafetyMetrics has read their counters: the per-worker scratches, the
-// seed memo and the intern table's hash index. The pair sets stay, in the
-// intern arena the table's directory points into; the progress phase and
-// PairSet read them.
+// fillSafetyMetrics has read their counters: the per-worker scratches and
+// the intern table's hash index. The pair sets stay, in the intern arena
+// the table's directory points into; the progress phase and PairSet read
+// them.
 func (d *deriver) releaseSafety() {
 	d.scratches = nil
-	d.memo = nil
 	d.table.dropIndex()
 }
 
@@ -932,7 +920,7 @@ func (d *deriver) safetyPhase() error {
 			d.expandBatch(blo, bhi, res)
 			d.mergeBatch(blo, bhi, res)
 			for _, sc := range d.scratches {
-				sc.arena.reset() // surviving sets were copied into intern/memo storage
+				sc.arena.reset() // surviving sets were copied into intern storage
 			}
 			if d.opts.MaxStates > 0 && len(d.states) > d.opts.MaxStates {
 				return fmt.Errorf("quotient: safety phase exceeded MaxStates=%d (aborted at %d states)",
@@ -948,10 +936,7 @@ func (d *deriver) safetyPhase() error {
 // frontier (state, Int-event) order: each set gets the next canonical ID at
 // its first occurrence, which is precisely the discovery order of the
 // sequential worklist engine, so the numbering — and everything downstream
-// of it — is independent of the worker count. The walk also records each
-// computed closure in the seed memo (successor ID, or memoFail for an ok.J
-// failure), the only memo write path; workers read the memo lock-free
-// during expansion because merges and expansions never overlap.
+// of it — is independent of the worker count.
 func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 	ne := len(d.intl)
 	omit := d.opts.OmitVacuous
@@ -963,16 +948,7 @@ func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 			i++
 			succ[ei] = -1
 			if !r.ok {
-				// ok.J fails: omit the transition (and the state); memoize
-				// the failure so repeats skip the closure too.
-				if r.seedSet != nil {
-					d.memo.put(r.seedSet, r.seedHash, memoFail)
-				}
-				continue
-			}
-			if r.memoGID >= 0 {
-				succ[ei] = r.memoGID
-				continue
+				continue // ok.J fails: omit the transition (and the state)
 			}
 			if r.set == nil && omit {
 				continue // vacuously safe: no trace of B matches
@@ -983,9 +959,6 @@ func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 				d.states = append(d.states, cstate{})
 			}
 			succ[ei] = id
-			if r.seedSet != nil {
-				d.memo.put(r.seedSet, r.seedHash, id)
-			}
 		}
 		d.states[si].succ = succ
 		d.met.StatesExpanded++

@@ -13,19 +13,13 @@
 // append-only uint64 chunks, a published pairset is a slice header into a
 // chunk, and a million sets cost a few hundred chunk allocations.
 //
-// The intern table is one hash index written only by the sequential merge
-// (core.go, mergeBatch), which walks a batch's φ results in frontier
-// (state, Int-event) order and gives each set the next canonical ID at its
-// first occurrence. That is the discovery order of the paper's worklist, so
-// the converter's state numbering is bit-identical at every worker count.
-//
-// The seed memo (seedMemo) interns φ-step seed sets the same way and maps
-// each seed set to the canonical ID of its closure — or to memoFail when the
-// closure violates ok.J — so a structurally repeated frontier expansion
-// skips the τ-closure walk entirely. The memo key is the full canonical seed
-// set, not the (state, event) pair that produced it: the closure of a set is
-// a function of the set alone, which is what makes the memo sound (DESIGN
-// §13).
+// The intern table is one open-addressed hash index written only by the
+// sequential merge (core.go, mergeBatch), which walks a batch's φ results
+// in frontier (state, Int-event) order and gives each set the next
+// canonical ID at its first occurrence. That is the discovery order of the
+// paper's worklist, so the converter's state numbering is bit-identical at
+// every worker count. Every φ step runs its closure and probes this table
+// once; there is no memo of closures by seed set (DESIGN §13 measures why).
 package core
 
 import (
@@ -137,8 +131,8 @@ func chunkSize(k, limit int) int {
 // pairArena is chunked append-only uint64 storage. Sealed chunks never move
 // or shrink, so placed pairsets remain valid slice headers for the life of
 // the derivation. A single goroutine owns any given arena at any given time
-// (worker scratch arenas during expansion, the intern and memo arenas
-// during the sequential merge).
+// (worker scratch arenas during expansion, the intern arena during the
+// sequential merge).
 type pairArena struct {
 	chunkWords int // cap on chunkSize; a larger alloc gets a chunk of its own
 	chunks     [][]uint64
@@ -174,9 +168,10 @@ func (ar *pairArena) alloc(n int) []uint64 {
 	return out
 }
 
-// shrinkLast gives back the unused tail of the most recent alloc: the
-// stripe packers allocate a safe upper bound and return what they did not
-// fill. Only valid immediately after alloc, before any further alloc.
+// shrinkLast gives back the unused tail of the most recent alloc: the mask
+// closure's extraction allocates a safe upper bound and returns what it
+// did not fill. Only valid immediately after alloc, before any further
+// alloc.
 func (ar *pairArena) shrinkLast(unused int) {
 	if unused == 0 {
 		return
@@ -197,7 +192,7 @@ func (ar *pairArena) place(ps pairset) pairset {
 
 // reset rewinds every chunk to length zero, keeping capacity. Used by the
 // per-worker scratch arenas between merge batches: by then every surviving
-// φ result has been copied into intern or memo storage.
+// φ result has been copied into intern storage.
 func (ar *pairArena) reset() {
 	for i := range ar.chunks {
 		ar.chunks[i] = ar.chunks[i][:0]
@@ -232,107 +227,82 @@ func (ar *int32Arena) alloc(n int) []int32 {
 	return out
 }
 
-// setIndex hash-conses pairsets: open chaining on the full 64-bit hash,
-// every added set copied into the index's own arena. The intern table and
-// the seed memo are both one setIndex plus what they record per set. The
-// sequential merge is the only writer and expansion workers only read, and
-// the two never overlap, so no locking anywhere.
-type setIndex struct {
-	buckets map[uint64][]int32
-	sets    []pairset
-	arena   *pairArena
-}
+// firstInternSlots is the intern index's initial slot count. The index
+// doubles whenever it would pass half full, so growth costs O(sets) in
+// total and a probe meets a short run.
+const firstInternSlots = 1 << 6
 
-func newSetIndex() setIndex {
-	return setIndex{buckets: make(map[uint64][]int32), arena: newPairArena()}
-}
-
-// find returns the index of ps, or -1 when it was never added.
-func (x *setIndex) find(ps pairset, h uint64) int32 {
-	for _, cand := range x.buckets[h] {
-		if x.sets[cand].equal(ps) {
-			return cand
-		}
-	}
-	return -1
-}
-
-// add copies ps, which find has just missed, into the arena and returns
-// its index: the next one.
-func (x *setIndex) add(ps pairset, h uint64) int32 {
-	i := int32(len(x.sets))
-	x.sets = append(x.sets, x.arena.place(ps))
-	x.buckets[h] = append(x.buckets[h], i)
-	return i
+// islot is one slot of the intern index: a set's full hash and its ID plus
+// one, so the zero slot is empty.
+type islot struct {
+	hash uint64
+	id1  int32
 }
 
 // internTable assigns one canonical ID per distinct set, IDs dense in
 // first-intern order (frontier order), doubling as converter state indices.
-// sets is the ID → set directory every reader (expansion workers, the
-// progress phase, diagnostics) goes through.
+// slots is an open-addressed index over them: linear probing from the low
+// bits of the set hash (sat.HashWords ends in an avalanche finalizer), with
+// the full hash kept in the slot so a probe compares sets only on a 64-bit
+// match. sets is the ID → set directory every reader (expansion workers,
+// the progress phase, diagnostics) goes through; each set is copied into
+// the table's own arena. The sequential merge is the only writer and
+// expansion workers only read, and the two never overlap, so no locking
+// anywhere.
 type internTable struct {
-	setIndex
+	slots   []islot
+	sets    []pairset
+	arena   *pairArena
 	lookups int
 	hits    int
 }
 
-func newInternTable() *internTable { return &internTable{setIndex: newSetIndex()} }
+func newInternTable() *internTable {
+	return &internTable{slots: make([]islot, firstInternSlots), arena: newPairArena()}
+}
 
 // intern returns the canonical ID of ps, assigning the next one on first
 // sight.
 func (t *internTable) intern(ps pairset, h uint64) (id int32, hit bool) {
 	t.lookups++
-	if id := t.find(ps, h); id >= 0 {
-		t.hits++
-		return id, true
+	mask := uint64(len(t.slots) - 1)
+	i := h & mask
+	for ; t.slots[i].id1 != 0; i = (i + 1) & mask {
+		if sl := t.slots[i]; sl.hash == h && t.sets[sl.id1-1].equal(ps) {
+			t.hits++
+			return sl.id1 - 1, true
+		}
 	}
-	return t.add(ps, h), false
+	id = int32(len(t.sets))
+	t.sets = append(t.sets, t.arena.place(ps))
+	t.slots[i] = islot{hash: h, id1: id + 1}
+	if 2*len(t.sets) > len(t.slots) {
+		t.grow()
+	}
+	return id, false
+}
+
+// grow doubles the index, reinserting every slot.
+func (t *internTable) grow() {
+	old := t.slots
+	t.slots = make([]islot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, sl := range old {
+		if sl.id1 == 0 {
+			continue
+		}
+		i := sl.hash & mask
+		for t.slots[i].id1 != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = sl
+	}
 }
 
 // dropIndex releases the hash index once interning is over. The arena,
 // which holds the sets the directory points into, stays.
-func (t *internTable) dropIndex() { t.buckets = nil }
+func (t *internTable) dropIndex() { t.slots = nil }
 
 // get returns the canonical pairset for an interned ID. The caller must not
 // mutate it.
 func (t *internTable) get(id int32) pairset { return t.sets[id] }
-
-// memoFail is the seedMemo result recording that the closure of a seed set
-// violates ok.J — the transition is omitted, no state exists.
-const memoFail int32 = -2
-
-// seedMemo interns canonical φ-step seed sets and maps each to the
-// canonical ID of its closure (or memoFail). Written only by the
-// sequential merge; read concurrently by expansion workers during the next
-// batch — the phases never overlap, so no locking. Soundness rests on the
-// closure being a pure function of the seed set: the key is the full
-// canonical seed set, and under a demand-driven environment the closure
-// itself forces whatever expansion it needs, so the memoized result is
-// independent of how much of the environment was materialized when it was
-// first computed.
-type seedMemo struct {
-	setIndex
-	res []int32 // canonical state ID, or memoFail
-}
-
-func newSeedMemo() *seedMemo { return &seedMemo{setIndex: newSetIndex()} }
-
-// lookup returns the memoized closure result for a canonical seed set.
-func (m *seedMemo) lookup(seeds pairset, h uint64) (res int32, found bool) {
-	if i := m.find(seeds, h); i >= 0 {
-		return m.res[i], true
-	}
-	return 0, false
-}
-
-// put records seed → res, copying the seed set into the memo arena. A
-// duplicate put (two φ results in one batch sharing a new seed set) is
-// ignored: both computed the same closure, so the existing entry already
-// holds the same result.
-func (m *seedMemo) put(seeds pairset, h uint64, res int32) {
-	if m.find(seeds, h) >= 0 {
-		return
-	}
-	m.add(seeds, h)
-	m.res = append(m.res, res)
-}

@@ -26,9 +26,10 @@ type Metrics struct {
 	// PeakFrontier is the widest frontier level, an upper bound on how
 	// much parallelism the expansion could exploit.
 	PeakFrontier int
-	// InternLookups / InternHits count pair-set interning operations; a
-	// hit means φ produced a set already seen, i.e. an edge to an existing
-	// state rather than a new one.
+	// InternLookups / InternHits count pair-set interning operations: one
+	// lookup per φ step whose closure satisfies ok.J (an omitted vacuous
+	// successor is not looked up), and a hit means φ produced a set already
+	// seen, i.e. an edge to an existing state rather than a new one.
 	InternLookups int
 	InternHits    int
 	// ProgressScans counts converter states examined across all
@@ -72,8 +73,8 @@ type Metrics struct {
 	RowRecordBytes int64
 	InternBytes    int64
 	// PairArenaBytes is the safety phase's arena-backed pair-set storage:
-	// bytes reserved by the intern-table arena, the closure-memo arena,
-	// and the converter successor rows. Per-worker scratch arenas
+	// bytes reserved by the intern-table arena and the converter successor
+	// rows. Per-worker scratch arenas
 	// are excluded — they rewind every merge batch, and counting them would
 	// make the figure vary with Workers where this one is deterministic for
 	// a given input. Complements ArenaBytes, which covers the demand-driven
@@ -85,9 +86,9 @@ type Metrics struct {
 	// excludes sweep scratch, so it is deterministic for a given input at
 	// every worker count. 0 when the progress phase did not run.
 	ProgressBytes int64
-	// ClosureMemoHits counts φ-step closures skipped entirely because the
-	// seed set was already mapped to its closure's canonical state (or to a
-	// known ok.J failure) by an earlier expansion.
+	// ClosureMemoHits is always 0: every φ step runs its closure, and the
+	// engine keeps no memo of closures. The field stays only for the
+	// benchmark's per-layer schema (core.closure_memo_hits).
 	ClosureMemoHits int
 }
 

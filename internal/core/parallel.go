@@ -12,9 +12,9 @@
 // sequential worklist bit for bit regardless of worker count or batch size.
 //
 // Workers share the deriver read-only — the spec tables are immutable, and
-// the intern table and closure memo are read-only during expansion (the
-// merge, the sole writer, runs between batches) — with one exception: under
-// a demand-driven environment, rowsPacked may expand a composite state,
+// the intern table is read-only during expansion (the merge, the sole
+// writer, runs between batches) — with one exception: under a
+// demand-driven environment, rowsPacked may expand a composite state,
 // which serializes inside compose.Lazy. This is the fusion the
 // demand-driven path is built around: the safety phase's own frontier walk
 // is what drives environment exploration, and only the slice of the product
@@ -54,8 +54,8 @@ import (
 )
 
 // Safety-phase tuning knobs. Variables, not constants, so the differential
-// and regression tests can force the interesting configurations; all three
-// are load-bearing for determinism only in that they must not change
+// and regression tests can force the interesting configurations; both are
+// load-bearing for determinism only in that they must not change
 // mid-derivation.
 var (
 	// safetyMergeBatch is the number of frontier states expanded between
@@ -66,36 +66,20 @@ var (
 	// boundaries are observable through MaxStates abort points, and those
 	// must be bit-identical at every worker count.
 	safetyMergeBatch = 4096
-	// closureMemoEnabled gates the seed-set → closure memo.
-	closureMemoEnabled = true
-	// closureMemoMaxSeedWords bounds the packed size of a seed set the memo
-	// will key on. Above it the expansion skips the memo entirely — no key
-	// packing, no probe, no stored copy. The cap is a pure function of the
-	// seed set, so it cannot perturb determinism; it exists because repeated
-	// seed sets are a small-set phenomenon (convergent edges in dense
-	// regions), while at the frontier each φ step seeds a fresh
-	// multi-megabyte set that would be packed and copied into the memo arena
-	// to be looked up exactly never.
-	closureMemoMaxSeedWords = 1 << 12
 	// maskClosureEnabled gates the word-parallel closure engine (used only
 	// when numA ≤ 64 regardless).
 	maskClosureEnabled = true
 )
 
 // phiResult is the outcome of one φ(J, e) computation. A nil set with
-// ok=true and memoGID < 0 is the vacuous successor (no seed pairs: B cannot
-// match any trace reaching it). ok=false means ok.J failed — the transition
-// is omitted. memoGID ≥ 0 means the closure memo already mapped this seed
-// set to a canonical state, and neither the closure nor the intern probe
-// ran. set and seedSet point into the producing worker's arena and are
-// valid only until that arena resets after the merge.
+// ok=true is the vacuous successor (no seed pairs: B cannot match any trace
+// reaching it). ok=false means ok.J failed — the transition is omitted. set
+// points into the producing worker's arena and is valid only until that
+// arena resets after the merge.
 type phiResult struct {
-	set      pairset
-	hash     uint64  // set.hash(); emptyPairsetHash for the vacuous result
-	seedSet  pairset // canonical φ seed set, for the memo; nil if not memoizable
-	seedHash uint64
-	memoGID  int32 // memoized successor state, or -1
-	ok       bool
+	set  pairset
+	hash uint64 // set.hash(); emptyPairsetHash for the vacuous result
+	ok   bool
 }
 
 // scratch is the per-worker reusable working set.
@@ -106,8 +90,8 @@ type phiResult struct {
 // (or grows to, under a demand-driven environment). amask/adone/touched are
 // the mask closure's equivalent, indexed by packed-b state: accumulated and
 // processed A-state masks plus a presence bitmap for O(touched) extraction
-// and reset. arena backs every set the worker builds during a batch
-// (closure results and canonical seed sets); it rewinds after each merge.
+// and reset. arena backs every closure result the worker builds during a
+// batch; it rewinds after each merge.
 //
 // There is deliberately no per-worker row cache here. compose.Lazy's read
 // path is a single atomic load against arena-backed rows that never move,
@@ -141,14 +125,6 @@ type scratch struct {
 	pbHint func() int
 
 	arena *pairArena // per-batch output storage
-	// memoHits counts all closure-memo hits (Metrics.ClosureMemoHits);
-	// memoOK only those resolving to a state rather than memoFail. The
-	// latter fold into InternLookups/InternHits: "φ produced a set already
-	// seen" is exactly what those counters mean, and counting a memo hit as
-	// one lookup + one hit keeps them bit-identical to the memo-less
-	// engine (an ok.J failure never probed the intern table there either).
-	memoHits int
-	memoOK   int
 }
 
 func newScratch(d *deriver) *scratch {
@@ -375,68 +351,6 @@ func (sc *scratch) extractMask(numA int) pairset {
 	return pk.out[:n]
 }
 
-// packMaskState packs the current mask-closure working set into a
-// canonical pairset in the worker arena without clearing it — the walk can
-// continue from the packed state. The mask expansion path uses this for
-// seed-set canonicalization: seeding amask deduplicates and orders the raw
-// (pb, mask) contributions as a side effect, so no sort is needed.
-func (sc *scratch) packMaskState(numA int) pairset {
-	if sc.ntouch == 0 {
-		return pairset{}
-	}
-	base0 := int64(sc.minPb) * int64(numA)
-	base1 := int64(sc.maxPb)*int64(numA) + int64(numA) - 1
-	bound := int(base1>>6-base0>>6) + 2
-	if b2 := 2 * sc.ntouch; b2 < bound {
-		bound = b2
-	}
-	pk := stripePacker{out: sc.arena.alloc(2 * bound)}
-	for wi := int(sc.minPb) >> 6; wi <= int(sc.maxPb)>>6; wi++ {
-		tw := sc.touched[wi]
-		for tw != 0 {
-			pb := int32(wi<<6 + bits.TrailingZeros64(tw))
-			tw &= tw - 1
-			pk.addStripe(pb, sc.amask[pb], numA)
-		}
-	}
-	n := pk.flush()
-	sc.arena.shrinkLast(2*bound - n)
-	return pk.out[:n]
-}
-
-// packPairs sorts ps in place and packs it (duplicates welcome) into a
-// canonical pairset in the worker arena — the scalar path's seed-set
-// canonicalization.
-func (sc *scratch) packPairs(ps []int32) pairset {
-	slices.Sort(ps)
-	bound := 2 * len(ps)
-	out := sc.arena.alloc(bound)
-	n := 0
-	var cw int64 = -1
-	var cv uint64
-	for _, p := range ps {
-		w := int64(p >> 6)
-		b := uint64(1) << (uint(p) & 63)
-		if w == cw {
-			cv |= b
-			continue
-		}
-		if cw >= 0 {
-			out[n] = uint64(cw)
-			out[n+1] = cv
-			n += 2
-		}
-		cw, cv = w, b
-	}
-	if cw >= 0 {
-		out[n] = uint64(cw)
-		out[n+1] = cv
-		n += 2
-	}
-	sc.arena.shrinkLast(bound - n)
-	return out[:n]
-}
-
 // rowsPacked returns packed-b state pb's rows and its variant's packed-b
 // offset, which turns the rows' targets into packed-b ids. Under a
 // demand-driven environment this is the fusion point: the first request for
@@ -565,8 +479,7 @@ func (d *deriver) maskWalk(sc *scratch) (out pairset, ok bool, offend spec.Event
 // expandState computes φ(J, e) for every Int event e of one frontier
 // state, writing len(intl) results into out. J's pairs are walked once,
 // bucketing the e-labelled external B-edges into per-event seed sets; each
-// non-empty seed set is first probed against the closure memo and, on a
-// miss, runs one closure.
+// non-empty seed set runs one closure.
 func (d *deriver) expandState(sc *scratch, si int, out []phiResult) {
 	if d.useMask {
 		d.expandStateMask(sc, si, out)
@@ -586,31 +499,14 @@ func (d *deriver) expandState(sc *scratch, si int, out []phiResult) {
 		}
 	})
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1}
-		r := &out[ei]
 		if len(sc.seeds[ei]) == 0 {
-			r.ok = true // vacuous successor
-			r.hash = emptyPairsetHash
+			out[ei] = phiResult{hash: emptyPairsetHash, ok: true} // vacuous successor
 			continue
 		}
-		if closureMemoEnabled && 2*len(sc.seeds[ei]) <= closureMemoMaxSeedWords {
-			seedSet := sc.packPairs(sc.seeds[ei])
-			seedHash := seedSet.hash()
-			if res, found := d.memo.lookup(seedSet, seedHash); found {
-				sc.memoHits++
-				if res != memoFail {
-					sc.memoOK++
-					r.ok = true
-					r.memoGID = res
-				}
-				continue
-			}
-			r.seedSet, r.seedHash = seedSet, seedHash
-		}
 		set, ok, _ := d.closure(sc, sc.seeds[ei])
-		r.set, r.ok = set, ok
+		out[ei] = phiResult{set: set, ok: ok}
 		if ok {
-			r.hash = set.hash()
+			out[ei].hash = set.hash()
 		}
 	}
 }
@@ -648,37 +544,17 @@ func (d *deriver) expandStateMask(sc *scratch, si int, out []phiResult) {
 	})
 	flush()
 	for ei := range out {
-		out[ei] = phiResult{memoGID: -1}
-		r := &out[ei]
 		if len(sc.mseedPbs[ei]) == 0 {
-			r.ok = true // vacuous successor
-			r.hash = emptyPairsetHash
+			out[ei] = phiResult{hash: emptyPairsetHash, ok: true} // vacuous successor
 			continue
 		}
 		for i, pb := range sc.mseedPbs[ei] {
 			sc.maskSeed(pb, sc.mseedMasks[ei][i])
 		}
-		if closureMemoEnabled && 2*sc.ntouch <= closureMemoMaxSeedWords {
-			// Seeding amask canonicalized the raw seed list for free;
-			// pack it (without disturbing the walk state) for the memo key.
-			seedSet := sc.packMaskState(d.numA)
-			seedHash := seedSet.hash()
-			if res, found := d.memo.lookup(seedSet, seedHash); found {
-				sc.memoHits++
-				if res != memoFail {
-					sc.memoOK++
-					r.ok = true
-					r.memoGID = res
-				}
-				sc.resetMask()
-				continue
-			}
-			r.seedSet, r.seedHash = seedSet, seedHash
-		}
 		set, ok, _ := d.maskWalk(sc)
-		r.set, r.ok = set, ok
+		out[ei] = phiResult{set: set, ok: ok}
 		if ok {
-			r.hash = set.hash()
+			out[ei].hash = set.hash()
 		}
 	}
 }

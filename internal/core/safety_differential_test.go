@@ -36,16 +36,13 @@ func deriveOutcome(t *testing.T, a *spec.Spec, bs []*spec.Spec, opts Options) (s
 
 // withSafetyKnobs runs f with the safety-phase package knobs overridden,
 // restoring them afterwards. Every combination must be invisible in the
-// derivation outcome: the knobs steer storage layout and skipped work, not
-// results.
-func withSafetyKnobs(chunkWords, batch int, memo, mask bool, f func()) {
-	savedChunk, savedBatch := pairArenaChunkWords, safetyMergeBatch
-	savedMemo, savedMask := closureMemoEnabled, maskClosureEnabled
-	pairArenaChunkWords, safetyMergeBatch = chunkWords, batch
-	closureMemoEnabled, maskClosureEnabled = memo, mask
+// derivation outcome: the knobs steer storage layout and the closure
+// engine, not results.
+func withSafetyKnobs(chunkWords, batch int, mask bool, f func()) {
+	savedChunk, savedBatch, savedMask := pairArenaChunkWords, safetyMergeBatch, maskClosureEnabled
+	pairArenaChunkWords, safetyMergeBatch, maskClosureEnabled = chunkWords, batch, mask
 	defer func() {
-		pairArenaChunkWords, safetyMergeBatch = savedChunk, savedBatch
-		closureMemoEnabled, maskClosureEnabled = savedMemo, savedMask
+		pairArenaChunkWords, safetyMergeBatch, maskClosureEnabled = savedChunk, savedBatch, savedMask
 	}()
 	f()
 }
@@ -54,12 +51,12 @@ func withSafetyKnobs(chunkWords, batch int, memo, mask bool, f func()) {
 // phase: the paper's conversion systems and small specgen families derived
 // at every worker count, under each storage/engine leg — tiny arena chunks
 // (every chunk-boundary path), a tiny merge batch (many merges per level),
-// the closure memo disabled, and the scalar closure forced — must reproduce
+// and the scalar closure forced — must reproduce
 // the reference outcome exactly: converter text, stats, existence verdict,
 // and error string. Within a leg, Workers 2 and 4 must also reproduce that
 // leg's Workers 1 Metrics, arena bytes and intern counters included; across
-// legs the metrics legitimately differ, since the legs steer storage layout
-// and skipped work.
+// legs the metrics legitimately differ, since the legs steer storage
+// layout.
 func TestSafetyDifferential(t *testing.T) {
 	type system struct {
 		name string
@@ -83,15 +80,13 @@ func TestSafetyDifferential(t *testing.T) {
 		name  string
 		chunk int
 		batch int
-		memo  bool
 		mask  bool
 	}
 	legs := []leg{
-		{"default", pairArenaChunkWords, safetyMergeBatch, true, true},
-		{"tiny-chunk", 4, safetyMergeBatch, true, true},
-		{"tiny-batch", pairArenaChunkWords, 2, true, true},
-		{"no-memo", pairArenaChunkWords, safetyMergeBatch, false, true},
-		{"scalar-closure", pairArenaChunkWords, safetyMergeBatch, true, false},
+		{"default", pairArenaChunkWords, safetyMergeBatch, true},
+		{"tiny-chunk", 4, safetyMergeBatch, true},
+		{"tiny-batch", pairArenaChunkWords, 2, true},
+		{"scalar-closure", pairArenaChunkWords, safetyMergeBatch, false},
 	}
 
 	for _, sys := range systems {
@@ -99,7 +94,7 @@ func TestSafetyDifferential(t *testing.T) {
 		refText, refStats, refExists, refErr := deriveOutcome(t, sys.a, sys.bs, opts)
 		refStats.Metrics = Metrics{}
 		for _, lg := range legs {
-			withSafetyKnobs(lg.chunk, lg.batch, lg.memo, lg.mask, func() {
+			withSafetyKnobs(lg.chunk, lg.batch, lg.mask, func() {
 				var legMetrics Metrics
 				for _, workers := range []int{1, 2, 4} {
 					o := opts

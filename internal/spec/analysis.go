@@ -12,6 +12,8 @@ package spec
 //
 // All of it is computed once, at Build time, because Specs are immutable.
 
+import "slices"
+
 // finalize populates the derived fields. Called exactly once by Build.
 func (s *Spec) finalize() {
 	n := s.NumStates()
@@ -37,14 +39,22 @@ func (s *Spec) finalize() {
 		}
 	}
 
-	// λ*-closure per state (sorted), by BFS over λ.
+	// λ*-closure per state (sorted), by BFS over λ. A state with no
+	// internal move closes to itself alone; those one-state closures share
+	// one backing array.
 	s.closure = make([][]State, n)
+	self := make([]State, n)
 	mark := make([]int, n)
 	for i := range mark {
+		self[i] = State(i)
 		mark[i] = -1
 	}
 	var queue []State
 	for st := 0; st < n; st++ {
+		if len(s.intl[st]) == 0 {
+			s.closure[st] = self[st : st+1 : st+1]
+			continue
+		}
 		queue = queue[:0]
 		queue = append(queue, State(st))
 		mark[st] = st
@@ -63,40 +73,45 @@ func (s *Spec) finalize() {
 		s.closure[st] = cl
 	}
 
-	// τ.s and τ*.s.
+	// τ.s is the events of s's sorted adjacency with repeats dropped; every
+	// state's τ shares one backing array. A repeated event is two
+	// transitions on one event, so the spec is externally nondeterministic.
+	// τ*.s is τ.s when the λ-closure of s is {s}, and otherwise the sorted
+	// union of τ over the closure.
 	s.tau = make([][]Event, n)
 	s.tauStar = make([][]Event, n)
 	s.detExt = true
-	for st := 0; st < n; st++ {
-		seen := make(map[Event]struct{})
-		var prev Event
-		for i, ed := range s.ext[st] {
-			if i > 0 && ed.Event == prev {
-				s.detExt = false // two edges, same event (sorted adjacency)
+	distinct := 0
+	for _, edges := range s.ext {
+		for i := range edges {
+			if i > 0 && edges[i].Event == edges[i-1].Event {
+				s.detExt = false
+			} else {
+				distinct++
 			}
-			prev = ed.Event
-			seen[ed.Event] = struct{}{}
 		}
-		evs := make([]Event, 0, len(seen))
-		for e := range seen {
-			evs = append(evs, e)
+	}
+	taus := make([]Event, 0, distinct)
+	for st, edges := range s.ext {
+		start := len(taus)
+		for i, ed := range edges {
+			if i == 0 || ed.Event != edges[i-1].Event {
+				taus = append(taus, ed.Event)
+			}
 		}
-		sortEvents(evs)
-		s.tau[st] = evs
+		s.tau[st] = taus[start:len(taus):len(taus)]
 	}
 	for st := 0; st < n; st++ {
-		seen := make(map[Event]struct{})
-		for _, u := range s.closure[st] {
-			for _, e := range s.tau[u] {
-				seen[e] = struct{}{}
-			}
+		if len(s.closure[st]) == 1 {
+			s.tauStar[st] = s.tau[st]
+			continue
 		}
-		evs := make([]Event, 0, len(seen))
-		for e := range seen {
-			evs = append(evs, e)
+		var evs []Event
+		for _, u := range s.closure[st] {
+			evs = append(evs, s.tau[u]...)
 		}
 		sortEvents(evs)
-		s.tauStar[st] = evs
+		s.tauStar[st] = slices.Clip(slices.Compact(evs))
 	}
 	s.hasIntl = s.numIntl > 0
 

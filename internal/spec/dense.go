@@ -70,11 +70,24 @@ func FromDense(d Dense) (*Spec, error) {
 		s.alphaSet[e] = struct{}{}
 	}
 	sortEvents(s.alphabet)
+	// All states' adjacency goes into one backing array per kind: each
+	// state's edges are appended, sorted and deduplicated in place, and the
+	// next state's overwrite what deduplication gave back.
+	nExt, nInt := 0, 0
+	for _, edges := range d.Ext {
+		nExt += len(edges)
+	}
+	for _, tos := range d.Int {
+		nInt += len(tos)
+	}
+	extAll := make([]ExtEdge, 0, nExt)
 	for st, edges := range d.Ext {
 		if len(edges) == 0 {
 			continue
 		}
-		out := append([]ExtEdge(nil), edges...)
+		start := len(extAll)
+		extAll = append(extAll, edges...)
+		out := extAll[start:]
 		sortEdges(out)
 		out = dedupeExt(out)
 		for _, ed := range out {
@@ -85,14 +98,18 @@ func FromDense(d Dense) (*Spec, error) {
 				return nil, fmt.Errorf("spec %s: edge event %q not in alphabet", d.Name, ed.Event)
 			}
 		}
-		s.ext[st] = out
+		extAll = extAll[:start+len(out)]
+		s.ext[st] = out[:len(out):len(out)]
 		s.numExt += len(out)
 	}
+	intAll := make([]State, 0, nInt)
 	for st, tos := range d.Int {
 		if len(tos) == 0 {
 			continue
 		}
-		out := append([]State(nil), tos...)
+		start := len(intAll)
+		intAll = append(intAll, tos...)
+		out := intAll[start:]
 		sortStates(out)
 		out = dedupeStates(out)
 		for _, t := range out {
@@ -100,7 +117,8 @@ func FromDense(d Dense) (*Spec, error) {
 				return nil, fmt.Errorf("spec %s: internal edge target %d out of range", d.Name, t)
 			}
 		}
-		s.intl[st] = out
+		intAll = intAll[:start+len(out)]
+		s.intl[st] = out[:len(out):len(out)]
 		s.numIntl += len(out)
 	}
 	s.finalize()

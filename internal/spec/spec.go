@@ -22,8 +22,9 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -184,20 +185,20 @@ func (s *Spec) Format() string {
 
 // sortEdges sorts an external adjacency list into the canonical order.
 func sortEdges(edges []ExtEdge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Event != edges[j].Event {
-			return edges[i].Event < edges[j].Event
+	slices.SortFunc(edges, func(x, y ExtEdge) int {
+		if c := strings.Compare(string(x.Event), string(y.Event)); c != 0 {
+			return c
 		}
-		return edges[i].To < edges[j].To
+		return cmp.Compare(x.To, y.To)
 	})
 }
 
 // sortStates sorts a state slice ascending.
 func sortStates(sts []State) {
-	sort.Slice(sts, func(i, j int) bool { return sts[i] < sts[j] })
+	slices.Sort(sts)
 }
 
 // sortEvents sorts an event slice ascending.
 func sortEvents(evs []Event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i] < evs[j] })
+	slices.Sort(evs)
 }
