@@ -16,8 +16,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
+# The bench harness is a separate module, so ./... does not reach it.
 build:
 	$(GO) build ./...
+	cd bench && $(GO) build -o /dev/null .
 
 test:
 	$(GO) test ./...
@@ -82,15 +84,14 @@ convrt-smoke:
 		-faults 'loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,burst=3,delay=5us' \
 		-assert-clean
 
-# Short fuzzing bursts over the wire decoder, the DSL parser, the
-# canonical-form hasher, FromDense against a map-based reference, the
-# compiled-table decoder, and quotd's derive request and peer-fill
-# decoders: enough to catch regressions in frame bounds-checking, grammar
-# handling, hash stability, spec freezing, table-header bounds, typed
-# request rejection, and peer answers keyed as /v1/derive keys them,
-# without slowing the gate down. Longer campaigns: raise -fuzztime manually.
+# Short fuzzing bursts over the DSL parser, the canonical-form hasher,
+# FromDense against a map-based reference, the compiled-table decoder, and
+# quotd's derive request and peer-fill decoders: enough to catch
+# regressions in grammar handling, hash stability, spec freezing,
+# table-header bounds, typed request rejection, and peer answers keyed as
+# /v1/derive keys them, without slowing the gate down. Longer campaigns:
+# raise -fuzztime manually.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/runtime
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzJSON$$' -fuzztime 5s ./internal/dsl
 	$(GO) test -run '^$$' -fuzz '^FuzzCanonical$$' -fuzztime 5s ./internal/spec

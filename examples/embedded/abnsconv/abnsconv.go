@@ -1,5 +1,5 @@
 // Code generated from specification "C(S/B.relns.er)"; DO NOT EDIT.
-// AB→NS converter derived against the eventually-reliable environment and pruned; regenerate with: go run tmpgen.go (see examples/embedded)
+// AB→NS converter derived against the eventually-reliable environment and pruned; regenerate with: PROTOQUOT_GOLDEN=update go test -run TestEmbeddedExampleGolden ./internal/codegen
 
 package abnsconv
 

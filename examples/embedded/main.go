@@ -1,7 +1,7 @@
 // Embedded-converter example: the AB→NS converter was derived by the
 // quotient algorithm, pruned, and emitted as standalone Go source by the
-// code generator (package abnsconv — regenerate with `go run ./cmd/quotient
-// -gen`, or see the provenance comment in the generated file). This program
+// code generator (package abnsconv — regenerate with `PROTOQUOT_GOLDEN=update
+// go test -run TestEmbeddedExampleGolden ./internal/codegen`). This program
 // drives the generated machine directly, with no dependency on the library
 // at runtime: the derivation happened at build time.
 //

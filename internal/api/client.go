@@ -67,9 +67,6 @@ func NewClusterClient(addrs []string, opts ...ClientOption) *Client {
 	return c
 }
 
-// Addrs returns the configured node addresses.
-func (c *Client) Addrs() []string { return append([]string(nil), c.addrs...) }
-
 func baseURL(addr string) string {
 	if strings.Contains(addr, "://") {
 		return strings.TrimSuffix(addr, "/")
@@ -181,25 +178,6 @@ func (c *Client) Derive(ctx context.Context, req *DeriveRequest) (*DeriveRespons
 	return &out, nil
 }
 
-// UploadSpecs registers the specifications in text (DSL, possibly several)
-// and returns what the server registered.
-func (c *Client) UploadSpecs(ctx context.Context, text string) (*SpecListResponse, error) {
-	var out SpecListResponse
-	if err := c.do(ctx, http.MethodPost, "/"+Version+"/specs", SpecUploadRequest{Text: text}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ListSpecs returns the registered specifications.
-func (c *Client) ListSpecs(ctx context.Context) (*SpecListResponse, error) {
-	var out SpecListResponse
-	if err := c.do(ctx, http.MethodGet, "/"+Version+"/specs", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Stats returns one node's stats snapshot (the node the client is currently
 // pinned to, after any failover).
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
@@ -213,11 +191,6 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 // Ready reports nil when the pinned node answers /readyz with 200.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/readyz", nil, nil)
-}
-
-// Health reports nil when the pinned node answers /healthz with 200.
-func (c *Client) Health(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
 // addrDo is the peer-directed variant of do: exactly one address, no

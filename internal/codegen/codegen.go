@@ -8,6 +8,7 @@ package codegen
 import (
 	"fmt"
 	"go/format"
+	"go/token"
 	"sort"
 	"strings"
 	"unicode"
@@ -23,9 +24,17 @@ type Config struct {
 	Type string
 	// Comment is an optional provenance note included in the file header.
 	Comment string
-	// Backend selects the output shape: BackendSwitch (default) or
-	// BackendTable.
-	Backend string
+}
+
+// IdentError reports a Config field whose value, after defaults, is not a
+// Go identifier.
+type IdentError struct {
+	Field string // "Package" or "Type"
+	Value string
+}
+
+func (e *IdentError) Error() string {
+	return fmt.Sprintf("codegen: %s %q is not a Go identifier", e.Field, e.Value)
 }
 
 // Generate renders Go source implementing s, which must be a converter-like
@@ -40,16 +49,9 @@ type Config struct {
 //	c.State()              // current state name
 //	c.Reset()
 //
-// The source is returned gofmt-formatted.
+// The source is returned gofmt-formatted. A Package or Type that is not a
+// Go identifier is an *IdentError.
 func Generate(s *spec.Spec, cfg Config) ([]byte, error) {
-	switch cfg.Backend {
-	case "", BackendSwitch:
-		// The switch backend below.
-	case BackendTable:
-		return GenerateTable(s, cfg)
-	default:
-		return nil, fmt.Errorf("codegen: unknown backend %q (want %q or %q)", cfg.Backend, BackendSwitch, BackendTable)
-	}
 	if s.NumInternalTransitions() > 0 {
 		return nil, fmt.Errorf("codegen: %s has internal transitions; generate from a converter, not a raw spec", s.Name())
 	}
@@ -61,6 +63,12 @@ func Generate(s *spec.Spec, cfg Config) ([]byte, error) {
 	}
 	if cfg.Type == "" {
 		cfg.Type = exportedIdent(s.Name(), "Converter")
+	}
+	if !token.IsIdentifier(cfg.Package) {
+		return nil, &IdentError{Field: "Package", Value: cfg.Package}
+	}
+	if !token.IsIdentifier(cfg.Type) {
+		return nil, &IdentError{Field: "Type", Value: cfg.Type}
 	}
 
 	var b strings.Builder

@@ -1,10 +1,13 @@
 package codegen
 
 import (
+	"bytes"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"strconv"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,6 +34,44 @@ func generateColocated(t *testing.T) (*spec.Spec, []byte) {
 		t.Fatal(err)
 	}
 	return pruned, src
+}
+
+// embeddedComment is the provenance line of the committed embedded example.
+const embeddedComment = "AB→NS converter derived against the eventually-reliable environment and pruned; regenerate with: PROTOQUOT_GOLDEN=update go test -run TestEmbeddedExampleGolden ./internal/codegen"
+
+// TestEmbeddedExampleGolden regenerates the converter committed under
+// examples/embedded and compares it byte for byte with the file. Regenerate
+// it (only when an intentional output change is being made) with:
+//
+//	PROTOQUOT_GOLDEN=update go test -run TestEmbeddedExampleGolden ./internal/codegen
+func TestEmbeddedExampleGolden(t *testing.T) {
+	b := protocols.EventuallyReliableNSB()
+	res, err := core.Derive(protocols.Service(), b, core.Options{OmitVacuous: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, err := core.Prune(protocols.Service(), b, res.Converter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Generate(pruned, Config{Package: "abnsconv", Type: "ABToNS", Comment: embeddedComment})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("..", "..", "examples", "embedded", "abnsconv", "abnsconv.go")
+	if os.Getenv("PROTOQUOT_GOLDEN") == "update" {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("generated source differs from %s (regenerate with PROTOQUOT_GOLDEN=update)\ngot:\n%s", path, got)
+	}
 }
 
 func TestGenerateParses(t *testing.T) {
@@ -61,122 +102,33 @@ func TestGenerateParses(t *testing.T) {
 	}
 }
 
-// interpretGenerated walks the generated switch tables by re-parsing them,
-// building a transition map, and comparing against the specification —
+// TestGenerateSemanticEquivalence recovers the transition map from the
+// generated switch tables and compares it with the specification —
 // semantic equivalence of the emitted machine.
 func TestGenerateSemanticEquivalence(t *testing.T) {
 	conv, src := generateColocated(t)
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "abns.go", src, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Extract transitions from Step's nested switches: state const name →
-	// event → target const name.
-	transitions := map[string]map[string]string{}
-	constIndex := map[string]int{} // const name → state index
-	ast.Inspect(f, func(n ast.Node) bool {
-		gd, ok := n.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			return true
-		}
-		for _, sp := range gd.Specs {
-			vs := sp.(*ast.ValueSpec)
-			if len(vs.Names) == 1 && len(vs.Values) == 1 {
-				if lit, ok := vs.Values[0].(*ast.BasicLit); ok {
-					if v, err := strconv.Atoi(lit.Value); err == nil {
-						constIndex[vs.Names[0].Name] = v
-					}
-				}
-			}
-		}
-		return true
-	})
-	var stepFn *ast.FuncDecl
-	ast.Inspect(f, func(n ast.Node) bool {
-		if fd, ok := n.(*ast.FuncDecl); ok && fd.Name.Name == "Step" {
-			stepFn = fd
-			return false
-		}
-		return true
-	})
-	if stepFn == nil {
-		t.Fatal("Step not found")
-	}
-	ast.Inspect(stepFn, func(n ast.Node) bool {
-		outer, ok := n.(*ast.SwitchStmt)
-		if !ok {
-			return true
-		}
-		for _, cl := range outer.Body.List {
-			cc := cl.(*ast.CaseClause)
-			if len(cc.List) != 1 {
-				continue
-			}
-			stateIdent, ok := cc.List[0].(*ast.Ident)
-			if !ok {
-				continue
-			}
-			for _, stmt := range cc.Body {
-				inner, ok := stmt.(*ast.SwitchStmt)
-				if !ok {
-					continue
-				}
-				for _, icl := range inner.Body.List {
-					icc := icl.(*ast.CaseClause)
-					if len(icc.List) != 1 {
-						continue
-					}
-					ev, ok := icc.List[0].(*ast.BasicLit)
-					if !ok {
-						continue
-					}
-					// Body: m.state = <target>; return nil.
-					for _, bs := range icc.Body {
-						as, ok := bs.(*ast.AssignStmt)
-						if !ok {
-							continue
-						}
-						target := as.Rhs[0].(*ast.Ident).Name
-						if transitions[stateIdent.Name] == nil {
-							transitions[stateIdent.Name] = map[string]string{}
-						}
-						transitions[stateIdent.Name][unquote(ev.Value)] = target
-					}
-				}
-			}
-		}
-		return false
-	})
-
-	// Compare with the spec.
+	got := extractMachine(t, typeCheckGenerated(t, "abns.go", src), "ABNS")
 	total := 0
 	for st := 0; st < conv.NumStates(); st++ {
 		for _, ed := range conv.ExtEdges(spec.State(st)) {
 			total++
-			from := "ABNS" + stateName(st)
-			got, ok := transitions[from][string(ed.Event)]
+			to, ok := got.next[st][string(ed.Event)]
 			if !ok {
-				t.Fatalf("generated machine missing transition %s -%s->", from, ed.Event)
+				t.Fatalf("generated machine missing transition %d -%s->", st, ed.Event)
 			}
-			if constIndex[got] != int(ed.To) {
-				t.Fatalf("transition %s -%s-> goes to %s (state %d), want %d",
-					from, ed.Event, got, constIndex[got], ed.To)
+			if to != int(ed.To) {
+				t.Fatalf("transition %d -%s-> goes to state %d, want %d", st, ed.Event, to, ed.To)
 			}
 		}
 	}
 	extracted := 0
-	for _, m := range transitions {
+	for _, m := range got.next {
 		extracted += len(m)
 	}
 	if extracted != total {
 		t.Errorf("generated machine has %d transitions, spec has %d", extracted, total)
 	}
 }
-
-func stateName(st int) string { return stateIdent(st) }
-
-func unquote(s string) string { return strings.Trim(s, `"`) }
 
 func TestGenerateRejectsUnsuitableSpecs(t *testing.T) {
 	nd := spec.NewBuilder("nd")
@@ -203,6 +155,26 @@ func TestGenerateDefaults(t *testing.T) {
 	}
 	if !strings.Contains(out, "type MyConv2 ") {
 		t.Errorf("derived type name missing:\n%s", out)
+	}
+}
+
+func TestGenerateRejectsBadIdentifiers(t *testing.T) {
+	s := spec.NewBuilder("c").Init("a").Ext("a", "x", "a").MustBuild()
+	cases := []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{Package: "my-pkg"}, "Package"},
+		{Config{Package: "123"}, "Package"},
+		{Config{Package: "func"}, "Package"},
+		{Config{Type: "My Conv"}, "Type"},
+	}
+	for _, tc := range cases {
+		_, err := Generate(s, tc.cfg)
+		var ie *IdentError
+		if !errors.As(err, &ie) || ie.Field != tc.field {
+			t.Errorf("Generate(%+v) = %v, want an IdentError on %s", tc.cfg, err, tc.field)
+		}
 	}
 }
 

@@ -183,14 +183,3 @@ func sharedEvents(a, b *spec.Spec) map[spec.Event]struct{} {
 	}
 	return out
 }
-
-// Hidden returns the events that Pair(a, b) hides, i.e. Σ_A ∩ Σ_B, sorted.
-func Hidden(a, b *spec.Spec) []spec.Event {
-	set := sharedEvents(a, b)
-	out := make([]spec.Event, 0, len(set))
-	for e := range set {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -146,14 +146,6 @@ func TestManyEmpty(t *testing.T) {
 	}
 }
 
-func TestHidden(t *testing.T) {
-	s, r := senderReceiver(t)
-	h := Hidden(s, r)
-	if len(h) != 1 || h[0] != "msg" {
-		t.Errorf("Hidden = %v, want [msg]", h)
-	}
-}
-
 // Property: composition is commutative up to trace equivalence.
 func TestPropPairCommutative(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

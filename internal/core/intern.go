@@ -36,33 +36,12 @@ import (
 // sealed arena chunks and must never be mutated or appended to.
 type pairset []uint64
 
-func (ps pairset) empty() bool { return len(ps) == 0 }
-
 func (ps pairset) count() int {
 	n := 0
 	for i := 1; i < len(ps); i += 2 {
 		n += bits.OnesCount64(ps[i])
 	}
 	return n
-}
-
-// has reports membership; used only on cold diagnostic paths (the hot
-// closure tests membership in its dense scratch instead).
-func (ps pairset) has(p int32) bool {
-	want := uint64(p >> 6)
-	lo, hi := 0, len(ps)/2
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ps[2*mid] < want {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(ps)/2 || ps[2*lo] != want {
-		return false
-	}
-	return ps[2*lo+1]&(1<<(uint(p)&63)) != 0
 }
 
 // forEach visits the set pair indices in ascending order. With the pb-major

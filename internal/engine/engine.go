@@ -250,52 +250,6 @@ func FindDeadlock(s System) (trace []spec.Event, state string, ok bool) {
 	return nil, "", false
 }
 
-// CheckInvariant explores the whole reachable state space and applies the
-// predicate to every state; the first violating state is returned together
-// with a shortest witness trace. It is the library's bounded
-// model-checking helper for ad-hoc state properties (the satisfaction
-// checker covers trace/progress properties against a service spec).
-func CheckInvariant(s System, inv func(System, spec.State) bool) (trace []spec.Event, state string, violated bool) {
-	type nd struct {
-		st     spec.State
-		parent int
-		ev     spec.Event
-		silent bool
-	}
-	var nodes []nd
-	seen := map[spec.State]bool{s.Init(): true}
-	nodes = append(nodes, nd{st: s.Init(), parent: -1, silent: true})
-	for i := 0; i < len(nodes); i++ {
-		cur := nodes[i]
-		if !inv(s, cur.st) {
-			var rev []spec.Event
-			for j := i; j >= 0; j = nodes[j].parent {
-				if !nodes[j].silent {
-					rev = append(rev, nodes[j].ev)
-				}
-			}
-			trace = make([]spec.Event, len(rev))
-			for k := range rev {
-				trace[k] = rev[len(rev)-1-k]
-			}
-			return trace, s.StateName(cur.st), true
-		}
-		for _, t := range s.IntEdges(cur.st) {
-			if !seen[t] {
-				seen[t] = true
-				nodes = append(nodes, nd{st: t, parent: i, silent: true})
-			}
-		}
-		for _, ed := range s.ExtEdges(cur.st) {
-			if !seen[ed.To] {
-				seen[ed.To] = true
-				nodes = append(nodes, nd{st: ed.To, parent: i, ev: ed.Event})
-			}
-		}
-	}
-	return nil, "", false
-}
-
 // FindLivelock searches for a reachable divergence: a sink set (terminal
 // λ-SCC) that enables no external event. Under fairness such a set traps
 // the system forever with no observable progress.

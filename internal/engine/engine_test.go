@@ -141,29 +141,6 @@ func TestFindLivelock(t *testing.T) {
 	}
 }
 
-func TestCheckInvariant(t *testing.T) {
-	sys := protocols.ABSystem()
-	// Invariant that holds: every state has some enabled move (no
-	// deadlock), phrased as an invariant.
-	if tr, state, bad := CheckInvariant(sys, func(s System, st spec.State) bool {
-		return len(s.ExtEdges(st)) > 0 || len(s.IntEdges(st)) > 0
-	}); bad {
-		t.Errorf("unexpected violation at %s via %v", state, tr)
-	}
-	// Invariant that fails with a shortest witness: "the AB sender never
-	// leaves its initial state" is false after one acc.
-	tr, state, bad := CheckInvariant(sys, func(s System, st spec.State) bool {
-		name := s.StateName(st)
-		return name[:2] == "s0"
-	})
-	if !bad {
-		t.Fatal("expected a violation")
-	}
-	if len(tr) != 1 || tr[0] != "acc" {
-		t.Errorf("witness = %v (at %s), want [acc]", tr, state)
-	}
-}
-
 // End-to-end: run the derived co-located converter inside the full system
 // and watch it deliver. This is the simulation counterpart of E9.
 func TestWalkDerivedConverterSystem(t *testing.T) {
@@ -209,10 +186,5 @@ func TestRunnerOverIndexedComposition(t *testing.T) {
 	}
 	if _, st, found := FindDeadlock(x); found {
 		t.Errorf("FindDeadlock over lazy composition found %s; eager system is deadlock-free", st)
-	}
-	if tr, st, bad := CheckInvariant(x, func(s System, st spec.State) bool {
-		return len(s.ExtEdges(st))+len(s.IntEdges(st)) > 0
-	}); bad {
-		t.Errorf("invariant violated at %s via %v", st, tr)
 	}
 }

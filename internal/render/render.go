@@ -146,19 +146,3 @@ func TableString(s *spec.Spec) string {
 	_ = Table(&sb, s)
 	return sb.String()
 }
-
-// TraceDiagram renders a trace as a one-event-per-line message sequence
-// annotation, classifying each event by a caller-provided function (e.g.
-// "user", "AB side", "NS side").
-func TraceDiagram(w io.Writer, trace []spec.Event, classify func(spec.Event) string) error {
-	var b strings.Builder
-	for i, e := range trace {
-		lane := ""
-		if classify != nil {
-			lane = classify(e)
-		}
-		fmt.Fprintf(&b, "%3d  %-12s %s\n", i+1, lane, string(e))
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}

@@ -63,27 +63,3 @@ func TestTableNondeterministic(t *testing.T) {
 		t.Errorf("multiple successors should be comma-joined:\n%s", out)
 	}
 }
-
-func TestTraceDiagram(t *testing.T) {
-	var sb strings.Builder
-	err := TraceDiagram(&sb, []spec.Event{"acc", "+d0", "del"}, func(e spec.Event) string {
-		if e == "acc" || e == "del" {
-			return "user"
-		}
-		return "wire"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "user") || !strings.Contains(out, "wire") {
-		t.Errorf("lanes missing:\n%s", out)
-	}
-	if !strings.Contains(out, "+d0") {
-		t.Error("event missing")
-	}
-	// nil classifier must not panic.
-	if err := TraceDiagram(&sb, []spec.Event{"x"}, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -24,8 +24,7 @@ import (
 //     in [1, Burst] and the following burst-1 sends are dropped too.
 //   - Corrupt: the message is damaged in flight; the link layer's checksum
 //     detects it and discards the frame, so corruption behaves like loss
-//     (with its own counter). Undetectable corruption is out of scope: the
-//     wire framing carries a CRC-32 (see wire.go).
+//     (with its own counter). Undetectable corruption is out of scope.
 //   - Dup: the message is delivered twice back to back. The duplicate is
 //     best-effort: if the link buffer is full it is discarded silently.
 //   - Reorder: the message overtakes one message already buffered in the
@@ -40,12 +39,6 @@ type FaultModel struct {
 	Corrupt float64       // P(corrupted and discarded by checksum)
 	Delay   time.Duration // max extra latency per delivered message
 	Burst   int           // max consecutive losses per loss event (≤1 = single)
-}
-
-// Zero reports whether the model injects no faults at all.
-func (f FaultModel) Zero() bool {
-	return f.Loss == 0 && f.Dup == 0 && f.Reorder == 0 && f.Corrupt == 0 &&
-		f.Delay == 0
 }
 
 // String renders the model in the -faults flag syntax, stable order.

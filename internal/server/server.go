@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/token"
 	"net/http"
 	"runtime"
 	"sort"
@@ -300,6 +301,10 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 	default:
 		return nil, &api.Error{Code: api.ErrCodeBadRequest,
 			Message: fmt.Sprintf("options.engine: unknown engine %q (accepted: lazy, indexed; both run the lazy pipeline)", req.Options.Engine)}
+	}
+	if pkg := req.Options.GoPackage; req.Options.IncludeGo && pkg != "" && !token.IsIdentifier(pkg) {
+		return nil, &api.Error{Code: api.ErrCodeBadRequest,
+			Message: fmt.Sprintf("options.go_package: %q is not a Go identifier", pkg)}
 	}
 
 	maxStates := req.Options.MaxStates

@@ -266,6 +266,9 @@ func TestBadRequests(t *testing.T) {
 		{"bad engine", api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
 			Components: []api.SpecSource{{Inline: worldText}},
 			Options:    api.DeriveOptions{Engine: "warp"}}, 400, api.ErrCodeBadRequest},
+		{"bad go_package", api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
+			Envs:    []api.SpecSource{{Inline: worldText}},
+			Options: api.DeriveOptions{IncludeGo: true, GoPackage: "my-pkg"}}, 400, api.ErrCodeBadRequest},
 	}
 	for _, tc := range cases {
 		out, code := postDerive(t, ts.URL, tc.req)
@@ -275,6 +278,10 @@ func TestBadRequests(t *testing.T) {
 		if out.Error == nil || out.Error.Code != tc.werr {
 			t.Errorf("%s: error %+v, want code %s", tc.name, out.Error, tc.werr)
 		}
+	}
+	// Every rejection comes before the engine runs.
+	if st := getStats(t, ts.URL); st.Derives != 0 {
+		t.Errorf("derives = %d after bad requests only, want 0", st.Derives)
 	}
 }
 
