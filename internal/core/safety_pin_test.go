@@ -29,15 +29,24 @@ func TestSafetyCountersPinned(t *testing.T) {
 		{"chaindrop(5)", pin{"bdbf250643331e0f538565005759dfce82554e60de49112006871fd57312500f", 16, 26, 31744, 27, 11}},
 		{"ring(4)", pin{"d445248bff649f54817bead80f5cc38e38c2100c191612a14238013ff87d1978", 1040, 4685, 6297, 4686, 3646}},
 		{"fig18", pin{"d98f648d7efc119b7d0df1a580548436fe909e4cbe63cbadb35fc554d6deb248", 419, 1532, 4680, 1533, 1114}},
+		// Service sizes 64 and 128: the widest service the mask closure
+		// takes, and one that only the scalar closure serves.
+		{"lanes(6)", pin{"a9b921c00baf6428caa082c491feeb92e37c0e5f825632097083cea3a625700f", 729, 4374, 46656, 4375, 3646}},
+		{"lanes(7)", pin{"f2d72ac652886324fa6b99e6a1d97ebaa26552c156a649ba0969a3e02391f049", 2187, 15309, 279936, 15310, 13123}},
 	}
 	for _, p := range pins {
 		for _, w := range []int{1, 2} {
 			opts := core.Options{OmitVacuous: true, Workers: w}
 			var res *core.Result
 			var err error
-			if p.name == "fig18" {
+			switch p.name {
+			case "fig18":
 				res, err = core.Derive(protocols.CST(), protocols.TransportB18(), opts)
-			} else {
+			case "lanes(6)":
+				res, err = core.Derive(protocols.LaneService(6), protocols.LaneSystem(6), opts)
+			case "lanes(7)":
+				res, err = core.Derive(protocols.LaneService(7), protocols.LaneSystem(7), opts)
+			default:
 				fam, ferr := specgen.ParseFamily(p.name)
 				if ferr != nil {
 					t.Fatal(ferr)
