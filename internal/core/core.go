@@ -883,7 +883,7 @@ func (d *deriver) safetyPhase() error {
 		return &NoQuotientError{
 			Reason:       "ok(h.ε) fails: B can emit an external event the service forbids before any converter action",
 			FailedPhase:  "safety",
-			WitnessTrace: d.safetyWitness(seeds),
+			WitnessTrace: d.witness(-1),
 		}
 	}
 	d.table.intern(h0, h0.hash()) // ID 0 = initial state

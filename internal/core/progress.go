@@ -44,8 +44,9 @@
 //     of affected columns.
 //   - One sequential sweep: the DP walks Tarjan's emission order, which is
 //     already reverse-topological, and the verdict scan walks the affected
-//     states in order, switching to the batched sat.ProgBlock kernel on
-//     dense columns. The phase is sequential at every worker count
+//     states in order and each state's pairs in ascending order, one
+//     sat.AcceptanceIndex.Prog test per pair, stopping at the first failing
+//     pair. The phase is sequential at every worker count
 //     (Options.Workers parallelizes the safety phase only) because every
 //     pb-graph SCC on the specgen families is a singleton, too little work
 //     to schedule: on 2 cores a work-stealing sweep ran 2–2.5× slower at 2
@@ -67,11 +68,6 @@ import (
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
 )
-
-// blockMinSlots is the combo-table size below which the verdict scan never
-// takes the batched ProgBlock path: gathering a small column's masks costs
-// more than the per-pair tests it saves.
-const blockMinSlots = 128
 
 // progTables is the progress phase's per-derivation state, kept on the
 // deriver so repeated sweeps share the combo tables and memoized masks.
@@ -398,7 +394,7 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 				"progress phase removed the initial state after %d iterations (%d states removed): every candidate behavior risks a progress violation of the service",
 				res.Stats.ProgressIterations, removedTotal),
 			FailedPhase:  "progress",
-			WitnessTrace: d.progressWitness(blame0),
+			WitnessTrace: d.witness(blame0),
 		}
 	}
 	return nil
@@ -748,12 +744,11 @@ func resizeSlice[T any](s []T, n int) []T {
 // pos, for all of its pairs.
 func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, blame0 int32) {
 	pt := d.prog
-	w := pt.words
 	numA := int32(d.numA)
 
-	// scanRange walks ci's pair set and returns its first failing pair, or
-	// -1.
-	scanRange := func(ci int32) int32 {
+	// firstFailing walks ci's pair set and returns its first failing pair,
+	// or -1.
+	firstFailing := func(ci int32) int32 {
 		blame := int32(-1)
 		last := int32(-1)
 		var m []uint64
@@ -774,47 +769,6 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, 
 		})
 		return blame
 	}
-	// scanBlock is the dense-column path: gather the column's masks, in
-	// combo order, evaluate every A-state against them with one ProgBlock
-	// stream each, then walk the pairs testing verdict bits. It stops at the
-	// same first failing pair as scanRange.
-	scanBlock := func(ci int32) int32 {
-		combos := pt.combos(ci)
-		nslots := len(combos)
-		col := make([]uint64, nslots*w)
-		for s, pb := range combos {
-			copy(col[s*w:s*w+w], pt.maskAt(pt.pos(pb, ci)))
-		}
-		vw := (nslots + 63) / 64
-		out := make([]uint64, d.numA*vw)
-		for a := 0; a < d.numA; a++ {
-			pt.accIx.ProgBlock(spec.State(a), col, nslots, out[a*vw:(a+1)*vw])
-		}
-		blame := int32(-1)
-		cursor := 0
-		d.table.get(ci).forEachUntil(func(p int32) bool {
-			a := p % numA
-			pb := p / numA
-			for cursor < len(combos) && combos[cursor] < pb {
-				cursor++
-			}
-			if cursor == len(combos) || combos[cursor] != pb ||
-				out[int(a)*vw+cursor>>6]&(1<<(uint(cursor)&63)) == 0 {
-				blame = p
-				return true
-			}
-			return false
-		})
-		return blame
-	}
-	// blockEligible: the block path pays numA×slots candidate tests up
-	// front to make each pair check O(1), so it wins only on columns at
-	// least 3/4-dense in (a, pb) pairs, where the pair walk dominates.
-	blockEligible := func(ci int32) bool {
-		nslots := len(pt.combos(ci))
-		return nslots >= blockMinSlots && d.numA > 1 &&
-			4*d.table.get(ci).count() >= 3*d.numA*nslots
-	}
 
 	blame0 = -1
 	scanned := 0
@@ -823,11 +777,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, 
 			continue
 		}
 		scanned++
-		scan := scanRange
-		if blockEligible(ci) {
-			scan = scanBlock
-		}
-		if blame := scan(ci); blame >= 0 {
+		if blame := firstFailing(ci); blame >= 0 {
 			removed = append(removed, ci)
 			if ci == 0 {
 				blame0 = blame

@@ -2,10 +2,11 @@
 //
 // When a derivation proves nonexistence, the engine owes the caller more
 // than a verdict: a concrete run of B that exhibits the violation. The
-// closure walks that discover violations abort at the first offending pair
-// (parallel.go), so the witness is reconstructed here by a separate
-// breadth-first search over the same pair graph — seeds, B's internal
-// moves, and ψ-stepped external moves. BFS gives a shortest offending run,
+// closure walks that discover a safety violation abort at the first
+// offending pair (parallel.go), and the progress phase records only the
+// first failing pair of the initial state, so the run is reconstructed here
+// by one breadth-first search over the h.ε closure graph — seeds, B's
+// internal moves, and ψ-stepped external moves. BFS gives a shortest run,
 // and because it re-walks only the ball around the violation it never
 // forces expansion of environment rows the derivation did not already need:
 // every pair it can reach lies inside h.ε, whose states the safety phase
@@ -45,89 +46,34 @@ func (d *deriver) traceTo(nodes []witnessNode, i int32) []spec.Event {
 	return rev
 }
 
-// safetyWitness finds a shortest run witnessing an ok(h.ε) failure: an
-// external trace B can drive, without any converter action, to a pair where
-// B emits an external event the service forbids. The returned trace ends
-// with that forbidden event. Returns nil if no violation is reachable
-// (never the case when the h.ε closure reported ok = false).
-func (d *deriver) safetyWitness(seeds []int32) []spec.Event {
+// witness finds a shortest external trace B can drive from the initial
+// configuration without any converter action, by BFS over the h.ε closure
+// graph. It returns the trace to pair target (a progress failure's blamed
+// pair, which the progress phase takes from state 0's pair set, exactly
+// that closure). If the search first meets an external event the service
+// forbids, it returns the trace to that pair followed by the forbidden
+// event: an ok(h.ε) failure, the safety case, which cannot occur after a
+// passed safety phase. Pass target < 0 to search for the safety case only.
+// Returns nil if neither is reachable.
+func (d *deriver) witness(target int32) []spec.Event {
 	numA := int32(d.numA)
-	visited := make(map[int32]struct{}, 64)
+	// visited is a bit vector over the pair domain, grown on demand: the
+	// domain grows during an aborted safety phase over a demand-driven
+	// environment.
+	var visited []uint64
 	nodes := make([]witnessNode, 0, 64)
 	push := func(p, parent, ev int32) {
-		if _, seen := visited[p]; seen {
+		w := int(p >> 6)
+		if w >= len(visited) {
+			grown := make([]uint64, max(2*len(visited), w+64))
+			copy(grown, visited)
+			visited = grown
+		}
+		bit := uint64(1) << (uint(p) & 63)
+		if visited[w]&bit != 0 {
 			return
 		}
-		visited[p] = struct{}{}
-		nodes = append(nodes, witnessNode{pair: p, parent: parent, ev: ev})
-	}
-	for _, p := range seeds {
-		push(p, -1, -1)
-	}
-	for head := 0; head < len(nodes); head++ {
-		p := nodes[head].pair
-		a := p % numA
-		ext, ints, off := d.rowsPacked(p / numA)
-		for _, t := range ints {
-			push((off+t)*numA+a, int32(head), -1)
-		}
-		arow := int(a) * d.nev
-		for _, ed := range ext {
-			if !d.isExt[ed.Ev] {
-				continue
-			}
-			a2 := d.psi[arow+int(ed.Ev)]
-			if a2 < 0 {
-				return append(d.traceTo(nodes, int32(head)), d.events[ed.Ev])
-			}
-			push((off+ed.To)*numA+a2, int32(head), ed.Ev)
-		}
-	}
-	return nil
-}
-
-// denseParentThreshold bounds the pair domain up to which progressWitness
-// uses a flat visited array; larger domains fall back to a map sized by the
-// ball actually explored.
-const denseParentThreshold = 1 << 24
-
-// progressWitness finds an external trace from the initial configuration to
-// the blamed pair of a progress failure: BFS over the h.ε closure graph
-// (the progress phase only blames pairs of state 0's pair set, which is
-// exactly that closure, so the target is always reachable). Returns nil for
-// target < 0.
-func (d *deriver) progressWitness(target int32) []spec.Event {
-	if target < 0 {
-		return nil
-	}
-	numA := int32(d.numA)
-	// Visited tracking: a flat parent-index array over the pair domain when
-	// it fits, a map otherwise. The domain is fixed here — progress runs
-	// after the safety phase stopped discovering states.
-	var dense []int32
-	var sparse map[int32]struct{}
-	domain := int(d.prog.totalB) * d.numA
-	if domain <= denseParentThreshold {
-		dense = make([]int32, domain)
-		for i := range dense {
-			dense[i] = -1
-		}
-	} else {
-		sparse = make(map[int32]struct{}, 1024)
-	}
-	nodes := make([]witnessNode, 0, 64)
-	push := func(p, parent, ev int32) {
-		if dense != nil {
-			if dense[p] >= 0 {
-				return
-			}
-			dense[p] = int32(len(nodes))
-		} else {
-			if _, seen := sparse[p]; seen {
-				return
-			}
-			sparse[p] = struct{}{}
-		}
+		visited[w] |= bit
 		nodes = append(nodes, witnessNode{pair: p, parent: parent, ev: ev})
 	}
 	for v, b := range d.bs {
@@ -150,7 +96,7 @@ func (d *deriver) progressWitness(target int32) []spec.Event {
 			}
 			a2 := d.psi[arow+int(ed.Ev)]
 			if a2 < 0 {
-				continue // cannot happen after a passed safety phase
+				return append(d.traceTo(nodes, int32(head)), d.events[ed.Ev])
 			}
 			push((off+ed.To)*numA+a2, int32(head), ed.Ev)
 		}

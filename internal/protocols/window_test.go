@@ -25,7 +25,7 @@ func TestWindowServiceShape(t *testing.T) {
 		t.Error("four outstanding should be forbidden")
 	}
 	// n=1 is the Figure 11 service.
-	if !sat.TraceEquivalent(WindowService(1), Service()) {
+	if sat.Safety(WindowService(1), Service()) != nil || sat.Safety(Service(), WindowService(1)) != nil {
 		t.Error("WindowService(1) should equal the Figure 11 service")
 	}
 }

@@ -45,9 +45,6 @@ func NewReadyIndex(events []spec.Event) (*ReadyIndex, error) {
 // Words returns the mask stride: the number of uint64 words a mask needs.
 func (ix *ReadyIndex) Words() int { return ix.words }
 
-// NumEvents returns the universe size.
-func (ix *ReadyIndex) NumEvents() int { return len(ix.events) }
-
 // Bit returns the bit position of e, or false if e is outside the universe.
 func (ix *ReadyIndex) Bit(e spec.Event) (int, bool) {
 	i, ok := ix.pos[e]
@@ -93,15 +90,11 @@ func (ix *ReadyIndex) EventsOf(mask []uint64) []spec.Event {
 	return out
 }
 
-// maskSubset and popcount live in kernels.go alongside the other
-// word-parallel mask primitives.
-
 // AcceptanceIndex precompiles prog for a normal-form specification A: for
 // every A-state, the bitmasks of its acceptance sets, minimized (a mask that
 // is a superset of another candidate can never be the only one covered, so
 // it is dropped). Prog(as, ready) is then "some candidate mask ⊆ ready".
 type AcceptanceIndex struct {
-	ready *ReadyIndex
 	// Candidate masks of state s are masks[offs[s]*words : offs[s+1]*words],
 	// in mask units of the ready stride, each candidate `words` long.
 	masks []uint64
@@ -118,7 +111,6 @@ func NewAcceptanceIndex(a *spec.Spec, ready *ReadyIndex) (*AcceptanceIndex, erro
 	}
 	w := ready.Words()
 	ix := &AcceptanceIndex{
-		ready: ready,
 		offs:  make([]int32, a.NumStates()+1),
 		words: w,
 	}
@@ -143,9 +135,6 @@ func NewAcceptanceIndex(a *spec.Spec, ready *ReadyIndex) (*AcceptanceIndex, erro
 	return ix, nil
 }
 
-// Ready returns the ReadyIndex the acceptance masks are laid out over.
-func (ix *AcceptanceIndex) Ready() *ReadyIndex { return ix.ready }
-
 // Prog reports the paper's prog predicate for A-state as against a ready
 // mask: ∃a' : as λ* a' ∧ sink.a' ∧ τ*.a' ⊆ ready. Equivalent to
 // sat.Prog(a, as, readyEvents) with ready = MaskOf(readyEvents).
@@ -153,7 +142,7 @@ func (ix *AcceptanceIndex) Prog(as spec.State, ready []uint64) bool {
 	w := ix.words
 	for o := ix.offs[as]; o < ix.offs[as+1]; o++ {
 		m := ix.masks[int(o)*w : int(o+1)*w]
-		if maskSubset(m, ready) {
+		if MaskSubset(m, ready) {
 			return true
 		}
 	}
@@ -177,7 +166,7 @@ func minimizeMasks(cands [][]uint64) [][]uint64 {
 			if i == j {
 				continue
 			}
-			if maskSubset(o, m) && (!maskSubset(m, o) || j < i) {
+			if MaskSubset(o, m) && (!MaskSubset(m, o) || j < i) {
 				// o is a strict subset, or an equal mask seen earlier.
 				redundant = true
 				break
@@ -188,7 +177,7 @@ func minimizeMasks(cands [][]uint64) [][]uint64 {
 		}
 	}
 	sort.Slice(keep, func(i, j int) bool {
-		pi, pj := popcount(keep[i]), popcount(keep[j])
+		pi, pj := Popcount(keep[i]), Popcount(keep[j])
 		if pi != pj {
 			return pi < pj
 		}
@@ -201,5 +190,3 @@ func minimizeMasks(cands [][]uint64) [][]uint64 {
 	})
 	return keep
 }
-
-func popcount(m []uint64) int { return Popcount(m) }

@@ -3,18 +3,13 @@
 // The progress phase of the quotient engine spends its time combining and
 // testing ready-set masks: unioning successor masks into a τ*-closure,
 // testing acceptance candidates against ready masks, and rebuilding base
-// masks after invalidation. These kernels are the shared, word-at-a-time
-// primitives for that work — each processes whole uint64 words (64 states
-// or events per operation) with no per-bit branching, and ProgBlock
-// evaluates one acceptance candidate against a whole block of contiguous
-// masks per pass instead of re-walking the candidate list per state.
+// masks after invalidation; the safety phase hashes and compares canonical
+// pair sets. These kernels are the shared, word-at-a-time primitives for
+// that work — each processes whole uint64 words (64 states or events per
+// operation) with no per-bit branching.
 package sat
 
-import (
-	"math/bits"
-
-	"protoquot/internal/spec"
-)
+import "math/bits"
 
 // MaskSubset reports a ⊆ b for equal-stride masks.
 func MaskSubset(a, b []uint64) bool {
@@ -25,10 +20,6 @@ func MaskSubset(a, b []uint64) bool {
 	}
 	return true
 }
-
-// maskSubset is the package-internal spelling kept for the existing call
-// sites and tests.
-func maskSubset(a, b []uint64) bool { return MaskSubset(a, b) }
 
 // OrInto unions src into dst word-parallel: dst |= src. The masks must have
 // equal stride, which is 0 when the alphabet is empty.
@@ -111,48 +102,4 @@ func HashWords(ws []uint64) uint64 {
 	h *= 0xc4ceb9fe1a85ec53
 	h ^= h >> 33
 	return h
-}
-
-// ProgBlock evaluates the prog predicate for A-state as against a block of
-// n ready masks stored contiguously in readys (mask i at stride words:
-// readys[i*w : (i+1)*w]), writing the verdicts as a bitset into out (bit i
-// set ⟺ Prog(as, mask i)). out must hold at least (n+63)/64 words; words
-// beyond the verdicts are left untouched, bits within the last word are
-// overwritten.
-//
-// The point of the block form is loop order: each acceptance candidate is
-// streamed across all n masks before the next candidate is considered, so
-// the (few, minimized) candidate masks stay in registers while the block —
-// typically a whole column of the progress phase's ready storage — streams
-// through once per candidate. For the common single-word universe the inner
-// test is one AND-NOT per mask.
-func (ix *AcceptanceIndex) ProgBlock(as spec.State, readys []uint64, n int, out []uint64) {
-	w := ix.words
-	nw := (n + 63) / 64
-	for i := 0; i < nw; i++ {
-		out[i] = 0
-	}
-	lo, hi := ix.offs[as], ix.offs[as+1]
-	if lo == hi {
-		return // no candidates: prog can never hold
-	}
-	if w == 1 {
-		for o := lo; o < hi; o++ {
-			cand := ix.masks[o]
-			for i := 0; i < n; i++ {
-				if cand&^readys[i] == 0 {
-					out[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-		}
-		return
-	}
-	for o := lo; o < hi; o++ {
-		cand := ix.masks[int(o)*w : int(o+1)*w]
-		for i := 0; i < n; i++ {
-			if MaskSubset(cand, readys[i*w:(i+1)*w]) {
-				out[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-	}
 }

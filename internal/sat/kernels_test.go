@@ -105,88 +105,6 @@ func TestEventsOfRoundTrip(t *testing.T) {
 	}
 }
 
-// randNormalForm builds a random normal-form service over the given event
-// universe: a root state with λ-edges to sink states, each sink carrying a
-// random τ*-set (self external edges). Normal form needs the ψ-step to be
-// deterministic from the root's λ-closure, so the universe is partitioned
-// among the sinks — each event self-loops on exactly one sink. This is the
-// acceptance-structure shape AcceptanceIndex compiles.
-func randNormalForm(t *testing.T, rng *rand.Rand, events []spec.Event, sinks int) *spec.Spec {
-	t.Helper()
-	if sinks > len(events) {
-		sinks = len(events)
-	}
-	b := spec.NewBuilder("randA")
-	for _, e := range events {
-		b.Event(e)
-	}
-	b.Init("root")
-	perm := rng.Perm(len(events))
-	for s := 0; s < sinks; s++ {
-		name := fmt.Sprintf("k%d", s)
-		b.Int("root", name)
-		// Sink s owns every event whose permuted index ≡ s mod sinks, plus
-		// nothing else: disjoint τ*-sets, so determinism holds trivially
-		// and every sink survives mask minimization as its own candidate.
-		for i := s; i < len(events); i += sinks {
-			b.Ext(name, events[perm[i]], name)
-		}
-	}
-	a, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.IsNormalForm(); err != nil {
-		t.Fatalf("generated spec not normal form: %v", err)
-	}
-	return a
-}
-
-// TestProgBlockAgainstScalarProg cross-checks the batched ProgBlock kernel
-// against per-mask Prog (itself pinned against the event-set reference by
-// the sat tests) over randomized acceptance structures and mask blocks,
-// at single- and multi-word strides and with block lengths that exercise
-// trailing-word verdict bits.
-func TestProgBlockAgainstScalarProg(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, nev := range []int{3, 10, 63, 64, 70, 130} {
-		events := make([]spec.Event, nev)
-		for i := range events {
-			events[i] = spec.Event(fmt.Sprintf("ev%03d", i))
-		}
-		ready, err := NewReadyIndex(events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for trial := 0; trial < 20; trial++ {
-			a := randNormalForm(t, rng, events, 1+rng.Intn(4))
-			ix, err := NewAcceptanceIndex(a, ready)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := ready.Words()
-			for _, n := range []int{1, 3, 63, 64, 65, 100} {
-				readys := make([]uint64, n*w)
-				for i := 0; i < n; i++ {
-					copy(readys[i*w:(i+1)*w], randMask(rng, nev, 0.5))
-				}
-				out := make([]uint64, (n+63)/64)
-				for as := 0; as < a.NumStates(); as++ {
-					ix.ProgBlock(spec.State(as), readys, n, out)
-					for i := 0; i < n; i++ {
-						got := out[i>>6]&(1<<(uint(i)&63)) != 0
-						want := ix.Prog(spec.State(as), readys[i*w:(i+1)*w])
-						if got != want {
-							t.Fatalf("nev=%d trial=%d as=%d n=%d mask=%d: ProgBlock=%v, Prog=%v",
-								nev, trial, as, n, i, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestWordsEqualAgainstNaive cross-checks the unrolled comparison against
 // the obvious loop at lengths that straddle the 8-word unroll boundary
 // (0..9, 15..17, 64), including single-word flips at every position —

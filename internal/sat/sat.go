@@ -239,14 +239,6 @@ func Satisfies(b, a *spec.Spec) error {
 	return progressWalk(b, a)
 }
 
-// TraceEquivalent reports whether two specifications over the same
-// interface have identical trace sets (mutual satisfaction with respect to
-// safety). Useful for comparing converters produced by different
-// derivation routes.
-func TraceEquivalent(x, y *spec.Spec) bool {
-	return Safety(x, y) == nil && Safety(y, x) == nil
-}
-
 // closeSet ε-closes a state set of a and returns it sorted.
 func closeSet(a *spec.Spec, sts []spec.State) []spec.State {
 	seen := make(map[spec.State]bool)

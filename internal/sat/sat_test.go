@@ -210,22 +210,6 @@ func TestSameInterface(t *testing.T) {
 	}
 }
 
-func TestTraceEquivalent(t *testing.T) {
-	s := service(t)
-	if !TraceEquivalent(s, s.Renamed("copy")) {
-		t.Error("a spec is trace-equivalent to its copy")
-	}
-	if !TraceEquivalent(s, s.Normalize()) {
-		t.Error("determinization preserves traces")
-	}
-	other := spec.NewBuilder("O")
-	other.Init("v0").Ext("v0", "acc", "v1").Ext("v1", "del", "v2")
-	other.Event("acc").Event("del")
-	if TraceEquivalent(s, build(t, other)) {
-		t.Error("halting variant is not trace-equivalent")
-	}
-}
-
 func TestFormatTrace(t *testing.T) {
 	if got := FormatTrace([]spec.Event{"a", "b"}); got != "a b" {
 		t.Errorf("FormatTrace = %q", got)

@@ -64,7 +64,7 @@ func TestLoopIsFigure11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sat.TraceEquivalent(s, protocols.Service()) {
+	if sat.Safety(s, protocols.Service()) != nil || sat.Safety(protocols.Service(), s) != nil {
 		t.Errorf("Loop(acc·del) should equal the Figure 11 service:\n%s", s.Format())
 	}
 	if err := s.IsNormalForm(); err != nil {
@@ -78,7 +78,7 @@ func TestComposeCST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sat.TraceEquivalent(s, protocols.CST()) {
+	if sat.Safety(s, protocols.CST()) != nil || sat.Safety(protocols.CST(), s) != nil {
 		t.Error("literal CST should equal the hand-built CST")
 	}
 }
