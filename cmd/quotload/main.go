@@ -308,8 +308,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// precisely those) — dedup degrades, availability does not.
 	sums, perNode := sumStats(ctx, addrs, *timeout)
 	distinct := len(requested)
-	fmt.Fprintf(stdout, "cluster: nodes=%d distinct_keys=%d derives=%d coalesced=%d cache_hits=%d cache_alias_hits=%d peer_fills=%d peer_served=%d peer_unavailable=%d hot_replicated=%d\n",
-		len(addrs), distinct, sums.Derives, sums.Coalesced, sums.CacheHits, sums.CacheAliasHits, sums.PeerFills, sums.PeerServed, sums.PeerUnavailable, sums.HotReplicated)
+	fmt.Fprintf(stdout, "cluster: nodes=%d distinct_keys=%d derives=%d coalesced=%d cache_hits=%d cache_alias_hits=%d peer_fills=%d peer_served=%d peer_unavailable=%d hot_replicated=%d ring_rebuilds=%d\n",
+		len(addrs), distinct, sums.Derives, sums.Coalesced, sums.CacheHits, sums.CacheAliasHits, sums.PeerFills, sums.PeerServed, sums.PeerUnavailable, sums.HotReplicated, sums.ClusterRingRebuilds)
 	for _, line := range perNode {
 		fmt.Fprintf(stdout, "  %s\n", line)
 	}
@@ -465,6 +465,7 @@ func sumStats(ctx context.Context, addrs []string, timeout time.Duration) (api.S
 		sums.PeerServed += st.PeerServed
 		sums.PeerUnavailable += st.PeerUnavailable
 		sums.HotReplicated += st.HotReplicated
+		sums.ClusterRingRebuilds += st.ClusterRingRebuilds
 		lines = append(lines, fmt.Sprintf("%s: derives=%d cache_hits=%d peer_served=%d peers_up=%d",
 			a, st.Derives, st.CacheHits, st.PeerServed, st.ClusterPeersUp))
 	}

@@ -405,6 +405,10 @@ type StatsResponse struct {
 	ClusterSelf      string `json:"cluster_self,omitempty"`
 	ClusterPeersUp   int    `json:"cluster_peers_up,omitempty"`
 	ClusterPeersDown int    `json:"cluster_peers_down,omitempty"`
+	// ClusterRingRebuilds counts membership changes that rebuilt the ring:
+	// a peer lost (several failed health probes in a row, or a failed peer
+	// fill) or rejoined. Each moves part of the keyspace to a new owner.
+	ClusterRingRebuilds int64 `json:"cluster_ring_rebuilds,omitempty"`
 	// PeerFills counts local misses answered by the key's owner shard;
 	// PeerUnavailable counts owner-fetch failures that fell back to local
 	// derivation (never client-visible); PeerServed counts peer-fill

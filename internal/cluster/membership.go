@@ -33,19 +33,28 @@ type Config struct {
 	Logf func(format string, v ...any)
 }
 
+// probeFailuresToDead is how many consecutive failed probes mark a peer
+// dead. One slow /healthz on a loaded machine must not flap a live peer:
+// every flap rebuilds the ring twice and moves part of the keyspace to an
+// owner that derives those keys again.
+const probeFailuresToDead = 5
+
 // Membership is one node's live view of the ring. Peers found dead by the
-// prober (or reported dead by a failed peer fill) leave the ring until a
-// probe finds them alive again; Self is always a member. Ring snapshots
-// are immutable and swapped atomically, so Owner on the request path is a
-// lock-free read racing safely with rebuilds.
+// prober (probeFailuresToDead failed probes in a row) or reported dead by a
+// failed peer fill leave the ring until a probe finds them alive again;
+// Self is always a member. Ring snapshots are immutable and swapped
+// atomically, so Owner on the request path is a lock-free read racing
+// safely with rebuilds.
 type Membership struct {
 	cfg  Config
 	logf func(format string, v ...any)
 
-	ring atomic.Pointer[Ring]
+	ring     atomic.Pointer[Ring]
+	rebuilds atomic.Int64 // ring rebuilds since New: one per membership change
 
 	mu    sync.Mutex
 	alive map[string]bool
+	fails map[string]int // consecutive failed probes per peer
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -72,6 +81,7 @@ func New(cfg Config) *Membership {
 		cfg:   cfg,
 		logf:  cfg.Logf,
 		alive: make(map[string]bool, len(cfg.Peers)),
+		fails: make(map[string]int, len(cfg.Peers)),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
@@ -130,6 +140,10 @@ func (m *Membership) PeersUpDown() (up, down int) {
 	return up, down
 }
 
+// Rebuilds reports how many times a membership change has rebuilt the
+// ring since New.
+func (m *Membership) Rebuilds() int64 { return m.rebuilds.Load() }
+
 // ReportFailure marks a peer dead immediately — called by a peer fill that
 // hit a transport error, so routing reacts now instead of waiting out a
 // probe round. The prober re-adds the peer when it answers again.
@@ -154,7 +168,24 @@ func (m *Membership) setAlive(addr string, ok bool) {
 	} else {
 		m.logf("cluster: peer %s lost; rebuilding ring", addr)
 	}
+	m.rebuilds.Add(1)
 	m.rebuild()
+}
+
+// probed records one probe result for addr: a success makes the peer
+// alive at once, a failure only on the probeFailuresToDead-th in a row.
+func (m *Membership) probed(addr string, err error) {
+	m.mu.Lock()
+	if err == nil {
+		m.fails[addr] = 0
+	} else {
+		m.fails[addr]++
+	}
+	dead := m.fails[addr] >= probeFailuresToDead
+	m.mu.Unlock()
+	if err == nil || dead {
+		m.setAlive(addr, err == nil)
+	}
 }
 
 // rebuild swaps in a fresh ring over self + live peers.
@@ -187,7 +218,7 @@ func (m *Membership) probeAll() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), m.cfg.ProbeTimeout)
 			defer cancel()
-			m.setAlive(addr, m.cfg.Probe(ctx, addr) == nil)
+			m.probed(addr, m.cfg.Probe(ctx, addr))
 		}(p)
 	}
 	wg.Wait()

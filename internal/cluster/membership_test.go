@@ -79,6 +79,43 @@ func TestReportFailureIsImmediate(t *testing.T) {
 	}
 }
 
+// TestSlowProbeDoesNotFlap: a peer whose probe fails once and then
+// succeeds stays in the ring, so the ring is never rebuilt; only
+// probeFailuresToDead failures in a row mark it dead.
+func TestSlowProbeDoesNotFlap(t *testing.T) {
+	var calls atomic.Int64
+	m := New(Config{Self: "a:1", Peers: []string{"b:2", "c:3"}, Probe: func(_ context.Context, addr string) error {
+		if addr == "b:2" && calls.Add(1) == 1 {
+			return errors.New("probe timed out")
+		}
+		return nil
+	}})
+	for i := 0; i < 5; i++ {
+		m.probeAll()
+	}
+	if got := m.Rebuilds(); got != 0 {
+		t.Fatalf("one failed probe rebuilt the ring %d time(s)", got)
+	}
+	if got := m.Ring().Size(); got != 3 {
+		t.Fatalf("ring size %d after one failed probe, want 3", got)
+	}
+
+	fp := &flakyProbe{}
+	fp.set("b:2", true)
+	m = New(Config{Self: "a:1", Peers: []string{"b:2"}, Probe: fp.probe})
+	for i := 1; i <= probeFailuresToDead; i++ {
+		m.probeAll()
+		if want := i == probeFailuresToDead; (m.Ring().Size() == 1) != want {
+			t.Fatalf("after %d failed probe(s): ring size %d", i, m.Ring().Size())
+		}
+	}
+	fp.set("b:2", false)
+	m.probeAll()
+	if m.Ring().Size() != 2 || m.Rebuilds() != 2 {
+		t.Fatalf("after a good probe: ring size %d, %d rebuilds; want 2, 2", m.Ring().Size(), m.Rebuilds())
+	}
+}
+
 // TestRingRebuildRace hammers Owner from many readers while the membership
 // flaps a peer up and down — the ring-rebuild race test the issue asks for;
 // run under -race this proves routing needs no locks.

@@ -27,8 +27,8 @@ const DefaultVirtualNodes = 64
 // with NewRing; membership changes build a new Ring rather than mutating
 // (readers hold a snapshot, so routing needs no locks on the hot path).
 type Ring struct {
-	points  []point // sorted by hash, ascending
-	members []string
+	points []point // sorted by hash, ascending
+	size   int     // distinct members
 }
 
 type point struct {
@@ -50,12 +50,11 @@ func NewRing(members []string, vnodes int) *Ring {
 			continue
 		}
 		seen[m] = true
-		r.members = append(r.members, m)
+		r.size++
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, point{hash64(fmt.Sprintf("%s#%d", m, i)), m})
 		}
 	}
-	sort.Strings(r.members)
 	sort.Slice(r.points, func(i, j int) bool {
 		if r.points[i].h != r.points[j].h {
 			return r.points[i].h < r.points[j].h
@@ -81,13 +80,8 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].member
 }
 
-// Members returns the ring's member set, sorted.
-func (r *Ring) Members() []string {
-	return append([]string(nil), r.members...)
-}
-
 // Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
+func (r *Ring) Size() int { return r.size }
 
 // hash64 is FNV-1a over the string. Keys are already uniformly distributed
 // (hex SHA-256), and member points only need spreading, so a fast

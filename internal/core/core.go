@@ -56,6 +56,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -102,11 +103,15 @@ type demandEnvironment interface {
 // compiledEnv serves an environment that does not produce integer rows
 // itself — a *spec.Spec, a minimized spec, any other Environment — through
 // demandEnvironment. Its rows are compiled once, with the environment's own
-// state ids, so every state counts as expanded from the start.
+// state ids, so every state counts as expanded from the start. State st's
+// rows are ext[extOff[st]:extOff[st+1]] and intl[intOff[st]:intOff[st+1]]:
+// one array per kind, so a row read touches two offsets and contiguous
+// edges rather than two slice headers and two separate allocations.
 type compiledEnv struct {
 	Environment
-	ext  [][]bedge
-	intl [][]int32
+	extOff, intOff []int32
+	ext            []bedge
+	intl           []int32
 }
 
 // asDemand returns b's row surface: b itself when it serves rows, else a
@@ -115,46 +120,42 @@ func asDemand(b Environment) demandEnvironment {
 	if de, ok := b.(demandEnvironment); ok {
 		return de
 	}
-	ce := &compiledEnv{Environment: b}
-	ce.ext, ce.intl = compileRows(b)
-	return ce
+	return compileRows(b)
 }
 
-func (e *compiledEnv) Rows(st spec.State) ([]bedge, []int32) { return e.ext[st], e.intl[st] }
+func (e *compiledEnv) Rows(st spec.State) ([]bedge, []int32) {
+	return e.ext[e.extOff[st]:e.extOff[st+1]], e.intl[e.intOff[st]:e.intOff[st+1]]
+}
 
 func (e *compiledEnv) PeekRows(st spec.State) ([]bedge, []int32, bool) {
-	return e.ext[st], e.intl[st], true
+	ext, intl := e.Rows(st)
+	return ext, intl, true
 }
 
 func (e *compiledEnv) ExpansionStats() (expanded, discovered int, ns int64) {
-	return len(e.ext), len(e.ext), 0
+	return len(e.extOff) - 1, len(e.extOff) - 1, 0
 }
 
 // compileRows copies an environment's transition structure into dense
-// per-state rows: external edges with events resolved to ids into its
-// alphabet, and internal successors.
-func compileRows(b Environment) (ext [][]bedge, intl [][]int32) {
+// rows: external edges with events resolved to ids into its alphabet, and
+// internal successors.
+func compileRows(b Environment) *compiledEnv {
 	eid := make(map[spec.Event]int32, len(b.Alphabet()))
 	for i, e := range b.Alphabet() {
 		eid[e] = int32(i)
 	}
 	n := b.NumStates()
-	ext, intl = make([][]bedge, n), make([][]int32, n)
+	e := &compiledEnv{Environment: b, extOff: make([]int32, n+1), intOff: make([]int32, n+1)}
 	for st := 0; st < n; st++ {
-		src := b.ExtEdges(spec.State(st))
-		out := make([]bedge, len(src))
-		for i, ed := range src {
-			out[i] = bedge{Ev: eid[ed.Event], To: int32(ed.To)}
+		for _, ed := range b.ExtEdges(spec.State(st)) {
+			e.ext = append(e.ext, bedge{Ev: eid[ed.Event], To: int32(ed.To)})
 		}
-		ext[st] = out
-		tos := b.IntEdges(spec.State(st))
-		row := make([]int32, len(tos))
-		for i, t := range tos {
-			row[i] = int32(t)
+		for _, t := range b.IntEdges(spec.State(st)) {
+			e.intl = append(e.intl, int32(t))
 		}
-		intl[st] = row
+		e.extOff[st+1], e.intOff[st+1] = int32(len(e.ext)), int32(len(e.intl))
 	}
-	return ext, intl
+	return e
 }
 
 // Options tune the derivation. The zero value is the recommended default.
@@ -314,14 +315,13 @@ type deriver struct {
 	intlIndex []int32      // by event id: position in intl, or -1
 	psi       []int32      // ψ-step table, numA×nev flat; -1 = not allowed
 	nev       int
-
-	// Mask-closure tables, built when useMask (numA ≤ 64): psiBit[a*nev+e]
-	// is the one-bit mask of ψ(a, e)'s target A-state (0 when ψ is
-	// undefined there), badA[e] the mask of A-states where ψ(·, e) is
-	// undefined — reaching one of those with an external B-edge on e is an
+	// The closure's masks give each packed-b state W = 1<<awShift A-words:
+	// ⌈numA/64⌉ rounded up to a power of two, so a mask key splits by shift.
+	// badA[e*aw+w] is the mask of word w's A-states where ψ(·, e) is
+	// undefined: reaching one of those with an external B-edge on e is an
 	// ok.J violation.
-	useMask bool
-	psiBit  []uint64
+	aw      int
+	awShift uint
 	badA    []uint64
 
 	table     *internTable
@@ -556,20 +556,13 @@ func (d *deriver) prepare() {
 		d.boff[v] = d.boff[v-1] + int32(d.envs[v-1].NumStates())
 	}
 
-	d.useMask = maskClosureEnabled && d.numA <= 64
-	if d.useMask {
-		d.psiBit = make([]uint64, d.numA*d.nev)
-		d.badA = make([]uint64, d.nev)
-		for a := 0; a < d.numA; a++ {
-			for ei := 0; ei < d.nev; ei++ {
-				if !d.isExt[ei] {
-					continue
-				}
-				if a2 := d.psi[a*d.nev+ei]; a2 >= 0 {
-					d.psiBit[a*d.nev+ei] = 1 << uint(a2)
-				} else {
-					d.badA[ei] |= 1 << uint(a)
-				}
+	d.awShift = uint(bits.Len(uint(d.numA-1) >> 6))
+	d.aw = 1 << d.awShift
+	d.badA = make([]uint64, d.nev*d.aw)
+	for a := 0; a < d.numA; a++ {
+		for ei := 0; ei < d.nev; ei++ {
+			if d.isExt[ei] && d.psi[a*d.nev+ei] < 0 {
+				d.badA[ei*d.aw+a>>6] |= 1 << uint(a&63)
 			}
 		}
 	}
@@ -871,12 +864,8 @@ func (d *deriver) fillEnvMetrics() {
 // every batch, so a single huge frontier level can no longer run
 // arbitrarily far past the configured limit before the abort fires.
 func (d *deriver) safetyPhase() error {
-	seeds := make([]int32, len(d.bs))
-	for v, b := range d.bs {
-		seeds[v] = d.encode(v, int32(d.a.Init()), int32(b.Init()))
-	}
 	sc0 := d.getScratch(0)
-	h0, ok, _ := d.closure(sc0, seeds)
+	h0, ok := d.closure(sc0, d.initSeeds())
 	if !ok {
 		// The closure aborted at the first violation; the witness search
 		// re-walks the same ball breadth-first for a shortest offending run.
@@ -930,6 +919,15 @@ func (d *deriver) safetyPhase() error {
 		lo, hi = hi, len(d.states)
 	}
 	return nil
+}
+
+// initSeeds returns h.ε's seed pairs: the initial pair of every variant.
+func (d *deriver) initSeeds() []int32 {
+	seeds := make([]int32, len(d.bs))
+	for v, b := range d.bs {
+		seeds[v] = d.encode(v, int32(d.a.Init()), int32(b.Init()))
+	}
+	return seeds
 }
 
 // mergeBatch interns one batch of φ results in a single sequential walk in

@@ -314,3 +314,182 @@ func CheckProgressLayout(a *spec.Spec, bs []Environment, opts Options) (pairs in
 	}
 	return pairs, nil
 }
+
+// CheckClosureReference derives like DeriveEnvsContext and, as the safety
+// phase ends (before the progress phase drops transitions), recomputes h.ε
+// and every φ(J, e) with referenceClosure, the per-pair walk, comparing
+// each set and ok.J verdict with the successor the phase interned. A
+// nonexistence proof is a result, not an error: the returned error is a
+// precondition failure or the first disagreement. When h.ε fails, the
+// reference must fail it too.
+func CheckClosureReference(a *spec.Spec, bs []Environment, opts Options) (*Result, error) {
+	d, err := newDeriver(context.Background(), a, bs, opts)
+	if err != nil {
+		return nil, err
+	}
+	var mismatch error
+	checked := false
+	trace := d.opts.Trace
+	d.opts.Trace = func(ev TraceEvent) {
+		if ev.Phase == "safety" && ev.Detail != "" { // the phase's summary
+			checked, mismatch = true, d.checkClosures()
+		}
+		if trace != nil {
+			trace(ev)
+		}
+	}
+	res, err := d.run()
+	if _, nq := err.(*NoQuotientError); err != nil && !nq {
+		return nil, err
+	}
+	if !checked {
+		var rs refScratch
+		ok := d.referenceClosure(&rs, d.initSeeds())
+		rs.reset()
+		if ok {
+			return res, fmt.Errorf("h.ε: the safety phase fails ok.J, the reference holds it")
+		}
+	}
+	return res, mismatch
+}
+
+// checkClosures compares every closure of a finished safety phase with
+// referenceClosure: h.ε with state 0's set, and each φ(J, e) with J's
+// successor on e.
+func (d *deriver) checkClosures() error {
+	var rs refScratch
+	if ok := d.referenceClosure(&rs, d.initSeeds()); !ok || !rs.equal(d.table.get(0)) {
+		rs.reset()
+		return fmt.Errorf("h.ε: reference ok=%v, or its set differs from the interned one", ok)
+	}
+	numA := int32(d.numA)
+	byEvent := make([][]int32, len(d.intl))
+	for si := range d.states {
+		for i := range byEvent {
+			byEvent[i] = byEvent[i][:0]
+		}
+		d.table.get(int32(si)).forEach(func(p int32) {
+			a := p % numA
+			ext, _, off := d.rowsPacked(p / numA)
+			for _, ed := range ext {
+				if ii := d.intlIndex[ed.Ev]; ii >= 0 {
+					byEvent[ii] = append(byEvent[ii], (off+ed.To)*numA+a)
+				}
+			}
+		})
+		for ei, seeds := range byEvent {
+			got := d.states[si].succ[ei]
+			if len(seeds) == 0 {
+				if (got < 0) != d.opts.OmitVacuous || got >= 0 && len(d.table.get(got)) != 0 {
+					return fmt.Errorf("state %d, %s: vacuous successor interned as %d", si, d.intl[ei], got)
+				}
+				continue
+			}
+			ok := d.referenceClosure(&rs, seeds)
+			switch {
+			case !ok && got >= 0:
+				rs.reset()
+				return fmt.Errorf("state %d, %s: reference ok.J fails, interned successor %d", si, d.intl[ei], got)
+			case !ok:
+				rs.reset()
+			case got < 0:
+				rs.reset()
+				return fmt.Errorf("state %d, %s: reference ok.J holds, no successor interned", si, d.intl[ei])
+			case !rs.equal(d.table.get(got)):
+				return fmt.Errorf("state %d, %s: reference set differs from interned successor %d", si, d.intl[ei], got)
+			}
+		}
+	}
+	return nil
+}
+
+// refScratch is referenceClosure's working set: dense is a bit vector over
+// the pair domain, n the pairs set in it, and dirty the words to clear.
+type refScratch struct {
+	stack []int32
+	dense []uint64
+	dirty []int32
+	n     int
+}
+
+// setBit records pair p, growing the dense array on demand (the pair domain
+// grows during a closure when the environment is demand-driven). It reports
+// whether p was newly set.
+func (rs *refScratch) setBit(p int32) bool {
+	w := int(p >> 6)
+	if w >= len(rs.dense) {
+		grown := make([]uint64, max(2*len(rs.dense), w+64))
+		copy(grown, rs.dense)
+		rs.dense = grown
+	}
+	bit := uint64(1) << (uint(p) & 63)
+	old := rs.dense[w]
+	if old&bit != 0 {
+		return false
+	}
+	if old == 0 {
+		rs.dirty = append(rs.dirty, int32(w))
+	}
+	rs.dense[w] = old | bit
+	rs.n++
+	return true
+}
+
+// equal reports whether the closure in rs is exactly ps, and resets rs.
+func (rs *refScratch) equal(ps pairset) bool {
+	eq := ps.count() == rs.n
+	for i := 0; eq && i < len(ps); i += 2 {
+		w := int(ps[i])
+		eq = w < len(rs.dense) && rs.dense[w] == ps[i+1]
+	}
+	rs.reset()
+	return eq
+}
+
+func (rs *refScratch) reset() {
+	for _, w := range rs.dirty {
+		rs.dense[w] = 0
+	}
+	rs.dirty, rs.n = rs.dirty[:0], 0
+}
+
+// referenceClosure is the per-pair closure the safety phase ran on services
+// of more than 64 states before the mask closure served every width, kept
+// as its oracle: a DFS over single pairs, one row scan per pair, that walks
+// the whole closure into rs (no abort at the first violation) and returns
+// the ok.J verdict.
+func (d *deriver) referenceClosure(rs *refScratch, seeds []int32) bool {
+	numA := int32(d.numA)
+	ok := true
+	rs.stack = rs.stack[:0]
+	for _, p := range seeds {
+		if rs.setBit(p) {
+			rs.stack = append(rs.stack, p)
+		}
+	}
+	for len(rs.stack) > 0 {
+		p := rs.stack[len(rs.stack)-1]
+		rs.stack = rs.stack[:len(rs.stack)-1]
+		a := p % numA
+		ext, ints, off := d.rowsPacked(p / numA)
+		for _, t := range ints {
+			if q := (off+t)*numA + a; rs.setBit(q) {
+				rs.stack = append(rs.stack, q)
+			}
+		}
+		for _, ed := range ext {
+			if !d.isExt[ed.Ev] {
+				continue // Int event: needs the converter, not closure
+			}
+			a2 := d.psi[int(a)*d.nev+int(ed.Ev)]
+			if a2 < 0 {
+				ok = false
+				continue
+			}
+			if q := (off+ed.To)*numA + a2; rs.setBit(q) {
+				rs.stack = append(rs.stack, q)
+			}
+		}
+	}
+	return ok
+}

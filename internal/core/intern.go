@@ -121,11 +121,11 @@ type pairArena struct {
 
 func newPairArena() *pairArena { return &pairArena{chunkWords: pairArenaChunkWords} }
 
-// alloc returns a zeroed length-n sub-slice of chunk storage. n == 0
-// returns nil. The fill cursor only ever advances (a chunk whose remaining
-// tail can't fit n is sealed until the next reset), so a reset arena reuses
-// its existing chunks — including the oversize ones big closures forced —
-// before reserving anything new.
+// alloc returns a length-n sub-slice of chunk storage, not zeroed: every
+// caller overwrites what it keeps. n == 0 returns nil. The fill cursor only
+// ever advances (a chunk whose remaining tail can't fit n is sealed until
+// the next reset), so a reset arena reuses its existing chunks — including
+// the oversize ones big closures forced — before reserving anything new.
 func (ar *pairArena) alloc(n int) []uint64 {
 	if n == 0 {
 		return nil
@@ -141,9 +141,6 @@ func (ar *pairArena) alloc(n int) []uint64 {
 	chunk := ar.chunks[ar.cur]
 	out := chunk[len(chunk) : len(chunk)+n]
 	ar.chunks[ar.cur] = chunk[:len(chunk)+n]
-	for i := range out {
-		out[i] = 0
-	}
 	return out
 }
 

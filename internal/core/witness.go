@@ -76,8 +76,8 @@ func (d *deriver) witness(target int32) []spec.Event {
 		visited[w] |= bit
 		nodes = append(nodes, witnessNode{pair: p, parent: parent, ev: ev})
 	}
-	for v, b := range d.bs {
-		push(d.encode(v, int32(d.a.Init()), int32(b.Init())), -1, -1)
+	for _, p := range d.initSeeds() {
+		push(p, -1, -1)
 	}
 	for head := 0; head < len(nodes); head++ {
 		p := nodes[head].pair

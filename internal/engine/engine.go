@@ -102,9 +102,6 @@ func (r *Runner) Enabled() []Move {
 	return out
 }
 
-// Deadlocked reports whether no move is enabled.
-func (r *Runner) Deadlocked() bool { return len(r.Enabled()) == 0 }
-
 // Step applies one move, which must currently be enabled.
 func (r *Runner) Step(m Move) error {
 	if m.Internal() {

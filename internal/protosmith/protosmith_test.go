@@ -8,6 +8,7 @@ import (
 
 	"protoquot/internal/compose"
 	"protoquot/internal/core"
+	"protoquot/internal/spec"
 	"protoquot/internal/specgen"
 )
 
@@ -157,6 +158,51 @@ func TestShrinkPreservesDivergenceLeg(t *testing.T) {
 	}
 	if shrunk.Size() >= sys.Size() {
 		t.Errorf("no reduction: %d -> %d", sys.Size(), shrunk.Size())
+	}
+}
+
+// TestShrinkDropsInternalEdge pins the internal-edge step of the shrinker:
+// the component's τ-move c1 → c2 is not needed to reproduce the failure,
+// but both of its end states are (they carry the x-edge), so only dropping
+// the edge itself — not a state — can remove it.
+func TestShrinkDropsInternalEdge(t *testing.T) {
+	svc := spec.NewBuilder("S")
+	svc.Init("s0")
+	svc.Ext("s0", "acc", "s1")
+	svc.Ext("s1", "del", "s0")
+	comp := spec.NewBuilder("C")
+	comp.Init("c0")
+	comp.Ext("c0", "acc", "c1")
+	comp.Ext("c1", "x", "c2")
+	comp.Int("c1", "c2")
+	comp.Ext("c2", "del", "c0")
+	sys := &System{Service: svc.MustBuild(), Components: []*spec.Spec{comp.MustBuild()}}
+	if err := sys.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The failure: some component moves on x between two distinct states.
+	failing := func(s *System) bool {
+		for _, c := range s.Components {
+			for st := 0; st < c.NumStates(); st++ {
+				for _, ed := range c.ExtEdges(spec.State(st)) {
+					if ed.Event == "x" && ed.To != spec.State(st) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	shrunk := Shrink(sys, failing)
+	if !failing(shrunk) {
+		t.Fatal("predicate lost during shrink")
+	}
+	c := shrunk.Components[0]
+	if n := c.NumInternalTransitions(); n != 0 {
+		t.Errorf("shrunk component keeps %d internal edge(s):\n%s", n, c.Format())
+	}
+	if c.NumStates() < 2 {
+		t.Errorf("shrunk component lost the x-edge's end states:\n%s", c.Format())
 	}
 }
 

@@ -176,9 +176,6 @@ func (s *Server) Handler() http.Handler {
 // balancers watching /readyz stop sending traffic.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether StartDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Abort cancels the base context every derivation runs under, aborting
 // whatever is still inside the engine via DeriveContext cancellation. Call
 // it after the drain deadline, not before.
@@ -516,6 +513,7 @@ func (s *Server) statsSnapshot() api.StatsResponse {
 		out.ClusterSelf = cs.mem.Self()
 		out.ClusterPeersUp = up
 		out.ClusterPeersDown = down
+		out.ClusterRingRebuilds = cs.mem.Rebuilds()
 		out.PeerFills = s.met.peerFills.Load()
 		out.PeerUnavailable = s.met.peerUnavailable.Load()
 		out.PeerServed = s.met.peerServed.Load()
