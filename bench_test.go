@@ -18,11 +18,11 @@ import (
 
 	"protoquot/internal/baseline"
 	"protoquot/internal/compose"
+	"protoquot/internal/convrt"
 	"protoquot/internal/core"
 	"protoquot/internal/dsl"
 	"protoquot/internal/engine"
 	"protoquot/internal/protocols"
-	"protoquot/internal/runtime"
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
 	"protoquot/internal/specgen"
@@ -329,6 +329,12 @@ func BenchmarkEventuallyReliableQuotient(b *testing.B) {
 	}
 }
 
+// BenchmarkRuntimeThroughput runs the derived AB→NS converter between the
+// AB sender and the NS receiver as a closed system (convrt.RunSystem): one
+// op is one message accepted and delivered, over lossless links, with the
+// converter, service and progress checks on ("checked") and off
+// ("unchecked"). The ROADMAP target is checked throughput within 2× of
+// unchecked.
 func BenchmarkRuntimeThroughput(b *testing.B) {
 	env := protocols.EventuallyReliableNSB()
 	res, err := core.Derive(protocols.Service(), env, core.Options{OmitVacuous: true})
@@ -339,27 +345,30 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	rng := rand.New(rand.NewSource(1))
-	ab := runtime.NewDuplex(0, rng)
-	ns := runtime.NewDuplex(0, rng)
-	delivered := make(chan []byte, 1024)
-	go runtime.NSReceiver(ctx, ns, delivered)
-	go func() {
-		_ = runtime.Converter(ctx, conv, ab, ns, runtime.ABToNSPortMap(false))
-	}()
-	// One op sends a full d0/d1 sequence-bit cycle: each ABSender call
-	// restarts at bit 0, and after an odd number of messages the converter
-	// would treat the next d0 as a duplicate (re-acked, not delivered).
-	payloads := [][]byte{[]byte("bench-payload-0"), []byte("bench-payload-1")}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if runtime.ABSender(ctx, payloads, ab) != 2 {
-			b.Fatal("send failed")
+	for _, check := range []bool{true, false} {
+		name := "unchecked"
+		if check {
+			name = "checked"
 		}
-		<-delivered
-		<-delivered
+		b.Run(name, func(b *testing.B) {
+			rep, err := convrt.RunSystem(convrt.SystemConfig{
+				Service:  protocols.Service(),
+				Entities: []*spec.Spec{protocols.ABSender(), conv, protocols.NSReceiver()},
+				Duplexes: []convrt.Duplex{
+					{Initiator: 0, Responder: 1, Timeout: protocols.TmoAB},
+					{Initiator: 1, Responder: 2},
+				},
+				Accept: protocols.Acc, Deliver: protocols.Del,
+				Messages: b.N, Seed: 1, Check: check,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !rep.OK() {
+				b.Fatalf("run failed: %+v (violation: %v)", rep, rep.Violation)
+			}
+			b.ReportMetric(float64(rep.Delivered)/rep.Elapsed.Seconds(), "msgs/s")
+		})
 	}
 }
 

@@ -11,20 +11,21 @@
 //	convsim -scenario abns [-messages n] [-soak n] [-loss p] [-seed s]
 //	        [-faults loss=0.2,dup=0.1,reorder=0.05] [-conform] [-mutate f:e:t]
 //
-// deploys the paper's AB→NS conversion as a real message-passing system:
-// the AB sender and NS receiver run as goroutines joined by faulty links,
-// with the derived (and pruned) converter interpreted between them, and
-// reports delivery and fault statistics. -faults selects a full fault model
-// (loss, dup, reorder, corrupt, delay, burst); -conform attaches an online
-// conformance monitor that checks every executed event against the derived
-// converter and the service specification; -soak n is shorthand for a long
-// -messages run; -mutate from:event:to redirects one converter transition
-// before deployment, demonstrating that the monitor catches the divergence.
-// Every run prints its seed, so any failure reproduces exactly.
+// deploys the paper's AB→NS conversion as a closed system (convrt's
+// RunSystem): the AB sender, the derived and pruned converter and the NS
+// receiver run as compiled tables joined by bounded FIFO links, in one
+// deterministic loop, and the run reports delivery and fault statistics.
+// -faults selects a full fault model (loss, dup, reorder, corrupt, delay,
+// burst; delay counts loop steps, one per nanosecond); -conform checks
+// every converter event against the derived converter, every service event
+// against the service specification, and progress when the run quiesces;
+// -soak n is shorthand for a long -messages run; -mutate from:event:to
+// redirects one converter transition before deployment, demonstrating that
+// the check catches the divergence. A report is a function of its flags and
+// seed: two runs print the same report apart from the elapsed line.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -34,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"protoquot/internal/convrt"
 	"protoquot/internal/core"
 	"protoquot/internal/dsl"
 	"protoquot/internal/engine"
@@ -92,7 +94,6 @@ func runMode(args []string, stdout, stderr io.Writer) int {
 		soak     = fs.Int("soak", 0, "soak-test message count (overrides -messages, implies -conform)")
 		mutate   = fs.String("mutate", "", `deploy a mutated converter, "from:event:to" (implies -conform)`)
 		seed     = fs.Int64("seed", 1, "random seed")
-		timeout  = fs.Duration("timeout", 30*time.Second, "scenario wall-clock budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 1
@@ -103,7 +104,7 @@ func runMode(args []string, stdout, stderr io.Writer) int {
 	case *scenario == "abns" && *walkPath == "":
 		cfg := abnsConfig{
 			messages: *messages, loss: *loss, faults: *faults, conform: *conform,
-			soak: *soak, mutate: *mutate, seed: *seed, budget: *timeout,
+			soak: *soak, mutate: *mutate, seed: *seed,
 		}
 		return runABNS(stdout, stderr, cfg)
 	default:
@@ -175,7 +176,42 @@ type abnsConfig struct {
 	soak     int
 	mutate   string
 	seed     int64
-	budget   time.Duration
+}
+
+// deriveABNS derives the AB→NS converter against the eventually-reliable
+// environment and prunes it. Under the paper's fairness assumption a plain
+// lossy channel will lose a parked message eventually, which licenses
+// converters whose recovery relies on loss; the eventually-reliable channel
+// removes such paths in the quotient's own progress phase.
+func deriveABNS() (maximal, pruned *spec.Spec, err error) {
+	b := protocols.EventuallyReliableNSB()
+	res, err := core.Derive(protocols.Service(), b, core.Options{OmitVacuous: true})
+	if err != nil {
+		return nil, nil, err
+	}
+	pruned, err = core.Prune(protocols.Service(), b, res.Converter)
+	return res.Converter, pruned, err
+}
+
+// abnsSystem deploys conv between the AB sender and the NS receiver: the
+// sender and the converter share a duplex under faults, whose losses time
+// out at the sender, and the converter reaches the receiver over a
+// reliable one. ref is what the converter is checked against (nil: conv).
+func abnsSystem(conv, ref *spec.Spec, faults runtime.FaultModel, messages int, seed int64, check bool) convrt.SystemConfig {
+	return convrt.SystemConfig{
+		Service:   protocols.Service(),
+		Entities:  []*spec.Spec{protocols.ABSender(), conv, protocols.NSReceiver()},
+		Reference: ref,
+		Duplexes: []convrt.Duplex{
+			{Initiator: 0, Responder: 1, Faults: faults, Timeout: protocols.TmoAB},
+			{Initiator: 1, Responder: 2},
+		},
+		Accept:   protocols.Acc,
+		Deliver:  protocols.Del,
+		Messages: messages,
+		Seed:     seed,
+		Check:    check,
+	}
 }
 
 func runABNS(stdout, stderr io.Writer, cfg abnsConfig) int {
@@ -192,81 +228,67 @@ func runABNS(stdout, stderr io.Writer, cfg abnsConfig) int {
 	if cfg.soak > 0 {
 		messages = cfg.soak
 	}
-	monitor := cfg.conform || cfg.soak > 0 || cfg.mutate != ""
+	check := cfg.conform || cfg.soak > 0 || cfg.mutate != ""
 
 	fmt.Fprintf(stdout, "deriving AB→NS converter (eventually-reliable channel model)…\n")
-	b := protocols.EventuallyReliableNSB()
-	res, err := core.Derive(protocols.Service(), b, core.Options{OmitVacuous: true})
-	if err != nil {
-		fmt.Fprintf(stderr, "convsim: %v\n", err)
-		return 1
-	}
-	conv, err := core.Prune(protocols.Service(), b, res.Converter)
+	maximal, conv, err := deriveABNS()
 	if err != nil {
 		fmt.Fprintf(stderr, "convsim: %v\n", err)
 		return 1
 	}
 	fmt.Fprintf(stdout, "converter: %d states maximal, %d after pruning\n",
-		res.Converter.NumStates(), conv.NumStates())
+		maximal.NumStates(), conv.NumStates())
 
-	soak := runtime.SoakConfig{
-		Converter: conv,
-		Service:   protocols.Service(),
-		Messages:  messages,
-		Faults:    model,
-		Seed:      cfg.seed,
-		Monitor:   monitor,
-	}
+	deployed, ref := conv, (*spec.Spec)(nil)
 	if cfg.mutate != "" {
 		parts := strings.SplitN(cfg.mutate, ":", 3)
 		if len(parts) != 3 {
 			fmt.Fprintf(stderr, "convsim: -mutate wants from:event:to, got %q\n", cfg.mutate)
 			return 1
 		}
-		mut, err := runtime.RedirectEdge(conv, parts[0], spec.Event(parts[1]), parts[2])
+		mut, err := redirectEdge(conv, parts[0], spec.Event(parts[1]), parts[2])
 		if err != nil {
 			fmt.Fprintf(stderr, "convsim: %v\n", err)
 			return 1
 		}
-		soak.Converter, soak.Reference = mut, conv
+		deployed, ref = mut, conv
 		fmt.Fprintf(stdout, "mutated converter: %s --%s→ %s (monitoring against the derived original)\n",
 			parts[0], parts[1], parts[2])
 	}
 	fmt.Fprintf(stdout, "seed %d, faults %s, %d messages\n", cfg.seed, model, messages)
 
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.budget)
-	defer cancel()
-	r, err := runtime.Soak(ctx, soak)
+	r, err := convrt.RunSystem(abnsSystem(deployed, ref, model, messages, cfg.seed, check))
 	if err != nil {
 		fmt.Fprintf(stderr, "convsim: %v\n", err)
 		return 1
 	}
 
-	fmt.Fprintf(stdout, "sent %d payloads, acknowledged %d, delivered %d (in order: %v)\n",
-		messages, r.Acked, r.Delivered, r.InOrder)
-	fmt.Fprintf(stdout, "AB data link: %s\n", r.Forward)
-	fmt.Fprintf(stdout, "AB ack link: %s\n", r.Reverse)
-	if monitor {
+	fmt.Fprintf(stdout, "accepted %d payloads, delivered %d (in order: %v)\n",
+		r.Accepted, r.Delivered, r.InOrder)
+	fmt.Fprintf(stdout, "AB data link: %s\n", r.Links[0])
+	fmt.Fprintf(stdout, "AB ack link: %s\n", r.Links[1])
+	fmt.Fprintf(stdout, "run: %d steps, %d stale messages discarded\n", r.Steps, r.Stale)
+	if check {
 		fmt.Fprintf(stdout, "conformance: %d converter events, %d service events checked\n",
 			r.ConvEvents, r.SvcEvents)
 	}
-	fmt.Fprintf(stdout, "elapsed: %v (%.0f msgs/sec)\n", r.Elapsed.Round(time.Millisecond),
-		float64(r.Acked)/r.Elapsed.Seconds())
+	fmt.Fprintf(stdout, "elapsed: %v (%.0f msgs/sec)\n", r.Elapsed.Round(time.Microsecond),
+		float64(r.Delivered)/r.Elapsed.Seconds())
 
 	switch {
 	case r.Violation != nil:
 		fmt.Fprintf(stderr, "convsim: conformance violation (reproduce with -seed %d): %v\n",
 			cfg.seed, r.Violation)
 		return 1
-	case r.ConvErr != nil:
-		fmt.Fprintf(stderr, "convsim: converter stopped (reproduce with -seed %d): %v\n",
-			cfg.seed, r.ConvErr)
+	case r.Livelock:
+		fmt.Fprintf(stderr, "convsim: livelock, the step bound ran out with %d/%d delivered (reproduce with -seed %d)\n",
+			r.Delivered, messages, cfg.seed)
 		return 1
 	case r.Deadlock:
 		fmt.Fprintf(stderr, "convsim: deadlock with %d/%d delivered (reproduce with -seed %d)\n",
 			r.Delivered, messages, cfg.seed)
 		return 1
-	case !r.OK(messages):
+	case !r.OK():
 		fmt.Fprintf(stderr, "convsim: delivery guarantee violated (reproduce with -seed %d)\n", cfg.seed)
 		return 1
 	}

@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		addr          = fs.String("addr", "127.0.0.1:8086", "listen address")
 		pool          = fs.Int("pool", 0, "concurrent derivations (0 = GOMAXPROCS)")
 		queue         = fs.Int("queue", 64, "waiting requests beyond the pool before load-shedding")
-		engineWorkers = fs.Int("engine-workers", 1, "default safety-phase workers per derivation")
+		engineWorkers = fs.Int("engine-workers", 1, "safety-phase workers per derivation")
 		cacheEntries  = fs.Int("cache", 1024, "in-memory converter cache entries")
 		cacheDir      = fs.String("cache-dir", "", "persist converter artifacts to this directory")
 		timeout       = fs.Duration("timeout", 30*time.Second, "default per-request derivation deadline")

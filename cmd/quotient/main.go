@@ -191,8 +191,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Trace = core.LogAdapter(stderr)
 	}
 	// The content address of this derivation: the same key quotd would
-	// compute for an equivalent POST /v1/derive (Workers deliberately absent
-	// — the result is bit-identical for every count).
+	// compute for an equivalent POST /v1/derive (the worker count is not
+	// part of it — the result is bit-identical for every count).
 	key := api.CacheKey(a, envs, nil, api.DeriveOptions{
 		OmitVacuous: *omitVacuous,
 		SafetyOnly:  *safetyOnly,

@@ -15,23 +15,21 @@
 // converter that answers clients by itself; requiring the trace
 // pose→serve→answer pins the causality and forces a genuine relay.
 //
-// After deriving and verifying the converter, this program deploys it as
-// real middleware: client and server run as goroutines joined by links, the
-// converter is interpreted live, and actual payloads flow end to end.
+// After deriving and verifying the converter, this program deploys it as a
+// closed system (convrt.RunSystem): client, converter and server exchange
+// messages over FIFO links, and each answer must carry the payload of its
+// own question.
 //
 // Run with: go run ./examples/frontman
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
-	"math/rand"
-	"time"
 
 	"protoquot/internal/compose"
+	"protoquot/internal/convrt"
 	"protoquot/internal/core"
-	"protoquot/internal/runtime"
 	"protoquot/internal/spec"
 )
 
@@ -94,57 +92,30 @@ func main() {
 		res.Converter.NumStates(), front.NumStates(), front.Format())
 
 	// ---- Deploy it ----
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	rng := rand.New(rand.NewSource(42))
-	clientDuplex := runtime.NewDuplex(0, rng)
-	serverDuplex := runtime.NewDuplex(0, rng)
-
-	pm := runtime.PortMap{
-		RecvA: map[string]spec.Event{"rq": "+rq"},
-		SendA: map[spec.Event]string{"-rp": "rp"},
-		SendB: map[spec.Event]string{"-Q": "Q", "-K": "K"},
-		RecvB: map[string]spec.Event{"R": "+R"},
+	// Client, front man and server run as compiled tables joined by
+	// reliable links; the run checks every converter event against the
+	// derived front man and every pose, serve and answer against the
+	// service.
+	const questions = 5
+	rep, err := convrt.RunSystem(convrt.SystemConfig{
+		Service:  service,
+		Entities: []*spec.Spec{clientSide(), front, serverSide()},
+		Duplexes: []convrt.Duplex{{Initiator: 0, Responder: 1}, {Initiator: 1, Responder: 2}},
+		Accept:   "pose",
+		Deliver:  "answer",
+		Messages: questions,
+		Check:    true,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	go func() {
-		if err := runtime.Converter(ctx, front, clientDuplex, serverDuplex, pm); err != nil {
-			log.Printf("converter: %v", err)
-		}
-	}()
-	// The server goroutine: serve each question, await the ack.
-	go func() {
-		for {
-			select {
-			case m := <-serverDuplex.Forward.Recv():
-				switch m.Kind {
-				case "Q":
-					reply := runtime.Msg{Kind: "R", Payload: []byte(fmt.Sprintf("answer to %q", m.Payload))}
-					if !serverDuplex.Reverse.Send(ctx, reply) {
-						return
-					}
-				case "K":
-					// Completion acknowledged; ready for the next question.
-				}
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	// The client: pose five questions, print the answers.
-	questions := []string{"who?", "what?", "when?", "where?", "why?"}
-	for _, q := range questions {
-		if !clientDuplex.Forward.Send(ctx, runtime.Msg{Kind: "rq", Payload: []byte(q)}) {
-			log.Fatal("client send failed")
-		}
-		select {
-		case m := <-clientDuplex.Reverse.Recv():
-			fmt.Printf("client asked %-8q got %q\n", q, m.Payload)
-		case <-ctx.Done():
-			log.Fatal("timed out waiting for a reply")
-		}
+	if !rep.OK() {
+		log.Fatalf("deployment failed: %+v (violation: %v)", rep, rep.Violation)
 	}
-	fmt.Println("\nthe front man fronted", len(questions), "questions between mismatched protocols.")
+	fmt.Printf("client -> front man: %s\nfront man -> server: %s\n", rep.Links[0], rep.Links[2])
+	fmt.Printf("%d questions posed, %d answered in order; %d converter and %d service events checked\n",
+		rep.Accepted, rep.Delivered, rep.ConvEvents, rep.SvcEvents)
+	fmt.Println("\nthe front man fronted", questions, "questions between mismatched protocols.")
 }
 
 // reliable builds a loss-free duplex channel spec with one slot per

@@ -54,20 +54,15 @@ type SpecSource struct {
 //
 // Only the semantic options — those that change the derived artifact —
 // participate in the cache key: OmitVacuous, SafetyOnly, MaxStates,
-// MinimizeEnv, Normalize, Prune, Minimize. Workers and Engine are excluded
-// because the engine's outcome is bit-identical for every worker count and
-// for the lazy and eager pipelines alike (the golden differential suites
-// pin this); TimeoutMS and the artifact selectors (IncludeDOT,
-// IncludeGo, GoPackage) are excluded because they do not change the
-// converter, only how much of it is rendered into the response.
+// MinimizeEnv, Normalize, Prune, Minimize. TimeoutMS and the artifact
+// selectors (IncludeDOT, IncludeGo, GoPackage) are excluded because they do
+// not change the converter, only how much of it is rendered into the
+// response. A request names no engine worker count or pipeline: the
+// operator sets the worker count (quotd -engine-workers), and the result is
+// bit-identical for every count. The decoder ignores unknown fields, so a
+// body that still carries "workers" or "engine" derives as one without
+// them.
 type DeriveOptions struct {
-	// Workers is the engine worker count for the safety phase; 0 means the
-	// server default. The result is bit-identical for every value.
-	Workers int `json:"workers,omitempty"`
-	// Engine names the composition pipeline for Components. The server
-	// accepts "", "lazy" and "indexed" and runs the demand-driven (lazy)
-	// pipeline for all three; any other value is a bad request.
-	Engine string `json:"engine,omitempty"`
 	// Normalize determinizes the service first if it is not in normal form;
 	// without it a non-normal service is a bad request.
 	Normalize bool `json:"normalize,omitempty"`
@@ -422,8 +417,8 @@ type StatsResponse struct {
 }
 
 // keyedOptions returns the canonical encoding of the semantic options — the
-// option slice of the cache key. Workers, Engine, TimeoutMS, and the
-// artifact selectors are deliberately absent; see DeriveOptions.
+// option slice of the cache key. TimeoutMS and the artifact selectors are
+// deliberately absent; see DeriveOptions.
 func (o DeriveOptions) keyedOptions() string {
 	return fmt.Sprintf("omitvac=%t safety=%t maxstates=%d minenv=%t prune=%t minimize=%t",
 		o.OmitVacuous, o.SafetyOnly, o.MaxStates, o.MinimizeEnv, o.Prune, o.Minimize)

@@ -62,6 +62,9 @@ func TestClientDeriveAndStructuredErrors(t *testing.T) {
 	if ae.Code != ErrCodeBadSpec || ae.Role != "service" || ae.Line != 3 {
 		t.Errorf("structured error lost fields: %+v", ae)
 	}
+	if got := ae.Error(); got != "bad_spec: nope" {
+		t.Errorf("Error() = %q, want %q", got, "bad_spec: nope")
+	}
 }
 
 func TestClientFailsOverOnTransportError(t *testing.T) {
@@ -114,3 +117,24 @@ func TestClientRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("version skew not rejected: %v", err)
 	}
 }
+
+// TestClientWithHTTPClient: requests go through the http.Client the option
+// supplies.
+func TestClientWithHTTPClient(t *testing.T) {
+	ts := fakeNode(t, func(w http.ResponseWriter, r *http.Request) {})
+	var calls int
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		calls++
+		return http.DefaultTransport.RoundTrip(r)
+	})}
+	if err := NewClient(ts.URL, WithHTTPClient(hc)).Ready(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Errorf("the supplied client carried %d requests, want 1", calls)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }

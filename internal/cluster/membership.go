@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -237,16 +238,7 @@ func httpProbe(ctx context.Context, addr string) error {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return &probeError{addr, resp.StatusCode}
+		return fmt.Errorf("cluster: probe %s: status %d", addr, resp.StatusCode)
 	}
 	return nil
-}
-
-type probeError struct {
-	addr   string
-	status int
-}
-
-func (e *probeError) Error() string {
-	return "cluster: probe " + e.addr + ": unexpected status"
 }

@@ -3,6 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -166,5 +169,26 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestHTTPProbe: the default probe passes a node that answers /healthz
+// with 200 and names the status of one that does not.
+func TestHTTPProbe(t *testing.T) {
+	status := http.StatusOK
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			t.Errorf("probe asked for %s", r.URL.Path)
+		}
+		w.WriteHeader(status)
+	}))
+	defer ts.Close()
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	if err := httpProbe(context.Background(), addr); err != nil {
+		t.Fatalf("healthy node: %v", err)
+	}
+	status = http.StatusServiceUnavailable
+	if err := httpProbe(context.Background(), addr); err == nil || !strings.Contains(err.Error(), "503") {
+		t.Fatalf("unhealthy node: %v, want an error naming status 503", err)
 	}
 }

@@ -174,6 +174,8 @@ func TestGenerateRejectsBadIdentifiers(t *testing.T) {
 		var ie *IdentError
 		if !errors.As(err, &ie) || ie.Field != tc.field {
 			t.Errorf("Generate(%+v) = %v, want an IdentError on %s", tc.cfg, err, tc.field)
+		} else if msg := err.Error(); !strings.Contains(msg, tc.field) || !strings.Contains(msg, "not a Go identifier") {
+			t.Errorf("IdentError message %q does not name the field and the fault", msg)
 		}
 	}
 }

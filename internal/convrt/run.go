@@ -77,15 +77,21 @@ func (c Config) withDefaults() (Config, error) {
 	if c.MaxViolations <= 0 {
 		c.MaxViolations = 8
 	}
+	return c, checkFaults("Config.Faults", c.Faults)
+}
+
+// checkFaults rejects a fault model whose probabilities are not in [0,1],
+// which newFaultSched needs; field names the model in the error.
+func checkFaults(field string, m rt.FaultModel) error {
 	for _, p := range []struct {
 		name string
 		p    float64
-	}{{"Loss", c.Faults.Loss}, {"Dup", c.Faults.Dup}, {"Reorder", c.Faults.Reorder}, {"Corrupt", c.Faults.Corrupt}} {
+	}{{"Loss", m.Loss}, {"Dup", m.Dup}, {"Reorder", m.Reorder}, {"Corrupt", m.Corrupt}} {
 		if !(p.p >= 0 && p.p <= 1) { // also rejects NaN
-			return c, fmt.Errorf("convrt: Config.Faults.%s = %v is not a probability in [0,1]", p.name, p.p)
+			return fmt.Errorf("convrt: %s.%s = %v is not a probability in [0,1]", field, p.name, p.p)
 		}
 	}
-	return c, nil
+	return nil
 }
 
 // Report is the outcome of a completed run.

@@ -44,7 +44,7 @@ type Session struct {
 	t   *Table
 	mon *monitor // nil when conformance is off
 	cur int32    // monitor state: the reference's frontier after the executed trace
-	rng uint64   // splitmix64 state; never zero
+	rng splitmix // never zero
 
 	state int32 // execution state
 	pred  int32 // driver's predicted state for the current burst
@@ -87,7 +87,7 @@ func (s *Session) init(id int32, t *Table, mon *monitor, seed int64, window, tar
 	s.t = t
 	s.mon = mon
 	s.cur = 0
-	s.rng = uint64(seed)*0x9E3779B97F4A7C15 + uint64(id)*0xBF58476D1CE4E5B9 + 1
+	s.rng = newSplitmix(seed, uint64(id))
 	s.state = t.Init()
 	s.pred = s.state
 	s.window = window
@@ -107,12 +107,22 @@ func (s *Session) init(id int32, t *Table, mon *monitor, seed int64, window, tar
 	s.sinceAudit = 0
 }
 
-// next64 is splitmix64: a tiny, allocation-free seeded source. Each
-// session draws from its own stream, so one session's traffic never
-// perturbs another's schedule and a run is reproducible from (seed, id).
-func (s *Session) next64() uint64 {
-	s.rng += 0x9E3779B97F4A7C15
-	z := s.rng
+// next64 draws from the session's own stream, so one session's traffic
+// never perturbs another's schedule and a run is reproducible from
+// (seed, id).
+func (s *Session) next64() uint64 { return s.rng.next() }
+
+// splitmix is a splitmix64 stream: a tiny, allocation-free seeded source.
+type splitmix uint64
+
+// newSplitmix starts stream number stream of seed; the state is never zero.
+func newSplitmix(seed int64, stream uint64) splitmix {
+	return splitmix(uint64(seed)*0x9E3779B97F4A7C15 + stream*0xBF58476D1CE4E5B9 + 1)
+}
+
+func (r *splitmix) next() uint64 {
+	*r += 0x9E3779B97F4A7C15
+	z := uint64(*r)
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
@@ -223,7 +233,7 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 			m.starved.Add(1)
 			return true
 		}
-		hit, delayNs := s.faults.next(s)
+		hit, delayNs := s.faults.next(&s.rng)
 		switch {
 		case hit&faultDrop != 0:
 			m.local.dropped++
@@ -354,11 +364,12 @@ func (s *Session) blockedUntil(nowNs int64) int64 {
 	return 0
 }
 
-// faultSched draws per-offer fault decisions from the session's own
-// stream, honoring runtime.FaultModel semantics: one draw per configured
-// fault class per offer in a fixed order, so the consumed stream depends
-// only on the model and the offer count — never on outcomes — and a whole
-// run is a deterministic function of (seed, model, converter).
+// faultSched draws per-message fault decisions from its owner's stream (a
+// session's, or a closed system link's), honoring runtime.FaultModel
+// semantics: one draw per configured fault class per offer in a fixed
+// order, so the consumed stream depends only on the model and the offer
+// count — never on outcomes — and a whole run is a deterministic function
+// of (seed, model, converter).
 //
 // Each probability is held as an integer threshold over the 53-bit draw
 // (see threshold), so a class costs one draw, a shift and a compare.
@@ -412,34 +423,34 @@ const (
 
 // chance draws one probability check against threshold t; t = 0 draws
 // nothing.
-func (f *faultSched) chance(s *Session, t uint64) bool {
-	return t > 0 && s.next64()>>11 < t
+func (f *faultSched) chance(r *splitmix, t uint64) bool {
+	return t > 0 && r.next()>>11 < t
 }
 
 // next draws the fate of one offer: the classes that hit it (a drop
 // excludes corruption) and its extra delivery delay.
-func (f *faultSched) next(s *Session) (hit fault, delayNs int64) {
-	if f.chance(s, f.loss) {
+func (f *faultSched) next(r *splitmix) (hit fault, delayNs int64) {
+	if f.chance(r, f.loss) {
 		hit = faultDrop
 		if f.burst > 1 {
-			f.burstLeft = int(s.next64() % f.burst)
+			f.burstLeft = int(r.next() % f.burst)
 		}
 	}
 	if f.burstLeft > 0 && hit == 0 {
 		f.burstLeft--
 		hit = faultDrop
 	}
-	if f.chance(s, f.corrupt) && hit == 0 {
+	if f.chance(r, f.corrupt) && hit == 0 {
 		hit = faultCorrupt
 	}
-	if f.chance(s, f.dup) {
+	if f.chance(r, f.dup) {
 		hit |= faultDup
 	}
-	if f.chance(s, f.reorder) {
+	if f.chance(r, f.reorder) {
 		hit |= faultReorder
 	}
 	if f.delayNs > 0 {
-		delayNs = int64(s.next64() % (f.delayNs + 1))
+		delayNs = int64(r.next() % (f.delayNs + 1))
 	}
 	return hit, delayNs
 }

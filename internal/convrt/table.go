@@ -1,10 +1,15 @@
 // Package convrt is the converter execution runtime: it compiles a derived
 // converter specification into an allocation-free integer-indexed form —
 // dense event interning, a flat (state × event) transition table, and a CSR
-// enabled-set index — and runs thousands of concurrent converter sessions
-// over a bounded-FIFO message bus with seeded fault injection
-// (internal/runtime's fault models) and per-session online conformance
-// checking against the specification the table was compiled from.
+// enabled-set index — and executes it two ways, both with seeded fault
+// injection (internal/runtime's fault models) and online conformance
+// checking against the specification the table was compiled from:
+//
+//   - thousands of concurrent sessions, each driving the converter over a
+//     bounded-FIFO wire (Runner, session.go);
+//   - a closed conversion system, the converter running between the
+//     protocol entities it was derived for, with the service checked end
+//     to end (RunSystem, system.go).
 //
 // The repo's other subsystems derive converters (internal/core), serve them
 // (internal/server), and render them (internal/codegen); convrt is what
@@ -12,9 +17,8 @@
 // data path, where a string switch per message and a map lookup per enabled
 // set are not acceptable. Compile is a pure function of the specification,
 // so a compiled table is itself a cacheable artifact (Encode/Decode give it
-// a stable wire form, served by quotd beside the .spec/.dot/.go renderings)
-// and generated-code form (internal/codegen's table backend embeds the same
-// representation as Go arrays).
+// a stable wire form, served by quotd beside the .spec/.dot/.go
+// renderings).
 package convrt
 
 import (

@@ -25,6 +25,25 @@ func TestDeriveContextCancelImmediate(t *testing.T) {
 	}
 }
 
+// TestDeriveEnvContext: over an Environment, a live context derives what
+// DeriveEnv does, and a canceled one stops before the safety phase ends.
+func TestDeriveEnvContext(t *testing.T) {
+	env := relayB(t)
+	want, err := DeriveEnv(altService(t), env, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DeriveEnvContext(context.Background(), altService(t), env, Options{})
+	if err != nil || got.Converter.Hash() != want.Converter.Hash() {
+		t.Fatalf("DeriveEnvContext = %v, %v; want the DeriveEnv converter", got, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := DeriveEnvContext(ctx, altService(t), env, Options{}); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled DeriveEnvContext = %v, %v; want context.Canceled", res, err)
+	}
+}
+
 func TestDeriveContextCancelMidSafety(t *testing.T) {
 	// Cancel from inside the derivation, via the Trace callback, when the
 	// first frontier level is announced: the check at the next level must

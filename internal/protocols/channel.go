@@ -57,7 +57,7 @@ type ChannelConfig struct {
 	// converter derived against the lossy channel with a Duplicating
 	// variant checks whether its loss-recovery structure also absorbs
 	// duplicates safely — the spec-level counterpart of the fault-injection
-	// soak in internal/runtime.
+	// soak convsim runs on internal/convrt's closed system.
 	Duplicating bool
 }
 

@@ -119,7 +119,7 @@ func TestNSOverDuplicatingChannel(t *testing.T) {
 // Safety must hold: the +d0/+d1 re-acknowledgement edges the derivation
 // produced for loss recovery absorb duplicated data frames too — tolerance
 // by construction, the spec-level counterpart of the fault-injection soak
-// in internal/runtime. Full satisfaction must fail, and only on progress:
+// convsim runs on internal/convrt's closed system. Full satisfaction must fail, and only on progress:
 // an unbounded duplicator may starve fresh traffic forever.
 func TestDeployedConverterAbsorbsDuplication(t *testing.T) {
 	benv := EventuallyReliableNSB()

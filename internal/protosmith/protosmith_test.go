@@ -2,6 +2,7 @@ package protosmith
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -101,6 +102,31 @@ func TestCheckFlagsMalformedSystem(t *testing.T) {
 	r := Check(sys, CheckOptions{})
 	if r.Divergence == nil || r.Divergence.Leg != "wellformed" {
 		t.Fatalf("malformed system not flagged as wellformed divergence: %+v", r.Divergence)
+	}
+}
+
+// TestCampaignFailureRecordsDivergence: a diverging system becomes a
+// Failure naming its leg, with its reproducer written as a fixture.
+func TestCampaignFailureRecordsDivergence(t *testing.T) {
+	sys := Generate(1, DefaultKnobs())
+	sys.Service = sys.Service.WithEvents("zz.orphan")
+	cr := Check(sys, CheckOptions{})
+	f := Campaign{ShrinkFailures: true, FixtureDir: t.TempDir()}.failure(1, sys, cr)
+	if f.Seed != 1 || f.System != sys || f.Divergence != cr.Divergence {
+		t.Fatalf("failure = %+v, want seed 1, the unshrunk system and its divergence", f)
+	}
+	if _, err := os.Stat(f.FixturePath); err != nil {
+		t.Fatalf("fixture not written: %v", err)
+	}
+	if msg := f.Divergence.Error(); !strings.Contains(msg, "divergence on wellformed") {
+		t.Errorf("divergence message %q does not name its leg", msg)
+	}
+}
+
+func TestOutcomeString(t *testing.T) {
+	o := outcome{exists: true, err: "e", stats: "s=1", converter: "spec C"}
+	if got, want := o.String(), "exists=true err=\"e\" stats=[s=1]\nspec C"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 

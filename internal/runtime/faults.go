@@ -1,8 +1,11 @@
+// Package runtime holds the fault models of the links converters run
+// over: FaultModel, its -faults flag syntax (ParseFaults) and the per-link
+// counters (FaultStats). internal/convrt draws every fault class from them,
+// for sessions against a synthetic wire and for closed conversion systems.
 package runtime
 
 import (
 	"fmt"
-	"math/rand"
 	"strconv"
 	"strings"
 	"time"
@@ -12,9 +15,9 @@ import (
 // lose messages: they duplicate, reorder, delay, and corrupt them — the
 // unbounded-channel pathologies catalogued by Pachl for communicating
 // finite state machines. A FaultModel describes one link's adversarial
-// behavior; every decision is drawn from a seeded *rand.Rand in a fixed
-// order (one draw per configured fault class per send, regardless of the
-// outcome of earlier draws), so a run is reproducible from its seed alone.
+// behavior; every decision is drawn from a seeded stream in a fixed order
+// (one draw per configured fault class per send, regardless of the outcome
+// of earlier draws), so a run is reproducible from its seed alone.
 //
 // Semantics of each fault, chosen to match the specification channels:
 //
@@ -27,11 +30,13 @@ import (
 //     (with its own counter). Undetectable corruption is out of scope.
 //   - Dup: the message is delivered twice back to back. The duplicate is
 //     best-effort: if the link buffer is full it is discarded silently.
-//   - Reorder: the message overtakes one message already buffered in the
-//     link, swapping adjacent deliveries. Reordering never holds a message
-//     back on an otherwise idle link (that would manufacture deadlocks no
-//     real channel exhibits: a lone in-flight message always arrives).
-//   - Delay: delivery is delayed by a uniform duration in [0, Delay].
+//   - Reorder: the message overtakes the one buffered before it, swapping
+//     adjacent deliveries. Reordering never holds a message back on an
+//     otherwise idle link (that would manufacture deadlocks no real channel
+//     exhibits: a lone in-flight message always arrives).
+//   - Delay: delivery is delayed by a uniform duration in [0, Delay]; a
+//     closed conversion system counts it in loop steps, one per
+//     nanosecond.
 type FaultModel struct {
 	Loss    float64       // P(drop) per message
 	Dup     float64       // P(duplicate) per delivered message
@@ -142,64 +147,4 @@ func (s FaultStats) String() string {
 		}
 	}
 	return out
-}
-
-// schedule is the per-link fault decision engine: a FaultModel plus the
-// seeded source and burst state. All methods are called with the owning
-// link's mutex held, so the draw order — and therefore the whole fault
-// schedule — is determined by the seed and the sequence of sends.
-type schedule struct {
-	model     FaultModel
-	rng       *rand.Rand
-	burstLeft int
-}
-
-// decision is the fate of one message.
-type decision struct {
-	drop    bool
-	corrupt bool
-	dup     bool
-	reorder bool
-	delay   time.Duration
-}
-
-// next draws the fate of the next message. Exactly one draw happens per
-// configured fault class, in a fixed order, so the consumed rng stream
-// depends only on the model and the number of sends — never on outcomes.
-func (sc *schedule) next() decision {
-	var d decision
-	m := sc.model
-	if m.Loss > 0 {
-		if sc.rng.Float64() < m.Loss {
-			d.drop = true
-			if m.Burst > 1 {
-				sc.burstLeft = sc.rng.Intn(m.Burst) // extra drops after this one
-			}
-		}
-	}
-	if sc.burstLeft > 0 && !d.drop {
-		sc.burstLeft--
-		d.drop = true
-	}
-	if m.Corrupt > 0 && sc.rng.Float64() < m.Corrupt && !d.drop {
-		d.corrupt = true
-	}
-	if m.Dup > 0 && sc.rng.Float64() < m.Dup {
-		d.dup = true
-	}
-	if m.Reorder > 0 && sc.rng.Float64() < m.Reorder {
-		d.reorder = true
-	}
-	if m.Delay > 0 {
-		d.delay = time.Duration(sc.rng.Int63n(int64(m.Delay) + 1))
-	}
-	return d
-}
-
-// splitRNG derives an independent deterministic source from a parent seed
-// and a stream index, so sibling links draw from disjoint streams and one
-// link's traffic volume cannot perturb another's schedule.
-func splitRNG(seed int64, stream int64) *rand.Rand {
-	const golden = -0x61C8864680B583EB // 0x9E3779B97F4A7C15 as int64
-	return rand.New(rand.NewSource(seed*golden + stream))
 }

@@ -50,9 +50,9 @@ type Config struct {
 	// request must win a slot immediately or be shed.
 	PoolWorkers int
 	MaxQueue    int
-	// EngineWorkers is the default per-derivation safety-phase worker
-	// count (requests may override); default 1. The engine result is
-	// bit-identical for every value, so this is purely a latency knob.
+	// EngineWorkers is the per-derivation safety-phase worker count;
+	// default 1. The engine result is bit-identical for every value, so
+	// this is purely a latency knob, and requests cannot set it.
 	EngineWorkers int
 	// CacheEntries bounds the in-memory converter cache; default 1024.
 	// CacheDir, when set, adds write-through disk persistence.
@@ -293,12 +293,6 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 		}
 		cr.comps = append(cr.comps, sp)
 	}
-	switch req.Options.Engine {
-	case "", "lazy", "indexed":
-	default:
-		return nil, &api.Error{Code: api.ErrCodeBadRequest,
-			Message: fmt.Sprintf("options.engine: unknown engine %q (accepted: lazy, indexed; both run the lazy pipeline)", req.Options.Engine)}
-	}
 	if pkg := req.Options.GoPackage; req.Options.IncludeGo && pkg != "" && !token.IsIdentifier(pkg) {
 		return nil, &api.Error{Code: api.ErrCodeBadRequest,
 			Message: fmt.Sprintf("options.go_package: %q is not a Go identifier", pkg)}
@@ -308,16 +302,12 @@ func (s *Server) compile(req *api.DeriveRequest) (*compiledRequest, *api.Error) 
 	if s.cfg.MaxStatesCap > 0 && (maxStates == 0 || maxStates > s.cfg.MaxStatesCap) {
 		maxStates = s.cfg.MaxStatesCap
 	}
-	workers := req.Options.Workers
-	if workers <= 0 {
-		workers = s.cfg.EngineWorkers
-	}
 	cr.coreOpts = core.Options{
 		OmitVacuous:        req.Options.OmitVacuous,
 		SafetyOnly:         req.Options.SafetyOnly,
 		MaxStates:          maxStates,
 		MinimizeComponents: req.Options.MinimizeEnv,
-		Workers:            workers,
+		Workers:            s.cfg.EngineWorkers,
 	}
 	cr.prune = req.Options.Prune
 	cr.minimize = req.Options.Minimize

@@ -62,6 +62,13 @@ func postDerive(t *testing.T, url string, req api.DeriveRequest) (*api.DeriveRes
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, body)
+}
+
+// postBody posts a raw /v1/derive body, for fields api.DeriveRequest does
+// not have.
+func postBody(t *testing.T, url string, body []byte) (*api.DeriveResponse, int) {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/derive", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +270,6 @@ func TestBadRequests(t *testing.T) {
 			Envs: []api.SpecSource{{Inline: worldText}}}, 400, api.ErrCodeBadSpec},
 		{"unknown ref", api.DeriveRequest{Service: api.SpecSource{Ref: "nope"},
 			Envs: []api.SpecSource{{Inline: worldText}}}, 404, api.ErrCodeNotFound},
-		{"bad engine", api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
-			Components: []api.SpecSource{{Inline: worldText}},
-			Options:    api.DeriveOptions{Engine: "warp"}}, 400, api.ErrCodeBadRequest},
 		{"bad go_package", api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
 			Envs:    []api.SpecSource{{Inline: worldText}},
 			Options: api.DeriveOptions{IncludeGo: true, GoPackage: "my-pkg"}}, 400, api.ErrCodeBadRequest},
@@ -343,40 +347,57 @@ func TestSpecUploadAndDeriveByRef(t *testing.T) {
 }
 
 func TestComponentsLazyAndIndexedShareCacheKey(t *testing.T) {
-	// "indexed" is still accepted on the wire and runs the lazy pipeline;
-	// engine choice is excluded from the key, so a request naming it warms
-	// the cache for one naming "lazy".
+	// Requests name no pipeline, but older clients still send "engine" (and
+	// "workers"); the decoder ignores both, so every such body shares one
+	// cache entry.
 	_, ts := newTestServer(t, Config{})
 	f := specgen.Chain(2)
 	comps := make([]api.SpecSource, len(f.Components))
 	for i, c := range f.Components {
 		comps[i] = api.SpecSource{Inline: dsl.String(c)}
 	}
-	req := api.DeriveRequest{
+	body, err := json.Marshal(api.DeriveRequest{
 		Service:    api.SpecSource{Inline: dsl.String(f.Service)},
 		Components: comps,
-		Options:    api.DeriveOptions{Engine: "indexed"},
+		Options:    api.DeriveOptions{OmitVacuous: true},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first, code := postDerive(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %+v", code, first.Error)
+	var keys []string
+	for i, extra := range []string{`"engine":"indexed",`, `"engine":"lazy",`, `"workers":4,`} {
+		out, code := postBody(t, ts.URL, bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{`+extra), 1))
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %+v", extra, code, out.Error)
+		}
+		if i > 0 && !out.Cached {
+			t.Errorf("%s fragments the cache", extra)
+		}
+		keys = append(keys, out.Key)
 	}
-	req.Options.Engine = "lazy"
-	second, code := postDerive(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	if keys[0] != keys[1] || keys[0] != keys[2] {
+		t.Errorf("keys differ: %v", keys)
 	}
-	if !second.Cached {
-		t.Error("lazy request should be served from the indexed derivation's cache entry")
+}
+
+// TestRequestCannotSetEngineWorkers: the safety phase runs the server's
+// EngineWorkers whatever worker count a body asks for, so a client cannot
+// size a derivation's goroutines and scratch.
+func TestRequestCannotSetEngineWorkers(t *testing.T) {
+	_, ts := newTestServer(t, Config{EngineWorkers: 2})
+	body, err := json.Marshal(api.DeriveRequest{
+		Service: api.SpecSource{Inline: serviceText},
+		Envs:    []api.SpecSource{{Inline: worldText}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if first.Key != second.Key {
-		t.Errorf("keys differ across engines: %s vs %s", first.Key, second.Key)
+	out, code := postBody(t, ts.URL, bytes.Replace(body, []byte(`"options":{`), []byte(`"options":{"workers":64`), 1))
+	if code != http.StatusOK || out.Stats == nil {
+		t.Fatalf("status %d: %+v", code, out.Error)
 	}
-	// Workers likewise must not fragment the cache.
-	req.Options.Workers = 4
-	third, _ := postDerive(t, ts.URL, req)
-	if !third.Cached {
-		t.Error("worker count fragments the cache key")
+	if out.Stats.Workers != 2 {
+		t.Errorf("stats workers = %d, want the server's 2", out.Stats.Workers)
 	}
 }
 

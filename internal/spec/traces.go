@@ -131,16 +131,14 @@ func (s *Spec) PsiStep(a State, e Event) (State, bool) {
 // TraceTracker follows a trace incrementally: it maintains the ε-closed set
 // of states the spec may occupy after the events observed so far, exactly
 // the frontier StatesAfter would compute, but advanced one event at a time
-// in O(frontier) per step. It is the substrate of online conformance
-// checking (internal/runtime.Conformance): a deployed implementation's
-// events are fed to Step, and the first event the specification does not
-// enable is a safety violation.
+// in O(frontier) per step. It is the test oracle of convrt's determinized
+// conformance monitors: a monitor must agree with a tracker fed the same
+// events on every step.
 //
 // A TraceTracker is not safe for concurrent use; callers serialize access.
 type TraceTracker struct {
 	s   *Spec
 	cur []State
-	n   int
 }
 
 // Track returns a tracker positioned at the empty trace.
@@ -157,7 +155,6 @@ func (t *TraceTracker) Step(e Event) bool {
 		return false
 	}
 	t.cur = nxt
-	t.n++
 	return true
 }
 
@@ -178,17 +175,9 @@ func (t *TraceTracker) Enabled() []Event {
 	return out
 }
 
-// States returns the current ε-closed state set, sorted. The caller must
-// not modify the returned slice.
-func (t *TraceTracker) States() []State { return t.cur }
-
-// Len returns the number of events stepped so far.
-func (t *TraceTracker) Len() int { return t.n }
-
 // Reset returns the tracker to the empty trace.
 func (t *TraceTracker) Reset() {
 	t.cur = closeSet(t.s, []State{t.s.init})
-	t.n = 0
 }
 
 // TracesUpTo enumerates all traces of length ≤ maxLen in shortlex order.
