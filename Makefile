@@ -36,11 +36,12 @@ cover: test
 	@dead=$$($(GO) tool cover -func=cover.out | awk '$$NF == "0.0%"'); \
 	if [ -n "$$dead" ]; then echo "cover: internal functions no test reaches:"; echo "$$dead"; exit 1; fi
 
-# One iteration of every derivation-engine and prune benchmark: catches
-# bit-rot in the bench harness and smoke-tests the parallel engine and the
-# compiled prune check under -benchtime=1x.
+# One iteration of every derivation-engine and prune benchmark and of the
+# expansion benchmark: catches bit-rot in the bench harness and
+# smoke-tests the parallel engine, the compiled prune check and the
+# demand-driven composition's expansion under -benchtime=1x.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'Derive|Prune' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Derive|Prune|LazyExpand' -benchtime 1x .
 
 # The benchmark record for a change: every workload of bench/run.sh at its
 # default -seconds, seeds 1, 2 and 3 untraced and seed 1 traced, appended

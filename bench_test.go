@@ -775,6 +775,45 @@ func benchFrontier(b *testing.B, f specgen.Family, opts core.Options) {
 	}
 }
 
+// BenchmarkLazyExpand saturates the composite products of ring(6)
+// (147,456 states, hashed intern tier) and chaindrop(8) (393,216 states,
+// dense tier) through Lazy.Rows, in id order, with no deriver attached, so
+// it measures expansion alone: it reports the wall time (ns/state) and the
+// process CPU time, garbage collection included (cpu-ns/state), per
+// expanded state. `make benchsmoke` runs it once.
+func BenchmarkLazyExpand(b *testing.B) {
+	for _, f := range []specgen.Family{specgen.Ring(6), specgen.ChainDrop(8)} {
+		b.Run(f.Name, func(b *testing.B) {
+			states := 0
+			cpu0 := processCPU()
+			for i := 0; i < b.N; i++ {
+				env, err := compose.LazyMany(f.Components...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for st := 0; st < env.NumStates(); st++ {
+					env.Rows(spec.State(st))
+				}
+				n, _, _ := env.ExpansionStats()
+				states += n
+			}
+			cpu := processCPU() - cpu0
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(states), "ns/state")
+			b.ReportMetric(float64(cpu.Nanoseconds())/float64(states), "cpu-ns/state")
+		})
+	}
+}
+
+// processCPU returns this process's user plus system CPU time so far, from
+// getrusage.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // peakRSSMiB returns this process's peak resident set size so far, from
 // getrusage.
 func peakRSSMiB() float64 {

@@ -355,7 +355,7 @@ func printStats(w io.Writer, s core.Stats) {
 	if m.EnvStatesTotal > 0 {
 		fmt.Fprintf(w, "environment:    %d of %d states expanded", m.EnvStatesExpanded, m.EnvStatesTotal)
 		if m.EnvExpansionNs > 0 {
-			fmt.Fprintf(w, " (%s on demand)", time.Duration(m.EnvExpansionNs).Round(time.Microsecond))
+			fmt.Fprintf(w, " (~%s expanding, sampled)", time.Duration(m.EnvExpansionNs).Round(time.Microsecond))
 		}
 		if m.ArenaBytes > 0 {
 			fmt.Fprintf(w, ", %s row arenas (peak row %s)", fmtBytes(m.ArenaBytes), fmtBytes(m.PeakRowBytes))

@@ -167,6 +167,14 @@ func (ti *stateIntern) decode(id int32, dst []int32) {
 	}
 }
 
+// len is the number of states interned.
+func (ti *stateIntern) len() int {
+	if ti.weights != nil {
+		return len(ti.keys)
+	}
+	return len(ti.tuples) / ti.k
+}
+
 // intern returns the id of the composite state with the given component
 // tuple, assigning the next id when the tuple is new (isNew).
 func (ti *stateIntern) intern(tuple []int32) (id int32, isNew bool) {

@@ -38,7 +38,11 @@ func assertTierMatchesMany(t *testing.T, tier internTier, comps ...*spec.Spec) *
 }
 
 // TestInternTiersMatchMany drives every intern tier over random component
-// systems: each state's decoded name and rows must match the left fold.
+// systems, three specgen families and fanSystem: each state's decoded name
+// and rows must match the left fold. The families put the compiled rows on
+// real relays: in chain(3) and chaindrop(3) every component between the
+// ends answers one rendezvous and drives the next, and in ring(2) token 0
+// answers station 0 and drives station 1.
 func TestInternTiersMatchMany(t *testing.T) {
 	for _, tc := range allTiers {
 		t.Run(tc.name, func(t *testing.T) {
@@ -49,8 +53,31 @@ func TestInternTiersMatchMany(t *testing.T) {
 			for _, comps := range basicSystems() {
 				assertTierMatchesMany(t, tc.tier, comps...)
 			}
+			for _, name := range []string{"chain(3)", "chaindrop(3)", "ring(2)"} {
+				fam, err := specgen.ParseFamily(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertTierMatchesMany(t, tc.tier, fam.Components...)
+			}
+			assertTierMatchesMany(t, tc.tier, fanSystem()...)
 		})
 	}
+}
+
+// fanSystem is two components whose rendezvous fan out: in the initial
+// state each has two edges on the shared event m and one on the shared
+// event n, so A's drive edges on m each meet two of B's answer edges and
+// must skip the one on n; both also have internal moves and a private
+// event.
+func fanSystem() []*spec.Spec {
+	a := spec.NewBuilder("A").Init("s0").
+		Ext("s0", "m", "s1").Ext("s0", "m", "s2").Ext("s0", "n", "s1").
+		Ext("s2", "a", "s0").Int("s1", "s0").MustBuild()
+	b := spec.NewBuilder("B").Init("t0").
+		Ext("t0", "m", "t0").Ext("t0", "m", "t1").Ext("t0", "n", "t1").
+		Ext("t1", "b", "t0").Int("t1", "t0").MustBuild()
+	return []*spec.Spec{a, b}
 }
 
 // TestHashedInternGrows saturates 2^8 reachable states on the hashed tier,

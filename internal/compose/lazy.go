@@ -81,21 +81,28 @@ type Lazy struct {
 	// partially grown directory.
 	dir atomic.Pointer[[]*lazyPage]
 
-	expanded   atomic.Int64
 	discovered atomic.Int64
-	expandNs   atomic.Int64
 
 	// mu guards discovery and expansion: the state intern, the row arenas,
-	// the name cache, and the scratch buffers.
-	mu      sync.Mutex
-	ti      *stateIntern
-	arena   rowArena
-	peakRow int64   // largest single published row, in bytes
-	tuple   []int32 // the expanding state's decoded component tuple
-	succBuf []int32 // a successor's tuple, on the string tier
-	extBuf  []Edge  // expansion staging; published rows are arena sub-slices
-	intlBuf []int32
-	names   map[spec.State]string // StateName's cache, filled on demand
+	// the name cache, the scratch buffers and the expansion counters.
+	mu       sync.Mutex
+	expanded int64
+	// The expansion timer's sample: sampleAt is the expansion timed in the
+	// current block of sampleEvery, drawn from sampleRng; sampled counts
+	// the timed expansions and sampleNs their total wall time, which
+	// ExpansionStats scales to an estimate for all of them.
+	sampleAt  int64
+	sampleRng uint64
+	sampled   int64
+	sampleNs  int64
+	ti        *stateIntern
+	arena     rowArena
+	peakRow   int64   // largest single published row, in bytes
+	tuple     []int32 // the expanding state's decoded component tuple
+	succBuf   []int32 // a successor's tuple, on the string tier
+	extBuf    []Edge  // expansion staging; published rows are arena sub-slices
+	intlBuf   []int32
+	names     map[spec.State]string // StateName's cache, filled on demand
 }
 
 // LazyMany builds the demand-driven composition of the components. It
@@ -124,13 +131,17 @@ func lazyMany(components []*spec.Spec, tier internTier) (*Lazy, error) {
 	for i, c := range components {
 		numStates[i] = c.NumStates()
 	}
+	ti := newStateIntern(tb, numStates, tier)
+	if ti.weights != nil {
+		tb.weigh(ti.weights)
+	}
 	x := &Lazy{
 		comps:    components,
 		name:     foldName(components),
 		k:        len(components),
 		tb:       tb,
 		eventSet: make(map[spec.Event]struct{}, len(tb.external)),
-		ti:       newStateIntern(tb, numStates, tier),
+		ti:       ti,
 		tuple:    make([]int32, len(components)),
 		succBuf:  make([]int32, len(components)),
 		names:    make(map[spec.State]string),
@@ -147,7 +158,8 @@ func lazyMany(components []*spec.Spec, tier internTier) (*Lazy, error) {
 	}
 	x.mu.Lock()
 	x.ti.intern(initTuple) // id 0 = composite init
-	x.discoveredLocked(0)
+	x.pageLocked(0)
+	x.discovered.Store(1)
 	x.mu.Unlock()
 	return x, nil
 }
@@ -170,31 +182,27 @@ func foldName(components []*spec.Spec) string {
 	return name
 }
 
-// discoveredLocked records that interning just assigned id to a new state:
-// it allocates the state's row slot and publishes the discovered count.
-// Caller holds mu.
-func (x *Lazy) discoveredLocked(id int32) {
-	for int(id)>>lazyPageShift >= len(*x.dir.Load()) {
+// pageLocked allocates the row slot of id, which interning just assigned
+// to a new state. Ids are assigned consecutively, so a page is added
+// exactly when id is the first of one. Caller holds mu.
+func (x *Lazy) pageLocked(id int32) {
+	if id&(lazyPageSize-1) == 0 {
 		publish(&x.dir, new(lazyPage))
 	}
-	x.discovered.Store(int64(id) + 1)
 }
 
-// succLocked interns the successor of state key/tuple in which component ci
-// moves to to and, when pj >= 0, component pj moves to toJ. On the key
-// tiers the successor's key is computed from the parent's, with no tuple
-// copy. Caller holds mu.
-func (x *Lazy) succLocked(key uint64, tuple []int32, ci int, to int32, pj int32, toJ int32) int32 {
+// succLocked interns the successor of the expanding state in which
+// component ci moves to to and, when pj >= 0, component pj moves to toJ.
+// On the key tiers key is the successor's key, the parent's plus the
+// moves' deltas, so no tuple is touched; on the string tier key is unused
+// and the successor's tuple is built from the parent's. Caller holds mu.
+func (x *Lazy) succLocked(key uint64, ci int, to int32, pj int32, toJ int32) int32 {
 	var id int32
 	var isNew bool
-	if w := x.ti.weights; w != nil {
-		key += uint64(int64(to-tuple[ci])) * w[ci]
-		if pj >= 0 {
-			key += uint64(int64(toJ-tuple[pj])) * w[pj]
-		}
+	if x.ti.weights != nil {
 		id, isNew = x.ti.internKey(key)
 	} else {
-		copy(x.succBuf, tuple)
+		copy(x.succBuf, x.tuple)
 		x.succBuf[ci] = to
 		if pj >= 0 {
 			x.succBuf[pj] = toJ
@@ -202,7 +210,7 @@ func (x *Lazy) succLocked(key uint64, tuple []int32, ci int, to int32, pj int32,
 		id, isNew = x.ti.intern(x.succBuf)
 	}
 	if isNew {
-		x.discoveredLocked(id)
+		x.pageLocked(id)
 	}
 	return id
 }
@@ -240,14 +248,28 @@ func (x *Lazy) rowSlices(r *lazyRow, nIntl uint32) ([]Edge, []int32) {
 	return x.arena.edges.get(r.ext, r.nExt), x.arena.ints.get(r.intl, nIntl)
 }
 
+// sampleEvery is the expansion timer's sampling period: one expansion in
+// each block of sampleEvery is timed, the first expansion of the first
+// block and a pseudo-random one of every later block, and ExpansionStats
+// scales their total. Reading the clock twice costs 110–140 ns on a 2-core
+// x86-64 VM, about a fifth of an expansion of ring(6). The offset is drawn
+// because expansion cost can repeat in expansion order: on chaindrop(8)
+// the expansions at multiples of 64 cost 2.4–2.8× the average, and timing
+// only those overstated its expansion time 2.5–2.9×.
+const sampleEvery = 64
+
 func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	x.mu.Lock()
-	defer x.mu.Unlock()
 	r := x.row(st)
 	if n := r.nIntl.Load(); n != 0 {
+		x.mu.Unlock()
 		return x.rowSlices(r, n-1)
 	}
-	start := time.Now()
+	sample := x.expanded == x.sampleAt
+	var start time.Time
+	if sample {
+		start = time.Now()
+	}
 	tuple := x.tuple
 	x.ti.decode(st, tuple)
 	var key uint64
@@ -257,34 +279,29 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	ext := x.extBuf[:0]
 	intl := x.intlBuf[:0]
 	tb := x.tb
-	for ci := range x.comps {
-		for _, t := range tb.cintl[ci][tuple[ci]] {
-			intl = append(intl, x.succLocked(key, tuple, ci, t, -1, 0))
+	rows, moves := tb.rows, tb.moves
+	for ci, b := range tb.base {
+		cr := &rows[b+tuple[ci]]
+		for i := cr.intl; i < cr.drive; i++ {
+			m := &moves[i]
+			intl = append(intl, x.succLocked(key+m.delta, ci, m.to, -1, 0))
 		}
-		for _, ed := range tb.cext[ci][tuple[ci]] {
-			pj := tb.partner[ci][ed.ev]
-			if pj < 0 {
-				q := x.succLocked(key, tuple, ci, ed.to, -1, 0)
-				ext = append(ext, Edge{Ev: tb.extIdx[ed.ev], To: q})
+		for i := cr.drive; i < cr.answer; i++ {
+			m := &moves[i]
+			if m.pj < 0 {
+				q := x.succLocked(key+m.delta, ci, m.to, -1, 0)
+				ext = append(ext, Edge{Ev: m.ev, To: q})
 				continue
 			}
-			if pj < int32(ci) {
-				continue // emitted when the lower-indexed owner was scanned
-			}
-			for _, bd := range tb.cext[pj][tuple[pj]] {
-				if bd.ev != ed.ev {
-					continue
+			pr := &rows[tb.base[m.pj]+tuple[m.pj]]
+			for j := pr.answer; j < pr.end; j++ {
+				if p := &moves[j]; p.ev == m.ev {
+					intl = append(intl, x.succLocked(key+m.delta+p.delta, ci, m.to, m.pj, p.to))
 				}
-				intl = append(intl, x.succLocked(key, tuple, ci, ed.to, pj, bd.to))
 			}
 		}
 	}
-	slices.SortFunc(ext, func(a, b Edge) int {
-		if a.Ev != b.Ev {
-			return int(a.Ev) - int(b.Ev)
-		}
-		return int(a.To) - int(b.To)
-	})
+	sortEdges(ext)
 	ext = dedupeEdges(ext)
 	slices.Sort(intl)
 	intl = dedupeInt32s(intl)
@@ -298,10 +315,46 @@ func (x *Lazy) expand(st int32) ([]Edge, []int32) {
 	if rb := int64(len(ext))*8 + int64(len(intl))*4; rb > x.peakRow {
 		x.peakRow = rb
 	}
+	x.discovered.Store(int64(x.ti.len()))
 	r.nIntl.Store(uint32(len(intl)) + 1) // publish: must follow every write above
-	x.expanded.Add(1)
-	x.expandNs.Add(time.Since(start).Nanoseconds())
+	x.expanded++
+	if sample {
+		x.sampled++
+		x.sampleNs += time.Since(start).Nanoseconds()
+	}
+	if x.expanded%sampleEvery == 0 {
+		// A 64-bit LCG step; its high bits pick the next block's offset.
+		x.sampleRng = x.sampleRng*6364136223846793005 + 1442695040888963407
+		x.sampleAt = x.expanded + int64(x.sampleRng>>32%sampleEvery)
+	}
+	x.mu.Unlock()
 	return x.rowSlices(r, uint32(len(intl)))
+}
+
+// shortRow is the longest row sortEdges sorts by insertion. Rows are
+// nearly always that short, and there the inline comparison beats
+// slices.SortFunc's call per comparison.
+const shortRow = 16
+
+// sortEdges sorts a row's edges by (Ev, To).
+func sortEdges(edges []Edge) {
+	if len(edges) > shortRow {
+		slices.SortFunc(edges, func(a, b Edge) int {
+			if a.Ev != b.Ev {
+				return int(a.Ev) - int(b.Ev)
+			}
+			return int(a.To) - int(b.To)
+		})
+		return
+	}
+	for i := 1; i < len(edges); i++ {
+		e := edges[i]
+		j := i
+		for ; j > 0 && (edges[j-1].Ev > e.Ev || edges[j-1].Ev == e.Ev && edges[j-1].To > e.To); j-- {
+			edges[j] = edges[j-1]
+		}
+		edges[j] = e
+	}
 }
 
 func dedupeEdges(edges []Edge) []Edge {
@@ -332,9 +385,16 @@ func dedupeInt32s(xs []int32) []int32 {
 
 // ExpansionStats reports how much of the product has been touched: states
 // whose successor rows were computed, states discovered (expanded states
-// plus the frontier they revealed), and total nanoseconds spent expanding.
+// plus the frontier they revealed), and the nanoseconds spent expanding.
+// The time is an estimate: one expansion in each block of sampleEvery is
+// timed, and the sampled total is scaled by expanded ÷ sampled.
 func (x *Lazy) ExpansionStats() (expanded, discovered int, ns int64) {
-	return int(x.expanded.Load()), int(x.discovered.Load()), x.expandNs.Load()
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if x.sampled > 0 {
+		ns = x.sampleNs * x.expanded / x.sampled
+	}
+	return int(x.expanded), int(x.discovered.Load()), ns
 }
 
 // MemStats is a demand-driven composite's storage footprint, in bytes.

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"protoquot/internal/spec"
+	"protoquot/internal/specgen"
 )
 
 // namedListing renders a machine as its sorted set of named transitions
@@ -341,6 +342,36 @@ func TestLazyPeekRowsDoesNotExpand(t *testing.T) {
 	ext2, intl2 := lz.Rows(lz.Init())
 	if &ext[0] != &ext2[0] || len(intl) != len(intl2) {
 		t.Fatal("repeated Rows returned a different published row")
+	}
+}
+
+// TestExpansionTimerSamples pins the expansion timer's sample: one
+// expansion in each block of sampleEvery is timed, at an offset that is
+// not the same in every block, and ExpansionStats scales the sampled time
+// by expanded ÷ sampled.
+func TestExpansionTimerSamples(t *testing.T) {
+	fam, err := specgen.ParseFamily("chain(4)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz := MustLazyMany(fam.Components...)
+	offsets := map[int64]bool{}
+	for st := 0; st < lz.NumStates(); st++ {
+		if lz.expanded%sampleEvery == 0 {
+			offsets[lz.sampleAt-lz.expanded] = true
+		}
+		lz.Rows(spec.State(st))
+	}
+	exp, _, ns := lz.ExpansionStats()
+	full := int64(exp / sampleEvery)
+	if lz.sampled != full && lz.sampled != full+1 || exp < 4*sampleEvery {
+		t.Fatalf("%d of %d expansions timed, want one per block of %d", lz.sampled, exp, sampleEvery)
+	}
+	if len(offsets) < 2 {
+		t.Fatalf("every block timed the expansion at offset %v", offsets)
+	}
+	if want := lz.sampleNs * int64(exp) / lz.sampled; ns != want || ns <= 0 {
+		t.Fatalf("ExpansionStats reports %dns, want %d (%dns sampled)", ns, want, lz.sampleNs)
 	}
 }
 

@@ -1,8 +1,10 @@
 // Compiled component tables for the demand-driven composition.
 //
 // Everything LazyMany can precompute without touching a single composite
-// state — global event interning, the rendezvous partner table,
-// per-component dense edge rows — lives here, so expansion is map-free.
+// state — global event interning, the rendezvous partners, each
+// component's transitions as flat rows with their key deltas — lives here,
+// so expansion is map-free and reads a component's row as one contiguous
+// range.
 package compose
 
 import (
@@ -13,22 +15,40 @@ import (
 	"protoquot/internal/spec"
 )
 
-// cedge is one component transition over global event ids.
-type cedge struct{ ev, to int32 }
+// move is one component transition in a compiled row. delta is the key
+// change the move makes, (to − from)·weight of the moving component, so a
+// successor's key is the parent's plus the deltas of the components that
+// move; it is 0 on the string tier, which has no key.
+type move struct {
+	delta uint64
+	to    int32
+	// ev is the external alphabet index of an external edge, and the
+	// global event id of a shared one.
+	ev int32
+	// pj is the other owner of a shared event, or -1 for an internal move
+	// or an external edge.
+	pj int32
+}
+
+// compRow is one component state's transitions: its internal moves are
+// moves[intl:drive]; its drive edges, moves[drive:answer], are its
+// external edges and the shared edges whose other owner has the higher
+// index, so that this component drives the rendezvous; its answer edges,
+// moves[answer:end], are the shared edges whose other owner has the lower
+// index and drives them.
+type compRow struct{ intl, drive, answer, end int32 }
 
 // compTables is the compiled read-only description of a component list.
 type compTables struct {
 	// external is the composite's external alphabet: the events owned by
-	// exactly one component, sorted. extIdx maps a global event id to its
-	// position in external, or -1 for shared (internal) events.
+	// exactly one component, sorted.
 	external []spec.Event
-	extIdx   []int32
-	// partner[ci][ev] is the other owner of a shared event, or -1. Stored
-	// densely per component to keep the product loops map-free.
-	partner [][]int32
-	// Per-component dense edge tables over global event ids.
-	cext  [][][]cedge
-	cintl [][][]int32
+	// The components' transitions, compiled into one flat array of moves.
+	// Component ci's state s is rows[base[ci]+s], three consecutive
+	// ranges of moves, each in the component's own edge order.
+	base  []int32
+	rows  []compRow
+	moves []move
 	// keyBits is the width of the bit-field state key: each component's
 	// state gets its own field of bits.Len(NumStates−1) bits. product is
 	// the tuple count Π NumStates, the key space of the mixed-radix key,
@@ -75,43 +95,46 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 	}
 	sort.Slice(allEvents, func(i, j int) bool { return allEvents[i] < allEvents[j] })
 	evID := make(map[spec.Event]int32, len(allEvents))
-	t.extIdx = make([]int32, len(allEvents))
+	extIdx := make([]int32, len(allEvents))
 	for i, e := range allEvents {
 		evID[e] = int32(i)
-		t.extIdx[i] = -1
+		extIdx[i] = -1
 		if len(ownersOf[e]) == 1 {
-			t.extIdx[i] = int32(len(t.external))
+			extIdx[i] = int32(len(t.external))
 			t.external = append(t.external, e)
 		}
 	}
 
-	nev := len(allEvents)
-	t.partner = make([][]int32, len(components))
-	for ci := range components {
-		t.partner[ci] = make([]int32, nev)
-		for i := range t.partner[ci] {
-			t.partner[ci][i] = -1
-		}
-	}
-	for e, owners := range ownersOf {
-		if len(owners) == 2 {
-			t.partner[owners[0]][evID[e]] = owners[1]
-			t.partner[owners[1]][evID[e]] = owners[0]
-		}
-	}
-
-	t.cext = make([][][]cedge, len(components))
-	t.cintl = make([][][]int32, len(components))
+	t.base = make([]int32, len(components))
+	var answer []move
 	for ci, c := range components {
-		t.cext[ci] = make([][]cedge, c.NumStates())
-		t.cintl[ci] = make([][]int32, c.NumStates())
+		t.base[ci] = int32(len(t.rows))
 		for s := 0; s < c.NumStates(); s++ {
-			for _, ed := range c.ExtEdges(spec.State(s)) {
-				t.cext[ci][s] = append(t.cext[ci][s], cedge{ev: evID[ed.Event], to: int32(ed.To)})
-			}
+			var r compRow
+			r.intl = int32(len(t.moves))
 			for _, to := range c.IntEdges(spec.State(s)) {
-				t.cintl[ci][s] = append(t.cintl[ci][s], int32(to))
+				t.moves = append(t.moves, move{to: int32(to), pj: -1})
 			}
+			r.drive = int32(len(t.moves))
+			answer = answer[:0]
+			for _, ed := range c.ExtEdges(spec.State(s)) {
+				ev := evID[ed.Event]
+				m := move{to: int32(ed.To), ev: extIdx[ev], pj: -1}
+				switch owners := ownersOf[ed.Event]; {
+				case len(owners) == 1:
+					t.moves = append(t.moves, m)
+				case owners[0] == int32(ci):
+					m.ev, m.pj = ev, owners[1]
+					t.moves = append(t.moves, m)
+				default:
+					m.ev = ev
+					answer = append(answer, m)
+				}
+			}
+			r.answer = int32(len(t.moves))
+			t.moves = append(t.moves, answer...)
+			r.end = int32(len(t.moves))
+			t.rows = append(t.rows, r)
 		}
 	}
 
@@ -128,6 +151,22 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 		t.product, t.productOK = lo, t.productOK && hi == 0
 	}
 	return t, nil
+}
+
+// weigh sets every move's key delta for the key weights of a key tier:
+// weights[ci] is component ci's place value in the state key.
+func (t *compTables) weigh(weights []uint64) {
+	for ci, b := range t.base {
+		end := int32(len(t.rows))
+		if ci+1 < len(t.base) {
+			end = t.base[ci+1]
+		}
+		for s, r := range t.rows[b:end] {
+			for i := r.intl; i < r.end; i++ {
+				t.moves[i].delta = uint64(int64(t.moves[i].to)-int64(s)) * weights[ci]
+			}
+		}
+	}
 }
 
 // MinimizeComponents returns the component list with every machine replaced

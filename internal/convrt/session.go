@@ -116,8 +116,11 @@ func (s *Session) next64() uint64 { return s.rng.next() }
 type splitmix uint64
 
 // newSplitmix starts stream number stream of seed; the state is never zero.
+// The seed is mixed by one splitmix64 draw first: unmixed, stream id of
+// seed s+1 would be stream id of seed s one draw on.
 func newSplitmix(seed int64, stream uint64) splitmix {
-	return splitmix(uint64(seed)*0x9E3779B97F4A7C15 + stream*0xBF58476D1CE4E5B9 + 1)
+	mix := splitmix(seed)
+	return splitmix(mix.next()*0x9E3779B97F4A7C15 + stream*0xBF58476D1CE4E5B9 + 1)
 }
 
 func (r *splitmix) next() uint64 {

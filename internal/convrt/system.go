@@ -261,16 +261,12 @@ func newSystem(cfg SystemConfig) (*system, error) {
 			return nil, fmt.Errorf("convrt: %q is not an event of service %s", e, cfg.Service.Name())
 		}
 	}
-	// Mix the seed first: the raw streams of neighbouring seeds are one draw
-	// apart.
-	root := splitmix(cfg.Seed)
-	seed := int64(root.next())
 	s := &system{
 		cfg:     cfg,
 		ents:    make([]entity, len(cfg.Entities)),
 		links:   make([]link, 2*len(cfg.Duplexes)),
 		pending: make([]int, len(cfg.Duplexes)),
-		rng:     newSplitmix(seed, 0),
+		rng:     newSplitmix(cfg.Seed, 0),
 		rep:     SystemReport{Messages: cfg.Messages, InOrder: true},
 	}
 	for i, sp := range cfg.Entities {
@@ -291,7 +287,7 @@ func newSystem(cfg SystemConfig) (*system, error) {
 		for dir, ends := range [2][2]int{{dx.Initiator, dx.Responder}, {dx.Responder, dx.Initiator}} {
 			l := 2*d + dir
 			s.links[l] = link{from: int32(ends[0]), to: int32(ends[1]), duplex: int32(d),
-				faults: newFaultSched(dx.Faults), rng: newSplitmix(seed, uint64(l+1))}
+				faults: newFaultSched(dx.Faults), rng: newSplitmix(cfg.Seed, uint64(l+1))}
 			s.ents[ends[1]].in = append(s.ents[ends[1]].in, int32(l))
 		}
 	}

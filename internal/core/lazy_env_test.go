@@ -47,6 +47,11 @@ func TestLazyEnvMetricsWiring(t *testing.T) {
 	if m.EnvExpansionNs != ns {
 		t.Fatalf("EnvExpansionNs = %d, environment reports %d", m.EnvExpansionNs, ns)
 	}
+	// The expansion time is estimated from a sample of the expansions;
+	// chain(2)'s 64 make up one sampling period, so one of them is timed.
+	if exp != 64 || m.EnvExpansionNs <= 0 {
+		t.Fatalf("%d expansions estimated at %dns, want 64 at more than 0", exp, m.EnvExpansionNs)
+	}
 }
 
 // TestLazyEnvEagerMetricsReportSaturation pins the eager-environment side of

@@ -56,10 +56,11 @@ type Metrics struct {
 	// state count, summed over the variants.
 	EnvStatesExpanded int
 	EnvStatesTotal    int
-	// EnvExpansionNs is the total wall time, in nanoseconds, spent
-	// expanding environment states on demand during the derivation; always
-	// 0 for environments that are not demand-driven (their compose cost is
-	// paid before Derive).
+	// EnvExpansionNs estimates the wall time, in nanoseconds, spent
+	// expanding environment states on demand during the derivation: one
+	// expansion in 64 is timed, and the sampled time is scaled by the
+	// number expanded. Always 0 for environments that are not
+	// demand-driven (their compose cost is paid before Derive).
 	EnvExpansionNs int64
 	// ArenaBytes / PeakRowBytes describe a demand-driven environment's row
 	// storage: the bytes reserved by compose.Lazy's append-only row arenas,
