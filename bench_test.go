@@ -661,8 +661,10 @@ func benchFamilySpecEngine(b *testing.B, f specgen.Family) {
 }
 
 // benchFamilyLazyEngine also reports the last iteration's environment
-// expansion time (spent inside the safety phase) and its safety and
-// progress phase walls.
+// expansion time (spent inside the safety phase), its safety and progress
+// phase walls, and the progress phase's slot masks computed (rebuilds) and
+// converter states scanned (scans) per derivation, so a family with
+// removals shows what its later sweeps recompute.
 func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 	b.ReportAllocs()
 	var m core.Metrics
@@ -680,6 +682,8 @@ func benchFamilyLazyEngine(b *testing.B, f specgen.Family) {
 	b.ReportMetric(float64(m.EnvExpansionNs)/1e6, "expand-ms")
 	b.ReportMetric(float64(m.SafetyWall.Nanoseconds())/1e6, "safety-ms")
 	b.ReportMetric(float64(m.ProgressWall.Nanoseconds())/1e6, "progress-ms")
+	b.ReportMetric(float64(m.ReadySetRebuilds), "rebuilds")
+	b.ReportMetric(float64(m.ProgressScans), "scans")
 }
 
 func BenchmarkDeriveChainSpecEngine(b *testing.B)     { benchFamilySpecEngine(b, specgen.Chain(5)) }

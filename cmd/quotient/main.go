@@ -346,7 +346,7 @@ func printStats(w io.Writer, s core.Stats) {
 		fmt.Fprintf(w, ", %s pair arenas", fmtBytes(m.PairArenaBytes))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "progress memo:  %d ready-set rebuilds, %d τ-closure cache hits, %d invalidated",
+	fmt.Fprintf(w, "progress memo:  %d ready-set rebuilds, %d kept, %d invalidated",
 		m.ReadySetRebuilds, m.TauCacheHits, m.TauInvalidated)
 	if m.ProgressBytes > 0 {
 		fmt.Fprintf(w, ", %s store", fmtBytes(m.ProgressBytes))

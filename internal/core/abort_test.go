@@ -157,7 +157,7 @@ func TestTraceAndLogAdapter(t *testing.T) {
 	}
 	out := buf.String()
 	want := "safety phase: 2 states, 2 transitions, 5 tracked (a,b) pairs\n" +
-		"progress phase: iteration 1 removed nothing; fixpoint\n"
+		"progress phase: iteration 1 removed nothing; fixpoint; 5 mask(s) computed\n"
 	if out != want {
 		t.Errorf("LogAdapter output changed:\n got %q\nwant %q", out, want)
 	}

@@ -49,7 +49,7 @@ func TestEnvCountersPinned(t *testing.T) {
 	b18 := protocols.TransportB18()
 	fig18 := envPin{
 		"c1fa63cf0d736443488a53f40901a7b834abd9e8dbb9bf1fb4d96aab953a8477",
-		420, 254, 3, 5351, 671, 514, 10200, 10200}
+		420, 254, 3, 5324, 154, 456, 10200, 10200}
 	systems := []struct {
 		name string
 		a    *spec.Spec
@@ -59,7 +59,7 @@ func TestEnvCountersPinned(t *testing.T) {
 		{"fig18", protocols.CST(), envs(b18), fig18},
 		{"deploy-robust", protocols.Service(), envs(protocols.DeploymentEnvs(0)...), envPin{
 			"c8040ca9852fd546adbf6fa0c82d348b3eba3530f62f3e67ab2d71ed7562f7b9",
-			63, 39, 3, 993, 351, 118, 1392, 1392}},
+			63, 39, 3, 917, 19, 72, 1392, 1392}},
 		{"robust-retry", alt, envs(retry("", ""), retry("b2", "b1")), envPin{
 			"c973315ffc1ab01eec6e3f986bb8d7674fcb260d7232f147eaadb43309debf70",
 			2, 0, 1, 10, 0, 2, 6, 6}},

@@ -493,3 +493,134 @@ func (d *deriver) referenceClosure(rs *refScratch, seeds []int32) bool {
 	}
 	return ok
 }
+
+// CheckSweepsReference derives like DeriveEnvsContext and, after every
+// progress sweep, recomputes every live column's masks from scratch with
+// referenceMasks, which shares nothing with the sweep, and requires
+// the sweep's memo to hold byte-identical masks and its removals to be
+// exactly the live states a scan of every column with the reference masks
+// flags. It returns the result, the number of sweeps after the first that
+// it checked, and the first disagreement. A nonexistence proof is a
+// result, not an error.
+func CheckSweepsReference(a *spec.Spec, bs []Environment, opts Options) (res *Result, later int, err error) {
+	d, err := newDeriver(context.Background(), a, bs, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	var mismatch error
+	var want, got []string // the reference's and the sweep's removals
+	settle := func() {
+		if mismatch == nil && !slices.Equal(want, got) {
+			mismatch = fmt.Errorf("sweep removed %v, the full recompute flags %v", got, want)
+		}
+		want, got = nil, nil
+	}
+	trace := d.opts.Trace
+	d.opts.Trace = func(ev TraceEvent) {
+		switch {
+		case ev.Phase != "progress":
+		case ev.Detail != "": // a sweep's summary, before its removals apply
+			settle()
+			if ev.Iteration > 1 {
+				later++
+			}
+			var m error
+			want, m = d.checkSweep()
+			if mismatch == nil && m != nil {
+				mismatch = fmt.Errorf("iteration %d: %w", ev.Iteration, m)
+			}
+		case ev.State != "":
+			got = append(got, ev.State)
+		}
+		if trace != nil {
+			trace(ev)
+		}
+	}
+	res, err = d.run()
+	if _, nq := err.(*NoQuotientError); err != nil && !nq {
+		return nil, later, err
+	}
+	settle()
+	return res, later, mismatch
+}
+
+// checkSweep compares the memo of every live column with referenceMasks
+// and returns the names of the live states that fail prog under the
+// reference masks, ascending.
+func (d *deriver) checkSweep() (flagged []string, err error) {
+	pt := d.prog
+	w := pt.words
+	ref := d.referenceMasks()
+	numA := int32(d.numA)
+	for ci := range d.states {
+		if !d.alive[ci] {
+			continue
+		}
+		fails := false
+		for _, pb := range pt.combos(int32(ci)) {
+			k := pt.pos(pb, int32(ci))
+			if got, want := pt.maskAt(k), ref[int(k)*w:int(k)*w+w]; !slices.Equal(got, want) {
+				return nil, fmt.Errorf("column %d, pb %d: memo mask %x, full recompute %x", ci, pb, got, want)
+			}
+		}
+		d.table.get(int32(ci)).forEach(func(p int32) {
+			k := pt.pos(p/numA, int32(ci))
+			if !pt.accIx.Prog(spec.State(p%numA), ref[int(k)*w:int(k)*w+w]) {
+				fails = true
+			}
+		})
+		if fails {
+			flagged = append(flagged, stateName(int32(ci)))
+		}
+	}
+	return flagged, nil
+}
+
+// referenceMasks recomputes the ready mask of every slot of every live
+// column by Kleene iteration from ⊥ over the current converter: each round
+// sets every slot to bready[pb] plus its τ-successors' masks in its column
+// and its Int-successors' masks in the live column the transition leads
+// to, until a round changes nothing. It shares no condensation, order or
+// change tracking with the sweep, and returns masks laid out like the
+// memo.
+func (d *deriver) referenceMasks() []uint64 {
+	pt := d.prog
+	w := pt.words
+	ref := make([]uint64, len(pt.mask))
+	acc := make([]uint64, w)
+	for moved := true; moved; {
+		moved = false
+		for ci := len(d.states) - 1; ci >= 0; ci-- {
+			if !d.alive[ci] {
+				continue
+			}
+			c := int32(ci)
+			for _, pb := range pt.combos(c) {
+				copy(acc, pt.bready[int(pb)*w:int(pb)*w+w])
+				for _, q := range pt.tauOf(pb) {
+					k := pt.pos(q, c)
+					for i := range acc {
+						acc[i] |= ref[int(k)*w+i]
+					}
+				}
+				for _, ie := range pt.intsOf(pb) {
+					t := d.states[c].succ[ie.ii]
+					if t < 0 || !d.alive[t] {
+						continue
+					}
+					if k := pt.pos(ie.to, t); k >= 0 {
+						for i := range acc {
+							acc[i] |= ref[int(k)*w+i]
+						}
+					}
+				}
+				k := pt.pos(pb, c)
+				if dst := ref[int(k)*w : int(k)*w+w]; !slices.Equal(acc, dst) {
+					copy(dst, acc)
+					moved = true
+				}
+			}
+		}
+	}
+	return ref
+}

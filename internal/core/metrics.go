@@ -32,17 +32,22 @@ type Metrics struct {
 	// seen, i.e. an edge to an existing state rather than a new one.
 	InternLookups int
 	InternHits    int
-	// ProgressScans counts converter states examined across all
-	// progress-phase sweeps. With the incremental phase this is usually
-	// far below SafetyStates × iterations, which is what a full rescan
-	// per sweep would cost.
+	// ProgressScans counts converter states whose pairs a progress-phase
+	// verdict scan tested: every live state in the first sweep, then, in
+	// each later sweep, only the states one of whose ready masks changed
+	// (a state whose masks all kept their value passed its last scan).
 	ProgressScans int
-	// TauCacheHits counts composite ready sets served from the cross-sweep
-	// memo instead of being recomputed; TauInvalidated counts memo entries
-	// discarded because a removed state's predecessor closure touched them.
-	// ReadySetRebuilds counts ready sets actually computed (first time or
-	// after invalidation). Together they make the progress phase's
-	// memoization observable: hits + rebuilds = ready sets consulted.
+	// The progress phase memoizes one ready mask per (packed b, converter
+	// state) slot across sweeps. ReadySetRebuilds counts slot masks
+	// computed: every slot in the first sweep, then, in each later sweep,
+	// the slots of the removals' predecessor closure whose inputs changed
+	// (a dropped converter transition, or a successor mask that changed in
+	// the same sweep), each once however many fixpoint passes it took.
+	// TauCacheHits counts the closure's other slots, kept from the memo
+	// without recomputation, so hits + rebuilds = slots the sweeps
+	// considered. TauInvalidated counts the recomputed slots of later
+	// sweeps whose mask differs from the memoized one: the memo entries
+	// the removals actually invalidated.
 	TauCacheHits     int
 	TauInvalidated   int
 	ReadySetRebuilds int

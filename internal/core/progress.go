@@ -5,21 +5,26 @@
 // reachability, so sweeps repeat to a fixpoint. Six ideas keep the phase
 // cheap on large instances:
 //
-//   - Incrementality (PR 1): deleting state r only changes verdicts of
-//     converter states that could reach r, so each sweep after the first
-//     re-examines only the predecessor closure of the previous sweep's
-//     removals, over the static safety-phase graph.
+//   - Incrementality: deleting state r only changes verdicts of converter
+//     states that could reach r, so each sweep after the first considers
+//     only the predecessor closure of the previous sweep's removals, over
+//     the static safety-phase graph, and within it recomputes only what
+//     the removals changed (below).
 //   - Dense memoized ready sets: the composite states ⟨b,c⟩ of B‖C that
 //     matter are exactly the (v,b) projections of c's pair set (pair sets
 //     are closed under B's internal moves and synchronized Int steps land
 //     in the successor's pair set), so each converter state c — a "column"
 //     — owns a static sorted "combo" table of packed-b states (pbs), and
 //     each (pb, column) slot a ready mask: a bitmask over Ext laid out by
-//     sat.ReadyIndex. Masks survive sweeps; invalidation drops whole
-//     columns (every slot of an affected converter state), which is exactly
-//     the predecessor closure the incremental sweep re-examines, so a memo
-//     can never be stale. Edges into still-valid columns are consumed as
-//     memoized leaves (the τ-closure cache hits of core.Metrics).
+//     sat.ReadyIndex. Masks survive sweeps and are never invalidated
+//     wholesale. A removal changes a slot's inputs in only two ways: its
+//     column loses an Int edge that the slot's pb has an edge on, or a
+//     successor slot's mask changes. A later sweep therefore recomputes an
+//     SCC of the pb graph (below) only when one of its pbs lost such an
+//     edge in one of its in-sweep columns (a seed) or has a successor pb
+//     whose mask changed earlier in the same sweep, and rescans only the
+//     columns one of whose masks changed: a column whose masks all kept
+//     their value passed its last scan, so its verdict cannot change.
 //   - A pb-major memo: the combo tables are transposed once per derivation
 //     into per-pb column lists, ascending, and the masks are stored at the
 //     same positions, so a pb's masks for all its columns share cache
@@ -32,26 +37,32 @@
 //     Int-successor's column varies per member, so it is found by a short
 //     search of the successor's column list (pos), as is each pb's mask in
 //     the verdict scan.
-//   - One pb-graph sweep: the per-(column, slot) graph's τ-edges do not
-//     depend on the column and its Int-edges only redirect it, so every
-//     per-column graph is a quotient of one graph over the pbs. A sweep
-//     runs ONE Tarjan over the pbs that occur in any affected column, and
-//     an SCC computes the masks of its pbs' in-sweep columns in place.
-//     Collapsing per-column edges onto the pb graph can only merge SCCs,
-//     and within-SCC fixpoint iteration absorbs the merge: the mask system
-//     is monotone, so each mask still converges to its least fixpoint, the
-//     exact τ*-reachability closure. Scratch is O(pbs), whatever the number
-//     of affected columns.
-//   - One sequential sweep: the DP walks Tarjan's emission order, which is
-//     already reverse-topological, and the verdict scan walks the affected
-//     states in order and each state's pairs in ascending order, one
-//     sat.AcceptanceIndex.Prog test per pair, stopping at the first failing
-//     pair. The phase is sequential at every worker count
-//     (Options.Workers parallelizes the safety phase only) because every
-//     pb-graph SCC on the specgen families is a singleton, too little work
-//     to schedule: on 2 cores a work-stealing sweep ran 2–2.5× slower at 2
-//     workers than at 1 (chaindrop(8) 0.56–0.89 s → 1.45–1.80 s, chain(9)
-//     1.26–1.57 s → 2.95–3.40 s).
+//   - One Tarjan per derivation: the per-(column, slot) graph's τ-edges do
+//     not depend on the column and its Int-edges only redirect it, so every
+//     per-column graph is a quotient of one graph over the pbs. The first
+//     sweep runs ONE Tarjan over the pbs of every column, and an SCC
+//     computes the masks of its pbs' columns in place. Collapsing
+//     per-column edges onto the pb graph can only merge SCCs, and
+//     within-SCC fixpoint iteration from ⊥ absorbs the merge: the mask
+//     system is monotone, so each mask still converges to its least
+//     fixpoint, the exact τ*-reachability closure. A later sweep's pb graph
+//     is a subgraph of the first's (fewer columns, the same τ-edges, only
+//     the Int edges whose target is still in a live column), so the first
+//     sweep's emission order stays reverse-topological and each of its
+//     SCCs contains whole SCCs of the later graph: later sweeps walk the
+//     kept condensation and run no Tarjan. A recomputed cyclic SCC restarts
+//     from ⊥; iterating down from the old masks would reach the greatest
+//     fixpoint on a cycle and keep bits nothing supports. Scratch is
+//     O(pbs), whatever the number of columns.
+//   - One sequential sweep: the DP walks the condensation, and the verdict
+//     scan walks the columns to scan in order and each column's pairs in
+//     ascending order, one sat.AcceptanceIndex.Prog test per pair,
+//     stopping at the first failing pair. The phase is sequential at every
+//     worker count (Options.Workers parallelizes the safety phase only)
+//     because every pb-graph SCC on the specgen families is a singleton,
+//     too little work to schedule: on 2 cores a work-stealing sweep ran
+//     2–2.5× slower at 2 workers than at 1 (chaindrop(8) 0.56–0.89 s →
+//     1.45–1.80 s, chain(9) 1.26–1.57 s → 2.95–3.40 s).
 //   - Determinism: each mask is the unique least fixpoint of a monotone
 //     union system, and the scan records each flagged state's first
 //     failing pair in ascending pair order, so the removals and the
@@ -63,7 +74,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -92,11 +103,9 @@ type progTables struct {
 	ints   []intEdge
 
 	// Per converter state ("column"): the sorted packed-b combo table,
-	// combo[comboOff[ci]:comboOff[ci+1]], and whether the column's masks are
-	// current.
+	// combo[comboOff[ci]:comboOff[ci+1]].
 	comboOff []int32
 	combo    []int32
-	valid    []bool
 
 	// The pb-major memo, the transpose of the combo tables: pb's columns,
 	// ascending, are pbCol[pbOff[pb]:pbOff[pb+1]], and the mask of (pb,
@@ -106,33 +115,42 @@ type progTables struct {
 	pbCol []int32
 	mask  []uint64
 
-	// Sweep scratch, persisted so every sweep after the first reuses the
-	// first sweep's capacity instead of re-growing it allocation by
-	// allocation (the first sweep visits every column; later sweeps a
-	// shrinking closure). A sweep's nodes are the pbs of its columns,
-	// numbered in first-touch order: node nid is pb active[nid], and its
-	// members are the entries of pb's column range whose column is in the
-	// sweep (inSweep). node spans the packed-b domain and is restored to all
-	// -1 after every sweep, so only the touched entries are ever paid for.
-	// SCC membership is stored flat: SCC si's nodes are
-	// sccMembers[sccOff[si]:sccOff[si+1]].
-	inSweep    []bool  // per column: being recomputed this sweep
-	node       []int32 // per pb: node id this sweep, or -1
+	// The first sweep's condensation of the pb graph, kept for every later
+	// sweep: node nid is pb active[nid] (the pbs of every column, in
+	// first-touch order), self[nid] says it has a pb-graph self-edge, and
+	// SCC si's nodes are sccMembers[sccOff[si]:sccOff[si+1]], SCCs in
+	// Tarjan's emission order. nil until the first sweep.
 	active     []int32
-	dfn        []int32 // per node: Tarjan DFS number, or -1
-	low        []int32
-	onStack    []bool
-	self       []bool // per node: has a pb-graph self-edge (needs fixpoint)
-	stack      []int32
-	frames     []tframe
+	self       []bool
 	sccMembers []int32
 	sccOff     []int32
+
+	// Sweep flags, all false or zero between sweeps, and DP scratch.
+	inSweep    []bool   // per column: in this sweep's columns
+	colChanged []bool   // per column: one of its masks changed this sweep
+	mark       []uint8  // per pb: seedBit and changedBit
+	evLost     []bool   // per Int event: lost by the column being seeded
+	acc, old   []uint64 // a node's new masks; a cyclic SCC's masks before it restarts
 }
+
+// mark bits: a seed pb lost an Int edge it has an edge on in one of its
+// in-sweep columns, and a changed pb had one of its masks change this
+// sweep.
+const (
+	seedBit uint8 = 1 << iota
+	changedBit
+)
 
 // intEdge is one external B-edge on an Int event in the compiled edge
 // table: the event's position in Int and the target's packed b.
 type intEdge struct {
 	ii, to int32
+}
+
+// droppedEdge is a converter transition a removal deleted: live column
+// col lost its successor on Int event ii.
+type droppedEdge struct {
+	col, ii int32
 }
 
 // combos returns column ci's combo table.
@@ -278,8 +296,10 @@ func (d *deriver) initProgTables() error {
 			next[pb]++
 		})
 	}
-	pt.valid = make([]bool, n)
 	pt.inSweep = make([]bool, n)
+	pt.colChanged = make([]bool, n)
+	pt.mark = make([]uint8, pt.totalB)
+	pt.evLost = make([]bool, len(d.intl))
 	d.prog = pt
 	d.met.ProgressBytes = pt.bytes()
 	return nil
@@ -325,10 +345,11 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 			}
 		}
 	}
-	affected := make([]int32, n)
-	for i := range affected {
-		affected[i] = int32(i)
+	cols := make([]int32, n)
+	for i := range cols {
+		cols[i] = int32(i)
 	}
+	var dropped []droppedEdge
 	removedTotal := 0
 	blame0 := int32(-1)
 	for {
@@ -337,15 +358,19 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 			return fmt.Errorf("quotient: progress phase canceled at iteration %d: %w",
 				res.Stats.ProgressIterations, err)
 		}
-		d.refreshReady(alive, affected)
+		scan, recomputed, changed := d.sweep(alive, cols, dropped)
+		masks := fmt.Sprintf("%d mask(s) computed", recomputed)
+		if res.Stats.ProgressIterations > 1 {
+			masks = fmt.Sprintf("%d mask(s) recomputed, %d changed", recomputed, changed)
+		}
 		var removed []int32
-		removed, blame0 = d.verdictScan(alive, affected)
+		removed, blame0 = d.verdictScan(scan)
 		if len(removed) == 0 {
 			d.emit(TraceEvent{
 				Phase:     "progress",
 				Iteration: res.Stats.ProgressIterations,
-				Detail: fmt.Sprintf("progress phase: iteration %d removed nothing; fixpoint",
-					res.Stats.ProgressIterations),
+				Detail: fmt.Sprintf("progress phase: iteration %d removed nothing; fixpoint; %s",
+					res.Stats.ProgressIterations, masks),
 			})
 			break
 		}
@@ -353,8 +378,8 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 			Phase:     "progress",
 			Iteration: res.Stats.ProgressIterations,
 			Removed:   len(removed),
-			Detail: fmt.Sprintf("progress phase: iteration %d marked %d state(s) bad",
-				res.Stats.ProgressIterations, len(removed)),
+			Detail: fmt.Sprintf("progress phase: iteration %d marked %d state(s) bad; %s",
+				res.Stats.ProgressIterations, len(removed), masks),
 		})
 		for _, ci := range removed {
 			alive[ci] = false
@@ -368,22 +393,20 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 		if !alive[0] {
 			break // initial state removed: all states unreachable
 		}
-		// Drop live transitions into dead states, then re-examine only the
-		// predecessor closure of what just died.
-		for _, ci := range removed {
-			for _, p := range preds[ci] {
-				if !alive[p] {
-					continue
-				}
-				succ := d.states[p].succ
-				for ei, t := range succ {
-					if t == ci {
-						succ[ei] = -1
-					}
+		// The next sweep considers the predecessor closure of what just
+		// died. Its live transitions into dead states are dropped and
+		// recorded, grouped by column: they seed the recomputation.
+		cols = predClosure(preds, removed, alive)
+		dropped = dropped[:0]
+		for _, ci := range cols {
+			succ := d.states[ci].succ
+			for ii, t := range succ {
+				if t >= 0 && !alive[t] {
+					succ[ii] = -1
+					dropped = append(dropped, droppedEdge{col: ci, ii: int32(ii)})
 				}
 			}
 		}
-		affected = predClosure(preds, removed, alive)
 	}
 	res.Stats.RemovedStates = removedTotal
 	if !alive[0] {
@@ -401,30 +424,28 @@ func (d *deriver) progressPhase(res *Result, alive []bool) error {
 }
 
 // predClosure returns the live states in the predecessor closure of the
-// removed set under the static graph, sorted ascending so the next sweep
+// removed set under the static graph, ascending, so the next sweep
 // examines states in the same order a full rescan would.
 func predClosure(preds [][]int32, removed []int32, alive []bool) []int32 {
-	visited := make(map[int32]bool, len(removed)*2)
+	seen := make([]bool, len(preds))
 	queue := append([]int32(nil), removed...)
 	for _, r := range removed {
-		visited[r] = true
+		seen[r] = true
 	}
-	var out []int32
-	for len(queue) > 0 {
-		ci := queue[0]
-		queue = queue[1:]
-		for _, p := range preds[ci] {
-			if visited[p] {
-				continue
-			}
-			visited[p] = true
-			queue = append(queue, p)
-			if alive[p] {
-				out = append(out, p)
+	for i := 0; i < len(queue); i++ {
+		for _, p := range preds[queue[i]] {
+			if !seen[p] {
+				seen[p] = true
+				queue = append(queue, p)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := queue[:0]
+	for ci, s := range seen {
+		if s && alive[ci] {
+			out = append(out, int32(ci))
+		}
+	}
 	return out
 }
 
@@ -436,95 +457,38 @@ type tframe struct {
 	end  int32
 }
 
-// refreshReady brings the ready masks of every affected live column up to
-// date. It first invalidates the affected columns (the memo-soundness
-// obligation: these are exactly the states whose composite reachability
-// changed), then recomputes them in one pb-major sweep.
-func (d *deriver) refreshReady(alive []bool, affected []int32) {
-	pt := d.prog
-	cols := make([]int32, 0, len(affected))
-	for _, ci := range affected {
-		if !alive[ci] {
-			continue
-		}
-		if pt.valid[ci] {
-			pt.valid[ci] = false
-			d.met.TauInvalidated += len(pt.combos(ci))
-		}
-		cols = append(cols, ci)
+// condense runs the derivation's one Tarjan, over the pb graph of the
+// first sweep's columns cols, and keeps the condensation in pt: the nodes
+// are the pbs of cols in first-touch order, τ-edges always count and Int
+// edges count when their target is a node. Self-edges don't affect SCC
+// structure but flag the node for fixpoint iteration: an Int self-edge can
+// carry a cross-column dependency (pb, ci) → (pb, ci').
+func (pt *progTables) condense(cols []int32) {
+	node := make([]int32, pt.totalB)
+	for i := range node {
+		node[i] = -1
 	}
-	if len(cols) == 0 {
-		return
-	}
-	d.sweep(alive, cols)
-	for _, ci := range cols {
-		pt.valid[ci] = true
-	}
-}
-
-// sweep recomputes the ready masks of the invalidated columns cols: one
-// Tarjan over the packed-b states that appear in any of them, then a
-// reverse-topological DP over the condensation in which each SCC writes its
-// members' masks into the pb-major memo. Edges into still-valid columns are
-// memoized leaves.
-//
-// The condensation order is valid for every column because every Int-edge
-// some (column, slot) needs maps to a pb edge that is present whenever its
-// target is in the sweep; see the package comment for why merged SCCs still
-// reach the per-slot least fixpoint.
-func (d *deriver) sweep(alive []bool, cols []int32) {
-	pt := d.prog
-	w := pt.words
-	if pt.node == nil {
-		pt.node = make([]int32, pt.totalB)
-		for i := range pt.node {
-			pt.node[i] = -1
-		}
-	}
-	// Membership pass: node ids in first-touch order. A node's members are
-	// its in-sweep columns; their masks start at ⊥, the fixpoint
-	// iteration's start.
-	inSweep := pt.inSweep
-	for _, ci := range cols {
-		inSweep[ci] = true
-	}
-	active := pt.active[:0]
-	slots := 0
+	var active []int32
 	for _, ci := range cols {
 		for _, pb := range pt.combos(ci) {
-			if pt.node[pb] >= 0 {
-				continue
-			}
-			pt.node[pb] = int32(len(active))
-			active = append(active, pb)
-			for k := pt.pbOff[pb]; k < pt.pbOff[pb+1]; k++ {
-				if inSweep[pt.pbCol[k]] {
-					clear(pt.maskAt(k))
-				}
+			if node[pb] < 0 {
+				node[pb] = int32(len(active))
+				active = append(active, pb)
 			}
 		}
-		slots += len(pt.combos(ci))
 	}
 	nAct := len(active)
-
-	// Iterative Tarjan over the pb graph, successors resolved on the fly
-	// (τ targets stay in-sweep by closure; Int targets join when they are in
-	// the sweep). Self-edges don't affect SCC structure but flag the node
-	// for fixpoint iteration: an Int self-edge can carry a cross-column
-	// dependency (pb, ci) → (pb, ci').
-	dfn := resizeSlice(pt.dfn, nAct)
-	low := resizeSlice(pt.low, nAct)
-	onStack := resizeSlice(pt.onStack, nAct)
-	self := resizeSlice(pt.self, nAct)
-	for i := 0; i < nAct; i++ {
+	dfn := make([]int32, nAct)
+	low := make([]int32, nAct)
+	onStack := make([]bool, nAct)
+	self := make([]bool, nAct)
+	for i := range dfn {
 		dfn[i] = -1
-		onStack[i] = false
-		self[i] = false
 	}
-	stack := pt.stack[:0]
-	frames := pt.frames[:0]
-	sccMembers := growCap(pt.sccMembers, nAct)
-	sccOff := append(pt.sccOff[:0], 0)
+	var stack []int32
+	var frames []tframe
+	sccMembers := make([]int32, 0, nAct)
+	sccOff := []int32{0}
 
 	var dfc int32
 	push := func(nid int32) {
@@ -570,7 +534,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			q := int32(-1)
 			if nTau := pt.tauOff[pb+1] - pt.tauOff[pb]; f.ei < nTau {
 				q = pt.tau[pt.tauOff[pb]+f.ei]
-			} else if t := pt.ints[pt.intOff[pb]+f.ei-nTau].to; pt.node[t] >= 0 {
+			} else if t := pt.ints[pt.intOff[pb]+f.ei-nTau].to; node[t] >= 0 {
 				q = t
 			}
 			f.ei++
@@ -581,7 +545,7 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 				self[nid] = true
 				continue
 			}
-			tn := pt.node[q]
+			tn := node[q]
 			if dfn[tn] < 0 {
 				push(tn) // f is stale after this; the loop refetches it
 			} else if onStack[tn] && dfn[tn] < low[nid] {
@@ -589,142 +553,252 @@ func (d *deriver) sweep(alive []bool, cols []int32) {
 			}
 		}
 	}
-	d.met.ReadySetRebuilds += slots
+	pt.active, pt.self = active, self
+	pt.sccMembers, pt.sccOff = sccMembers, sccOff
+}
 
+// seed marks the pbs whose masks a round of dropped converter transitions
+// changes directly: for each column in dropped (grouped by column), its pbs
+// with an Int edge on an event the column lost.
+func (pt *progTables) seed(dropped []droppedEdge) {
+	for i := 0; i < len(dropped); {
+		ci := dropped[i].col
+		j := i
+		for ; j < len(dropped) && dropped[j].col == ci; j++ {
+			pt.evLost[dropped[j].ii] = true
+		}
+		for _, pb := range pt.combos(ci) {
+			for _, ie := range pt.intsOf(pb) {
+				if pt.evLost[ie.ii] {
+					pt.mark[pb] |= seedBit
+					break
+				}
+			}
+		}
+		for ; i < j; i++ {
+			pt.evLost[dropped[i].ii] = false
+		}
+	}
+}
+
+// sweep brings the ready masks of columns cols (live, ascending) up to date
+// and returns the columns the verdict scan must examine, with the number
+// of slot masks it computed and, on a later sweep, the number that
+// changed. The first sweep condenses the pb graph and computes every SCC
+// in emission order. A later sweep, whose columns are the predecessor
+// closure of the last removals and whose seeds come from the transitions
+// those removals dropped, walks the same order but recomputes an SCC only
+// when a member is a seed or has a successor pb whose mask changed, and
+// returns only the columns whose masks changed. Slots of columns outside
+// cols are memoized leaves.
+func (d *deriver) sweep(alive []bool, cols []int32, dropped []droppedEdge) (scan []int32, recomputed, changed int) {
+	pt := d.prog
+	w := pt.words
+	first := pt.sccOff == nil
+	inSweep, mark, colChanged := pt.inSweep, pt.mark, pt.colChanged
+	slots := 0
+	for _, ci := range cols {
+		inSweep[ci] = true
+		slots += len(pt.combos(ci))
+	}
+	if first {
+		pt.condense(cols)
+	} else {
+		pt.seed(dropped)
+	}
+	active := pt.active
+
+	// note records that the mask of (pb, c) changed this sweep.
+	note := func(pb, c int32) {
+		mark[pb] |= changedBit
+		colChanged[c] = true
+		changed++
+	}
 	// The DP reads the memo by position. A τ-edge stays in the member's
 	// column, and pb's columns are a subset of each τ-successor's (pair sets
 	// are closed under B's internal moves), so one merge walk per
 	// τ-successor finds every member's successor position. An Int-edge moves
 	// to the column the converter's transition leads to, found by pos. A
-	// node's members accumulate in buf, a scratch indexed like pb's column
-	// range. Memo hits are counted on the first pass only, one per resolved
-	// edge into a valid column.
-	hits := 0
-	var buf []uint64
-	computeSCC := func(si int) {
-		nodes := sccMembers[sccOff[si]:sccOff[si+1]]
-		pass := func(count bool) bool {
-			changed := false
-			for _, nid := range nodes {
-				pb := active[nid]
-				lo := pt.pbOff[pb]
-				pcols := pt.pbCol[lo:pt.pbOff[pb+1]]
-				acc := resizeSlice(buf, len(pcols)*w)
-				buf = acc
-				base := pt.bready[int(pb)*w : int(pb)*w+w]
+	// node's members accumulate in acc, a scratch indexed like pb's column
+	// range. pass computes every member of nodes once and writes it back;
+	// it reports whether a mask moved and how many members it computed, and
+	// with track it notes each move as a change of this sweep.
+	acc := pt.acc
+	pass := func(nodes []int32, track bool) (moved bool, members int) {
+		for _, nid := range nodes {
+			pb := active[nid]
+			lo := pt.pbOff[pb]
+			pcols := pt.pbCol[lo:pt.pbOff[pb+1]]
+			acc = resizeSlice(acc, len(pcols)*w)
+			base := pt.bready[int(pb)*w : int(pb)*w+w]
+			for k, c := range pcols {
+				if !inSweep[c] {
+					continue
+				}
+				if w == 1 {
+					acc[k] = base[0]
+				} else {
+					copy(acc[k*w:k*w+w], base)
+				}
+			}
+			for _, q := range pt.tauOf(pb) {
+				qlo := pt.pbOff[q]
+				qcols := pt.pbCol[qlo:pt.pbOff[q+1]]
+				j := 0
 				for k, c := range pcols {
 					if !inSweep[c] {
 						continue
 					}
+					for qcols[j] != c {
+						j++
+					}
 					if w == 1 {
-						acc[k] = base[0]
+						acc[k] |= pt.mask[qlo+int32(j)]
 					} else {
-						copy(acc[k*w:k*w+w], base)
+						sat.OrInto(acc[k*w:k*w+w], pt.maskAt(qlo+int32(j)))
 					}
 				}
-				for _, q := range pt.tauOf(pb) {
-					qlo := pt.pbOff[q]
-					qcols := pt.pbCol[qlo:pt.pbOff[q+1]]
-					j := 0
-					for k, c := range pcols {
-						if !inSweep[c] {
-							continue
-						}
-						for qcols[j] != c {
-							j++
-						}
-						if w == 1 {
-							acc[k] |= pt.mask[qlo+int32(j)]
-						} else {
-							sat.OrInto(acc[k*w:k*w+w], pt.maskAt(qlo+int32(j)))
-						}
-					}
-				}
-				for _, ie := range pt.intsOf(pb) {
-					for k, c := range pcols {
-						if !inSweep[c] {
-							continue
-						}
-						t := d.states[c].succ[ie.ii]
-						if t < 0 || !alive[t] {
-							continue
-						}
-						j := pt.pos(ie.to, t)
-						if j < 0 {
-							continue
-						}
-						if w == 1 {
-							acc[k] |= pt.mask[j]
-						} else {
-							sat.OrInto(acc[k*w:k*w+w], pt.maskAt(j))
-						}
-						if count && pt.valid[t] {
-							hits++
-						}
-					}
-				}
+			}
+			for _, ie := range pt.intsOf(pb) {
 				for k, c := range pcols {
 					if !inSweep[c] {
 						continue
 					}
-					if w == 1 {
-						if dst := &pt.mask[lo+int32(k)]; *dst != acc[k] {
-							*dst = acc[k]
-							changed = true
-						}
+					t := d.states[c].succ[ie.ii]
+					if t < 0 || !alive[t] {
 						continue
 					}
-					src, dst := acc[k*w:k*w+w], pt.maskAt(lo+int32(k))
-					for i := range src {
-						if src[i] != dst[i] {
-							copy(dst, src)
-							changed = true
-							break
-						}
+					j := pt.pos(ie.to, t)
+					if j < 0 {
+						continue
+					}
+					if w == 1 {
+						acc[k] |= pt.mask[j]
+					} else {
+						sat.OrInto(acc[k*w:k*w+w], pt.maskAt(j))
 					}
 				}
 			}
-			return changed
-		}
-		// A singleton SCC without self-edges is already final after one
-		// pass; anything else iterates to the fixpoint.
-		if len(nodes) == 1 && !self[nodes[0]] {
-			pass(true)
-			return
-		}
-		if pass(true) {
-			for pass(false) {
+			for k, c := range pcols {
+				if !inSweep[c] {
+					continue
+				}
+				members++
+				if w == 1 {
+					if dst := &pt.mask[lo+int32(k)]; *dst != acc[k] {
+						*dst = acc[k]
+						moved = true
+						if track {
+							note(pb, c)
+						}
+					}
+					continue
+				}
+				src, dst := acc[k*w:k*w+w], pt.maskAt(lo+int32(k))
+				if !slices.Equal(src, dst) {
+					copy(dst, src)
+					moved = true
+					if track {
+						note(pb, c)
+					}
+				}
 			}
 		}
+		return moved, members
+	}
+	// dirty reports whether a later sweep must recompute the SCC nodes: a
+	// member is a seed, or one of its successor pbs changed (conservative:
+	// the change may lie in a column the member does not read).
+	dirty := func(nodes []int32) bool {
+		for _, nid := range nodes {
+			pb := active[nid]
+			if mark[pb]&seedBit != 0 {
+				return true
+			}
+			for _, q := range pt.tauOf(pb) {
+				if mark[q]&changedBit != 0 {
+					return true
+				}
+			}
+			for _, ie := range pt.intsOf(pb) {
+				if mark[ie.to]&changedBit != 0 {
+					return true
+				}
+			}
+		}
+		return false
 	}
 	// Tarjan emits an SCC only after every SCC reachable from it, so
-	// ascending emission order is a valid reverse-topological schedule.
-	for si := 0; si < len(sccOff)-1; si++ {
-		computeSCC(si)
+	// ascending emission order is a valid reverse-topological schedule,
+	// for the first sweep's graph and for every later subgraph of it.
+	for si := 0; si+1 < len(pt.sccOff); si++ {
+		nodes := pt.sccMembers[pt.sccOff[si]:pt.sccOff[si+1]]
+		if !first && !dirty(nodes) {
+			continue
+		}
+		// A singleton SCC without self-edges is final after one pass from
+		// its successors' masks, and its writes are its changes.
+		if len(nodes) == 1 && !pt.self[nodes[0]] {
+			_, n := pass(nodes, !first)
+			recomputed += n
+			continue
+		}
+		// Anything else restarts its members from ⊥ (the first sweep's
+		// memo is all ⊥ already) and iterates to the least fixpoint; a
+		// later sweep keeps the old masks to tell its changes.
+		old := pt.old[:0]
+		for _, nid := range nodes {
+			pb := active[nid]
+			for k := pt.pbOff[pb]; k < pt.pbOff[pb+1]; k++ {
+				if inSweep[pt.pbCol[k]] && !first {
+					old = append(old, pt.maskAt(k)...)
+					clear(pt.maskAt(k))
+				}
+			}
+		}
+		moved, n := pass(nodes, false)
+		recomputed += n
+		for moved {
+			moved, _ = pass(nodes, false)
+		}
+		if !first {
+			i := 0
+			for _, nid := range nodes {
+				pb := active[nid]
+				for k := pt.pbOff[pb]; k < pt.pbOff[pb+1]; k++ {
+					if c := pt.pbCol[k]; inSweep[c] {
+						if !slices.Equal(old[i:i+w], pt.maskAt(k)) {
+							note(pb, c)
+						}
+						i += w
+					}
+				}
+			}
+		}
+		pt.old = old
 	}
-	d.met.TauCacheHits += hits
+	pt.acc = acc
+	d.met.ReadySetRebuilds += recomputed
 
-	// Restore node to all -1 and inSweep to all false, and park the scratch
-	// for the next sweep.
-	for _, pb := range active {
-		pt.node[pb] = -1
+	// Reset the flags for the next sweep. The first sweep scans every
+	// column; a later one only those whose masks changed.
+	scan = cols
+	if !first {
+		d.met.TauCacheHits += slots - recomputed
+		d.met.TauInvalidated += changed
+		scan = nil
+		for _, ci := range cols {
+			if colChanged[ci] {
+				scan = append(scan, ci)
+				colChanged[ci] = false
+			}
+		}
+		clear(mark)
 	}
 	for _, ci := range cols {
 		inSweep[ci] = false
 	}
-	pt.active = active[:0]
-	pt.dfn, pt.low, pt.onStack, pt.self = dfn, low, onStack, self
-	pt.stack, pt.frames = stack[:0], frames[:0]
-	pt.sccMembers, pt.sccOff = sccMembers, sccOff
-}
-
-// growCap returns s emptied for reuse, reallocating only when its capacity
-// cannot hold n elements.
-func growCap[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
+	return scan, recomputed, changed
 }
 
 // resizeSlice returns s resized to exactly n elements, reallocating only
@@ -736,13 +810,13 @@ func resizeSlice[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// verdictScan evaluates prog for every pair of every affected live state
-// and returns the states that fail, in affected order, with state 0's
-// blame: the first pair, in ascending pair order, whose verdict fails, or
-// -1 when state 0 passes or is not scanned. The pb-major encoding delivers
-// a state's pairs grouped by packed-b, so each pb's mask is found once, by
+// verdictScan evaluates prog for every pair of every state in scan (all
+// live) and returns the states that fail, in scan order, with state 0's blame:
+// the first pair, in ascending pair order, whose verdict fails, or -1 when
+// state 0 passes or is not scanned. The pb-major encoding delivers a
+// state's pairs grouped by packed-b, so each pb's mask is found once, by
 // pos, for all of its pairs.
-func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, blame0 int32) {
+func (d *deriver) verdictScan(scan []int32) (removed []int32, blame0 int32) {
 	pt := d.prog
 	numA := int32(d.numA)
 
@@ -771,12 +845,7 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, 
 	}
 
 	blame0 = -1
-	scanned := 0
-	for _, ci := range affected {
-		if !alive[ci] {
-			continue
-		}
-		scanned++
+	for _, ci := range scan {
 		if blame := firstFailing(ci); blame >= 0 {
 			removed = append(removed, ci)
 			if ci == 0 {
@@ -784,6 +853,6 @@ func (d *deriver) verdictScan(alive []bool, affected []int32) (removed []int32, 
 			}
 		}
 	}
-	d.met.ProgressScans += scanned
+	d.met.ProgressScans += len(scan)
 	return removed, blame0
 }
