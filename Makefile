@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race benchsmoke fuzz-smoke protosmith-smoke bench-record loadtest cluster-smoke convrt-smoke cover
+.PHONY: verify fmt vet build test race benchsmoke fuzz-smoke protosmith-smoke bench-record loadtest cluster-smoke convrt-smoke cover examples
 
-verify: fmt vet build test cover race benchsmoke fuzz-smoke protosmith-smoke loadtest cluster-smoke convrt-smoke
+verify: fmt vet build test cover race examples benchsmoke fuzz-smoke protosmith-smoke loadtest cluster-smoke convrt-smoke
 	@echo "verify: OK"
 
 # gofmt compliance; fails listing the offending files.
@@ -35,6 +35,14 @@ race:
 cover: test
 	@dead=$$($(GO) tool cover -func=cover.out | awk '$$NF == "0.0%"'); \
 	if [ -n "$$dead" ]; then echo "cover: internal functions no test reaches:"; echo "$$dead"; exit 1; fi
+
+# Runs every program under examples/; each exits non-zero (log.Fatal) when
+# a result it demonstrates does not hold.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 # One iteration of every derivation-engine and prune benchmark and of the
 # expansion benchmark: catches bit-rot in the bench harness and
@@ -83,9 +91,9 @@ cluster-smoke:
 # conformance checking against the monitor determinized from the
 # converter's specification. -assert-clean exits non-zero unless every
 # session completes with zero conformance violations and zero lost
-# sessions. The second fleet runs two workers, so each publishes its
-# tallies to the merged report, under burst losses and delay, which takes
-# the delayed-delivery wake path. Last, the AB→NS closed system soaks
+# sessions. The second fleet runs two workers, whose counters the report
+# sums, under burst losses and delay, which takes the delayed-delivery wake
+# path. Last, the AB→NS closed system soaks
 # 10,000 messages under every fault class with the converter, service and
 # progress checks on; convsim exits non-zero on a violation, a deadlock, a
 # livelock or an out-of-order delivery.
@@ -96,7 +104,7 @@ convrt-smoke:
 	$(GO) run ./cmd/convrt -sessions 1000 -steps 300 -seed 2 -workers 2 \
 		-faults 'loss=0.05,dup=0.05,reorder=0.05,corrupt=0.02,burst=3,delay=5us' \
 		-assert-clean
-	$(GO) run ./cmd/convsim -scenario abns -conform -soak 10000 -seed 1 \
+	$(GO) run ./cmd/convsim -conform -soak 10000 -seed 1 \
 		-faults 'loss=0.2,dup=0.1,reorder=0.05,corrupt=0.02,burst=3,delay=5us'
 
 # Short fuzzing bursts over the DSL parser, the canonical-form hasher,

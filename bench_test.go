@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	goruntime "runtime"
 	"syscall"
 	"testing"
@@ -21,7 +20,6 @@ import (
 	"protoquot/internal/convrt"
 	"protoquot/internal/core"
 	"protoquot/internal/dsl"
-	"protoquot/internal/engine"
 	"protoquot/internal/protocols"
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -369,16 +367,6 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 			}
 			b.ReportMetric(float64(rep.Delivered)/rep.Elapsed.Seconds(), "msgs/s")
 		})
-	}
-}
-
-func BenchmarkEngineWalkABSystem(b *testing.B) {
-	sys := protocols.ABSystem()
-	rng := rand.New(rand.NewSource(2))
-	r := engine.New(sys, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Walk(1000)
 	}
 }
 

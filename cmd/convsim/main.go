@@ -1,44 +1,32 @@
-// Command convsim simulates conversion systems.
+// Command convsim deploys the paper's AB→NS conversion as a closed system.
 //
-// Two modes:
+//	convsim [-messages n] [-soak n] [-seed s] [-conform] [-mutate f:e:t]
+//	        [-faults loss=0.2,dup=0.1,reorder=0.05]
 //
-//	convsim -walk closed.spec [-steps n] [-seed s] [-runs r]
-//
-// runs fair random walks over a closed specification (one whose events are
-// all user-facing), reporting per-event counts, internal activity, and any
-// deadlock encountered; and
-//
-//	convsim -scenario abns [-messages n] [-soak n] [-loss p] [-seed s]
-//	        [-faults loss=0.2,dup=0.1,reorder=0.05] [-conform] [-mutate f:e:t]
-//
-// deploys the paper's AB→NS conversion as a closed system (convrt's
-// RunSystem): the AB sender, the derived and pruned converter and the NS
-// receiver run as compiled tables joined by bounded FIFO links, in one
-// deterministic loop, and the run reports delivery and fault statistics.
-// -faults selects a full fault model (loss, dup, reorder, corrupt, delay,
-// burst; delay counts loop steps, one per nanosecond); -conform checks
-// every converter event against the derived converter, every service event
-// against the service specification, and progress when the run quiesces;
-// -soak n is shorthand for a long -messages run; -mutate from:event:to
-// redirects one converter transition before deployment, demonstrating that
-// the check catches the divergence. A report is a function of its flags and
-// seed: two runs print the same report apart from the elapsed line.
+// The AB sender, the derived and pruned converter and the NS receiver run as
+// compiled tables joined by bounded FIFO links, in one deterministic loop
+// (convrt's RunSystem), and the run reports delivery and fault statistics.
+// -faults selects the fault model of the sender–converter link (loss, dup,
+// reorder, corrupt, delay, burst; delay counts loop steps, one per
+// nanosecond), by default loss=0.2; -conform checks every converter event
+// against the derived converter, every service event against the service
+// specification, and progress when the run quiesces; -soak n is shorthand
+// for a long -messages run; -mutate from:event:to redirects one converter
+// transition before deployment, demonstrating that the check catches the
+// divergence. A report is a function of its flags and seed: two runs print
+// the same report apart from the elapsed line.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"protoquot/internal/convrt"
 	"protoquot/internal/core"
-	"protoquot/internal/dsl"
-	"protoquot/internal/engine"
 	"protoquot/internal/protocols"
 	"protoquot/internal/runtime"
 	"protoquot/internal/spec"
@@ -69,7 +57,7 @@ func (ew *errWriter) Write(p []byte) (int, error) {
 
 func run(args []string, stdout, stderr io.Writer) int {
 	out := &errWriter{w: stdout}
-	code := runMode(args, out, stderr)
+	code := simulate(args, out, stderr)
 	if out.err != nil {
 		fmt.Fprintf(stderr, "convsim: writing report: %v\n", out.err)
 		if code == 0 {
@@ -79,17 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return code
 }
 
-func runMode(args []string, stdout, stderr io.Writer) int {
+func simulate(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("convsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		walkPath = fs.String("walk", "", "closed specification file to random-walk")
-		scenario = fs.String("scenario", "", `built-in scenario ("abns")`)
-		steps    = fs.Int("steps", 10000, "walk length in moves")
-		runs     = fs.Int("runs", 1, "number of walks")
-		messages = fs.Int("messages", 25, "payloads to send in scenario mode")
-		loss     = fs.Float64("loss", 0.2, "per-message loss probability in scenario mode")
-		faults   = fs.String("faults", "", `fault model, e.g. "loss=0.2,dup=0.1,reorder=0.05" (overrides -loss)`)
+		messages = fs.Int("messages", 25, "payloads to send")
+		faults   = fs.String("faults", "loss=0.2", `fault model, e.g. "loss=0.2,dup=0.1,reorder=0.05"`)
 		conform  = fs.Bool("conform", false, "check every executed event against the derived specs online")
 		soak     = fs.Int("soak", 0, "soak-test message count (overrides -messages, implies -conform)")
 		mutate   = fs.String("mutate", "", `deploy a mutated converter, "from:event:to" (implies -conform)`)
@@ -98,84 +81,80 @@ func runMode(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
-	switch {
-	case *walkPath != "" && *scenario == "":
-		return runWalk(stdout, stderr, *walkPath, *steps, *runs, *seed)
-	case *scenario == "abns" && *walkPath == "":
-		cfg := abnsConfig{
-			messages: *messages, loss: *loss, faults: *faults, conform: *conform,
-			soak: *soak, mutate: *mutate, seed: *seed,
-		}
-		return runABNS(stdout, stderr, cfg)
-	default:
-		fmt.Fprintln(stderr, "convsim: exactly one of -walk or -scenario abns is required")
-		fs.Usage()
-		return 1
-	}
-}
-
-func runWalk(stdout, stderr io.Writer, path string, steps, runs int, seed int64) int {
-	f, err := os.Open(path)
+	model, err := runtime.ParseFaults(*faults)
 	if err != nil {
 		fmt.Fprintf(stderr, "convsim: %v\n", err)
 		return 1
 	}
-	specs, perr := dsl.Parse(f)
-	f.Close()
-	if perr != nil {
-		fmt.Fprintf(stderr, "convsim: %v\n", perr)
+	n := *messages
+	if *soak > 0 {
+		n = *soak
+	}
+	check := *conform || *soak > 0 || *mutate != ""
+
+	fmt.Fprintf(stdout, "deriving AB→NS converter (eventually-reliable channel model)…\n")
+	maximal, conv, err := deriveABNS()
+	if err != nil {
+		fmt.Fprintf(stderr, "convsim: %v\n", err)
 		return 1
 	}
-	if len(specs) != 1 {
-		fmt.Fprintf(stderr, "convsim: expected one spec in %s, found %d\n", path, len(specs))
+	fmt.Fprintf(stdout, "converter: %d states maximal, %d after pruning\n",
+		maximal.NumStates(), conv.NumStates())
+
+	deployed, ref := conv, (*spec.Spec)(nil)
+	if *mutate != "" {
+		parts := strings.SplitN(*mutate, ":", 3)
+		if len(parts) != 3 {
+			fmt.Fprintf(stderr, "convsim: -mutate wants from:event:to, got %q\n", *mutate)
+			return 1
+		}
+		mut, err := redirectEdge(conv, parts[0], spec.Event(parts[1]), parts[2])
+		if err != nil {
+			fmt.Fprintf(stderr, "convsim: %v\n", err)
+			return 1
+		}
+		deployed, ref = mut, conv
+		fmt.Fprintf(stdout, "mutated converter: %s --%s→ %s (monitoring against the derived original)\n",
+			parts[0], parts[1], parts[2])
+	}
+	fmt.Fprintf(stdout, "seed %d, faults %s, %d messages\n", *seed, model, n)
+
+	r, err := convrt.RunSystem(abnsSystem(deployed, ref, model, n, *seed, check))
+	if err != nil {
+		fmt.Fprintf(stderr, "convsim: %v\n", err)
 		return 1
 	}
-	s := specs[0]
-	if tr, state, found := engine.FindDeadlock(s); found {
-		fmt.Fprintf(stdout, "reachable deadlock at %s via trace %v\n", state, tr)
+
+	fmt.Fprintf(stdout, "accepted %d payloads, delivered %d (in order: %v)\n",
+		r.Accepted, r.Delivered, r.InOrder)
+	fmt.Fprintf(stdout, "AB data link: %s\n", r.Links[0])
+	fmt.Fprintf(stdout, "AB ack link: %s\n", r.Links[1])
+	fmt.Fprintf(stdout, "run: %d steps, %d stale messages discarded\n", r.Steps, r.Stale)
+	if check {
+		fmt.Fprintf(stdout, "conformance: %d converter events, %d service events checked\n",
+			r.ConvEvents, r.SvcEvents)
 	}
-	if state, found := engine.FindLivelock(s); found {
-		fmt.Fprintf(stdout, "reachable livelock (silent internal cycle) at %s\n", state)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	totals := map[spec.Event]int{}
-	internal, deadlocks := 0, 0
-	for i := 0; i < runs; i++ {
-		r := engine.New(s, rng)
-		res := r.Walk(steps)
-		for e, n := range res.EventCount {
-			totals[e] += n
-		}
-		internal += res.InternalSteps
-		if res.Deadlocked {
-			deadlocks++
-			fmt.Fprintf(stdout, "run %d: deadlocked at %s after %d steps\n", i, res.FinalState, res.Steps)
-		}
-	}
-	fmt.Fprintf(stdout, "%d run(s) × %d steps over %s\n", runs, steps, s)
-	fmt.Fprintf(stdout, "internal moves: %d\n", internal)
-	var events []string
-	for e := range totals {
-		events = append(events, string(e))
-	}
-	sort.Strings(events)
-	for _, e := range events {
-		fmt.Fprintf(stdout, "  %-12s %d\n", e, totals[spec.Event(e)])
-	}
-	if deadlocks > 0 {
-		fmt.Fprintf(stdout, "deadlocked runs: %d\n", deadlocks)
+	fmt.Fprintf(stdout, "elapsed: %v (%.0f msgs/sec)\n", r.Elapsed.Round(time.Microsecond),
+		float64(r.Delivered)/r.Elapsed.Seconds())
+
+	switch {
+	case r.Violation != nil:
+		fmt.Fprintf(stderr, "convsim: conformance violation (reproduce with -seed %d): %v\n",
+			*seed, r.Violation)
+		return 1
+	case r.Livelock:
+		fmt.Fprintf(stderr, "convsim: livelock, the step bound ran out with %d/%d delivered (reproduce with -seed %d)\n",
+			r.Delivered, n, *seed)
+		return 1
+	case r.Deadlock:
+		fmt.Fprintf(stderr, "convsim: deadlock with %d/%d delivered (reproduce with -seed %d)\n",
+			r.Delivered, n, *seed)
+		return 1
+	case !r.OK():
+		fmt.Fprintf(stderr, "convsim: delivery guarantee violated (reproduce with -seed %d)\n", *seed)
+		return 1
 	}
 	return 0
-}
-
-type abnsConfig struct {
-	messages int
-	loss     float64
-	faults   string
-	conform  bool
-	soak     int
-	mutate   string
-	seed     int64
 }
 
 // deriveABNS derives the AB→NS converter against the eventually-reliable
@@ -212,85 +191,4 @@ func abnsSystem(conv, ref *spec.Spec, faults runtime.FaultModel, messages int, s
 		Seed:     seed,
 		Check:    check,
 	}
-}
-
-func runABNS(stdout, stderr io.Writer, cfg abnsConfig) int {
-	model := runtime.FaultModel{Loss: cfg.loss}
-	if cfg.faults != "" {
-		var err error
-		model, err = runtime.ParseFaults(cfg.faults)
-		if err != nil {
-			fmt.Fprintf(stderr, "convsim: %v\n", err)
-			return 1
-		}
-	}
-	messages := cfg.messages
-	if cfg.soak > 0 {
-		messages = cfg.soak
-	}
-	check := cfg.conform || cfg.soak > 0 || cfg.mutate != ""
-
-	fmt.Fprintf(stdout, "deriving AB→NS converter (eventually-reliable channel model)…\n")
-	maximal, conv, err := deriveABNS()
-	if err != nil {
-		fmt.Fprintf(stderr, "convsim: %v\n", err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "converter: %d states maximal, %d after pruning\n",
-		maximal.NumStates(), conv.NumStates())
-
-	deployed, ref := conv, (*spec.Spec)(nil)
-	if cfg.mutate != "" {
-		parts := strings.SplitN(cfg.mutate, ":", 3)
-		if len(parts) != 3 {
-			fmt.Fprintf(stderr, "convsim: -mutate wants from:event:to, got %q\n", cfg.mutate)
-			return 1
-		}
-		mut, err := redirectEdge(conv, parts[0], spec.Event(parts[1]), parts[2])
-		if err != nil {
-			fmt.Fprintf(stderr, "convsim: %v\n", err)
-			return 1
-		}
-		deployed, ref = mut, conv
-		fmt.Fprintf(stdout, "mutated converter: %s --%s→ %s (monitoring against the derived original)\n",
-			parts[0], parts[1], parts[2])
-	}
-	fmt.Fprintf(stdout, "seed %d, faults %s, %d messages\n", cfg.seed, model, messages)
-
-	r, err := convrt.RunSystem(abnsSystem(deployed, ref, model, messages, cfg.seed, check))
-	if err != nil {
-		fmt.Fprintf(stderr, "convsim: %v\n", err)
-		return 1
-	}
-
-	fmt.Fprintf(stdout, "accepted %d payloads, delivered %d (in order: %v)\n",
-		r.Accepted, r.Delivered, r.InOrder)
-	fmt.Fprintf(stdout, "AB data link: %s\n", r.Links[0])
-	fmt.Fprintf(stdout, "AB ack link: %s\n", r.Links[1])
-	fmt.Fprintf(stdout, "run: %d steps, %d stale messages discarded\n", r.Steps, r.Stale)
-	if check {
-		fmt.Fprintf(stdout, "conformance: %d converter events, %d service events checked\n",
-			r.ConvEvents, r.SvcEvents)
-	}
-	fmt.Fprintf(stdout, "elapsed: %v (%.0f msgs/sec)\n", r.Elapsed.Round(time.Microsecond),
-		float64(r.Delivered)/r.Elapsed.Seconds())
-
-	switch {
-	case r.Violation != nil:
-		fmt.Fprintf(stderr, "convsim: conformance violation (reproduce with -seed %d): %v\n",
-			cfg.seed, r.Violation)
-		return 1
-	case r.Livelock:
-		fmt.Fprintf(stderr, "convsim: livelock, the step bound ran out with %d/%d delivered (reproduce with -seed %d)\n",
-			r.Delivered, messages, cfg.seed)
-		return 1
-	case r.Deadlock:
-		fmt.Fprintf(stderr, "convsim: deadlock with %d/%d delivered (reproduce with -seed %d)\n",
-			r.Delivered, messages, cfg.seed)
-		return 1
-	case !r.OK():
-		fmt.Fprintf(stderr, "convsim: delivery guarantee violated (reproduce with -seed %d)\n", cfg.seed)
-		return 1
-	}
-	return 0
 }

@@ -2,50 +2,13 @@ package main
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"protoquot/internal/dsl"
-	"protoquot/internal/protocols"
 )
-
-func TestWalkABSystem(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "ab.spec")
-	if err := os.WriteFile(p, []byte(dsl.String(protocols.ABSystem())), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out, errb strings.Builder
-	if code := run([]string{"-walk", p, "-steps", "5000", "-runs", "2"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "acc") || !strings.Contains(s, "del") {
-		t.Errorf("event counts missing:\n%s", s)
-	}
-	if strings.Contains(s, "deadlock") {
-		t.Errorf("AB system should not deadlock:\n%s", s)
-	}
-}
-
-func TestWalkReportsDeadlock(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "d.spec")
-	os.WriteFile(p, []byte("spec D\ninit a\next a x b\n"), 0o644)
-	var out, errb strings.Builder
-	if code := run([]string{"-walk", p, "-steps", "10"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "deadlock") {
-		t.Errorf("deadlock not reported:\n%s", out.String())
-	}
-}
 
 func TestScenarioABNS(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-scenario", "abns", "-messages", "8", "-loss", "0.3", "-seed", "7"}, &out, &errb)
+	code := run([]string{"-messages", "8", "-faults", "loss=0.3", "-seed", "7"}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
@@ -73,7 +36,7 @@ func stripElapsed(s string) string {
 func TestScenarioABNSGolden(t *testing.T) {
 	runSeed := func(seed string) string {
 		var out, errb strings.Builder
-		args := []string{"-scenario", "abns", "-faults", "loss=0.2,dup=0.1,reorder=0.05,corrupt=0.02,burst=3,delay=5us",
+		args := []string{"-faults", "loss=0.2,dup=0.1,reorder=0.05,corrupt=0.02,burst=3,delay=5us",
 			"-conform", "-messages", "500", "-seed", seed}
 		if code := run(args, &out, &errb); code != 0 {
 			t.Fatalf("exit %d: %s", code, errb.String())
@@ -113,7 +76,7 @@ func TestScenarioABNSGolden(t *testing.T) {
 // reproduction seed.
 func TestScenarioABNSMutant(t *testing.T) {
 	var out, errb strings.Builder
-	code := run([]string{"-scenario", "abns", "-mutate", "c12:+d0:c1",
+	code := run([]string{"-mutate", "c12:+d0:c1",
 		"-faults", "loss=0.2,dup=0.1,reorder=0.05", "-messages", "1000",
 		"-seed", "42"}, &out, &errb)
 	if code == 0 {
@@ -132,30 +95,27 @@ func TestScenarioABNSMutant(t *testing.T) {
 
 func TestScenarioFlagErrors(t *testing.T) {
 	var out, errb strings.Builder
-	if code := run([]string{"-scenario", "abns", "-faults", "bogus=1"}, &out, &errb); code != 1 {
+	if code := run([]string{"-faults", "bogus=1"}, &out, &errb); code != 1 {
 		t.Error("bad -faults should exit 1")
 	}
-	if code := run([]string{"-scenario", "abns", "-mutate", "nope"}, &out, &errb); code != 1 {
+	if code := run([]string{"-mutate", "nope"}, &out, &errb); code != 1 {
 		t.Error("malformed -mutate should exit 1")
 	}
-	if code := run([]string{"-scenario", "abns", "-mutate", "c0:+d9:c1"}, &out, &errb); code != 1 {
+	if code := run([]string{"-mutate", "c0:+d9:c1"}, &out, &errb); code != 1 {
 		t.Error("nonexistent mutation edge should exit 1")
 	}
 }
 
+// TestUsageErrors: an unknown flag, such as a walk or scenario selector,
+// exits 1.
 func TestUsageErrors(t *testing.T) {
-	var out, errb strings.Builder
-	if code := run(nil, &out, &errb); code != 1 {
-		t.Error("no mode should exit 1")
-	}
-	if code := run([]string{"-walk", "x", "-scenario", "abns"}, &out, &errb); code != 1 {
-		t.Error("both modes should exit 1")
-	}
-	if code := run([]string{"-walk", "/nonexistent"}, &out, &errb); code != 1 {
-		t.Error("missing file should exit 1")
-	}
-	if code := run([]string{"-scenario", "bogus"}, &out, &errb); code != 1 {
-		t.Error("unknown scenario should exit 1")
+	for _, args := range [][]string{
+		{"-walk", "x"}, {"-steps", "10"}, {"-runs", "2"}, {"-scenario", "abns"}, {"-loss", "0.2"},
+	} {
+		var out, errb strings.Builder
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit %d, want 1", args, code)
+		}
 	}
 }
 
@@ -187,7 +147,7 @@ var errWriteFailed = errors.New("write failed: no space left on device")
 func TestReportWriteErrorsPropagate(t *testing.T) {
 	var errb strings.Builder
 	out := &failAfterWriter{n: 64}
-	code := run([]string{"-scenario", "abns", "-soak", "10", "-seed", "1"}, out, &errb)
+	code := run([]string{"-soak", "10", "-seed", "1"}, out, &errb)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 when the report write fails\nstderr: %s", code, errb.String())
 	}
@@ -198,7 +158,7 @@ func TestReportWriteErrorsPropagate(t *testing.T) {
 
 	// The same run with a working writer still passes.
 	var good, errb2 strings.Builder
-	if code := run([]string{"-scenario", "abns", "-soak", "10", "-seed", "1"}, &good, &errb2); code != 0 {
+	if code := run([]string{"-soak", "10", "-seed", "1"}, &good, &errb2); code != 0 {
 		t.Fatalf("control run failed: exit %d: %s", code, errb2.String())
 	}
 }

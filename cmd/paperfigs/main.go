@@ -23,7 +23,6 @@ import (
 	"protoquot"
 	"protoquot/internal/core"
 	"protoquot/internal/dsl"
-	"protoquot/internal/engine"
 	"protoquot/internal/protocols"
 	"protoquot/internal/render"
 	"protoquot/internal/sat"
@@ -225,11 +224,6 @@ func generate(sum *strings.Builder, dir string, skipSlow bool) error {
 	}
 	head("Deployment  eventually-reliable channel model: converter %d states maximal, %d pruned (the canonical relay)",
 		erRes.Stats.FinalStates, erPruned.NumStates())
-
-	// Sanity: no reachable deadlock in the deployed conversion system.
-	if _, st, found := engine.FindDeadlock(ab); found {
-		head("WARNING: AB system has a reachable deadlock at %s", st)
-	}
 	return nil
 }
 

@@ -3,69 +3,21 @@ package convrt
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"protoquot/internal/spec"
 )
 
-// workerMetrics is one worker's counter shard. The per-message counters
-// (steps, offers, stale discards, fault classes) and the two histograms are
-// plain single-writer tallies in local: the owning worker adds to them
-// with ordinary arithmetic and publish copies them into the atomics below,
-// which is all a concurrent Metrics reader touches. runShard publishes
-// every publishEvery sessions within a sweep and at the end of each sweep,
-// so a live snapshot lags a worker by at most publishEvery session pumps
-// and the final report is exact. The rare lifecycle counters (audits,
-// resets, violations, starvation, completion, failure) are added
-// atomically where they happen: each rides on work far costlier than the
-// add (an enabled-set comparison, a reset, a session's end).
+// workerMetrics is one worker's counter shard: plain tallies and two
+// histograms that only the owning worker writes. Run sums the shards after
+// every worker has finished, so no counter needs to be atomic.
 type workerMetrics struct {
-	local tally
-	wait  histogram // enqueue→execute nanoseconds, one sample per executed step
-	svc   histogram // per-sweep mean service time per executed step, weighted by its steps
-
-	steps      atomic.Int64
-	proposed   atomic.Int64
-	stale      atomic.Int64
-	dropped    atomic.Int64
-	corrupted  atomic.Int64
-	duplicated atomic.Int64
-	reordered  atomic.Int64
-	delayed    atomic.Int64
-
-	resets     atomic.Int64
-	audits     atomic.Int64
-	violations atomic.Int64
-	starved    atomic.Int64
-	completed  atomic.Int64
-	failed     atomic.Int64
+	Metrics           // counters only; the quantile fields stay zero
+	wait    histogram // enqueue→execute nanoseconds, one sample per executed step
+	svc     histogram // per-sweep mean service time per executed step, weighted by its steps
 
 	vioMu   *sync.Mutex  // shared across workers; guards vios
 	vios    *[]Violation // shared violation detail sink, capped
 	vioCap_ int
-}
-
-// tally is the owner-only half of a workerMetrics.
-type tally struct {
-	steps, proposed, stale                             int64
-	dropped, corrupted, duplicated, reordered, delayed int64
-}
-
-// publish makes the owner's tallies visible to Metrics readers. Only the
-// owning worker calls it; each store carries a cumulative total, so
-// snapshots stay monotone.
-func (m *workerMetrics) publish() {
-	l := &m.local
-	m.steps.Store(l.steps)
-	m.proposed.Store(l.proposed)
-	m.stale.Store(l.stale)
-	m.dropped.Store(l.dropped)
-	m.corrupted.Store(l.corrupted)
-	m.duplicated.Store(l.duplicated)
-	m.reordered.Store(l.reordered)
-	m.delayed.Store(l.delayed)
-	m.wait.publish()
-	m.svc.publish()
 }
 
 // recordViolation appends detail for the first few violations run-wide.
@@ -110,43 +62,25 @@ func bucketMid(b int) int64 {
 	return lo + (int64(1)<<shift)/2
 }
 
-// histogram is an allocation-free single-writer histogram with a
-// published copy. The owner observes into counts; publish copies the
-// buckets touched since the last publication into pub, which readers load.
+// histogram is an allocation-free single-writer histogram.
 type histogram struct {
 	counts [histBuckets]int64
-	lo, hi int // buckets touched since the last publish; lo > hi when none
-	pub    [histBuckets]atomic.Int64
 }
 
 // observe adds w samples of duration ns.
 func (h *histogram) observe(ns, w int64) {
-	b := bucketOf(ns)
-	h.counts[b] += w
-	if b < h.lo {
-		h.lo = b
-	}
-	if b > h.hi {
-		h.hi = b
-	}
+	h.counts[bucketOf(ns)] += w
 }
 
-func (h *histogram) publish() {
-	for b := h.lo; b <= h.hi; b++ {
-		h.pub[b].Store(h.counts[b])
-	}
-	h.lo, h.hi = histBuckets, -1
-}
-
-// quantiles merges the published histograms and returns the p50 and p99
-// sample values (bucket midpoints) at ranks ⌊q·(n−1)⌋ of the n samples, or
-// zeros when there are none. Snapshot-path work, never on the step path.
+// quantiles merges the histograms and returns the p50 and p99 sample
+// values (bucket midpoints) at ranks ⌊q·(n−1)⌋ of the n samples, or zeros
+// when there are none. Report-path work, never on the step path.
 func quantiles(hs []*histogram) (p50, p99 int64) {
 	var merged [histBuckets]int64
 	var n int64
 	for _, h := range hs {
 		for b := range merged {
-			c := h.pub[b].Load()
+			c := h.counts[b]
 			merged[b] += c
 			n += c
 		}
@@ -189,10 +123,8 @@ type Violation struct {
 	TableEnabled []spec.Event
 }
 
-// Metrics is a point-in-time snapshot of a run: throughput counters, the
-// session gauges, and the step-wait quantiles from the merged per-worker
-// histograms. Returned by Runner.Metrics (live) and embedded in the final
-// Report.
+// Metrics is a run's counters, its session outcomes, and the step-wait
+// quantiles from the merged per-worker histograms, embedded in the Report.
 type Metrics struct {
 	// Steps counts executed converter events — the msgs/sec numerator.
 	Steps int64
@@ -214,8 +146,8 @@ type Metrics struct {
 	// Starved counts sessions failed by the starvation guard.
 	Starved int64
 
-	// SessionsActive/Completed/Failed partition the configured sessions.
-	SessionsActive    int64
+	// SessionsCompleted/Failed and Report.Canceled partition the configured
+	// sessions.
 	SessionsCompleted int64
 	SessionsFailed    int64
 
@@ -226,20 +158,20 @@ type Metrics struct {
 	P99StepNs int64
 }
 
-// merge folds one worker shard's published counters into the snapshot.
-func (s *Metrics) merge(m *workerMetrics) {
-	s.Steps += m.steps.Load()
-	s.Proposed += m.proposed.Load()
-	s.Stale += m.stale.Load()
-	s.Dropped += m.dropped.Load()
-	s.Corrupted += m.corrupted.Load()
-	s.Duplicated += m.duplicated.Load()
-	s.Reordered += m.reordered.Load()
-	s.Delayed += m.delayed.Load()
-	s.Resets += m.resets.Load()
-	s.Audits += m.audits.Load()
-	s.Violations += m.violations.Load()
-	s.Starved += m.starved.Load()
-	s.SessionsCompleted += m.completed.Load()
-	s.SessionsFailed += m.failed.Load()
+// add folds one worker shard's counters into s.
+func (s *Metrics) add(m *Metrics) {
+	s.Steps += m.Steps
+	s.Proposed += m.Proposed
+	s.Stale += m.Stale
+	s.Dropped += m.Dropped
+	s.Corrupted += m.Corrupted
+	s.Duplicated += m.Duplicated
+	s.Reordered += m.Reordered
+	s.Delayed += m.Delayed
+	s.Resets += m.Resets
+	s.Audits += m.Audits
+	s.Violations += m.Violations
+	s.Starved += m.Starved
+	s.SessionsCompleted += m.SessionsCompleted
+	s.SessionsFailed += m.SessionsFailed
 }

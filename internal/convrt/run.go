@@ -117,14 +117,11 @@ type Report struct {
 	MsgsPerSec float64
 }
 
-// Runner executes a Config. Construct with NewRunner, call Run once;
-// Metrics may be called concurrently with Run for a live snapshot (the
-// metrics surface a dashboard would poll).
+// Runner executes a Config. Construct with NewRunner, call Run once.
 type Runner struct {
 	cfg     Config
 	workers []*workerMetrics
 	shards  [][]Session
-	active  atomic.Int64
 	vioMu   sync.Mutex
 	vios    []Violation
 	started atomic.Bool
@@ -160,7 +157,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			s.faults = newFaultSched(cfg.Faults)
 		}
 	}
-	r.active.Store(int64(cfg.Sessions))
 	return r, nil
 }
 
@@ -175,19 +171,7 @@ func shardRange(n, k, w int) (lo, hi int) {
 	return lo, hi
 }
 
-// Metrics returns a live snapshot: counters, session gauges, and latency
-// quantiles. Safe to call from any goroutine at any time.
-func (r *Runner) Metrics() Metrics {
-	var s Metrics
-	for _, m := range r.workers {
-		s.merge(m)
-	}
-	s.SessionsActive = r.active.Load()
-	s.P50StepNs, s.P99StepNs = r.quantiles(func(m *workerMetrics) *histogram { return &m.wait })
-	return s
-}
-
-// quantiles merges one published histogram per worker.
+// quantiles merges one histogram per worker.
 func (r *Runner) quantiles(of func(*workerMetrics) *histogram) (p50, p99 int64) {
 	hs := make([]*histogram, len(r.workers))
 	for i, m := range r.workers {
@@ -214,7 +198,10 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	wg.Wait()
 
 	rep := &Report{Sessions: r.cfg.Sessions, Elapsed: time.Since(start)}
-	rep.Metrics = r.Metrics()
+	for _, m := range r.workers {
+		rep.add(&m.Metrics)
+	}
+	rep.P50StepNs, rep.P99StepNs = r.quantiles(func(m *workerMetrics) *histogram { return &m.wait })
 	rep.ServiceP50Ns, rep.ServiceP99Ns = r.quantiles(func(m *workerMetrics) *histogram { return &m.svc })
 	rep.Canceled = int64(r.cfg.Sessions) - rep.SessionsCompleted - rep.SessionsFailed
 	r.vioMu.Lock()
@@ -226,19 +213,11 @@ func (r *Runner) Run(ctx context.Context) (*Report, error) {
 	return rep, ctx.Err()
 }
 
-// publishEvery is how many session slots a worker sweeps between
-// publications of its tallies (a power of two). With the publication at
-// the end of every sweep, a live Metrics snapshot lags a worker by at most
-// publishEvery session pumps, each at most 2·Window steps and Window
-// offers, however large its shard.
-const publishEvery = 256
-
 // runShard is one worker's scheduler loop: sweep the shard's sessions,
 // pumping each; when a full sweep makes no progress, either everything is
 // done, or the earliest delayed message tells us how long to sleep. The
 // ctx check and the clock read sit once per sweep, not per message.
 func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics) {
-	defer m.publish()
 	var clock sweepClock
 	remaining := len(shard)
 	for remaining > 0 {
@@ -251,18 +230,12 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 		var wakeAt int64
 		remaining = 0
 		for i := range shard {
-			if i&(publishEvery-1) == publishEvery-1 {
-				m.publish()
-			}
 			s := &shard[i]
 			if s.done {
 				continue
 			}
 			if s.pump(now, m) {
 				progress = true
-			}
-			if s.done {
-				r.active.Add(-1)
 			}
 			if !s.done {
 				remaining++
@@ -271,7 +244,6 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 				}
 			}
 		}
-		m.publish()
 		if remaining > 0 && !progress {
 			if wakeAt > 0 {
 				// Every runnable session is waiting out a delay fault.
@@ -290,9 +262,8 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 				if !s.done {
 					s.failed = true
 					s.done = true
-					m.failed.Add(1)
-					m.starved.Add(1)
-					r.active.Add(-1)
+					m.SessionsFailed++
+					m.Starved++
 				}
 			}
 			return
@@ -308,10 +279,10 @@ func (r *Runner) runShard(ctx context.Context, shard []Session, m *workerMetrics
 type sweepClock struct{ startNs, startSteps int64 }
 
 func (c *sweepClock) tick(m *workerMetrics, now int64) {
-	if k := m.local.steps - c.startSteps; k > 0 {
+	if k := m.Steps - c.startSteps; k > 0 {
 		m.svc.observe((now-c.startNs)/k, k)
 	}
-	c.startNs, c.startSteps = now, m.local.steps
+	c.startNs, c.startSteps = now, m.Steps
 }
 
 // sleepCtx sleeps d or until ctx is done, whichever first.

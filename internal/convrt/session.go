@@ -38,8 +38,7 @@ import (
 // A session is owned by exactly one worker goroutine (see Runner); only
 // the immutable *Table and monitor are shared. The steady-state pump path —
 // deliver, step, check, offer, audit — allocates nothing, and counts into
-// its worker's plain tallies: the only atomic adds it makes are for an
-// audit, a reset or a session's end (see workerMetrics).
+// its worker's plain tallies (see workerMetrics).
 type Session struct {
 	t   *Table
 	mon *monitor // nil when conformance is off
@@ -161,7 +160,7 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 		progress = true
 		nxt, ok := s.t.Step(s.state, ev)
 		if !ok {
-			m.local.stale++
+			m.Stale++
 			continue
 		}
 		if s.mon != nil {
@@ -174,7 +173,7 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 		}
 		s.state = nxt
 		s.stepsDone++
-		m.local.steps++
+		m.Steps++
 		m.wait.observe(nowNs-enq, 1)
 		if s.conformEvery > 0 {
 			s.sinceAudit++
@@ -188,7 +187,7 @@ func (s *Session) pump(nowNs int64, m *workerMetrics) bool {
 		if s.stepsDone >= s.target {
 			s.done = true
 			s.count = 0 // drain whatever is still in flight
-			m.completed.Add(1)
+			m.SessionsCompleted++
 			return true
 		}
 	}
@@ -227,36 +226,36 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 		nxt, _ := s.t.Step(s.pred, ev)
 		s.pred = nxt
 		s.proposals++
-		m.local.proposed++
+		m.Proposed++
 		if s.proposals > int64(starvationFactor*s.target)+1024 {
 			s.failed = true
 			s.done = true
 			s.count = 0
-			m.failed.Add(1)
-			m.starved.Add(1)
+			m.SessionsFailed++
+			m.Starved++
 			return true
 		}
 		hit, delayNs := s.faults.next(&s.rng)
 		switch {
 		case hit&faultDrop != 0:
-			m.local.dropped++
+			m.Dropped++
 			offered = true // the offer happened; the wire ate it
 			continue
 		case hit&faultCorrupt != 0:
-			m.local.corrupted++
+			m.Corrupted++
 			offered = true
 			continue
 		}
 		msg := wireMsg{ev: ev, enqNs: nowNs}
 		if delayNs > 0 {
 			msg.readyNs = nowNs + delayNs
-			m.local.delayed++
+			m.Delayed++
 		}
 		s.push(msg)
 		offered = true
 		if hit&faultDup != 0 && s.count < len(s.wire) {
 			s.push(msg)
-			m.local.duplicated++
+			m.Duplicated++
 		}
 		if hit&faultReorder != 0 && s.count >= 2 {
 			// Swap the two most recent offers: the new message overtakes
@@ -264,7 +263,7 @@ func (s *Session) offerBurst(nowNs int64, m *workerMetrics) bool {
 			i1 := s.slot(s.count - 1)
 			i2 := s.slot(s.count - 2)
 			s.wire[i1], s.wire[i2] = s.wire[i2], s.wire[i1]
-			m.local.reordered++
+			m.Reordered++
 		}
 	}
 	return offered
@@ -303,7 +302,7 @@ func (s *Session) reset(m *workerMetrics) {
 	s.state = s.t.Init()
 	s.pred = s.state
 	s.cur = 0
-	m.resets.Add(1)
+	m.Resets++
 }
 
 // fail latches a conformance violation: the table executed an event the
@@ -312,8 +311,8 @@ func (s *Session) fail(m *workerMetrics, ev int32) {
 	s.failed = true
 	s.done = true
 	s.count = 0
-	m.failed.Add(1)
-	m.violations.Add(1)
+	m.SessionsFailed++
+	m.Violations++
 	m.recordViolation(Violation{
 		Session: s.id,
 		Kind:    "safety",
@@ -330,7 +329,7 @@ func (s *Session) fail(m *workerMetrics, ev int32) {
 // catches one that is too restrictive, or a reference that enables events
 // outside the table alphabet). Returns false when a violation was latched.
 func (s *Session) auditEnabled(m *workerMetrics) bool {
-	m.audits.Add(1)
+	m.Audits++
 	got := s.t.Enabled(s.state)
 	if !s.mon.outside[s.cur] && slices.Equal(s.mon.enabled(s.cur), got) {
 		return true
@@ -338,8 +337,8 @@ func (s *Session) auditEnabled(m *workerMetrics) bool {
 	s.failed = true
 	s.done = true
 	s.count = 0
-	m.failed.Add(1)
-	m.violations.Add(1)
+	m.SessionsFailed++
+	m.Violations++
 	enabled := make([]spec.Event, len(got))
 	for i, ev := range got {
 		enabled[i] = s.t.EventName(ev)
