@@ -148,6 +148,18 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 		logger.Printf("quotd: preloaded %d spec(s) from %s", n, *preload)
 	}
 
+	if *preloadPeer != "" {
+		// Warm-start before listening and before joining the ring: a
+		// rejoining shard that serves its keyspace cold would stampede the
+		// engine it just came back for.
+		n, err := srv.PreloadFromPeer(context.Background(), *preloadPeer)
+		if err != nil {
+			logger.Printf("quotd: warm start from %s failed (serving cold): %v", *preloadPeer, err)
+		} else {
+			logger.Printf("quotd: warm-started %d artifact(s) from %s", n, *preloadPeer)
+		}
+	}
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "quotd: %v\n", err)
@@ -161,16 +173,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	if *preloadPeer != "" {
-		// Warm-start before joining the ring: a rejoining shard that serves
-		// its keyspace cold would stampede the engine it just came back for.
-		n, err := srv.PreloadFromPeer(context.Background(), *preloadPeer)
-		if err != nil {
-			logger.Printf("quotd: warm start from %s failed (serving cold): %v", *preloadPeer, err)
-		} else {
-			logger.Printf("quotd: warm-started %d artifact(s) from %s", n, *preloadPeer)
-		}
-	}
 	if *peers != "" {
 		self := *advertise
 		if self == "" {

@@ -22,10 +22,10 @@ var maxMonitorStates = 1 << 20
 // one array load per executed event, and the enabled-set audit an integer
 // slice compare.
 //
-// The construction reads the reference only through ExtEdges and
-// LambdaClosure and the table only through its id→name view (Events), never
-// through Compile or the table's transition arrays, so the monitor stays an
-// independent check of the code that produced the table. A monitor is
+// The construction reads the reference only through ExtEdges and its
+// λ-closure routines and the table only through its id→name view (Events),
+// never through Compile or the table's transition arrays, so the monitor
+// stays an independent check of the code that produced the table. A monitor is
 // immutable after newMonitor and shared by every session of a run; the
 // initial monitor state is 0.
 type monitor struct {
@@ -94,7 +94,7 @@ func newMonitor(ref *spec.Spec, events []spec.Event) (*monitor, error) {
 					outside = true
 					continue
 				}
-				targets[c] = append(targets[c], ref.LambdaClosure(ed.To)...)
+				targets[c] = append(targets[c], ed.To)
 			}
 		}
 		row := len(m.next)
@@ -105,8 +105,7 @@ func newMonitor(ref *spec.Spec, events []spec.Event) (*monitor, error) {
 			if len(ts) == 0 {
 				continue
 			}
-			slices.Sort(ts)
-			id, err := intern(slices.Compact(ts))
+			id, err := intern(ref.CloseSet(ts))
 			if err != nil {
 				return nil, err
 			}

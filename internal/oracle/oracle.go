@@ -152,10 +152,12 @@ func MaxSafeConverterTraces(a, b *spec.Spec, ext map[spec.Event]bool, intl []spe
 	return out
 }
 
+// closure ε-closes a state set of a by walking IntEdges, independently of
+// spec's own closure routines, and returns it sorted.
 func closure(a *spec.Spec, sts []spec.State) []spec.State {
 	seenSt := map[spec.State]bool{}
 	for _, st := range sts {
-		for _, u := range a.LambdaClosure(st) {
+		for u := range lambdaClosureRaw(a, st) {
 			seenSt[u] = true
 		}
 	}

@@ -111,7 +111,7 @@ func Safety(b, a *spec.Spec) error {
 		as string // canonical key of the A-subset
 	}
 	subsets := map[string][]spec.State{}
-	aInit := closeSet(a, []spec.State{a.Init()})
+	aInit := a.CloseSet([]spec.State{a.Init()})
 	ak := stateSetKey(aInit)
 	subsets[ak] = aInit
 
@@ -134,7 +134,7 @@ func Safety(b, a *spec.Spec) error {
 			push(cfg{t, c.as}, i, "", true)
 		}
 		for _, ed := range b.ExtEdges(c.b) {
-			nxt := stepSet(a, as, ed.Event)
+			nxt := a.StepSet(as, ed.Event)
 			if len(nxt) == 0 {
 				return &Violation{
 					Kind:   "safety",
@@ -239,39 +239,6 @@ func Satisfies(b, a *spec.Spec) error {
 	return progressWalk(b, a)
 }
 
-// closeSet ε-closes a state set of a and returns it sorted.
-func closeSet(a *spec.Spec, sts []spec.State) []spec.State {
-	seen := make(map[spec.State]bool)
-	for _, st := range sts {
-		for _, u := range a.LambdaClosure(st) {
-			seen[u] = true
-		}
-	}
-	out := make([]spec.State, 0, len(seen))
-	for st := range seen {
-		out = append(out, st)
-	}
-	sortStates(out)
-	return out
-}
-
-// stepSet advances an ε-closed set by event e and re-closes; nil if e is
-// not enabled anywhere in the set.
-func stepSet(a *spec.Spec, sts []spec.State, e spec.Event) []spec.State {
-	var nxt []spec.State
-	for _, st := range sts {
-		for _, ed := range a.ExtEdges(st) {
-			if ed.Event == e {
-				nxt = append(nxt, ed.To)
-			}
-		}
-	}
-	if len(nxt) == 0 {
-		return nil
-	}
-	return closeSet(a, nxt)
-}
-
 func stateSetKey(sts []spec.State) string {
 	var sb strings.Builder
 	for i, st := range sts {
@@ -281,12 +248,4 @@ func stateSetKey(sts []spec.State) string {
 		fmt.Fprint(&sb, int(st))
 	}
 	return sb.String()
-}
-
-func sortStates(sts []spec.State) {
-	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && sts[j] < sts[j-1]; j-- {
-			sts[j], sts[j-1] = sts[j-1], sts[j]
-		}
-	}
 }

@@ -3,7 +3,6 @@ package spec
 // This file computes the derived structures that the quotient algorithm and
 // the satisfaction checker consume:
 //
-//   λ*        — reflexive-transitive closure of the internal relation,
 //   sink sets — λ-SCCs with no escaping internal transition (paper §3),
 //   τ.s       — external events enabled in s,
 //   τ*.s      — external events enabled in any state internally reachable
@@ -11,6 +10,9 @@ package spec
 //   reachability from the initial state.
 //
 // All of it is computed once, at Build time, because Specs are immutable.
+// Sinks and τ* are properties of a λ-SCC, so they are stored once per SCC
+// and shared by its members. The λ*-closure of a state is not stored: it is
+// computed on demand by CloseSet.
 
 import "slices"
 
@@ -18,68 +20,10 @@ import "slices"
 func (s *Spec) finalize() {
 	n := s.NumStates()
 
-	// λ-SCCs via iterative Tarjan, then per-SCC "terminal" flag.
-	s.scc = make([]int, n)
-	s.computeSCCs()
-	numSCC := 0
-	for _, id := range s.scc {
-		if id+1 > numSCC {
-			numSCC = id + 1
-		}
-	}
-	s.sccSink = make([]bool, numSCC)
-	for i := range s.sccSink {
-		s.sccSink[i] = true
-	}
-	for st := 0; st < n; st++ {
-		for _, t := range s.intl[st] {
-			if s.scc[st] != s.scc[State(t)] {
-				s.sccSink[s.scc[st]] = false
-			}
-		}
-	}
-
-	// λ*-closure per state (sorted), by BFS over λ. A state with no
-	// internal move closes to itself alone; those one-state closures share
-	// one backing array.
-	s.closure = make([][]State, n)
-	self := make([]State, n)
-	mark := make([]int, n)
-	for i := range mark {
-		self[i] = State(i)
-		mark[i] = -1
-	}
-	var queue []State
-	for st := 0; st < n; st++ {
-		if len(s.intl[st]) == 0 {
-			s.closure[st] = self[st : st+1 : st+1]
-			continue
-		}
-		queue = queue[:0]
-		queue = append(queue, State(st))
-		mark[st] = st
-		for qi := 0; qi < len(queue); qi++ {
-			u := queue[qi]
-			for _, v := range s.intl[u] {
-				if mark[v] != st {
-					mark[v] = st
-					queue = append(queue, v)
-				}
-			}
-		}
-		cl := make([]State, len(queue))
-		copy(cl, queue)
-		sortStates(cl)
-		s.closure[st] = cl
-	}
-
 	// τ.s is the events of s's sorted adjacency with repeats dropped; every
 	// state's τ shares one backing array. A repeated event is two
 	// transitions on one event, so the spec is externally nondeterministic.
-	// τ*.s is τ.s when the λ-closure of s is {s}, and otherwise the sorted
-	// union of τ over the closure.
 	s.tau = make([][]Event, n)
-	s.tauStar = make([][]Event, n)
 	s.detExt = true
 	distinct := 0
 	for _, edges := range s.ext {
@@ -101,19 +45,49 @@ func (s *Spec) finalize() {
 		}
 		s.tau[st] = taus[start:len(taus):len(taus)]
 	}
-	for st := 0; st < n; st++ {
-		if len(s.closure[st]) == 1 {
-			s.tauStar[st] = s.tau[st]
+	s.hasIntl = s.numIntl > 0
+
+	// λ-SCCs via iterative Tarjan. Tarjan pops an SCC only after every SCC
+	// it reaches internally, so one pass over the pop order gives each SCC
+	// its sink flag and its τ*: the members' τ plus the successor SCCs' τ*.
+	// All members share the result; a singleton without a λ edge keeps
+	// τ* = τ.
+	s.scc = make([]int, n)
+	order := s.computeSCCs()
+	s.sccSink = make([]bool, s.scc[order[n-1]]+1)
+	s.tauStar = make([][]Event, n)
+	var evs []Event
+	for i := 0; i < n; {
+		id := s.scc[order[i]]
+		j := i + 1
+		for j < n && s.scc[order[j]] == id {
+			j++
+		}
+		members := order[i:j]
+		i = j
+		if len(members) == 1 && len(s.intl[members[0]]) == 0 {
+			s.sccSink[id] = true
+			s.tauStar[members[0]] = s.tau[members[0]]
 			continue
 		}
-		var evs []Event
-		for _, u := range s.closure[st] {
+		sink := true
+		evs = evs[:0]
+		for _, u := range members {
 			evs = append(evs, s.tau[u]...)
+			for _, v := range s.intl[u] {
+				if s.scc[v] != id {
+					sink = false
+					evs = append(evs, s.tauStar[v]...)
+				}
+			}
 		}
+		s.sccSink[id] = sink
 		sortEvents(evs)
-		s.tauStar[st] = slices.Clip(slices.Compact(evs))
+		star := slices.Clone(slices.Compact(evs))
+		for _, u := range members {
+			s.tauStar[u] = star
+		}
 	}
-	s.hasIntl = s.numIntl > 0
 
 	// Reachability from init via T ∪ λ.
 	s.reachSet = make([]bool, n)
@@ -137,8 +111,11 @@ func (s *Spec) finalize() {
 	}
 }
 
-// computeSCCs runs an iterative Tarjan SCC over the λ-graph.
-func (s *Spec) computeSCCs() {
+// computeSCCs runs an iterative Tarjan SCC over the λ-graph, numbering the
+// SCCs in s.scc in the order it pops them. It returns every state in pop
+// order, so each SCC's members are contiguous and come after the members of
+// every SCC they reach internally.
+func (s *Spec) computeSCCs() []State {
 	n := s.NumStates()
 	const unvisited = -1
 	index := make([]int, n)
@@ -148,6 +125,7 @@ func (s *Spec) computeSCCs() {
 		index[i] = unvisited
 	}
 	var stack []State
+	order := make([]State, 0, n)
 	next := 0
 	sccID := 0
 
@@ -200,6 +178,7 @@ func (s *Spec) computeSCCs() {
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					s.scc[w] = sccID
+					order = append(order, w)
 					if w == v {
 						break
 					}
@@ -208,26 +187,17 @@ func (s *Spec) computeSCCs() {
 			}
 		}
 	}
+	return order
 }
 
 // LambdaClosure returns all states reachable from st via zero or more
-// internal transitions (s λ* s'), sorted ascending. The caller must not
-// modify the returned slice.
-func (s *Spec) LambdaClosure(st State) []State { return s.closure[st] }
+// internal transitions (s λ* s'), sorted ascending, in a fresh slice.
+func (s *Spec) LambdaClosure(st State) []State { return s.CloseSet([]State{st}) }
 
 // CanReachInternally reports st λ* to.
 func (s *Spec) CanReachInternally(st, to State) bool {
-	cl := s.closure[st]
-	lo, hi := 0, len(cl)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cl[mid] < to {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(cl) && cl[lo] == to
+	_, ok := slices.BinarySearch(s.LambdaClosure(st), to)
+	return ok
 }
 
 // Sink reports whether st belongs to a sink set: every state internally

@@ -27,7 +27,7 @@ type Dense struct {
 }
 
 // FromDense validates, canonicalizes, and freezes a Dense specification,
-// running the same derived analyses (λ*-closures, SCCs, τ/τ* sets,
+// running the same derived analyses (λ-SCCs and sinks, τ/τ* sets,
 // reachability) as Builder.Build. The input slices are copied; the caller
 // may reuse them.
 func FromDense(d Dense) (*Spec, error) {

@@ -2,8 +2,10 @@ package spec_test
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"protoquot/internal/spec"
@@ -61,12 +63,17 @@ func sortedKeys[K interface{ ~int | ~string }](set map[K]bool) []K {
 
 // FuzzFromDense checks FromDense's canonicalization and derived analyses
 // against a naive reference computed with maps straight from the Dense
-// input: the adjacency, τ, the λ-closure, τ*, DeterministicExternal, and
-// the Hash of the same machine built through the Builder.
+// input: the adjacency, τ, the λ-closure, τ*, sink membership and sink
+// sets, DeterministicExternal, IsNormalForm's λ-acyclicity verdict, and the
+// Hash of the same machine built through the Builder.
 func FuzzFromDense(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 0, 1, 0, 1, 2})
 	f.Add([]byte{4, 3, 1, 0, 0, 4, 0, 0, 4, 1, 1, 2, 1, 2, 0, 0, 3, 5})
 	f.Add([]byte{7, 5, 0, 1, 0, 1, 1, 1, 2, 1, 2, 0, 0, 2, 9, 0, 6, 6, 0, 0, 13})
+	// The λ-cycle {0,1} reaches the λ-cycle {3,4} through the λ-DAG
+	// 1 → 2 → 3, and 2 also reaches the sink 5; τ* of 0 gathers the events
+	// of 2, 4 and 5.
+	f.Add([]byte{5, 2, 0, 1, 0, 1, 1, 1, 0, 1, 1, 2, 1, 2, 3, 1, 2, 5, 1, 3, 4, 1, 4, 3, 0, 4, 0, 0, 5, 1, 0, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := denseFromBytes(data)
 		s, err := spec.FromDense(d)
@@ -134,6 +141,7 @@ func FuzzFromDense(f *testing.F) {
 		if got := s.DeterministicExternal(); got != det {
 			t.Fatalf("DeterministicExternal = %v, want %v", got, det)
 		}
+		closures := make([]map[spec.State]bool, n)
 		for st := 0; st < n; st++ {
 			closure := map[spec.State]bool{spec.State(st): true}
 			for grew := true; grew; {
@@ -146,6 +154,7 @@ func FuzzFromDense(f *testing.F) {
 					}
 				}
 			}
+			closures[st] = closure
 			star := map[spec.Event]bool{}
 			for u := range closure {
 				for _, e := range tau[u] {
@@ -157,6 +166,43 @@ func FuzzFromDense(f *testing.F) {
 			}
 			if got, want := s.TauStar(spec.State(st)), sortedKeys(star); !slices.Equal(got, want) {
 				t.Fatalf("state %d: TauStar %v, want %v", st, got, want)
+			}
+		}
+		// The paper's sink predicate: every state internally reachable
+		// from st reaches st back. The sink set is then st's λ-SCC.
+		cyclic, mixed := false, false
+		for st := 0; st < n; st++ {
+			sink, scc := true, map[spec.State]bool{}
+			for u := range closures[st] {
+				if closures[u][spec.State(st)] {
+					scc[u] = true
+				} else {
+					sink = false
+				}
+			}
+			if got := s.Sink(spec.State(st)); got != sink {
+				t.Fatalf("state %d: Sink = %v, want %v", st, got, sink)
+			}
+			want := []spec.State(nil)
+			if sink {
+				want = sortedKeys(scc)
+			}
+			if got := s.SinkSet(spec.State(st)); !slices.Equal(got, want) {
+				t.Fatalf("state %d: SinkSet %v, want %v", st, got, want)
+			}
+			for v := range succ[st] {
+				cyclic = cyclic || closures[v][spec.State(st)]
+			}
+			mixed = mixed || len(ext[st]) > 0 && len(succ[st]) > 0
+		}
+		// IsNormalForm tests condition (i) before (ii), so its λ-cycle
+		// verdict is only visible when no state mixes both kinds of move.
+		if !mixed {
+			err := s.IsNormalForm()
+			var nf *spec.NotNormalFormError
+			got := errors.As(err, &nf) && strings.HasPrefix(nf.Reason, "internal ")
+			if got != cyclic {
+				t.Fatalf("IsNormalForm = %v, λ-cyclic %v", err, cyclic)
 			}
 		}
 	})

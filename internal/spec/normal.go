@@ -45,7 +45,7 @@ func (s *Spec) IsNormalForm() error {
 				return &NotNormalFormError{s.name, fmt.Sprintf(
 					"internal self-loop on state %s", s.stateNames[st])}
 			}
-			if s.CanReachInternally(t, State(st)) {
+			if s.scc[t] == s.scc[st] {
 				return &NotNormalFormError{s.name, fmt.Sprintf(
 					"internal cycle through states %s and %s", s.stateNames[st], s.stateNames[t])}
 			}
@@ -54,7 +54,7 @@ func (s *Spec) IsNormalForm() error {
 	// (iii) focused nondeterminism.
 	for st := 0; st < s.NumStates(); st++ {
 		targets := make(map[Event]State)
-		for _, u := range s.closure[st] {
+		for _, u := range s.LambdaClosure(State(st)) {
 			for _, ed := range s.ext[u] {
 				if prev, ok := targets[ed.Event]; ok && prev != ed.To {
 					return &NotNormalFormError{s.name, fmt.Sprintf(
@@ -107,7 +107,7 @@ func (s *Spec) Normalize() *Spec {
 		return strings.Join(parts, ",")
 	}
 
-	init := closeSet(s, []State{s.init})
+	init := s.CloseSet([]State{s.init})
 	b.Init(setName(init))
 	seen := map[key][]State{keyOf(init): init}
 	work := [][]State{init}
@@ -128,7 +128,7 @@ func (s *Spec) Normalize() *Spec {
 		}
 		sortEvents(sorted)
 		for _, e := range sorted {
-			nxt := stepSet(s, cur, e)
+			nxt := s.StepSet(cur, e)
 			k := keyOf(nxt)
 			if _, ok := seen[k]; !ok {
 				seen[k] = nxt
@@ -147,7 +147,7 @@ func (s *Spec) Normalize() *Spec {
 // The result is sorted lexicographically and deduplicated.
 func (s *Spec) AcceptanceSets(st State) [][]Event {
 	seen := make(map[string][]Event)
-	for _, u := range s.closure[st] {
+	for _, u := range s.LambdaClosure(st) {
 		if !s.Sink(u) {
 			continue
 		}

@@ -15,10 +15,11 @@
 // Internal transitions occur without environmental participation and are
 // the model's source of nondeterminism.
 //
-// Specs are immutable once built (see Builder). All analyses — λ*-closure,
-// sink-set detection, ready sets τ and τ*, reachability, trace membership,
-// normal form, minimization — are precomputed or derived without mutating
-// the receiver, so a *Spec may be shared freely between goroutines.
+// Specs are immutable once built (see Builder). Sink sets, the ready sets
+// τ and τ* and reachability are precomputed at build time, τ* and sinks
+// once per λ-SCC; λ*-closures, trace membership, normal form and
+// minimization are computed on demand without mutating the receiver, so a
+// *Spec may be shared freely between goroutines.
 package spec
 
 import (
@@ -59,11 +60,10 @@ type Spec struct {
 	init       State
 
 	// Derived data, computed once at build time.
-	closure  [][]State // λ*-closure per state, sorted
-	scc      []int     // λ-SCC id per state
+	scc      []int     // λ-SCC id per state, in Tarjan pop order
 	sccSink  []bool    // per SCC: no λ edge leaves the SCC
 	tau      [][]Event // τ.s per state, sorted
-	tauStar  [][]Event // τ*.s per state, sorted
+	tauStar  [][]Event // τ*.s per state, sorted; shared by a λ-SCC's members
 	numExt   int       // |T|
 	numIntl  int       // |λ|
 	detExt   bool      // no state has two external edges with the same event

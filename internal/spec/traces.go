@@ -5,14 +5,16 @@ package spec
 // internal transitions freely, is labeled t. Trace sets are prefix-closed
 // and always contain the empty trace.
 
+import "slices"
+
 // StatesAfter returns the set of states a with s0 ⟼t a: every state
 // reachable from the initial state by a path whose external labels spell t
 // (including trailing internal transitions). The result is ε-closed and
 // sorted; it is empty iff t is not a trace.
 func (s *Spec) StatesAfter(t []Event) []State {
-	cur := closeSet(s, []State{s.init})
+	cur := s.CloseSet([]State{s.init})
 	for _, e := range t {
-		cur = stepSet(s, cur, e)
+		cur = s.StepSet(cur, e)
 		if len(cur) == 0 {
 			return nil
 		}
@@ -45,37 +47,32 @@ func (s *Spec) EnabledAfter(t []Event) []Event {
 	return out
 }
 
-// closeSet ε-closes a sorted-or-not state set and returns it sorted and
-// deduplicated.
-func closeSet(s *Spec, sts []State) []State {
-	seen := make(map[State]struct{})
-	var stack []State
-	for _, st := range sts {
-		if _, ok := seen[st]; !ok {
-			seen[st] = struct{}{}
-			stack = append(stack, st)
+// CloseSet returns the λ*-closure of a set of states: every state
+// internally reachable from a member, sorted and deduplicated, in a fresh
+// slice. It is the one λ-closure routine of the package.
+func (s *Spec) CloseSet(sts []State) []State {
+	out := slices.Clone(sts)
+	if s.hasIntl {
+		seen := make(map[State]bool, len(out))
+		for _, st := range out {
+			seen[st] = true
 		}
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range s.intl[u] {
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				stack = append(stack, v)
+		for i := 0; i < len(out); i++ {
+			for _, v := range s.intl[out[i]] {
+				if !seen[v] {
+					seen[v] = true
+					out = append(out, v)
+				}
 			}
 		}
 	}
-	out := make([]State, 0, len(seen))
-	for st := range seen {
-		out = append(out, st)
-	}
 	sortStates(out)
-	return out
+	return slices.Compact(out)
 }
 
-// stepSet takes an ε-closed set through one external event and re-closes.
-func stepSet(s *Spec, sts []State, e Event) []State {
+// StepSet takes a λ*-closed set through one external event and re-closes
+// it; nil if e is enabled nowhere in the set.
+func (s *Spec) StepSet(sts []State, e Event) []State {
 	var nxt []State
 	for _, st := range sts {
 		for _, ed := range s.ext[st] {
@@ -87,7 +84,7 @@ func stepSet(s *Spec, sts []State, e Event) []State {
 	if len(nxt) == 0 {
 		return nil
 	}
-	return closeSet(s, nxt)
+	return s.CloseSet(nxt)
 }
 
 // Psi returns ψ_A.t for a normal-form spec: the unique state a such that
@@ -114,7 +111,7 @@ func (s *Spec) Psi(t []Event) (State, bool) {
 func (s *Spec) PsiStep(a State, e Event) (State, bool) {
 	found := false
 	var target State
-	for _, u := range s.closure[a] {
+	for _, u := range s.LambdaClosure(a) {
 		for _, ed := range s.ext[u] {
 			if ed.Event != e {
 				continue
@@ -143,14 +140,14 @@ type TraceTracker struct {
 
 // Track returns a tracker positioned at the empty trace.
 func (s *Spec) Track() *TraceTracker {
-	return &TraceTracker{s: s, cur: closeSet(s, []State{s.init})}
+	return &TraceTracker{s: s, cur: s.CloseSet([]State{s.init})}
 }
 
 // Step advances the tracker by one event. It reports whether the extended
 // sequence is still a trace of the spec; on false the tracker is left
 // unchanged, so the caller can inspect Enabled() for diagnosis.
 func (t *TraceTracker) Step(e Event) bool {
-	nxt := stepSet(t.s, t.cur, e)
+	nxt := t.s.StepSet(t.cur, e)
 	if len(nxt) == 0 {
 		return false
 	}
@@ -177,7 +174,7 @@ func (t *TraceTracker) Enabled() []Event {
 
 // Reset returns the tracker to the empty trace.
 func (t *TraceTracker) Reset() {
-	t.cur = closeSet(t.s, []State{t.s.init})
+	t.cur = t.s.CloseSet([]State{t.s.init})
 }
 
 // TracesUpTo enumerates all traces of length ≤ maxLen in shortlex order.
@@ -188,13 +185,13 @@ func (s *Spec) TracesUpTo(maxLen int) [][]Event {
 		sts   []State
 	}
 	var out [][]Event
-	frontier := []node{{trace: nil, sts: closeSet(s, []State{s.init})}}
+	frontier := []node{{trace: nil, sts: s.CloseSet([]State{s.init})}}
 	out = append(out, []Event{})
 	for depth := 0; depth < maxLen; depth++ {
 		var next []node
 		for _, nd := range frontier {
 			for _, e := range s.alphabet {
-				sts := stepSet(s, nd.sts, e)
+				sts := s.StepSet(nd.sts, e)
 				if len(sts) == 0 {
 					continue
 				}
