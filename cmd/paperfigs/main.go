@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"protoquot"
+	"protoquot/internal/compose"
 	"protoquot/internal/core"
 	"protoquot/internal/dsl"
 	"protoquot/internal/protocols"
@@ -181,7 +182,7 @@ func generate(sum *strings.Builder, dir string, skipSlow bool) error {
 	head("")
 
 	// ---- E10: Section 6 transport configurations ----
-	pt, err := protoCompose(protocols.TransportA(), protocols.NetA(false), protocols.PassThrough(),
+	pt, err := compose.Many(protocols.TransportA(), protocols.NetA(false), protocols.PassThrough(),
 		protocols.NetB(), protocols.TransportB())
 	if err != nil {
 		return err
@@ -225,14 +226,6 @@ func generate(sum *strings.Builder, dir string, skipSlow bool) error {
 	head("Deployment  eventually-reliable channel model: converter %d states maximal, %d pruned (the canonical relay)",
 		erRes.Stats.FinalStates, erPruned.NumStates())
 	return nil
-}
-
-func protoCompose(specs ...*spec.Spec) (*spec.Spec, error) {
-	s, err := composeMany(specs)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 func errIsNil(err error) bool { return err == nil }

@@ -8,6 +8,7 @@ import (
 
 	"protoquot/internal/compose"
 	"protoquot/internal/core"
+	"protoquot/internal/oracle"
 	"protoquot/internal/protocols"
 )
 
@@ -171,10 +172,10 @@ func TestGoldenParallelComposedSystems(t *testing.T) {
 }
 
 // TestGoldenIndexedPaperComponents derives the paper's conversion systems
-// from their raw component lists through both composition pipelines —
-// compose.Many feeding Derive against the fused index-space composition
-// (compose.LazyMany) feeding DeriveEnv — and requires bit-identical
-// outcomes. This is the multi-component counterpart of the
+// from their raw component lists through two composition pipelines — the
+// paper's pairwise fold (oracle.Compose) feeding Derive against the fused
+// index-space composition (compose.LazyMany) feeding DeriveEnv — and
+// requires bit-identical outcomes. This is the multi-component counterpart of the
 // single-environment comparisons above: here the fused composition actually
 // exercises tuple interning and pairwise rendezvous.
 func TestGoldenIndexedPaperComponents(t *testing.T) {
@@ -197,10 +198,7 @@ func TestGoldenIndexedPaperComponents(t *testing.T) {
 			if testing.Short() && tc.name == "window2-ns" {
 				t.Skip("multi-second derivation")
 			}
-			b, err := Compose(tc.comps...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := oracle.Compose(tc.comps...)
 			for _, w := range []int{1, 4} {
 				opts := Options{OmitVacuous: true, Workers: w}
 				spec := deriveWith(tc.a, []*Spec{b}, opts)

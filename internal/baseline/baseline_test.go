@@ -83,7 +83,7 @@ func TestOkumuraCandidateFailsGlobalCheck(t *testing.T) {
 	// NS receiver through the lossy channel; its tmo.ns interface is part
 	// of q0Role already (the NS sender handles timeouts).
 	b := protocols.SymmetricB()
-	sys := compose.Pair(b, cand)
+	sys := compose.MustMany(b, cand)
 	if !sat.SameInterface(sys, protocols.Service()) {
 		t.Fatalf("composite interface %v does not match the service", sys.Alphabet())
 	}
@@ -117,7 +117,7 @@ func TestOkumuraColocatedCandidate(t *testing.T) {
 		t.Fatalf("Okumura: %v", err)
 	}
 	b := protocols.ColocatedB()
-	sys := compose.Pair(b, cand)
+	sys := compose.MustMany(b, cand)
 	if err := sat.Satisfies(sys, protocols.Service()); err != nil {
 		t.Logf("candidate fails global check (%v) — bottom-up methods may need re-derivation", err)
 	} else {
@@ -190,7 +190,7 @@ func TestProjectionMethodOnIsomorphicProtocols(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys := compose.Pair(b, relay)
+	sys := compose.MustMany(b, relay)
 	if !sat.SameInterface(sys, image) {
 		t.Fatalf("interface mismatch: %v vs %v", sys.Alphabet(), image.Alphabet())
 	}

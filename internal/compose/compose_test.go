@@ -29,7 +29,7 @@ func senderReceiver(t *testing.T) (*spec.Spec, *spec.Spec) {
 
 func TestPairAlphabetIsSymmetricDifference(t *testing.T) {
 	s, r := senderReceiver(t)
-	c := Pair(s, r)
+	c := MustMany(s, r)
 	al := c.Alphabet()
 	want := []spec.Event{"done", "go"}
 	if len(al) != 2 || al[0] != want[0] || al[1] != want[1] {
@@ -42,7 +42,7 @@ func TestPairAlphabetIsSymmetricDifference(t *testing.T) {
 
 func TestPairSynchronizesSharedEvents(t *testing.T) {
 	s, r := senderReceiver(t)
-	c := Pair(s, r)
+	c := MustMany(s, r)
 	// Behaviour: go, then internal sync (msg), then done, repeat.
 	if !c.HasTrace([]spec.Event{"go", "done"}) {
 		t.Error("go·done should be a trace (msg synchronizes internally)")
@@ -67,7 +67,7 @@ func TestPairBlocksWhenNotMutuallyEnabled(t *testing.T) {
 	ab.Init("a0").Ext("a0", "x", "a1")
 	bb := spec.NewBuilder("b")
 	bb.Init("b0").Ext("b1", "x", "b0") // x only from unreachable b1
-	c := Pair(build(t, ab), build(t, bb))
+	c := MustMany(build(t, ab), build(t, bb))
 	if c.NumExternalTransitions() != 0 || c.NumInternalTransitions() != 0 {
 		t.Errorf("expected deadlocked composite, got %s", c.Format())
 	}
@@ -78,7 +78,7 @@ func TestPairInterleavesDistinctEvents(t *testing.T) {
 	ab.Init("a0").Ext("a0", "x", "a1")
 	bb := spec.NewBuilder("b")
 	bb.Init("b0").Ext("b0", "y", "b1")
-	c := Pair(build(t, ab), build(t, bb))
+	c := MustMany(build(t, ab), build(t, bb))
 	for _, tr := range [][]spec.Event{{"x", "y"}, {"y", "x"}} {
 		if !c.HasTrace(tr) {
 			t.Errorf("interleaving %v missing", tr)
@@ -91,7 +91,7 @@ func TestPairPropagatesInternalMoves(t *testing.T) {
 	ab.Init("a0").Int("a0", "a1").Ext("a1", "x", "a0")
 	bb := spec.NewBuilder("b")
 	bb.Init("b0").Ext("b0", "y", "b0")
-	c := Pair(build(t, ab), build(t, bb))
+	c := MustMany(build(t, ab), build(t, bb))
 	if !c.HasTrace([]spec.Event{"x"}) {
 		t.Error("internal move of component lost")
 	}
@@ -102,7 +102,7 @@ func TestPairPropagatesInternalMoves(t *testing.T) {
 
 func TestPairStateNames(t *testing.T) {
 	s, r := senderReceiver(t)
-	c := Pair(s, r)
+	c := MustMany(s, r)
 	if _, ok := c.LookupState("s0" + StateSep + "r0"); !ok {
 		t.Errorf("composite init name missing; states: %s", c.Format())
 	}
@@ -158,7 +158,7 @@ func TestPropPairCommutative(t *testing.T) {
 			cfgB.EventPrefix = "e" // shared alphabet the other half
 		}
 		b := specgen.Random(rng, cfgB)
-		ab, ba := Pair(a, b), Pair(b, a)
+		ab, ba := MustMany(a, b), MustMany(b, a)
 		al := ab.Alphabet()
 		if len(al) != len(ba.Alphabet()) {
 			t.Fatalf("alphabets differ: %v vs %v", al, ba.Alphabet())
@@ -182,7 +182,7 @@ func TestPropPairInterleavingDisjoint(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		a := specgen.Random(rng, cfgA)
 		b := specgen.Random(rng, cfgB)
-		c := Pair(a, b)
+		c := MustMany(a, b)
 		ta := specgen.RandomTrace(rng, a, 3)
 		tb := specgen.RandomTrace(rng, b, 3)
 		// One particular interleaving: ta then tb.
@@ -204,7 +204,7 @@ func TestPropProjectionDisjoint(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		a := specgen.Random(rng, cfgA)
 		b := specgen.Random(rng, cfgB)
-		c := Pair(a, b)
+		c := MustMany(a, b)
 		tr := specgen.RandomTrace(rng, c, 6)
 		var pa []spec.Event
 		for _, e := range tr {
@@ -229,11 +229,11 @@ func randomTraceOver(rng *rand.Rand, al []spec.Event, maxLen int) []spec.Event {
 	return tr
 }
 
-// Sanity: alphabets of Pair results are sorted (an invariant other
+// Sanity: alphabets of two-component compositions are sorted (an invariant other
 // packages rely on).
 func TestAlphabetSorted(t *testing.T) {
 	s, r := senderReceiver(t)
-	c := Pair(s, r)
+	c := MustMany(s, r)
 	al := c.Alphabet()
 	if !sort.SliceIsSorted(al, func(i, j int) bool { return al[i] < al[j] }) {
 		t.Errorf("alphabet not sorted: %v", al)

@@ -81,8 +81,10 @@ type stateIntern struct {
 	radices []uint64
 	keys    []uint64 // by state id; key tiers
 
-	pages   [][]int32 // tierDense: paged direct-mapped by key; nil page = untouched
-	pageLen int       // entries per page (smaller than a full page only for a tiny key space)
+	// tierDense: paged direct-mapped by key, a slot holding its state's
+	// id+1 (0 = empty, so a new page needs no fill); nil page = untouched.
+	pages   [][]int32
+	pageLen int // entries per page (smaller than a full page only for a tiny key space)
 
 	slots []int32 // tierHashed: open-addressed state ids, -1 = empty
 	shift uint    // 64 − log2(len(slots)), for Fibonacci hashing
@@ -203,16 +205,13 @@ func (ti *stateIntern) internKey(key uint64) (id int32, isNew bool) {
 		pg := ti.pages[key>>internPageShift]
 		if pg == nil {
 			pg = make([]int32, ti.pageLen)
-			for i := range pg {
-				pg[i] = -1
-			}
 			ti.pages[key>>internPageShift] = pg
 		}
 		slot := &pg[key&(1<<internPageShift-1)]
-		if *slot >= 0 {
-			return *slot, false
+		if *slot > 0 {
+			return *slot - 1, false
 		}
-		*slot = next
+		*slot = next + 1
 		ti.keys = appendDoubling(ti.keys, key)
 		return next, true
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"protoquot/internal/oracle"
 	"protoquot/internal/spec"
 	"protoquot/internal/specgen"
 )
@@ -20,26 +21,24 @@ var allTiers = []struct {
 
 // assertTierMatchesMany saturates a composition on a forced intern tier
 // through Rows and checks every state's StateName and rows against the
-// left fold. It returns the saturated Lazy.
+// paper's pairwise left fold (oracle.Compose). It returns the saturated
+// Lazy.
 func assertTierMatchesMany(t *testing.T, tier internTier, comps ...*spec.Spec) *Lazy {
 	t.Helper()
-	eager, err := Many(comps...)
-	if err != nil {
-		t.Fatalf("Many: %v", err)
-	}
+	eager := oracle.Compose(comps...)
 	lz, err := lazyMany(comps, tier)
 	if err != nil {
 		t.Fatalf("lazyMany: %v", err)
 	}
 	if got, want := indexedListing(t, lz), namedListing(eager); got != want {
-		t.Fatalf("tier %d differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", tier, got, want)
+		t.Fatalf("tier %d differs from the pairwise fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", tier, got, want)
 	}
 	return lz
 }
 
 // TestInternTiersMatchMany drives every intern tier over random component
 // systems, three specgen families and fanSystem: each state's decoded name
-// and rows must match the left fold. The families put the compiled rows on
+// and rows must match the pairwise fold. The families put the compiled rows on
 // real relays: in chain(3) and chaindrop(3) every component between the
 // ends answers one rendezvous and drives the next, and in ring(2) token 0
 // answers station 0 and drives station 1.

@@ -6,8 +6,8 @@
 // walks the composite states reachable under the converter being built (the
 // paper's h.r sets) — the standard on-the-fly construction argument from the
 // reachability-analysis literature. Lazy compiles the component tables and
-// interns component-state tuples over integer ids, never walking the left
-// fold's intermediate products, and does no up-front sweep: a state's edge
+// interns component-state tuples over integer ids, never building a
+// pairwise intermediate product, and does no up-front sweep: a state's edge
 // rows are computed inside Rows on first demand, under a mutex, and then
 // published through an atomic flag so every later read is lock-free.
 //
@@ -173,7 +173,8 @@ func MustLazyMany(components ...*spec.Spec) *Lazy {
 	return x
 }
 
-// foldName reproduces Many's nested composite name, e.g. "((A||B)||C)".
+// foldName is the composite name of the pairwise left fold, e.g.
+// "((A||B)||C)": the name Many's Spec and oracle.Compose carry.
 func foldName(components []*spec.Spec) string {
 	name := components[0].Name()
 	for _, c := range components[1:] {
@@ -441,8 +442,8 @@ func (x *Lazy) HasEvent(e spec.Event) bool {
 
 // ExtEdges returns st's external transitions, sorted by (Event, To),
 // expanding st on demand. This is the core.Environment surface, used by
-// diagnostics and by the eager deriver path; the fused path uses Rows. The
-// caller must not modify the returned slice.
+// diagnostics and by Spec; the deriver reads Rows. The returned slice is a
+// fresh copy.
 func (x *Lazy) ExtEdges(st spec.State) []spec.ExtEdge {
 	ext, _ := x.Rows(st)
 	out := make([]spec.ExtEdge, len(ext))
@@ -495,9 +496,11 @@ func (x *Lazy) nameLocked(st spec.State) string {
 }
 
 // Spec saturates the product (expanding every reachable state) and
-// materializes it as an eager *spec.Spec: the bridge to consumers needing
-// the full Spec surface (Format, .dot rendering, sat checks). The state
-// numbering reflects this Lazy's demand order, not Many's.
+// materializes it as an eager *spec.Spec: the body of Many, and the bridge
+// to consumers needing the full Spec surface (Format, .dot rendering, sat
+// checks). States keep this Lazy's ids: when Spec is the first consumer
+// they are breadth-first from the initial state, and after a deriver they
+// follow its demand order.
 func (x *Lazy) Spec() (*spec.Spec, error) {
 	for st := 0; st < x.NumStates(); st++ { // NumStates grows as we expand
 		x.Rows(spec.State(st))

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"protoquot/internal/oracle"
 	"protoquot/internal/spec"
 	"protoquot/internal/specgen"
 )
@@ -17,7 +18,7 @@ import (
 // namedListing renders a machine as its sorted set of named transitions
 // plus header lines — a canonical form that is invariant under state
 // renumbering, which is exactly the freedom LazyMany has relative to the
-// left fold.
+// oracle's pairwise fold.
 type namedMachine interface {
 	Name() string
 	NumStates() int
@@ -101,16 +102,26 @@ func indexedListing(t *testing.T, lz *Lazy) string {
 }
 
 // assertLazyMatchesMany saturates a demand-driven composition and asserts
-// it is name-isomorphic to the left fold over the same components: same
-// composite name, init name, alphabet, state count, and set of named
-// transitions. Lazy state ids follow demand order rather than the fold's,
-// so the comparison goes through namedListing, which is invariant under
-// renumbering.
+// it is name-isomorphic to the paper's pairwise left fold over the same
+// components (oracle.Compose): same composite name, init name, alphabet,
+// state count, and set of named transitions. Lazy state ids follow demand
+// order rather than the fold's, so the comparison goes through
+// namedListing, which is invariant under renumbering. It also checks Many:
+// its Spec must hash like the fold's, and a second Many must format
+// byte for byte like the first, which pins its numbering.
 func assertLazyMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
 	t.Helper()
-	eager, err := Many(comps...)
+	eager := oracle.Compose(comps...)
+	m1, err := Many(comps...)
 	if err != nil {
 		t.Fatalf("Many: %v", err)
+	}
+	if got, want := m1.Hash(), eager.Hash(); got != want {
+		t.Fatalf("Many hashes %s, the pairwise fold %s\n--- Many ---\n%.2000s\n--- fold ---\n%.2000s",
+			got, want, namedListing(m1), namedListing(eager))
+	}
+	if m2 := MustMany(comps...); m2.Format() != m1.Format() {
+		t.Fatalf("two Many calls format differently\n--- first ---\n%.2000s\n--- second ---\n%.2000s", m1.Format(), m2.Format())
 	}
 	lz, err := LazyMany(comps...)
 	if err != nil {
@@ -119,7 +130,7 @@ func assertLazyMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
 	// namedListing re-reads NumStates every iteration and ExtEdges/IntEdges
 	// expand on demand, so walking the listing saturates the product.
 	if got, want := namedListing(lz), namedListing(eager); got != want {
-		t.Fatalf("lazy composition differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+		t.Fatalf("lazy composition differs from the pairwise fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
 	}
 	exp, disc, _ := lz.ExpansionStats()
 	if exp != disc || disc != eager.NumStates() {
@@ -139,20 +150,17 @@ func assertLazyMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
 
 // assertIndexedMatchesMany is assertLazyMatchesMany for the index-level
 // surface: a fresh LazyMany is saturated through Rows alone, never through
-// ExtEdges/IntEdges, and its indexedListing must equal the left fold's
+// ExtEdges/IntEdges, and its indexedListing must equal the pairwise fold's
 // namedListing.
 func assertIndexedMatchesMany(t *testing.T, comps ...*spec.Spec) *Lazy {
 	t.Helper()
-	eager, err := Many(comps...)
-	if err != nil {
-		t.Fatalf("Many: %v", err)
-	}
+	eager := oracle.Compose(comps...)
 	lz, err := LazyMany(comps...)
 	if err != nil {
 		t.Fatalf("LazyMany: %v", err)
 	}
 	if got, want := indexedListing(t, lz), namedListing(eager); got != want {
-		t.Fatalf("indexed rows differ from eager fold\n--- indexed ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+		t.Fatalf("indexed rows differ from the pairwise fold\n--- indexed ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
 	}
 	exp, disc, _ := lz.ExpansionStats()
 	if exp != disc || disc != eager.NumStates() {
@@ -217,7 +225,7 @@ func randomSystem(rng *rand.Rand) []*spec.Spec {
 }
 
 // TestLazyMatchesIndexedBasic checks the named Environment surface
-// (ExtEdges/IntEdges) against the left fold, and against the index-level
+// (ExtEdges/IntEdges) against the pairwise fold, and against the index-level
 // Rows surface of the same Lazy.
 func TestLazyMatchesIndexedBasic(t *testing.T) {
 	for _, comps := range basicSystems() {
@@ -232,7 +240,7 @@ func TestLazyMatchesIndexedBasic(t *testing.T) {
 }
 
 // TestIndexedMatchesManyBasic checks the index-level Rows surface, which the
-// fused deriver consumes, against the left fold.
+// fused deriver consumes, against the pairwise fold.
 func TestIndexedMatchesManyBasic(t *testing.T) {
 	for _, comps := range basicSystems() {
 		lz := assertIndexedMatchesMany(t, comps...)
@@ -394,10 +402,7 @@ func TestLazyConcurrentRows(t *testing.T) {
 	}
 	tog := spec.NewBuilder("tog").Init("p").Ext("p", "flip", "q").Ext("q", "flip", "p")
 	comps := []*spec.Spec{fan.MustBuild(), tog.MustBuild()}
-	ref, err := Many(comps...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := oracle.Compose(comps...)
 	want := namedListing(ref)
 	if ref.NumStates() <= 2*lazyPageSize {
 		t.Fatalf("%d states fill fewer than three row pages", ref.NumStates())
@@ -462,7 +467,7 @@ func TestLazyConcurrentRows(t *testing.T) {
 				t.Errorf("rows span %d arena chunks, want several", n)
 			}
 			if got := namedListing(lz); got != want {
-				t.Fatalf("lazy product after concurrent hammering differs from eager fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
+				t.Fatalf("lazy product after concurrent hammering differs from the pairwise fold\n--- lazy ---\n%.2000s\n--- eager ---\n%.2000s", got, want)
 			}
 		})
 	}

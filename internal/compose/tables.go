@@ -80,63 +80,80 @@ func compileComponents(components []*spec.Spec) (*compTables, error) {
 	}
 	t := &compTables{}
 
-	ownersOf := make(map[spec.Event][]int32)
+	// An event's global id, external index (-1 when shared) and owners, in
+	// one record, so compiling an edge costs one map lookup.
+	type evInfo struct {
+		id, ext int32
+		owners  []int32
+	}
+	events := make(map[spec.Event]evInfo)
 	for ci, c := range components {
 		for _, e := range c.Alphabet() {
-			ownersOf[e] = append(ownersOf[e], int32(ci))
+			in := events[e]
+			in.owners = append(in.owners, int32(ci))
+			events[e] = in
 		}
 	}
 	// Global event ids follow sorted-name order, so the external alphabet
 	// comes out sorted and integer comparison of its indices agrees with the
 	// canonical (string) edge order.
-	allEvents := make([]spec.Event, 0, len(ownersOf))
-	for e := range ownersOf {
+	allEvents := make([]spec.Event, 0, len(events))
+	for e := range events {
 		allEvents = append(allEvents, e)
 	}
 	sort.Slice(allEvents, func(i, j int) bool { return allEvents[i] < allEvents[j] })
-	evID := make(map[spec.Event]int32, len(allEvents))
-	extIdx := make([]int32, len(allEvents))
 	for i, e := range allEvents {
-		evID[e] = int32(i)
-		extIdx[i] = -1
-		if len(ownersOf[e]) == 1 {
-			extIdx[i] = int32(len(t.external))
+		in := events[e]
+		in.id, in.ext = int32(i), -1
+		if len(in.owners) == 1 {
+			in.ext = int32(len(t.external))
 			t.external = append(t.external, e)
 		}
+		events[e] = in
 	}
 
+	// Size the flat arrays once: on a large component, growing them by
+	// append cost more than filling them.
+	nRows, nMoves := 0, 0
+	for _, c := range components {
+		nRows += c.NumStates()
+		nMoves += c.NumExternalTransitions() + c.NumInternalTransitions()
+	}
 	t.base = make([]int32, len(components))
+	rows := make([]compRow, 0, nRows)
+	moves := make([]move, 0, nMoves)
 	var answer []move
 	for ci, c := range components {
-		t.base[ci] = int32(len(t.rows))
+		t.base[ci] = int32(len(rows))
 		for s := 0; s < c.NumStates(); s++ {
 			var r compRow
-			r.intl = int32(len(t.moves))
+			r.intl = int32(len(moves))
 			for _, to := range c.IntEdges(spec.State(s)) {
-				t.moves = append(t.moves, move{to: int32(to), pj: -1})
+				moves = append(moves, move{to: int32(to), pj: -1})
 			}
-			r.drive = int32(len(t.moves))
+			r.drive = int32(len(moves))
 			answer = answer[:0]
 			for _, ed := range c.ExtEdges(spec.State(s)) {
-				ev := evID[ed.Event]
-				m := move{to: int32(ed.To), ev: extIdx[ev], pj: -1}
-				switch owners := ownersOf[ed.Event]; {
-				case len(owners) == 1:
-					t.moves = append(t.moves, m)
-				case owners[0] == int32(ci):
-					m.ev, m.pj = ev, owners[1]
-					t.moves = append(t.moves, m)
+				in := events[ed.Event]
+				m := move{to: int32(ed.To), ev: in.ext, pj: -1}
+				switch {
+				case len(in.owners) == 1:
+					moves = append(moves, m)
+				case in.owners[0] == int32(ci):
+					m.ev, m.pj = in.id, in.owners[1]
+					moves = append(moves, m)
 				default:
-					m.ev = ev
+					m.ev = in.id
 					answer = append(answer, m)
 				}
 			}
-			r.answer = int32(len(t.moves))
-			t.moves = append(t.moves, answer...)
-			r.end = int32(len(t.moves))
-			t.rows = append(t.rows, r)
+			r.answer = int32(len(moves))
+			moves = append(moves, answer...)
+			r.end = int32(len(moves))
+			rows = append(rows, r)
 		}
 	}
+	t.rows, t.moves = rows, moves
 
 	t.product, t.productOK = 1, true
 	for _, c := range components {

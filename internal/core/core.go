@@ -968,7 +968,10 @@ func (d *deriver) mergeBatch(lo, hi int, results []phiResult) {
 // oracle for derivation correctness (paper Theorems 1 and 2 imply it always
 // holds for converters returned by Derive).
 func Verify(a, b, c *spec.Spec) error {
-	bc := compose.Pair(b, c)
+	bc, err := compose.Many(b, c)
+	if err != nil {
+		return err
+	}
 	if !sat.SameInterface(bc, a) {
 		return fmt.Errorf("quotient: B‖C has interface %v, service has %v", bc.Alphabet(), a.Alphabet())
 	}

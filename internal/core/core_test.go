@@ -296,7 +296,7 @@ func TestDeriveSafetyOnly(t *testing.T) {
 		t.Error("C0 should allow x")
 	}
 	// Safety of the composite holds even though progress fails.
-	bc := compose.Pair(bs, res.Converter)
+	bc := compose.MustMany(bs, res.Converter)
 	if err := sat.Safety(bc, a); err != nil {
 		t.Errorf("C0 composite should be safe: %v", err)
 	}
@@ -533,7 +533,7 @@ func TestCompositeInterfaceIsExt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc := compose.Pair(b, res.Converter)
+	bc := compose.MustMany(b, res.Converter)
 	if !sat.SameInterface(bc, a) {
 		t.Errorf("B‖C interface %v, want %v", bc.Alphabet(), a.Alphabet())
 	}

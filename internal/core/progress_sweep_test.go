@@ -153,7 +153,7 @@ func TestProgressSweepAcrossWorkers(t *testing.T) {
 					if res.Converter != nil {
 						got.text = res.Converter.Format()
 						for _, b := range sys.bs {
-							if trace, ok := oracle.CheckProgress(compose.Pair(b, res.Converter), sys.a); !ok {
+							if trace, ok := oracle.CheckProgress(oracle.Compose(b, res.Converter), sys.a); !ok {
 								t.Errorf("workers=%d: converter fails the progress oracle against %s after %v",
 									w, b.Name(), trace)
 							}

@@ -27,7 +27,7 @@ import (
 // each composite it reaches from a Tarjan pass over the filtered internal
 // edges rooted there, and fails when an external event has no ψ-step
 // (safety) or prog fails against the τ* mask (progress). DESIGN.md §15
-// shows the verdict equals sat.Satisfies on compose.Pair's output when A is
+// shows the verdict equals sat.Satisfies on compose.Many's output when A is
 // in normal form.
 type pruneChecker struct {
 	vars []pruneVariant
@@ -78,7 +78,7 @@ type cedge struct {
 }
 
 // pruneVariant is one environment variant's composite with the input
-// converter, explored under compose.Pair's rules. Composite x stands for
+// converter, explored under the rules of ‖. Composite x stands for
 // input-converter state pc[x]; its internal successors are
 // intTo[intOff[x]:intOff[x+1]] and its external edges (event ids over Σ_A)
 // ext[extOff[x]:extOff[x+1]]. intUse and extUse, beside intTo and ext, name
@@ -203,7 +203,7 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 }
 
 // explore interns the reachable states of B‖C in breadth-first order and
-// records their edges, following compose.Pair: moves of either side on
+// records their edges, following the rules of ‖: moves of either side on
 // unshared events interleave (external events stay external, internal moves
 // stay internal) and shared events synchronize into internal moves.
 func (pc *pruneChecker) explore(env demandEnvironment, bKind, cKind []int32) pruneVariant {

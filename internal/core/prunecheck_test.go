@@ -15,7 +15,7 @@ import (
 
 // refPruneRobust is Prune as it ran before the compiled checker, kept here
 // as the reference: rebuild every candidate through the spec builder and
-// re-verify it end to end with compose.Pair and sat.Satisfies.
+// re-verify it end to end with compose.Many and sat.Satisfies.
 func refPruneRobust(a *spec.Spec, bs []*spec.Spec, c *spec.Spec) (*spec.Spec, error) {
 	if err := core.VerifyRobust(a, bs, c); err != nil {
 		return nil, fmt.Errorf("quotient: Prune input is not a correct converter: %w", err)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"protoquot/internal/compose"
 	"protoquot/internal/core"
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -128,7 +127,7 @@ func TestPropDeriveProgressPhaseMatchesOracle(t *testing.T) {
 		checked++
 		if ferr == nil {
 			succeeded++
-			bc := compose.Pair(b, full.Converter)
+			bc := Compose(b, full.Converter)
 			if w, ok := CheckProgress(bc, a); !ok {
 				t.Fatalf("derived converter fails oracle progress after %v\nA:\n%s\nB:\n%s\nC:\n%s",
 					w, a.Format(), b.Format(), full.Converter.Format())
@@ -143,7 +142,7 @@ func TestPropDeriveProgressPhaseMatchesOracle(t *testing.T) {
 			continue // safety-phase differential is covered elsewhere
 		}
 		failed++
-		bc0 := compose.Pair(b, safe.Converter)
+		bc0 := Compose(b, safe.Converter)
 		if _, ok := CheckProgress(bc0, a); ok {
 			t.Fatalf("progress phase reported failure but oracle passes B‖C0\nA:\n%s\nB:\n%s\nC0:\n%s",
 				a.Format(), b.Format(), safe.Converter.Format())

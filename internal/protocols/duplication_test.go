@@ -131,7 +131,7 @@ func TestDeployedConverterAbsorbsDuplication(t *testing.T) {
 	if err != nil {
 		t.Fatalf("prune: %v", err)
 	}
-	bc := compose.Pair(dupABEnvironment(), conv)
+	bc := compose.MustMany(dupABEnvironment(), conv)
 	if err := sat.Safety(bc, Service()); err != nil {
 		t.Fatalf("deployed converter is not duplicate-safe: %v", err)
 	}

@@ -74,8 +74,8 @@ func SymmetricB() *spec.Spec {
 }
 
 // SymmetricBComponents returns the machines SymmetricB composes, in
-// composition order, for callers that feed the system to the fused
-// index-space composition (compose.LazyMany) instead of the eager fold.
+// composition order, for callers that feed the system to the demand-driven
+// composition (compose.LazyMany) instead of its materialized Spec.
 func SymmetricBComponents() []*spec.Spec {
 	return []*spec.Spec{ABSender(), ABChannel(), NSChannel(), NSReceiver()}
 }

@@ -164,10 +164,9 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 		return diverge("wellformed", "%v", err)
 	}
 	a := sys.Service
-	b, err := compose.Many(sys.Components...)
-	if err != nil {
-		return diverge("wellformed", "compose: %v", err)
-	}
+	// The spec leg composes through the oracle's pairwise fold, so the
+	// engine matrix also checks compose.LazyMany against it.
+	b := oracle.Compose(sys.Components...)
 
 	// Engine matrix: two pipelines × worker counts, all bit-identical.
 	base := core.Options{OmitVacuous: true, MaxStates: opt.MaxStates}
@@ -240,7 +239,7 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 	smallEnough := b.NumStates() <= opt.OracleStateLimit
 	if smallEnough && rep.Exists && b.NumStates()*conv.NumStates() <= 10*opt.OracleStateLimit {
 		// Raw-edge progress reference over the closed system B‖C.
-		closed := compose.Pair(b, conv)
+		closed := oracle.Compose(b, conv)
 		if witness, ok := oracle.CheckProgress(closed, a); !ok {
 			return diverge("oracle-progress",
 				"raw-edge progress oracle rejects B‖C after %s", sat.FormatTrace(witness))
@@ -263,7 +262,7 @@ func Check(sys *System, opt CheckOptions) *CheckReport {
 		if serr := sat.Safety(pruned, conv); serr != nil {
 			return diverge("prune", "pruned converter is not trace-included in the derived one: %v", serr)
 		}
-		if witness, ok := oracle.CheckProgress(compose.Pair(b, pruned), a); !ok {
+		if witness, ok := oracle.CheckProgress(oracle.Compose(b, pruned), a); !ok {
 			return diverge("prune", "raw-edge progress oracle rejects B‖C_pruned after %s", sat.FormatTrace(witness))
 		}
 		rep.Pruned = true
@@ -383,7 +382,7 @@ func probeBaselines(a, b, conv, c0 *spec.Spec, rep *CheckReport, opt CheckOption
 
 	checkCandidate := func(name string, cand *spec.Spec) *Divergence {
 		cand = cand.WithEvents(intl...)
-		closed := compose.Pair(b, cand)
+		closed := compose.MustMany(b, cand)
 		if !sat.SameInterface(closed, a) {
 			return &Divergence{Leg: "baseline-" + name, Detail: fmt.Sprintf(
 				"candidate composite interface %v does not match the service", closed.Alphabet())}

@@ -11,11 +11,13 @@
 // quotient toward near-empty — and cross-checks every engine against every
 // oracle on each one:
 //
-//   - the eager string-spec pipeline (compose.Many + core.Derive),
+//   - the spec pipeline over the paper's pairwise composition
+//     (oracle.Compose + core.Derive),
 //   - the demand-driven pipeline (compose.LazyMany + core.DeriveEnv),
 //
 // each at worker counts 1, 2, and 4 — all six runs must agree bit for bit
-// (verdict, converter listing, and derivation statistics) — plus:
+// (verdict, converter listing, and derivation statistics), which also
+// checks the composer against its oracle — plus:
 //
 //   - internal/sat via core.Verify: a derived converter must actually make
 //     B‖C satisfy A;
@@ -224,8 +226,8 @@ type System struct {
 //	    by composition and vanish from Σ_B;
 //	(4) at least one component event is converter-facing (Int nonempty).
 //
-// A nil return means compose.Many, compose.LazyMany, and core.Derive all
-// accept the system.
+// A nil return means compose.Many, compose.LazyMany, oracle.Compose and
+// core.Derive all accept the system.
 func (sys *System) Validate() error {
 	if sys.Service == nil {
 		return fmt.Errorf("protosmith: system has no service")

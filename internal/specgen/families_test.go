@@ -47,10 +47,11 @@ func TestChainFamilyShape(t *testing.T) {
 }
 
 func TestRingFamilyShape(t *testing.T) {
-	// n is capped at 3 here: the pairwise left fold explodes on open rings
-	// (every intermediate product is unconstrained until the ring closes),
-	// which is the very hotspot the fused lazy composition removes —
-	// larger n is covered by the lazy-path tests at the protoquot level.
+	// n is capped at 3 here: composeFamily saturates the whole reachable
+	// product, which grows fast with n, and a pairwise fold's intermediate
+	// products explode on open rings (every one is unconstrained until the
+	// ring closes) — larger n is covered by the demand-driven tests at the
+	// protoquot level.
 	for n := 1; n <= 3; n++ {
 		f := Ring(n)
 		if err := f.Service.IsNormalForm(); err != nil {

@@ -136,8 +136,10 @@ func SpecFromJSON(data []byte) (*Spec, error) { return dsl.UnmarshalJSON(data) }
 func DOT(s *Spec) string { return render.DOTString(s, render.DOTOptions{}) }
 
 // Compose returns the reachable composition of the given specifications
-// (left-associated ‖). Events shared by exactly two components synchronize
-// and are hidden; an event in three or more components is an error.
+// as a *Spec: ComposeLazy's product, saturated. Events shared by exactly
+// two components synchronize and are hidden; an event in three or more
+// components is an error. States are numbered breadth-first from the
+// initial state; a lone component is returned unchanged.
 func Compose(specs ...*Spec) (*Spec, error) { return compose.Many(specs...) }
 
 // Lazy is a demand-driven composed system: composite states are expanded
@@ -148,11 +150,12 @@ func Compose(specs ...*Spec) (*Spec, error) { return compose.Many(specs...) }
 type Lazy = compose.Lazy
 
 // ComposeLazy builds the demand-driven n-way composition over integer state
-// ids, skipping the left fold's intermediate products and all string-keyed
-// state bookkeeping. It accepts exactly the systems Compose accepts and
-// represents the same machine; only the initial state is interned up front. The converter DeriveEnv produces
-// over it is bit-identical to the eager engines' for every worker count.
-// Use (*Lazy).Spec to saturate and materialize a *Spec.
+// ids, with no pairwise intermediate products and no string-keyed state
+// bookkeeping. It accepts exactly the systems Compose accepts and
+// represents the same machine; only the initial state is interned up
+// front. The converter DeriveEnv produces over it is bit-identical to
+// Derive's over Compose's *Spec for every worker count. Use (*Lazy).Spec
+// to saturate and materialize a *Spec, as Compose does.
 func ComposeLazy(specs ...*Spec) (*Lazy, error) { return compose.LazyMany(specs...) }
 
 // Satisfies reports whether B satisfies A with respect to both safety and
