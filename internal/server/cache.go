@@ -18,13 +18,14 @@ import (
 	"protoquot/internal/render"
 )
 
-// Cache is the content-addressed converter cache: an LRU-bounded in-memory
-// map keyed by api.CacheKey, with optional write-through persistence of
-// envelope and converter artifacts to a directory. Entries are api.Artifact
-// values — immutable once stored, so repeat requests (and shard peers) are
-// served from them bit-identically. Renderings (DOT, Go source) are not
-// stored; they are deterministic functions of the converter, recomputed on
-// demand and, under disk persistence, written once as sibling artifacts.
+// Cache is the content-addressed converter cache: an in-memory map keyed by
+// api.CacheKey and bounded by SIEVE eviction (DESIGN.md §9, "Eviction"),
+// with optional write-through persistence of envelope and converter
+// artifacts to a directory. Entries are api.Artifact values — immutable
+// once stored, so repeat requests (and shard peers) are served from them
+// bit-identically. Renderings (DOT, Go source) are not stored; they are
+// deterministic functions of the converter, recomputed on demand and, under
+// disk persistence, written once as sibling artifacts.
 //
 // Beside the key index the cache keeps an alias index: the SHA-256 of a
 // request body that the full request path resolved to an entry's key. The
@@ -35,7 +36,8 @@ import (
 type Cache struct {
 	mu      sync.Mutex
 	max     int
-	ll      *list.List // front = most recently used; values are *cacheEntry
+	ll      *list.List    // front = newest insertion; values are *cacheEntry
+	hand    *list.Element // next eviction candidate; nil: start at the back
 	byKey   map[string]*list.Element
 	byAlias map[[sha256.Size]byte]*list.Element
 	dir     string // "" disables persistence
@@ -46,10 +48,11 @@ type Cache struct {
 }
 
 // cacheEntry is one stored artifact and the body digests that alias it,
-// oldest first.
+// oldest first. visited records a hit since the hand last passed the entry.
 type cacheEntry struct {
 	art     *api.Artifact
 	aliases [][sha256.Size]byte
+	visited bool
 }
 
 // aliasesPerEntry bounds the body digests kept per entry. Bodies that differ
@@ -92,8 +95,7 @@ func NewCache(max int, dir string, logf func(format string, args ...any)) (*Cach
 func (c *Cache) Get(key string) (*api.Artifact, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry).art
+		e := visit(el)
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return e, true
@@ -121,8 +123,7 @@ func (c *Cache) GetAlias(d [sha256.Size]byte) (*api.Artifact, bool) {
 		c.mu.Unlock()
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry).art
+	e := visit(el)
 	c.mu.Unlock()
 	c.hits.Add(1)
 	c.aliasHits.Add(1)
@@ -157,14 +158,22 @@ func (c *Cache) peek(key string) (*api.Artifact, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).art, true
+		return visit(el), true
 	}
 	return nil, false
 }
 
-// Put stores an entry, evicting the least recently used entry beyond the
-// bound and writing through to disk when persistence is enabled.
+// visit marks el's entry as hit and returns its artifact. A hit moves
+// nothing: it only spares the entry from the hand's next pass.
+func visit(el *list.Element) *api.Artifact {
+	ce := el.Value.(*cacheEntry)
+	ce.visited = true
+	return ce.art
+}
+
+// Put stores an entry, evicting one entry first when the cache is full (the
+// SIEVE policy, see evict) and writing through to disk when persistence is
+// enabled.
 func (c *Cache) Put(e *api.Artifact) {
 	c.insert(e, c.dir != "")
 }
@@ -172,25 +181,43 @@ func (c *Cache) Put(e *api.Artifact) {
 func (c *Cache) insert(e *api.Artifact, persist bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[e.Key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).art = e // same key, same answer: aliases stay
+		ce := el.Value.(*cacheEntry)
+		ce.art, ce.visited = e, true // same key, same answer: aliases stay
 	} else {
-		c.byKey[e.Key] = c.ll.PushFront(&cacheEntry{art: e})
-		for c.ll.Len() > c.max {
-			back := c.ll.Back()
-			old := back.Value.(*cacheEntry)
-			c.ll.Remove(back)
-			delete(c.byKey, old.art.Key)
-			for _, d := range old.aliases {
-				delete(c.byAlias, d)
-			}
-			c.evictions.Add(1)
+		if c.ll.Len() >= c.max {
+			c.evict()
 		}
+		c.byKey[e.Key] = c.ll.PushFront(&cacheEntry{art: e})
 	}
 	c.mu.Unlock()
 	if persist {
 		c.diskPut(e)
 	}
+}
+
+// evict removes one entry, with its aliases, by SIEVE: the hand walks from
+// where it stopped toward the front, wrapping to the back, clearing visited
+// bits until it reaches an unvisited entry. That entry goes; the hand stays
+// at its predecessor. The caller holds c.mu and evicts before inserting, so
+// a newcomer is never its own victim.
+func (c *Cache) evict() {
+	el := c.hand
+	if el == nil {
+		el = c.ll.Back()
+	}
+	for ce := el.Value.(*cacheEntry); ce.visited; ce = el.Value.(*cacheEntry) {
+		ce.visited = false
+		if el = el.Prev(); el == nil {
+			el = c.ll.Back()
+		}
+	}
+	c.hand = el.Prev()
+	old := c.ll.Remove(el).(*cacheEntry)
+	delete(c.byKey, old.art.Key)
+	for _, d := range old.aliases {
+		delete(c.byAlias, d)
+	}
+	c.evictions.Add(1)
 }
 
 // Len returns the number of in-memory entries.
@@ -200,9 +227,9 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
-// Keys returns the in-memory keys, least recently used first — the order a
-// warm-start preload should replay them so the hottest entries end up most
-// recently used on the receiving node.
+// Keys returns the in-memory keys, oldest inserted first (the list from back
+// to front) — the order a warm-start preload replays them through Put, so
+// the receiving node's list keeps the sender's insertion order.
 func (c *Cache) Keys() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -186,8 +186,8 @@ func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-// handlePeerKeys is GET /v1/peer/keys: the in-memory cache's keys, LRU
-// first — what a warm-starting node replays via PreloadFromPeer.
+// handlePeerKeys is GET /v1/peer/keys: the in-memory cache's keys, oldest
+// inserted first — what a warm-starting node replays via PreloadFromPeer.
 func (s *Server) handlePeerKeys(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &api.PeerKeysResponse{Keys: s.cache.Keys()})
 }
