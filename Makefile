@@ -44,12 +44,14 @@ examples:
 		$(GO) run ./$$d > /dev/null || { echo "examples: $$d failed"; exit 1; }; \
 	done
 
-# One iteration of every derivation-engine and prune benchmark and of the
-# expansion benchmark: catches bit-rot in the bench harness and
-# smoke-tests the parallel engine, the compiled prune check and the
-# demand-driven composition's expansion under -benchtime=1x.
+# One iteration of every derivation-engine and prune benchmark, of the
+# expansion benchmark and of quotd's alias-hit benchmark: catches bit-rot
+# in the bench harness and smoke-tests the parallel engine, the compiled
+# prune check, the demand-driven composition's expansion and the handler's
+# digest-first hit path under -benchtime=1x.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'Derive|Prune|LazyExpand' -benchtime 1x .
+	$(GO) test -run '^$$' -bench AliasHit -benchtime 1x ./internal/server
 
 # The benchmark record for a change: every workload of bench/run.sh at its
 # default -seconds, seeds 1, 2 and 3 untraced and seed 1 traced, appended

@@ -2,14 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"protoquot/internal/api"
+	"protoquot/internal/dsl"
+	"protoquot/internal/specgen"
 )
 
 // post sends body to POST /v1/derive; safe to call from any goroutine.
@@ -204,5 +210,229 @@ func TestLookupsMatchDeriveRequests(t *testing.T) {
 	}
 	if st.CacheAliasHits == 0 || st.CacheAliasHits > st.CacheHits {
 		t.Errorf("alias hits %d, hits %d: want some alias hits, no more than the hits", st.CacheAliasHits, st.CacheHits)
+	}
+}
+
+// aliasHits returns the server's alias-hit counter.
+func aliasHits(t *testing.T, url string) int64 {
+	t.Helper()
+	return getStats(t, url).CacheAliasHits
+}
+
+// TestAliasCarriesItsBodysOptions sends two bodies for one key that differ
+// only in their renderings. Each repeat is answered by digest with the
+// renderings its own body asked for.
+func TestAliasCarriesItsBodysOptions(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	withTable, withDOT := simpleRequest(), simpleRequest()
+	withTable.Options.IncludeTable = true
+	withDOT.Options.IncludeDOT = true
+	tableBody, _ := json.Marshal(withTable)
+	dotBody, _ := json.Marshal(withDOT)
+	postRaw(t, ts.URL, tableBody)
+	postRaw(t, ts.URL, dotBody)
+	for i, tc := range []struct {
+		body       []byte
+		table, dot bool
+	}{{tableBody, true, false}, {dotBody, false, true}} {
+		out, code := postRaw(t, ts.URL, tc.body)
+		if code != http.StatusOK || !out.Cached {
+			t.Fatalf("repeat %d: status %d, cached %t", i, code, out.Cached)
+		}
+		if got := aliasHits(t, ts.URL); got != int64(i+1) {
+			t.Errorf("repeat %d: alias hits %d, want %d", i, got, i+1)
+		}
+		if (out.Table != "") != tc.table || (out.DOT != "") != tc.dot {
+			t.Errorf("repeat %d: table %t, dot %t; want %t, %t", i, out.Table != "", out.DOT != "", tc.table, tc.dot)
+		}
+	}
+}
+
+// TestTrailingWhitespaceSharesAlias: a body followed by JSON whitespace
+// hits the alias of the same body without it.
+func TestTrailingWhitespaceSharesAlias(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body, _ := json.Marshal(simpleRequest())
+	first, _ := postRaw(t, ts.URL, body)
+	for i, tail := range []string{"\n", " \t\r\n"} {
+		out, code := postRaw(t, ts.URL, append(append([]byte(nil), body...), tail...))
+		if code != http.StatusOK || out.Key != first.Key {
+			t.Fatalf("tail %q: status %d, same key %t", tail, code, out.Key == first.Key)
+		}
+		if got := aliasHits(t, ts.URL); got != int64(i+1) {
+			t.Errorf("tail %q: alias hits %d, want %d", tail, got, i+1)
+		}
+	}
+}
+
+// TestBytesAfterTheValue: what follows a body's JSON value is ignored by the
+// decode, as before; the whole body is the alias, so its repeat hits. When
+// those bytes take the body past MaxBodyBytes, the request is rejected.
+func TestBytesAfterTheValue(t *testing.T) {
+	body, _ := json.Marshal(simpleRequest())
+	trailed := append(append([]byte(nil), body...), `{"not":"read"}`...)
+	_, ts := newTestServer(t, Config{})
+	first, _ := postRaw(t, ts.URL, body)
+	out, code := postRaw(t, ts.URL, trailed)
+	if code != http.StatusOK || out.Key != first.Key || aliasHits(t, ts.URL) != 0 {
+		t.Fatalf("trailed body: status %d, same key %t; want a full-path answer for the same key", code, out.Key == first.Key)
+	}
+	postRaw(t, ts.URL, trailed)
+	if got := aliasHits(t, ts.URL); got != 1 {
+		t.Errorf("repeat of the trailed body: alias hits %d, want 1", got)
+	}
+
+	_, small := newTestServer(t, Config{MaxBodyBytes: int64(len(body)) + 4})
+	if out, code := postRaw(t, small.URL, body); code != http.StatusOK {
+		t.Fatalf("body within the bound: status %d: %+v", code, out.Error)
+	}
+	out, code = postRaw(t, small.URL, trailed)
+	if code != http.StatusBadRequest || out.Error == nil || out.Error.Code != api.ErrCodeBadRequest ||
+		out.Error.Message != "body: http: request body too large" {
+		t.Errorf("trailed body past the bound: status %d, error %+v; want 400 bad_request, body too large", code, out.Error)
+	}
+}
+
+// TestPeerReadsAreNotLookups copies a node's cache to a fresh one: the
+// origin's counters must not move, and no entry may be marked visited. A
+// key evicted to disk is served to a peer without being promoted.
+func TestPeerReadsAreNotLookups(t *testing.T) {
+	origin, originTS := newTestServer(t, Config{CacheEntries: 1, CacheDir: t.TempDir()})
+	evicted, _ := postDerive(t, originTS.URL, api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
+		Envs: []api.SpecSource{{Inline: doomedWorld}}})
+	postDerive(t, originTS.URL, simpleRequest())
+	visited := func() (n int) {
+		origin.cache.mu.Lock()
+		defer origin.cache.mu.Unlock()
+		for el := origin.cache.ll.Front(); el != nil; el = el.Next() {
+			if el.Value.(*cacheEntry).visited {
+				n++
+			}
+		}
+		return n
+	}
+	if n := visited(); n != 0 {
+		t.Fatalf("%d entries visited before the preload, want 0", n)
+	}
+	before := origin.statsSnapshot()
+	fresh, _ := newTestServer(t, Config{})
+	addr := strings.TrimPrefix(originTS.URL, "http://")
+	if n, err := fresh.PreloadFromPeer(context.Background(), addr); err != nil || n != 1 {
+		t.Fatalf("preloaded %d artifacts (error %v), want 1", n, err)
+	}
+	if n := visited(); n != 0 {
+		t.Errorf("%d entries visited after the preload, want 0", n)
+	}
+	if _, err := api.NewClient(addr).PeerArtifact(context.Background(), addr, evicted.Key); err != nil {
+		t.Fatalf("peer read of the key on disk: %v", err)
+	}
+	after := origin.statsSnapshot()
+	if after.CacheHits != before.CacheHits || after.CacheMisses != before.CacheMisses ||
+		after.DeriveRequests != before.DeriveRequests {
+		t.Errorf("peer reads moved the origin's hits/misses/derive requests: %d/%d/%d → %d/%d/%d",
+			before.CacheHits, before.CacheMisses, before.DeriveRequests,
+			after.CacheHits, after.CacheMisses, after.DeriveRequests)
+	}
+	if keys := origin.cache.Keys(); len(keys) != 1 || keys[0] == evicted.Key {
+		t.Errorf("origin's in-memory keys after the peer reads: %v; the disk entry must not be promoted", keys)
+	}
+}
+
+// componentsBody is an all-inline body whose environment is the world spec
+// composed with n-1 specs that have no events, so its answer is the simple
+// request's while its size grows with n.
+func componentsBody(t testing.TB, n int) []byte {
+	t.Helper()
+	req := api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
+		Components: []api.SpecSource{{Inline: worldText}}}
+	for i := 1; i < n; i++ {
+		req.Components = append(req.Components, api.SpecSource{Inline: fmt.Sprintf("spec Idle%d\ninit z0\n", i)})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// serve runs one POST /v1/derive through h in-process.
+func serve(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/derive", bytes.NewReader(body)))
+	return rec
+}
+
+// raceEnabled reports whether the test binary was built with -race, under
+// which sync.Pool drops items at random and allocation counts wander.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, st := range bi.Settings {
+			if st.Key == "-race" {
+				return st.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestAliasHitAllocsIndependentOfSpecs: an alias hit decodes nothing, so its
+// allocations do not grow with the number of inline specs in the body.
+func TestAliasHitAllocsIndependentOfSpecs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	s, _ := newTestServer(t, Config{Logf: func(string, ...any) {}})
+	h := s.Handler()
+	allocs := make(map[int]float64)
+	for _, n := range []int{2, 12} {
+		body := componentsBody(t, n)
+		for i := 0; i < 2; i++ {
+			if rec := serve(h, body); rec.Code != http.StatusOK {
+				t.Fatalf("%d components: status %d: %s", n, rec.Code, rec.Body)
+			}
+		}
+		before := s.cache.AliasHits()
+		allocs[n] = testing.AllocsPerRun(50, func() { serve(h, body) })
+		if got := s.cache.AliasHits() - before; got < 50 {
+			t.Fatalf("%d components: %d alias hits over 51 runs", n, got)
+		}
+	}
+	t.Logf("allocations per alias hit: %.0f with 2 components, %.0f with 12", allocs[2], allocs[12])
+	if allocs[12] > allocs[2] {
+		t.Errorf("allocations per alias hit: %.0f with 2 components, %.0f with 12", allocs[2], allocs[12])
+	}
+}
+
+// BenchmarkAliasHit serves a repeated body the size of the serve benchmark's
+// (chain(3) as components, pruned, with its table) through the handler: the
+// alias-hit path from raw body to response bytes.
+func BenchmarkAliasHit(b *testing.B) {
+	s, err := New(Config{Logf: func(string, ...any) {}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Abort()
+	f := specgen.Chain(3)
+	req := api.DeriveRequest{Service: api.SpecSource{Inline: dsl.String(f.Service)},
+		Options: api.DeriveOptions{OmitVacuous: true, Prune: true, IncludeTable: true}}
+	for _, c := range f.Components {
+		req.Components = append(req.Components, api.SpecSource{Inline: dsl.String(c)})
+	}
+	body, _ := json.Marshal(req)
+	h := s.Handler()
+	for i := 0; i < 2; i++ {
+		if rec := serve(h, body); rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	before := s.cache.AliasHits()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(h, body)
+	}
+	b.StopTimer()
+	if got := s.cache.AliasHits() - before; got != int64(b.N) {
+		b.Fatalf("%d alias hits over %d requests", got, b.N)
 	}
 }

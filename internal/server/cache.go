@@ -28,10 +28,11 @@ import (
 // disk persistence, written once as sibling artifacts.
 //
 // Beside the key index the cache keeps an alias index: the SHA-256 of a
-// request body that the full request path resolved to an entry's key. The
-// aliases live on their entry, at most aliasesPerEntry of them, and leave
-// with it, so the alias index is bounded by the cache's own bound. DESIGN.md
-// §9 argues when a body digest may stand in for the key.
+// request body that the full request path resolved to an entry's key,
+// stored with the request options that body decodes to. The aliases live on
+// their entry, at most aliasesPerEntry of them, and leave with it, so the
+// alias index is bounded by the cache's own bound. DESIGN.md §9 argues when
+// a body digest may stand in for the key.
 // All methods are safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
@@ -51,8 +52,15 @@ type Cache struct {
 // oldest first. visited records a hit since the hand last passed the entry.
 type cacheEntry struct {
 	art     *api.Artifact
-	aliases [][sha256.Size]byte
+	aliases []alias
 	visited bool
+}
+
+// alias is one body digest of an entry and the options its body decodes to:
+// an alias hit renders the response from them without decoding the body.
+type alias struct {
+	digest [sha256.Size]byte
+	opts   api.DeriveOptions
 }
 
 // aliasesPerEntry bounds the body digests kept per entry. Bodies that differ
@@ -113,27 +121,37 @@ func (c *Cache) Get(key string) (*api.Artifact, bool) {
 	return nil, false
 }
 
-// GetAlias returns the in-memory entry that body digest d aliases, counting
-// a hit (and an alias hit) when there is one. A miss is not counted: the
-// request goes on to Get.
-func (c *Cache) GetAlias(d [sha256.Size]byte) (*api.Artifact, bool) {
+// GetAlias returns the in-memory entry that body digest d aliases and the
+// request options recorded with d, counting a hit (and an alias hit) when
+// there is one. A miss is not counted: the request goes on to decode its
+// body and look up its key with Get.
+func (c *Cache) GetAlias(d [sha256.Size]byte) (*api.Artifact, api.DeriveOptions, bool) {
 	c.mu.Lock()
 	el, ok := c.byAlias[d]
 	if !ok {
 		c.mu.Unlock()
-		return nil, false
+		return nil, api.DeriveOptions{}, false
+	}
+	var opts api.DeriveOptions
+	for _, a := range el.Value.(*cacheEntry).aliases {
+		if a.digest == d {
+			opts = a.opts
+			break
+		}
 	}
 	e := visit(el)
 	c.mu.Unlock()
 	c.hits.Add(1)
 	c.aliasHits.Add(1)
-	return e, true
+	return e, opts, true
 }
 
-// Alias records body digest d as an alias of the in-memory entry stored
-// under key. It does nothing when key is not in memory or d is already an
-// alias.
-func (c *Cache) Alias(d [sha256.Size]byte, key string) {
+// Alias records body digest d, whose body decodes to options opts, as an
+// alias of the in-memory entry stored under key. It does nothing when key
+// is not in memory or d is already an alias. The caller vouches that the
+// body's answer is the entry's whatever the spec registry holds: only
+// all-inline bodies are aliased.
+func (c *Cache) Alias(d [sha256.Size]byte, key string, opts api.DeriveOptions) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
@@ -145,10 +163,10 @@ func (c *Cache) Alias(d [sha256.Size]byte, key string) {
 	}
 	ce := el.Value.(*cacheEntry)
 	if len(ce.aliases) == aliasesPerEntry {
-		delete(c.byAlias, ce.aliases[0])
+		delete(c.byAlias, ce.aliases[0].digest)
 		ce.aliases = append(ce.aliases[:0], ce.aliases[1:]...)
 	}
-	ce.aliases = append(ce.aliases, d)
+	ce.aliases = append(ce.aliases, alias{digest: d, opts: opts})
 	c.byAlias[d] = el
 }
 
@@ -159,6 +177,24 @@ func (c *Cache) peek(key string) (*api.Artifact, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
 		return visit(el), true
+	}
+	return nil, false
+}
+
+// fetch returns the entry stored under key, in memory or on disk, without
+// counting a lookup, marking the entry visited or promoting a disk entry:
+// the read of a peer copying this node's cache, which is no client request
+// and must not bend the hit counters or spare the entry from eviction.
+func (c *Cache) fetch(key string) (*api.Artifact, bool) {
+	c.mu.Lock()
+	if el, ok := c.byKey[key]; ok {
+		e := el.Value.(*cacheEntry).art
+		c.mu.Unlock()
+		return e, true
+	}
+	c.mu.Unlock()
+	if c.dir != "" {
+		return c.diskGet(key)
 	}
 	return nil, false
 }
@@ -214,8 +250,8 @@ func (c *Cache) evict() {
 	c.hand = el.Prev()
 	old := c.ll.Remove(el).(*cacheEntry)
 	delete(c.byKey, old.art.Key)
-	for _, d := range old.aliases {
-		delete(c.byAlias, d)
+	for _, a := range old.aliases {
+		delete(c.byAlias, a.digest)
 	}
 	c.evictions.Add(1)
 }

@@ -366,7 +366,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				k := rng.Intn(keys)
 				d := sha256.Sum256([]byte{byte(k), byte(rng.Intn(6))})
-				if _, ok := c.GetAlias(d); ok {
+				if _, _, ok := c.GetAlias(d); ok {
 					aliasHits.Add(1)
 					continue
 				}
@@ -374,7 +374,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 				if _, ok := c.Get(hexKey(k)); !ok {
 					c.Put(entry(k))
 				}
-				c.Alias(d, hexKey(k))
+				c.Alias(d, hexKey(k), api.DeriveOptions{})
 			}
 		}(int64(w))
 	}
@@ -400,8 +400,8 @@ func TestCacheConcurrentUse(t *testing.T) {
 		if c.byKey[ce.art.Key] != el {
 			t.Errorf("entry %.8s not indexed by its key", ce.art.Key)
 		}
-		for _, d := range ce.aliases {
-			if c.byAlias[d] != el {
+		for _, a := range ce.aliases {
+			if c.byAlias[a.digest] != el {
 				t.Errorf("alias of %.8s points elsewhere", ce.art.Key)
 			}
 		}

@@ -174,10 +174,11 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerArtifact is GET /v1/peer/artifact/{key}: fetch a cached
-// artifact without triggering a derivation — the preload path.
+// artifact without triggering a derivation — the preload path. The read is
+// not a client lookup, so it counts no hit or miss and visits no entry.
 func (s *Server) handlePeerArtifact(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	e, ok := s.cache.Get(key)
+	e, ok := s.cache.fetch(key)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, &api.Error{Code: api.ErrCodeNotFound,
 			Message: fmt.Sprintf("no artifact for key %s", shortKey(key))})

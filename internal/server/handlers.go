@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -50,9 +49,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(api.VersionHeader, api.Version)
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the client is gone if this fails; nothing to do
+	_ = json.NewEncoder(w).Encode(v) // the client is gone if this fails; nothing to do
 }
 
 // handleDerive is POST /v1/derive: resolve → cache → shard route → cache or
@@ -63,43 +60,43 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // filled from that owner; an unreachable owner falls back to the local
 // engine, so shard loss is never a client-visible failure.
 //
-// A request whose specs are all inline is first looked up by the SHA-256
-// of its body in the cache's alias index, which maps bodies the full path
-// has resolved to their cache key: a repeat of such a body is answered
-// without parsing, normalizing or hashing its specs (DESIGN.md §9).
+// The body is first looked up by its SHA-256 in the cache's alias index,
+// which maps all-inline bodies the full path has resolved to their cache
+// key and decoded options: a repeat of such a body is answered without
+// decoding it or parsing, normalizing and hashing its specs (DESIGN.md §9).
 func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := fmt.Sprintf("r%06d", s.reqSeq.Add(1))
 	s.met.deriveRequests.Add(1)
 
-	var req api.DeriveRequest
-	var body bytes.Buffer
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(io.TeeReader(r.Body, &body))
-	if err := dec.Decode(&req); err != nil {
+	body, err := readBody(r, s.cfg.MaxBodyBytes)
+	if err != nil {
 		s.failRequest(w, id, start, &api.Error{Code: api.ErrCodeBadRequest,
 			Message: "body: " + err.Error()})
 		return
 	}
-	inline := allInline(&req)
-	var digest [sha256.Size]byte
-	if inline {
-		// The decoded request is a function of the bytes up to the end of
-		// its JSON value; what the decoder read beyond it is not hashed.
-		digest = sha256.Sum256(body.Bytes()[:dec.InputOffset()])
-		if e, ok := s.cache.GetAlias(digest); ok {
-			s.respondEntry(w, id, start, &req.Options, e, true, false, "")
-			return
-		}
+	// Trailing JSON whitespace does not change the decoded request and is
+	// not hashed, so a body and the body plus a newline share an alias.
+	digest := sha256.Sum256(bytes.TrimRight(body, " \t\r\n"))
+	if e, opts, ok := s.cache.GetAlias(digest); ok {
+		s.respondEntry(w, id, start, &opts, e, true, false, "")
+		return
+	}
+	var req api.DeriveRequest
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+		s.failRequest(w, id, start, &api.Error{Code: api.ErrCodeBadRequest,
+			Message: "body: " + err.Error()})
+		return
 	}
 	cr, werr := s.compile(&req)
 	if werr != nil {
 		s.failRequest(w, id, start, werr)
 		return
 	}
-	if inline {
+	if allInline(&req) {
 		// Attach the alias once the entry is stored; a no-op if it is not.
-		defer s.cache.Alias(digest, cr.key)
+		defer s.cache.Alias(digest, cr.key, req.Options)
 	}
 
 	if e, ok := s.cache.Get(cr.key); ok {
@@ -121,6 +118,20 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.respondEntry(w, id, start, &req.Options, e, cached, coalesced, "")
+}
+
+// readBody reads r's body whole. A declared Content-Length within limit
+// sizes the buffer up front, so the read allocates once whatever the body's
+// size; a body without one grows as io.ReadAll's would.
+func readBody(r *http.Request, limit int64) ([]byte, error) {
+	n := r.ContentLength
+	if n < 0 || n > limit {
+		n = 0
+	}
+	var buf bytes.Buffer
+	buf.Grow(int(n) + bytes.MinRead)
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
 }
 
 // allInline reports whether every spec of req is given inline, so that the
