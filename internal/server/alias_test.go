@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -400,6 +401,41 @@ func TestAliasHitAllocsIndependentOfSpecs(t *testing.T) {
 	t.Logf("allocations per alias hit: %.0f with 2 components, %.0f with 12", allocs[2], allocs[12])
 	if allocs[12] > allocs[2] {
 		t.Errorf("allocations per alias hit: %.0f with 2 components, %.0f with 12", allocs[2], allocs[12])
+	}
+}
+
+// TestDeclaredLengthDoesNotSizeTheBuffer: a client may declare the largest
+// allowed Content-Length and then stall after its headers; the handler must
+// not allocate the declared length before the bytes arrive. A short body
+// that declares MaxBodyBytes may cost bodyPresize more than the same body
+// declaring its true length, rounded up to an allocation size class.
+func TestDeclaredLengthDoesNotSizeTheBuffer(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation sizes are not stable under the race detector")
+	}
+	s, _ := newTestServer(t, Config{Logf: func(string, ...any) {}})
+	h := s.Handler()
+	body := componentsBody(t, 2)
+	serve(h, body)
+	allocated := func(declared int64) uint64 {
+		least := uint64(1<<63 - 1)
+		for i := 0; i < 5; i++ {
+			req := httptest.NewRequest(http.MethodPost, "/v1/derive", bytes.NewReader(body))
+			req.ContentLength = declared
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(httptest.NewRecorder(), req)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	honest, declared := allocated(int64(len(body))), allocated(s.cfg.MaxBodyBytes)
+	t.Logf("a %d-byte body allocated %d bytes declaring its length, %d declaring %d",
+		len(body), honest, declared, s.cfg.MaxBodyBytes)
+	if declared > honest+2*bodyPresize {
+		t.Errorf("declaring %d bytes cost %d bytes more than declaring %d",
+			s.cfg.MaxBodyBytes, declared-honest, len(body))
 	}
 }
 

@@ -70,7 +70,7 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	s.met.deriveRequests.Add(1)
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	body, err := readBody(r, s.cfg.MaxBodyBytes)
+	body, err := readBody(r)
 	if err != nil {
 		s.failRequest(w, id, start, &api.Error{Code: api.ErrCodeBadRequest,
 			Message: "body: " + err.Error()})
@@ -120,14 +120,18 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) {
 	s.respondEntry(w, id, start, &req.Options, e, cached, coalesced, "")
 }
 
-// readBody reads r's body whole. A declared Content-Length within limit
-// sizes the buffer up front, so the read allocates once whatever the body's
-// size; a body without one grows as io.ReadAll's would.
-func readBody(r *http.Request, limit int64) ([]byte, error) {
-	n := r.ContentLength
-	if n < 0 || n > limit {
-		n = 0
-	}
+// bodyPresize bounds the buffer readBody allocates before any body byte has
+// arrived: a client that declares a large Content-Length and then stalls
+// holds no more than this, about what its connection's bufio reader, writer
+// and goroutine stack hold already. Serve-sized bodies are 1–2 KiB.
+const bodyPresize = 16 << 10
+
+// readBody reads r's body whole. A declared Content-Length sizes the buffer
+// up front, up to bodyPresize, so a body within that is read in one
+// allocation whatever its size; a larger body, or one without a declared
+// length, grows with the bytes that arrive, as io.ReadAll's would.
+func readBody(r *http.Request) ([]byte, error) {
+	n := min(max(r.ContentLength, 0), bodyPresize)
 	var buf bytes.Buffer
 	buf.Grow(int(n) + bytes.MinRead)
 	_, err := buf.ReadFrom(r.Body)
