@@ -152,6 +152,41 @@ func BenchmarkPruneChain3(b *testing.B) {
 	b.ReportMetric(float64(states), "states")
 }
 
+// BenchmarkPruneServeFamilies prunes each serve benchmark family's
+// converter over the demand-driven composition it was derived over, as a
+// quotd miss does, and reports per family the time and bytes of one
+// PruneEnvs call and how many of its candidate checks fell back to a full
+// walk of the composite.
+func BenchmarkPruneServeFamilies(b *testing.B) {
+	for _, fn := range []string{"chain(2)", "chain(3)", "chaindrop(2)", "chaindrop(3)", "ring(2)"} {
+		f, err := specgen.ParseFamily(fn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env, err := compose.LazyMany(f.Components...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		envs := []core.Environment{env}
+		res, err := core.DeriveEnvsContext(context.Background(), f.Service, envs, core.Options{OmitVacuous: true, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fn, func(b *testing.B) {
+			b.ReportAllocs()
+			var counts core.PruneCounts
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				if _, counts, err = core.PruneEnvsCounted(f.Service, envs, res.Converter); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(time.Since(start).Microseconds())/float64(b.N), "µs/op")
+			b.ReportMetric(float64(counts.Walks), "walks/op")
+		})
+	}
+}
+
 // --- E10: Section 6 transport configurations (figures 16–18) ---
 
 func BenchmarkFigure16PassThroughCheck(b *testing.B) {
@@ -874,22 +909,27 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 // allocates, layer by layer, on each family the serve benchmark asks for:
 // parsing one component from its text, deriving over the lazy composition
 // (compose.LazyMany plus core.DeriveEnvsContext), and pruning over the same
-// composition (core.PruneEnvs). Each ceiling is ~1.5× the layer's measured
-// cost when it was set. Before parse and derive scratch was sized to the
-// input, parse took ~69 KB per spec and derive 1.25–2.0 MB per family, so a
-// return of fixed-size scratch fails here.
+// composition (core.PruneEnvs). The prune is measured as a serving quotd
+// pays it, after one warm-up prune: the prune checker's storage comes from
+// a pool, and only the first prune of a process (or the first after two
+// garbage collections emptied the pool) allocates it, 117–499 KB on these
+// families. Each ceiling is ~1.5× the layer's measured cost when it was
+// set. Before parse and derive scratch was sized to the input, parse took
+// ~69 KB per spec and derive 1.25–2.0 MB per family, so a return of
+// fixed-size scratch fails here.
 func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
-	// Measured when set (bytes): parse 7,664 (ring(2) 11,184); derive
-	// 93k / 163k / 128k / 263k / 205k; prune 91k / 364k / 91k / 364k / 87k.
+	// Measured when set (bytes): parse 3,096 (ring(2) 5,880); derive
+	// 93k / 163k / 128k / 263k / 205k; prune 6,488 / 6,840 / 6,512 /
+	// 6,864 / 43,376.
 	budgets := []struct {
 		family               string
 		parse, derive, prune uint64 // KiB
 	}{
-		{"chain(2)", 12, 137, 140},
-		{"chain(3)", 12, 240, 550},
-		{"chaindrop(2)", 12, 187, 140},
-		{"chaindrop(3)", 12, 386, 550},
-		{"ring(2)", 17, 301, 130},
+		{"chain(2)", 5, 137, 10},
+		{"chain(3)", 5, 240, 11},
+		{"chaindrop(2)", 5, 187, 10},
+		{"chaindrop(3)", 5, 386, 11},
+		{"ring(2)", 9, 301, 64},
 	}
 	for _, bud := range budgets {
 		f, err := specgen.ParseFamily(bud.family)
@@ -900,7 +940,7 @@ func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 		b.Run(bud.family, func(b *testing.B) {
 			var parse, derive, prune uint64
 			for i := 0; i < b.N; i++ {
-				var m1, m2, m3 goruntime.MemStats
+				var m1, m2, m3, m4 goruntime.MemStats
 				goruntime.GC()
 				parse = minAlloc(5, func() {
 					if _, err := dsl.ParseString(text); err != nil {
@@ -919,10 +959,14 @@ func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 				}
 				goruntime.ReadMemStats(&m2)
 				if _, err := core.PruneEnvs(f.Service, envs, res.Converter); err != nil {
-					b.Fatal(err)
+					b.Fatal(err) // the warm-up
 				}
 				goruntime.ReadMemStats(&m3)
-				derive, prune = m2.TotalAlloc-m1.TotalAlloc, m3.TotalAlloc-m2.TotalAlloc
+				if _, err := core.PruneEnvs(f.Service, envs, res.Converter); err != nil {
+					b.Fatal(err)
+				}
+				goruntime.ReadMemStats(&m4)
+				derive, prune = m2.TotalAlloc-m1.TotalAlloc, m4.TotalAlloc-m3.TotalAlloc
 				for _, l := range []struct {
 					layer       string
 					got, budget uint64

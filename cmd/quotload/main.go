@@ -2,9 +2,10 @@
 // sharded cluster — and checks the service-level invariants the daemon
 // promises: every request answered (zero non-2xx, even across a shard kill
 // and rejoin), repeats served from the content-addressed cache (hit ratio
-// > 0 after round one), identical answers everywhere, and no duplicate
+// > 0 after round one), identical answers everywhere, no duplicate
 // engine runs cluster-wide (one derivation per distinct key while the ring
-// is stable). It prints the warm-vs-cold latency table that EXPERIMENTS.md
+// is stable), and on every node one cache hit or miss per derive request
+// (shard traffic counts neither). It prints the warm-vs-cold latency table that EXPERIMENTS.md
 // reports.
 //
 // By default it starts an in-process daemon on an ephemeral port, so `make
@@ -306,12 +307,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// peer fill that found the owner unreachable mid-kill is allowed its
 	// one recorded local-fallback derivation (peer_unavailable counts
 	// precisely those) — dedup degrades, availability does not.
-	sums, perNode := sumStats(ctx, addrs, *timeout)
+	sums, perNode, uncounted := sumStats(ctx, addrs, *timeout)
 	distinct := len(requested)
 	fmt.Fprintf(stdout, "cluster: nodes=%d distinct_keys=%d derives=%d coalesced=%d cache_hits=%d cache_alias_hits=%d peer_fills=%d peer_served=%d peer_unavailable=%d hot_replicated=%d ring_rebuilds=%d\n",
 		len(addrs), distinct, sums.Derives, sums.Coalesced, sums.CacheHits, sums.CacheAliasHits, sums.PeerFills, sums.PeerServed, sums.PeerUnavailable, sums.HotReplicated, sums.ClusterRingRebuilds)
 	for _, line := range perNode {
 		fmt.Fprintf(stdout, "  %s\n", line)
+	}
+	// Invariant 5: every node counts exactly one cache hit or miss per
+	// derive request it answered, and none for shard traffic.
+	for _, line := range uncounted {
+		fmt.Fprintf(stderr, "quotload: FAIL: %s\n", line)
+		failed = true
 	}
 	if victimKeys := 0; true {
 		if *kill {
@@ -443,13 +450,12 @@ func startNodes(n int) ([]*node, error) {
 }
 
 // sumStats totals the stats counters across every node and returns a
-// per-node summary line for the report. Unreachable nodes contribute
-// nothing (they cannot be hiding engine runs that already happened —
-// counters survive the in-process restart, and a truly dead external node
-// is out of scope for the invariant).
-func sumStats(ctx context.Context, addrs []string, timeout time.Duration) (api.StatsResponse, []string) {
-	var sums api.StatsResponse
-	var lines []string
+// per-node summary line for the report, and a line for every node whose
+// cache hits and misses do not add up to its derive requests. Unreachable
+// nodes contribute nothing (they cannot be hiding engine runs that already
+// happened — counters survive the in-process restart, and a truly dead
+// external node is out of scope for the invariant).
+func sumStats(ctx context.Context, addrs []string, timeout time.Duration) (sums api.StatsResponse, lines, uncounted []string) {
 	for _, a := range addrs {
 		st, err := api.NewClient(a, api.WithTimeout(timeout)).Stats(ctx)
 		if err != nil {
@@ -468,8 +474,12 @@ func sumStats(ctx context.Context, addrs []string, timeout time.Duration) (api.S
 		sums.ClusterRingRebuilds += st.ClusterRingRebuilds
 		lines = append(lines, fmt.Sprintf("%s: derives=%d cache_hits=%d peer_served=%d peers_up=%d",
 			a, st.Derives, st.CacheHits, st.PeerServed, st.ClusterPeersUp))
+		if st.CacheHits+st.CacheMisses != st.DeriveRequests {
+			uncounted = append(uncounted, fmt.Sprintf("%s: cache_hits %d + cache_misses %d != derive_requests %d",
+				a, st.CacheHits, st.CacheMisses, st.DeriveRequests))
+		}
 	}
-	return sums, lines
+	return sums, lines, uncounted
 }
 
 // printLatencyTable writes the per-job warm-vs-cold client-observed median

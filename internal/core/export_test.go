@@ -84,15 +84,18 @@ func PruneCheckVerdicts(a *spec.Spec, bs []Environment, c *spec.Spec) (input boo
 	if err != nil {
 		return false, nil, nil, err
 	}
+	if !pc.input() {
+		return false, nil, nil, nil
+	}
 	states, edges = pc.verdicts()
-	return pc.ok(noRemoval), states, edges, nil
+	return true, states, edges, nil
 }
 
 // verdicts returns the checker's verdict on every candidate removal from
 // its current converter, indexed as PruneCheckVerdicts indexes them. It
-// leaves the check counter as it found it.
+// leaves the check and walk counters as it found them.
 func (pc *pruneChecker) verdicts() (states []bool, edges [][]bool) {
-	checks := pc.checks
+	checks, walks := pc.checks, pc.walks
 	states = make([]bool, len(pc.cExt))
 	edges = make([][]bool, len(pc.cExt))
 	for st := range states {
@@ -104,7 +107,7 @@ func (pc *pruneChecker) verdicts() (states []bool, edges [][]bool) {
 			edges[st][ei] = pc.ok(removal{state: -1, from: int32(st), edge: ei})
 		}
 	}
-	pc.checks = checks
+	pc.checks, pc.walks = checks, walks
 	return states, edges
 }
 
@@ -123,7 +126,7 @@ func PruneReplay(a *spec.Spec, bs []Environment, c *spec.Spec,
 	if err != nil {
 		return nil, 0, err
 	}
-	if !pc.ok(noRemoval) {
+	if !pc.input() {
 		return nil, 0, fmt.Errorf("prune checker rejects the input converter")
 	}
 	var mismatch error
@@ -623,4 +626,76 @@ func (d *deriver) referenceMasks() []uint64 {
 		}
 	}
 	return ref
+}
+
+// PoolAfterCheck builds the prune checker for a, bs and c, runs its input
+// check and releases it, then takes up to four checkers from the pool and
+// puts them back. It returns the bytes the released checker held, the most
+// any pooled checker held, and the pool's bound.
+func PoolAfterCheck(a *spec.Spec, bs []Environment, c *spec.Spec) (released, pooled, bound int, err error) {
+	pc, err := newPruneChecker(a, bs, c)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if !pc.input() {
+		return 0, 0, 0, fmt.Errorf("prune checker rejects the input converter")
+	}
+	released = pc.retained()
+	pc.release()
+	var taken []*pruneChecker
+	for range 4 {
+		q := checkerPool.Get().(*pruneChecker)
+		pooled = max(pooled, q.retained())
+		taken = append(taken, q)
+	}
+	for _, q := range taken {
+		checkerPool.Put(q)
+	}
+	return released, pooled, pruneKeepBytes, nil
+}
+
+// PruneKeptState prunes c as PruneEnvs does and, after each accepted
+// removal, checks what the checker kept for later candidates against a
+// from-scratch computation under the same filters: every kept composite's
+// τ* must equal a Tarjan pass's without the kept bounds, and a full walk
+// must reach only kept configurations. It returns how many removals it
+// checked after.
+func PruneKeptState(a *spec.Spec, bs []Environment, c *spec.Spec) (steps int, err error) {
+	pc, err := newPruneChecker(a, bs, c)
+	if err != nil {
+		return 0, err
+	}
+	if !pc.input() {
+		return 0, fmt.Errorf("prune checker rejects the input converter")
+	}
+	var bad error
+	pc.applied = func() {
+		steps++
+		w := pc.words
+		for i := range pc.vars {
+			v := &pc.vars[i]
+			v.kept = false // no kept bounds: recompute from scratch
+			pc.nextGen()
+			for x := range v.pc {
+				if !slices.ContainsFunc(v.reach[x*pc.aw:(x+1)*pc.aw], func(word uint64) bool { return word != 0 }) {
+					continue
+				}
+				cx := int(pc.closeTau(v, int32(x), false))
+				if got, want := v.tau[x*w:(x+1)*w], pc.sccTau[cx*w:(cx+1)*w]; !slices.Equal(got, want) && bad == nil {
+					bad = fmt.Errorf("after removal %d, variant %d: composite %d keeps τ* %x, a fresh pass computes %x", steps, i, x, got, want)
+				}
+			}
+			pc.walk(v, -1)
+			for _, j := range v.seenWords {
+				if v.seen[j]&^v.reach[j] != 0 && bad == nil {
+					bad = fmt.Errorf("after removal %d, variant %d: a walk reaches configurations of composite %d that are not kept", steps, i, j/pc.aw)
+				}
+			}
+			v.kept = true
+		}
+	}
+	if _, err := pc.prune(c); err != nil {
+		return steps, err
+	}
+	return steps, bad
 }

@@ -15,19 +15,17 @@ import (
 // message loss. The paper notes such removal "is computationally expensive
 // and is best done by hand"; Prune automates a greedy version. Every
 // candidate removal — each state, then each transition, restarting after
-// every accepted one — costs one walk of the compiled checker
-// (pruneChecker), which explores each variant's B‖C once and returns the
-// verdict Verify would give for B‖C′. An accepted removal joins the
+// every accepted one — is decided by the compiled checker (pruneChecker),
+// which explores each variant's B‖C once and returns the verdict Verify
+// would give for B‖C′, re-walking only what the removal can change
+// (DESIGN.md §15). An accepted removal joins the
 // checker's filters and is applied to its converter tables, which are then
 // trimmed and renumbered exactly as spec.Builder + Spec.Trim would number
 // the rebuilt converter (apply): that numbering is a first-mention order,
 // not the old index order, and the greedy loop's candidate order depends
 // on it. A pass whose last accepted removal is a state ends the loop: it
 // has rejected every candidate of the final converter already. The result
-// is emitted once, by spec.FromDense with the input's state names. A walk
-// stops at the first failing configuration and is at most linear in the
-// reachable part of B‖C′ (times |S_A| for the ψ walk), so Prune costs one
-// exploration of B‖C plus the candidates' walked footprints.
+// is emitted once, by spec.FromDense with the input's state names.
 //
 // The result is a correct converter whose trace set is a subset of the
 // input's; it is locally minimal (no single state or transition can be
@@ -57,20 +55,36 @@ func PruneRobust(a *spec.Spec, bs []*spec.Spec, c *spec.Spec) (*spec.Spec, error
 // variant is materialized only to name the failure when the input is not a
 // correct converter.
 func PruneEnvs(a *spec.Spec, bs []Environment, c *spec.Spec) (*spec.Spec, error) {
+	pruned, _, err := PruneEnvsCounted(a, bs, c)
+	return pruned, err
+}
+
+// PruneCounts says how PruneEnvs decided its candidate removals.
+type PruneCounts struct {
+	Checks   int // checks run, the input check included
+	Accepted int // removals kept
+	Quick    int // removals kept without a fallback full walk
+	Walks    int // full walks run after an affected-set check failed
+}
+
+// PruneEnvsCounted is PruneEnvs, also returning how it decided.
+func PruneEnvsCounted(a *spec.Spec, bs []Environment, c *spec.Spec) (*spec.Spec, PruneCounts, error) {
 	pc, err := newPruneChecker(a, bs, c)
-	if err != nil || !pc.ok(noRemoval) {
+	if err != nil || !pc.input() {
 		// Verify names the failure. The checker gives up only where Verify
 		// must fail too (A not in normal form, Σ(B‖C) ≠ Σ_A), and refuses
 		// only what Verify refuses; a disagreement is a bug.
 		if verr := verifyEnvs(a, bs, c); verr != nil {
-			return nil, fmt.Errorf("quotient: Prune input is not a correct converter: %w", verr)
+			return nil, PruneCounts{}, fmt.Errorf("quotient: Prune input is not a correct converter: %w", verr)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("quotient: internal error: prune checker: %v, yet Verify accepts the input", err)
+			return nil, PruneCounts{}, fmt.Errorf("quotient: internal error: prune checker: %v, yet Verify accepts the input", err)
 		}
-		return nil, fmt.Errorf("quotient: internal error: prune checker rejects an input Verify accepts")
+		return nil, PruneCounts{}, fmt.Errorf("quotient: internal error: prune checker rejects an input Verify accepts")
 	}
-	return pc.prune(c)
+	defer pc.release()
+	pruned, err := pc.prune(c)
+	return pruned, PruneCounts{Checks: pc.checks, Accepted: pc.accepted, Quick: pc.quick, Walks: pc.walks}, err
 }
 
 // prune runs the greedy loop from input converter c, which the checker
@@ -123,20 +137,17 @@ func (pc *pruneChecker) pruneOnce() (changed, settled bool) {
 	return changed, settled
 }
 
-// apply removes rm from the checker's converter tables, records it in the
-// checker's filters, and trims the tables to the states reachable from the
-// initial one. The survivors are numbered exactly as rebuilding the
+// apply removes rm from the checker's converter tables, commits the
+// decision of the ok(rm) call that accepted it and must precede it
+// (pruneChecker.commit), and trims the tables to the states reachable from
+// the initial one. The survivors are numbered exactly as rebuilding the
 // converter through spec.Builder and then Spec.Trim would number them, so
 // the candidate order of the greedy loop — and with it the pruned
 // converter — does not depend on how the removal is carried out. Both
 // numberings are one renumber pass: the Builder's over every state but a
 // removed one, then Trim's over the reachable states.
 func (pc *pruneChecker) apply(rm removal) {
-	if rm.state >= 0 {
-		pc.goneState[pc.cOrig[rm.state]] = true
-	} else {
-		pc.goneEdge[pc.cExt[rm.from][rm.edge].ID] = true
-	}
+	pc.commit()
 	if pc.applied != nil {
 		defer pc.applied()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"protoquot/internal/sat"
 	"protoquot/internal/spec"
@@ -16,19 +17,28 @@ import (
 // tables, and each variant's composite B‖C with the input converter,
 // explored once. An accepted removal is applied to the converter tables in
 // place (prune.go) and recorded in two filters over input-converter ids:
-// the removed states and the removed external edges.
+// the gone states (the removed one and those it left unreachable) and the
+// removed external edges.
 //
-// The current converter is the input minus everything filtered (what Trim
-// drops is unreachable anyway), so B‖C′ is the part of the stored composite
-// reachable from ⟨b₀, c₀⟩ without entering a composite whose converter
-// state is filtered or taking a move that uses a filtered converter edge. A
-// candidate joins the filters for the length of its check, which is one
-// walk per variant over the (composite, ψ_A) configurations: it takes τ* of
-// each composite it reaches from a Tarjan pass over the filtered internal
-// edges rooted there, and fails when an external event has no ψ-step
-// (safety) or prog fails against the τ* mask (progress). DESIGN.md §15
-// shows the verdict equals sat.Satisfies on compose.Many's output when A is
-// in normal form.
+// The current converter is the input minus everything filtered, so B‖C′ is
+// the part of the stored composite reachable from ⟨b₀, c₀⟩ without entering
+// a composite whose converter state is filtered or taking a move that uses
+// a filtered converter edge. The input check (input) walks the (composite,
+// ψ_A) configurations of every variant once, with τ* of every composite
+// from a Tarjan pass, and keeps both: τ* per composite and the reached
+// configurations. A candidate (ok) joins the filters for the length of its
+// check, with every converter state it leaves unreachable. A short walk
+// (probeLimit) rejects most candidates. Otherwise: removals never add
+// traces, so only progress can fail, and only where τ* changes, at the
+// reverse τ-closure of the reached composites with a move the candidate
+// kills (affect). ok recomputes τ* there and accepts when every kept
+// configuration there passes prog, and a full walk decides when one fails.
+// apply commits what decided the candidate.
+// DESIGN.md §15 shows the verdict equals sat.Satisfies on compose.Many's
+// output when A is in normal form.
+//
+// A checker's storage comes from checkerPool and goes back to it (release)
+// unless it has grown past pruneKeepBytes.
 type pruneChecker struct {
 	vars []pruneVariant
 
@@ -38,6 +48,7 @@ type pruneChecker struct {
 	psi   []int32 // ψ_A step: psi[a*nExt+e], -1 where A refuses e
 	acc   *sat.AcceptanceIndex
 	words int // τ-mask stride over Σ_A
+	aw    int // configuration words per composite: ⌈|S_A|/64⌉
 
 	// The current converter: external edges with event ids (indices into
 	// the input converter's alphabet) and input-converter edge ids, internal
@@ -52,12 +63,29 @@ type pruneChecker struct {
 	goneState []bool
 	goneEdge  []bool
 
-	checks  int    // checks run, the input's included
-	applied func() // test hook: called after each accepted removal
+	// The last candidate ok decided, which apply commits: the input states
+	// it leaves unreachable (the removed state included), the input id of
+	// the edge it removes (-1 for none), and whether an affected-set check
+	// failed and a full walk decided on some variant.
+	dead     []int32
+	edge     int32
+	fellBack bool
 
-	// Per-walk scratch, sized for the largest composite and reset in
-	// O(touched). A composite's Tarjan fields are this walk's when its
-	// stamp is gen; comp[x] indexes sccTau.
+	checks   int    // checks run, the input's included
+	walks    int    // full walks run after an affected-set check failed
+	accepted int    // removals applied
+	quick    int    // ... of which no fallback walk decided
+	applied  func() // test hook: called after each accepted removal
+
+	// Exploration scratch: the pair intern table and each composite's
+	// B-state.
+	pairs pairTable
+	pb    []int32
+
+	// Per-check scratch, sized for the largest composite and reset in
+	// O(touched). A composite's Tarjan fields are this pass's when its
+	// stamp is gen, and comp[x] indexes sccTau; it is in the affected set
+	// when its mark is markGen, and affected lists that set.
 	gen         uint32
 	stamp       []uint32
 	index, low  []int32
@@ -66,9 +94,12 @@ type pruneChecker struct {
 	own         []uint64 // per composite: its events and finished successors' τ*
 	sccTau      []uint64 // τ* mask per SCC
 	nscc        int32
-	seen        []uint64 // visited (composite, A-state) configurations
-	seenWords   []int    // the words of seen this walk set
-	work        []int32  // configuration stack, (x, a) pairs
+	markGen     uint32
+	mark        []uint32
+	affected    []int32
+	work        []int32 // configuration stack, (x, a) pairs
+	creach      []bool  // converter states reached by deadSet
+	cstack      []int32
 }
 
 // cedge is one external edge of the current converter; ID numbers the
@@ -90,6 +121,34 @@ type pruneVariant struct {
 	extOff        []int32
 	ext           []bedge
 	extUse        []int32
+
+	// Reverse indexes. The moves into composite y come from
+	// rev[revOff[y]:revOff[y+1]] (x for an internal move, ^x for an
+	// external one) and take revUse; the composites of input-converter
+	// state s are stateComp[stateOff[s]:stateOff[s+1]]; the composites with
+	// a move that takes input-converter edge e are
+	// edgeComp[edgeOff[e]:edgeOff[e+1]].
+	revOff, rev, revUse []int32
+	stateOff, stateComp []int32
+	edgeOff, edgeComp   []int32
+
+	// What the accepted removals so far leave: τ* of every reached
+	// composite, and a superset of the reachable configurations (bit
+	// x·aw·64 + a), each of which passes prog against its composite's τ*.
+	tau   []uint64
+	reach []uint64
+	kept  bool // the input check has set tau and reach
+
+	// The last check's decision for apply: the affected composites and
+	// their recomputed τ*, or that a walk accepted the candidate.
+	aff    []int32
+	affTau []uint64
+	walked bool
+
+	// The full walk's visited configurations, laid out as reach, and the
+	// words of seen it set.
+	seen      []uint64
+	seenWords []int
 }
 
 // removal names what a candidate drops from the current converter: one
@@ -101,22 +160,39 @@ type removal struct {
 	edge  int
 }
 
-var noRemoval = removal{state: -1, from: -1, edge: -1}
-
 type tarjanFrame struct{ v, pos int32 }
+
+// checkerPool keeps checkers' storage between PruneEnvs calls. A checker
+// that has grown past pruneKeepBytes is dropped instead, so one large prune
+// does not make later small ones pay to reset its tables.
+var checkerPool = sync.Pool{New: func() any { return new(pruneChecker) }}
+
+// pruneKeepBytes bounds the storage a pooled checker keeps: every serve
+// family's checker (chain(3): 1,344 composites) stays under it, chain(5)'s
+// (21,504) does not.
+const pruneKeepBytes = 1 << 20
+
+// resize returns s with length n, reusing its storage when it can hold n.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
 
 // newPruneChecker compiles the checker for service a, variants bs and
 // converter c. It fails when the checker cannot decide Verify's verdict: A
 // is not in normal form, or some Σ(B_i‖C) differs from Σ_A.
 func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecker, error) {
 	n := c.NumStates()
-	pc := &pruneChecker{
-		cInit:     int32(c.Init()),
-		cExt:      make([][]cedge, n),
-		cIntl:     make([][]int32, n),
-		cOrig:     make([]int32, n),
-		goneState: make([]bool, n),
-	}
+	pc := checkerPool.Get().(*pruneChecker)
+	pc.vars = pc.vars[:0]
+	pc.cInit = int32(c.Init())
+	pc.cExt, pc.cIntl, pc.cOrig = make([][]cedge, n), make([][]int32, n), make([]int32, n)
+	pc.goneState = make([]bool, n)
+	pc.dead, pc.fellBack = pc.dead[:0], false
+	pc.checks, pc.walks, pc.accepted, pc.quick = 0, 0, 0, 0
 	cEvent := make(map[spec.Event]int32, len(c.Alphabet()))
 	for i, e := range c.Alphabet() {
 		cEvent[e] = int32(i)
@@ -145,7 +221,8 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 	}
 	pc.words = ready.Words()
 	pc.numA, pc.aInit, pc.nExt = a.NumStates(), int32(a.Init()), len(a.Alphabet())
-	pc.psi = make([]int32, pc.numA*pc.nExt)
+	pc.aw = (pc.numA + 63) / 64
+	pc.psi = resize(pc.psi, pc.numA*pc.nExt)
 	for s := 0; s < pc.numA; s++ {
 		for e, ev := range a.Alphabet() {
 			pc.psi[s*pc.nExt+e] = -1
@@ -189,38 +266,82 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 			return nil, fmt.Errorf("quotient: %s‖%s has %d external events, Σ_A has %d",
 				b.Name(), c.Name(), external, pc.nExt)
 		}
-		v := pc.explore(asDemand(b), bKind, cKind)
-		most = max(most, len(v.pc))
-		pc.vars = append(pc.vars, v)
+		if len(pc.vars) < cap(pc.vars) {
+			pc.vars = pc.vars[:len(pc.vars)+1]
+		} else {
+			pc.vars = append(pc.vars, pruneVariant{})
+		}
+		v := &pc.vars[len(pc.vars)-1]
+		pc.explore(v, asDemand(b), bKind, cKind)
+		v.index(n, int(edges))
+		x := len(v.pc)
+		v.tau = resize(v.tau, x*pc.words)
+		v.reach = resize(v.reach, x*pc.aw)
+		v.seen = resize(v.seen, x*pc.aw) // zero: release cleared it
+		most = max(most, x)
 	}
-	pc.stamp = make([]uint32, most)
-	pc.index = make([]int32, most)
-	pc.low = make([]int32, most)
-	pc.comp = make([]int32, most)
-	pc.own = make([]uint64, most*pc.words)
-	pc.seen = make([]uint64, (most*pc.numA+63)/64)
+	pc.stamp = resize(pc.stamp, most)
+	pc.index = resize(pc.index, most)
+	pc.low = resize(pc.low, most)
+	pc.comp = resize(pc.comp, most)
+	pc.mark = resize(pc.mark, most)
+	pc.own = resize(pc.own, most*pc.words)
 	return pc, nil
 }
 
-// explore interns the reachable states of B‖C in breadth-first order and
-// records their edges, following the rules of ‖: moves of either side on
-// unshared events interleave (external events stay external, internal moves
-// stay internal) and shared events synchronize into internal moves.
-func (pc *pruneChecker) explore(env demandEnvironment, bKind, cKind []int32) pruneVariant {
-	v := pruneVariant{intOff: []int32{0}, extOff: []int32{0}}
-	var pairs pairTable
-	var pb []int32
+// release returns pc's storage to checkerPool, or drops it when it holds
+// more than pruneKeepBytes. pc must not be used afterwards.
+func (pc *pruneChecker) release() {
+	if pc.retained() > pruneKeepBytes {
+		return
+	}
+	for i := range pc.vars[:cap(pc.vars)] {
+		v := &pc.vars[:cap(pc.vars)][i]
+		for _, w := range v.seenWords {
+			v.seen[w] = 0
+		}
+		v.seenWords = v.seenWords[:0]
+	}
+	pc.cExt, pc.cIntl, pc.cOrig, pc.goneState, pc.goneEdge = nil, nil, nil, nil, nil
+	pc.acc, pc.applied = nil, nil
+	checkerPool.Put(pc)
+}
+
+// retained returns the bytes of storage pc would keep in checkerPool.
+func (pc *pruneChecker) retained() int {
+	n := 4 * (cap(pc.psi) + cap(pc.pb) + 4*cap(pc.stamp) + cap(pc.stack) + cap(pc.affected) +
+		cap(pc.work) + cap(pc.dead) + cap(pc.cstack) + 2*cap(pc.frames))
+	n += 8*(cap(pc.own)+cap(pc.sccTau)) + cap(pc.creach) + 12*cap(pc.pairs.ids)
+	for _, v := range pc.vars[:cap(pc.vars)] {
+		n += 4 * (cap(v.pc) + cap(v.intOff) + cap(v.intTo) + cap(v.intUse) + cap(v.extOff) +
+			3*cap(v.ext) + cap(v.extUse) + cap(v.revOff) + cap(v.rev) + cap(v.revUse) +
+			cap(v.stateOff) + cap(v.stateComp) + cap(v.edgeOff) + cap(v.edgeComp) + cap(v.aff))
+		n += 8 * (cap(v.tau) + cap(v.reach) + cap(v.affTau) + cap(v.seen) + cap(v.seenWords))
+	}
+	return n
+}
+
+// explore interns the reachable states of B‖C in breadth-first order into
+// v and records their edges, following the rules of ‖: moves of either side
+// on unshared events interleave (external events stay external, internal
+// moves stay internal) and shared events synchronize into internal moves.
+func (pc *pruneChecker) explore(v *pruneVariant, env demandEnvironment, bKind, cKind []int32) {
+	v.pc, v.intTo, v.intUse, v.ext, v.extUse = v.pc[:0], v.intTo[:0], v.intUse[:0], v.ext[:0], v.extUse[:0]
+	v.kept = false
+	v.intOff, v.extOff = append(v.intOff[:0], 0), append(v.extOff[:0], 0)
+	pc.pairs.reset()
+	pc.pb = pc.pb[:0]
 	intern := func(b, c int32) int32 {
-		id, isNew := pairs.intern(uint64(uint32(b))<<32|uint64(uint32(c)), int32(len(pb)))
+		id, isNew := pc.pairs.intern(uint64(uint32(b))<<32|uint64(uint32(c)), int32(len(pc.pb)))
 		if isNew {
-			pb = append(pb, b)
+			pc.pb = append(pc.pb, b)
 			v.pc = append(v.pc, c)
 		}
 		return id
 	}
 	intern(int32(env.Init()), pc.cInit)
-	for x := 0; x < len(pb); x++ {
-		b, c := pb[x], v.pc[x]
+	for x := 0; x < len(pc.pb); x++ {
+		b, c := pc.pb[x], v.pc[x]
 		ext, ints := env.Rows(spec.State(b))
 		for _, t := range ints {
 			v.intTo, v.intUse = append(v.intTo, intern(t, c)), append(v.intUse, -1)
@@ -248,36 +369,320 @@ func (pc *pruneChecker) explore(env demandEnvironment, bKind, cKind []int32) pru
 		v.intOff = append(v.intOff, int32(len(v.intTo)))
 		v.extOff = append(v.extOff, int32(len(v.ext)))
 	}
-	return v
+}
+
+// index builds v's reverse indexes over its explored moves, for an input
+// converter of states states and edges external edges. Each is a counting
+// sort: counts go two slots ahead, a prefix sum turns them into bucket
+// starts one slot ahead, and placing each item advances its bucket's slot
+// to the next bucket's start.
+func (v *pruneVariant) index(states, edges int) {
+	n := len(v.pc)
+	moves := len(v.intTo) + len(v.ext)
+	v.revOff = zeroed(v.revOff, n+2)
+	v.stateOff = zeroed(v.stateOff, states+2)
+	v.edgeOff = zeroed(v.edgeOff, edges+2)
+	used := 0
+	for i, y := range v.intTo {
+		v.revOff[y+2]++
+		if u := v.intUse[i]; u >= 0 {
+			v.edgeOff[u+2]++
+			used++
+		}
+	}
+	for i, ed := range v.ext {
+		v.revOff[ed.To+2]++
+		if u := v.extUse[i]; u >= 0 {
+			v.edgeOff[u+2]++
+			used++
+		}
+	}
+	for _, c := range v.pc {
+		v.stateOff[c+2]++
+	}
+	prefix(v.revOff)
+	prefix(v.stateOff)
+	prefix(v.edgeOff)
+	v.rev, v.revUse = resize(v.rev, moves), resize(v.revUse, moves)
+	v.stateComp, v.edgeComp = resize(v.stateComp, n), resize(v.edgeComp, used)
+	for x := int32(0); x < int32(n); x++ {
+		for i := v.intOff[x]; i < v.intOff[x+1]; i++ {
+			slot := &v.revOff[v.intTo[i]+1]
+			v.rev[*slot], v.revUse[*slot] = x, v.intUse[i]
+			*slot++
+			if u := v.intUse[i]; u >= 0 {
+				v.edgeComp[v.edgeOff[u+1]] = x
+				v.edgeOff[u+1]++
+			}
+		}
+		for i := v.extOff[x]; i < v.extOff[x+1]; i++ {
+			slot := &v.revOff[v.ext[i].To+1]
+			v.rev[*slot], v.revUse[*slot] = ^x, v.extUse[i]
+			*slot++
+			if u := v.extUse[i]; u >= 0 {
+				v.edgeComp[v.edgeOff[u+1]] = x
+				v.edgeOff[u+1]++
+			}
+		}
+		slot := &v.stateOff[v.pc[x]+1]
+		v.stateComp[*slot] = x
+		*slot++
+	}
+	v.revOff, v.stateOff, v.edgeOff = v.revOff[:n+1], v.stateOff[:states+1], v.edgeOff[:edges+1]
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// storage when it can hold n.
+func zeroed(s []int32, n int) []int32 {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
+
+// prefix turns counts into running sums in place.
+func prefix(s []int32) {
+	for i := 1; i < len(s); i++ {
+		s[i] += s[i-1]
+	}
+}
+
+// probeLimit is how many configurations a candidate's first walk visits
+// before the checker turns to the affected set. A rejected candidate
+// usually fails within a few dozen configurations of the initial one (at
+// most 53 on chain(3) and 58 on ring(3)), where computing its affected set
+// would cost hundreds of composites; an accepted one walks the whole
+// composite, which the affected set spares.
+const probeLimit = 64
+
+// input runs the input check: it reports whether every variant composed
+// with the input converter satisfies A, and keeps what its walk found for
+// ok to decide candidates from.
+func (pc *pruneChecker) input() bool {
+	pc.checks++
+	for i := range pc.vars {
+		v := &pc.vars[i]
+		if holds, _ := pc.walk(v, -1); !holds {
+			return false
+		}
+		pc.keepWalk(v)
+	}
+	return true
 }
 
 // ok reports whether every variant composed with the current converter
-// minus rm satisfies A.
+// minus rm satisfies A. It changes none of the state later checks read;
+// what it found waits for apply (commit).
 func (pc *pruneChecker) ok(rm removal) bool {
-	st, ed := int32(-1), int32(-1)
-	if rm.state >= 0 {
-		st = pc.cOrig[rm.state]
-		pc.goneState[st] = true
-	}
-	if rm.from >= 0 {
-		ed = pc.cExt[rm.from][rm.edge].ID
-		pc.goneEdge[ed] = true
-	}
 	pc.checks++
+	pc.deadSet(rm)
+	pc.filter(true)
+	pc.fellBack = false
 	holds := true
 	for i := range pc.vars {
-		if !pc.walk(&pc.vars[i]) {
+		if !pc.decide(&pc.vars[i]) {
 			holds = false
 			break
 		}
 	}
-	if st >= 0 {
-		pc.goneState[st] = false
-	}
-	if ed >= 0 {
-		pc.goneEdge[ed] = false
-	}
+	pc.filter(false)
 	return holds
+}
+
+// filter sets the gone marks of the last candidate's dead states and
+// removed edge to on.
+func (pc *pruneChecker) filter(on bool) {
+	for _, s := range pc.dead {
+		pc.goneState[s] = on
+	}
+	if pc.edge >= 0 {
+		pc.goneEdge[pc.edge] = on
+	}
+}
+
+// deadSet records in pc.dead the input-converter states that the current
+// converter minus rm does not reach — rm's state, if any, and every state
+// only it led to — and in pc.edge the input-converter id of rm's edge, or
+// -1.
+func (pc *pruneChecker) deadSet(rm removal) {
+	edge := int32(-1)
+	if rm.from >= 0 {
+		edge = pc.cExt[rm.from][rm.edge].ID
+	}
+	reach := resize(pc.creach, len(pc.cExt))
+	clear(reach)
+	stack := pc.cstack[:0]
+	visit := func(t int32) {
+		if t != rm.state && !reach[t] {
+			reach[t] = true
+			stack = append(stack, t)
+		}
+	}
+	visit(pc.cInit)
+	for len(stack) > 0 {
+		st := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, ed := range pc.cExt[st] {
+			if ed.ID != edge {
+				visit(ed.To)
+			}
+		}
+		for _, t := range pc.cIntl[st] {
+			visit(t)
+		}
+	}
+	pc.dead = pc.dead[:0]
+	for st, r := range reach {
+		if !r {
+			pc.dead = append(pc.dead, pc.cOrig[st])
+		}
+	}
+	pc.creach, pc.cstack, pc.edge = reach, stack, edge
+}
+
+// decide reports whether variant v composed with the candidate converter
+// (the filters as ok set them) satisfies A. A walk limited to probeLimit
+// configurations decides it when it fails or ends within the limit.
+// Otherwise decide recomputes τ* on the affected set and accepts when every
+// kept configuration there passes prog: the configurations the candidate
+// can reach are among the kept ones, and outside the affected set τ* is
+// unchanged, so they pass too. When one fails it may be unreachable now, so
+// a full walk decides.
+func (pc *pruneChecker) decide(v *pruneVariant) bool {
+	v.aff, v.affTau, v.walked = v.aff[:0], v.affTau[:0], false
+	if holds, done := pc.walk(v, probeLimit); done {
+		v.walked = holds
+		return holds
+	}
+	pc.affect(v)
+	pc.nextGen()
+	for _, x := range pc.affected {
+		pc.closeTau(v, x, true)
+	}
+	w := pc.words
+	v.aff = append(v.aff, pc.affected...)
+	passes := true
+	for _, x := range pc.affected {
+		cx := int(pc.comp[x])
+		mask := pc.sccTau[cx*w : (cx+1)*w]
+		v.affTau = append(v.affTau, mask...)
+		for i, word := range v.reach[int(x)*pc.aw : int(x+1)*pc.aw] {
+			for ; passes && word != 0; word &= word - 1 {
+				a := i<<6 | bits.TrailingZeros64(word)
+				passes = pc.acc.Prog(spec.State(a), mask)
+			}
+		}
+	}
+	if passes {
+		return true
+	}
+	pc.walks++
+	pc.fellBack = true
+	holds, _ := pc.walk(v, -1)
+	v.walked = holds
+	return holds
+}
+
+// affect collects in pc.affected (and marks) the composites of v whose τ*
+// the candidate can change: every reached live composite with a move the
+// candidate kills — into a dead composite, or taking the removed edge —
+// and every reached live composite that reaches one of those by live
+// internal moves.
+func (pc *pruneChecker) affect(v *pruneVariant) {
+	if pc.markGen++; pc.markGen == 0 { // wrapped: stale marks could alias
+		clear(pc.mark)
+		pc.markGen = 1
+	}
+	pc.affected = pc.affected[:0]
+	for _, s := range pc.dead {
+		for _, y := range v.stateComp[v.stateOff[s]:v.stateOff[s+1]] {
+			for _, x := range v.rev[v.revOff[y]:v.revOff[y+1]] {
+				pc.addAffected(v, max(x, ^x))
+			}
+		}
+	}
+	if e := pc.edge; e >= 0 {
+		for _, x := range v.edgeComp[v.edgeOff[e]:v.edgeOff[e+1]] {
+			pc.addAffected(v, x)
+		}
+	}
+	for i := 0; i < len(pc.affected); i++ {
+		y := pc.affected[i]
+		for j := v.revOff[y]; j < v.revOff[y+1]; j++ {
+			if x, use := v.rev[j], v.revUse[j]; x >= 0 && (use < 0 || !pc.goneEdge[use]) {
+				pc.addAffected(v, x)
+			}
+		}
+	}
+}
+
+// addAffected adds composite x to the affected set when it is live, has a
+// kept configuration and is not in the set yet.
+func (pc *pruneChecker) addAffected(v *pruneVariant, x int32) {
+	if pc.mark[x] == pc.markGen || pc.goneState[v.pc[x]] {
+		return
+	}
+	for _, word := range v.reach[int(x)*pc.aw : int(x+1)*pc.aw] {
+		if word != 0 {
+			pc.mark[x] = pc.markGen
+			pc.affected = append(pc.affected, x)
+			return
+		}
+	}
+}
+
+// commit is apply's half of the last ok, which accepted: its dead states
+// join the filters, and every variant keeps what decided it. The affected
+// composites take their recomputed τ* and the dead composites lose their
+// configurations; a variant a walk accepted keeps that walk's τ* and
+// configurations instead, found again by walking under the new filters.
+func (pc *pruneChecker) commit() {
+	pc.filter(true)
+	pc.accepted++
+	if !pc.fellBack {
+		pc.quick++
+	}
+	w := pc.words
+	for i := range pc.vars {
+		v := &pc.vars[i]
+		if v.walked {
+			pc.walk(v, -1)
+			pc.keepWalk(v)
+			continue
+		}
+		for j, x := range v.aff {
+			copy(v.tau[int(x)*w:int(x+1)*w], v.affTau[j*w:(j+1)*w])
+		}
+		for _, s := range pc.dead {
+			for _, y := range v.stateComp[v.stateOff[s]:v.stateOff[s+1]] {
+				clear(v.reach[int(y)*pc.aw : int(y+1)*pc.aw])
+			}
+		}
+	}
+}
+
+// keepWalk makes the last walk over v, which passed every configuration
+// it reached, v's kept state: those configurations, and τ* of their
+// composites, which the walk's Tarjan passes computed.
+func (pc *pruneChecker) keepWalk(v *pruneVariant) {
+	v.kept = true
+	clear(v.reach)
+	w := pc.words
+	for _, i := range v.seenWords {
+		v.reach[i] = v.seen[i]
+		x := i / pc.aw
+		cx := int(pc.comp[x])
+		copy(v.tau[x*w:(x+1)*w], pc.sccTau[cx*w:(cx+1)*w])
+	}
+}
+
+// nextGen starts a new Tarjan generation: no composite's τ* counts as
+// computed until closeTau stamps it.
+func (pc *pruneChecker) nextGen() {
+	if pc.gen++; pc.gen == 0 { // wrapped: stale stamps could alias the new pass
+		clear(pc.stamp)
+		pc.gen = 1
+	}
+	pc.sccTau, pc.nscc = pc.sccTau[:0], 0
 }
 
 // live reports whether the move into composite y, taking input-converter
@@ -287,38 +692,39 @@ func (pc *pruneChecker) live(v *pruneVariant, y, use int32) bool {
 }
 
 // walk searches the (composite, ψ_A) configurations of B‖C′ reachable from
-// the initial one. It fails at the first external event A refuses after the
-// trace so far (safety) or the first configuration whose τ* mask covers no
-// acceptance set of its ψ state (progress).
-func (pc *pruneChecker) walk(v *pruneVariant) bool {
-	if pc.gen++; pc.gen == 0 { // wrapped: stale stamps could alias the new walk
-		clear(pc.stamp)
-		pc.gen = 1
+// the initial one, into v.seen, taking τ* of each composite it reaches from
+// a Tarjan pass over the live internal edges rooted there. It fails at the
+// first external event A refuses after the trace so far (safety) or the
+// first configuration whose τ* mask covers no acceptance set of its ψ
+// state (progress). It gives up undecided (done false) before visiting a
+// configuration past the first limit; a negative limit sets none.
+func (pc *pruneChecker) walk(v *pruneVariant, limit int) (holds, done bool) {
+	pc.nextGen()
+	for _, i := range v.seenWords {
+		v.seen[i] = 0
 	}
-	for _, i := range pc.seenWords {
-		pc.seen[i] = 0
-	}
-	pc.seenWords, pc.work = pc.seenWords[:0], pc.work[:0]
-	pc.sccTau, pc.nscc = pc.sccTau[:0], 0
+	v.seenWords, pc.work = v.seenWords[:0], pc.work[:0]
 	w := pc.words
 	push := func(x, a int32) {
-		bit := int(x)*pc.numA + int(a)
-		i, m := bit>>6, uint64(1)<<(uint(bit)&63)
-		if pc.seen[i]&m == 0 {
-			if pc.seen[i] == 0 {
-				pc.seenWords = append(pc.seenWords, i)
+		i, m := int(x)*pc.aw+int(a>>6), uint64(1)<<(uint(a)&63)
+		if v.seen[i]&m == 0 {
+			if v.seen[i] == 0 {
+				v.seenWords = append(v.seenWords, i)
 			}
-			pc.seen[i] |= m
+			v.seen[i] |= m
 			pc.work = append(pc.work, x, a)
 		}
 	}
 	push(0, pc.aInit)
-	for len(pc.work) > 0 {
+	for ; len(pc.work) > 0; limit-- {
+		if limit == 0 {
+			return true, false
+		}
 		x, a := pc.work[len(pc.work)-2], pc.work[len(pc.work)-1]
 		pc.work = pc.work[:len(pc.work)-2]
-		cx := int(pc.closeTau(v, x))
+		cx := int(pc.closeTau(v, x, false))
 		if !pc.acc.Prog(spec.State(a), pc.sccTau[cx*w:(cx+1)*w]) {
-			return false
+			return false, true
 		}
 		for i := v.intOff[x]; i < v.intOff[x+1]; i++ {
 			if y := v.intTo[i]; pc.live(v, y, v.intUse[i]) {
@@ -332,21 +738,24 @@ func (pc *pruneChecker) walk(v *pruneVariant) bool {
 			}
 			a2 := pc.psi[int(a)*pc.nExt+int(ed.Ev)]
 			if a2 < 0 {
-				return false
+				return false, true
 			}
 			push(ed.To, a2)
 		}
 	}
-	return true
+	return true, true
 }
 
 // closeTau returns the SCC of composite root over the live internal edges,
 // first completing, by one iterative Tarjan pass from root, every SCC this
-// walk reaches from it and has not completed yet. A composite's own mask
-// gathers its live external events and the τ* of every finished SCC it
-// steps into; SCCs finish in reverse topological order, so when one
-// finishes, the OR of its members' masks is its τ*.
-func (pc *pruneChecker) closeTau(v *pruneVariant, root int32) int32 {
+// generation reaches from it and has not completed yet (earlier passes'
+// SCCs are closed under reachability, so they are final). A composite's own
+// mask gathers its live external events and the τ* of every finished SCC
+// it steps into; SCCs finish in reverse topological order, so when one
+// finishes, the OR of its members' masks is its τ*. With partial, the pass
+// stays inside the affected set: a successor outside it contributes its
+// kept τ*, which the candidate does not change.
+func (pc *pruneChecker) closeTau(v *pruneVariant, root int32, partial bool) int32 {
 	if pc.stamp[root] == pc.gen {
 		return pc.comp[root]
 	}
@@ -379,8 +788,12 @@ func (pc *pruneChecker) closeTau(v *pruneVariant, root int32) int32 {
 			f.pos++
 			switch u := v.intTo[i]; {
 			case !pc.live(v, u, v.intUse[i]):
+			case partial && pc.mark[u] != pc.markGen:
+				sat.OrInto(pc.own[int(x)*w:int(x+1)*w], v.tau[int(u)*w:int(u+1)*w])
 			case pc.stamp[u] != pc.gen:
-				visit(u)
+				if !v.kept || !sat.MaskSubset(v.tau[int(u)*w:int(u+1)*w], pc.own[int(x)*w:int(x+1)*w]) {
+					visit(u)
+				}
 			case pc.comp[u] >= 0:
 				joined(x, u)
 			case pc.index[u] < pc.low[x]:
@@ -425,6 +838,14 @@ type pairTable struct {
 	ids   []int32
 	n     int
 	shift uint // 64 − log2(len(keys))
+}
+
+// reset empties t, keeping its slots.
+func (t *pairTable) reset() {
+	if t.n > 0 {
+		clear(t.ids)
+		t.n = 0
+	}
 }
 
 // intern returns k's id, assigning it next if k is new.

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"protoquot/internal/compose"
@@ -385,5 +386,137 @@ func TestPruneCheckCounts(t *testing.T) {
 		if checks != want[fn] {
 			t.Errorf("%s: PruneEnvs ran %d checks, want %d", fn, checks, want[fn])
 		}
+	}
+}
+
+// servedFamily derives family fn over the demand-driven composition, as a
+// quotd miss does, and returns the service, that environment and the
+// converter.
+func servedFamily(t testing.TB, fn string) (*spec.Spec, []core.Environment, *spec.Spec) {
+	t.Helper()
+	fam, err := specgen.ParseFamily(fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz, err := compose.LazyMany(fam.Components...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := []core.Environment{lz}
+	res, err := core.DeriveEnvsContext(context.Background(), fam.Service, envs, core.Options{OmitVacuous: true})
+	if err != nil {
+		t.Fatalf("%s: %v", fn, err)
+	}
+	return fam.Service, envs, res.Converter
+}
+
+// TestPruneDecisionsPinned pins how PruneEnvs decides the removals it
+// keeps. Every accepted removal on the serve families and ring(3) is
+// decided without the fallback full walk: either a probe walk of at most
+// probeLimit configurations covers the whole candidate composite (ring(2)'s
+// last removal, 55 configurations), or every kept configuration in the
+// affected set passes prog. On the chain families that needs the dead set
+// to include the converter states the removal leaves unreachable: their
+// composites keep configurations that would fail prog.
+func TestPruneDecisionsPinned(t *testing.T) {
+	want := map[string]int{"chain(2)": 2, "chain(3)": 2, "chaindrop(2)": 2, "chaindrop(3)": 2, "ring(2)": 9, "ring(3)": 21}
+	for _, fn := range []string{"chain(2)", "chain(3)", "chaindrop(2)", "chaindrop(3)", "ring(2)", "ring(3)"} {
+		a, envs, conv := servedFamily(t, fn)
+		_, counts, err := core.PruneEnvsCounted(a, envs, conv)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		if counts.Accepted != want[fn] || counts.Quick != want[fn] || counts.Walks != 0 {
+			t.Errorf("%s: %d removals kept, %d without the fallback walk, %d fallback walks; want %d, %d, 0",
+				fn, counts.Accepted, counts.Quick, counts.Walks, want[fn], want[fn])
+		}
+	}
+}
+
+// TestPruneConcurrentPool prunes two serve families at once, 50 times each,
+// through the checker pool; each result must be the converter quotd serves
+// (the hashes bench/pins.go pins as prunedPins). Run under -race it also
+// checks that pooled storage is never shared between two calls.
+func TestPruneConcurrentPool(t *testing.T) {
+	pins := map[string]string{
+		"chain(3)": "1be38d64c09252ce8b7f98b3a9a35e694c067ed84bb2996b8ffdc0ba0078b5d8",
+		"ring(2)":  "439641d98181b2b0ad50122d2b3acca0fc40bc5483a3e7ff9decd3f71ff5263e",
+	}
+	var wg sync.WaitGroup
+	for fn, pin := range pins {
+		a, envs, conv := servedFamily(t, fn)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 50 {
+				pruned, err := core.PruneEnvs(a, envs, conv)
+				if err != nil {
+					t.Errorf("%s, run %d: %v", fn, i, err)
+					return
+				}
+				if h := pruned.Hash(); h != pin {
+					t.Errorf("%s, run %d: pruned converter %.12s, pinned %.12s", fn, i, h, pin)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPrunePoolDropsLargeCheckers: after a ring(5)-sized check (31,033
+// composites) no pooled checker holds more than the pool's bound, so one
+// large prune leaves later small ones nothing large to reset.
+func TestPrunePoolDropsLargeCheckers(t *testing.T) {
+	a, envs, conv := servedFamily(t, "ring(5)")
+	released, pooled, bound, err := core.PoolAfterCheck(a, envs, conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if released <= bound {
+		t.Fatalf("ring(5)'s checker holds %d bytes, within the pool's bound of %d", released, bound)
+	}
+	if pooled > bound {
+		t.Errorf("a pooled checker holds %d bytes, over the bound of %d", pooled, bound)
+	}
+}
+
+// TestPruneKeptStateAfterRemovals replays PruneRobust's greedy loop over
+// the differential corpus and, after each accepted removal, checks what the
+// checker kept for deciding later candidates (PruneKeptState): τ* of every
+// kept composite as a fresh Tarjan pass computes it, and every
+// configuration a fresh walk reaches among the kept ones. A verdict can
+// stay right with a stale τ* for a while, so this catches a commit that
+// leaves one behind before a verdict does.
+func TestPruneKeptStateAfterRemovals(t *testing.T) {
+	for _, sys := range pruneSystems(t) {
+		t.Run(sys.name, func(t *testing.T) {
+			if _, err := core.PruneKeptState(sys.a, envsOf(sys.bs), sys.conv); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestPruneKeptStateShrinkingTau prunes a converter whose accepted removal
+// shrinks τ* of every composite: A accepts either of a and b at each step,
+// the converter offers both, and B, a chain of 100 internal moves that
+// shares no event with the converter, makes the composite too large for
+// the probe walk, so the removal of the a transition is accepted through
+// the affected set. What the checker keeps afterwards must be the new τ*.
+func TestPruneKeptStateShrinkingTau(t *testing.T) {
+	a := spec.NewBuilder("A").Init("v0").Int("v0", "v1").Int("v0", "v2").
+		Ext("v1", "a", "v0").Ext("v2", "b", "v0").MustBuild()
+	b := spec.NewBuilder("B").Init("b0")
+	for i := 0; i < 99; i++ {
+		b.Int(fmt.Sprintf("b%d", i), fmt.Sprintf("b%d", i+1))
+	}
+	c := spec.NewBuilder("C").Init("c0").Ext("c0", "a", "c0").Ext("c0", "b", "c0").MustBuild()
+	steps, err := core.PruneKeptState(a, []core.Environment{b.MustBuild()}, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != 1 {
+		t.Errorf("%d removals kept, want 1 (the a transition)", steps)
 	}
 }

@@ -39,16 +39,24 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("dsl: line %d: %s", e.Line, e.Msg)
 }
 
-// maxLine is the longest line Parse accepts; a longer one fails with
-// bufio.ErrTooLong.
+// maxLine bounds a line's length: a line of maxLine bytes or more, its
+// trailing "\r" included, fails with bufio.ErrTooLong, as bufio.Scanner
+// with a maxLine buffer fails.
 const maxLine = 4 << 20
 
-// Parse reads every specification in the stream. The line buffer starts at
-// the scanner's 4 KiB and doubles only for longer lines, so a small spec
-// costs a small buffer.
+// Parse reads every specification in the stream.
 func Parse(r io.Reader) ([]*spec.Spec, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(nil, maxLine)
+	var text strings.Builder
+	if _, err := io.Copy(&text, r); err != nil {
+		return nil, err
+	}
+	return parse(text.String())
+}
+
+// parse parses every specification in src, splitting its lines in place
+// with bufio.ScanLines' rules: a line ends at "\n", a trailing "\r" is
+// dropped, and a final unterminated line counts.
+func parse(src string) ([]*spec.Spec, error) {
 	var out []*spec.Spec
 	var b *spec.Builder
 	line := 0
@@ -64,9 +72,18 @@ func Parse(r io.Reader) ([]*spec.Spec, error) {
 		b = nil
 		return nil
 	}
-	for sc.Scan() {
+	for len(src) > 0 {
 		line++
-		text := sc.Text()
+		text := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			text, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
+		if len(text) >= maxLine {
+			return nil, bufio.ErrTooLong
+		}
+		text = strings.TrimSuffix(text, "\r")
 		if i := strings.IndexByte(text, '#'); i >= 0 {
 			text = text[:i]
 		}
@@ -131,9 +148,6 @@ func Parse(r io.Reader) ([]*spec.Spec, error) {
 			return nil, &ParseError{line, fmt.Sprintf("unknown directive %q", fields[0])}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
@@ -146,7 +160,7 @@ func Parse(r io.Reader) ([]*spec.Spec, error) {
 // ParseString parses a single specification from a string; it is an error
 // if the string holds more than one.
 func ParseString(s string) (*spec.Spec, error) {
-	specs, err := Parse(strings.NewReader(s))
+	specs, err := parse(s)
 	if err != nil {
 		return nil, err
 	}

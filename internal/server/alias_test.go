@@ -472,3 +472,31 @@ func BenchmarkAliasHit(b *testing.B) {
 		b.Fatalf("%d alias hits over %d requests", got, b.N)
 	}
 }
+
+// TestPeerFillsAreNotLookups: a peer fill is shard traffic, so the owner
+// counts no cache hit or miss for it, just as it counts no derive request,
+// and DESIGN §9's hits + misses = derive requests holds on every node of a
+// cluster. Two fills of one key on a fresh node derive it once and serve
+// it from the cache the second time.
+func TestPeerFillsAreNotLookups(t *testing.T) {
+	owner, ts := newTestServer(t, Config{})
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	req := simpleRequest()
+	for i, wantCached := range []bool{false, true} {
+		resp, err := api.NewClient(addr).PeerFill(context.Background(), addr, &req)
+		if err != nil {
+			t.Fatalf("peer fill %d: %v", i+1, err)
+		}
+		if resp.Cached != wantCached {
+			t.Errorf("peer fill %d: cached %t, want %t", i+1, resp.Cached, wantCached)
+		}
+	}
+	st := owner.statsSnapshot()
+	if st.CacheHits+st.CacheMisses != st.DeriveRequests {
+		t.Errorf("after two peer fills: cache_hits %d + cache_misses %d != derive_requests %d",
+			st.CacheHits, st.CacheMisses, st.DeriveRequests)
+	}
+	if st.Derives != 1 {
+		t.Errorf("after two peer fills: derives %d, want 1", st.Derives)
+	}
+}
