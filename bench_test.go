@@ -909,27 +909,29 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 // allocates, layer by layer, on each family the serve benchmark asks for:
 // parsing one component from its text, deriving over the lazy composition
 // (compose.LazyMany plus core.DeriveEnvsContext), and pruning over the same
-// composition (core.PruneEnvs). The prune is measured as a serving quotd
-// pays it, after one warm-up prune: the prune checker's storage comes from
-// a pool, and only the first prune of a process (or the first after two
-// garbage collections emptied the pool) allocates it, 117–499 KB on these
-// families. Each ceiling is ~1.5× the layer's measured cost when it was
-// set. Before parse and derive scratch was sized to the input, parse took
-// ~69 KB per spec and derive 1.25–2.0 MB per family, so a return of
-// fixed-size scratch fails here.
+// composition (core.PruneEnvs). The prune is measured twice. Cold, with no
+// kept checker (core.ReleasePruneStorage first), as the first prune of a
+// process pays it, or one that finds the kept checker in use. Warm, right
+// after, on the checker storage the cold prune left behind, as a serving
+// quotd pays it. Each ceiling is ~1.5× the layer's measured cost when it
+// was set, except the cold prune's, which are the ceilings set before
+// checker storage was kept and still hold. Before parse and derive scratch
+// was sized to the input, parse took ~69 KB per spec and derive 1.25–2.0
+// MB per family, so a return of fixed-size scratch fails here.
 func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 	// Measured when set (bytes): parse 3,096 (ring(2) 5,880); derive
-	// 93k / 163k / 128k / 263k / 205k; prune 6,488 / 6,840 / 6,512 /
-	// 6,864 / 43,376.
+	// 93k / 163k / 128k / 263k / 205k; cold prune 123k / 498k / 123k /
+	// 498k / 117k (91k / 364k / 91k / 364k / 87k before the kept checker
+	// state); warm prune 6,488 / 6,840 / 6,512 / 6,864 / 43,376.
 	budgets := []struct {
-		family               string
-		parse, derive, prune uint64 // KiB
+		family                     string
+		parse, derive, cold, prune uint64 // KiB
 	}{
-		{"chain(2)", 5, 137, 10},
-		{"chain(3)", 5, 240, 11},
-		{"chaindrop(2)", 5, 187, 10},
-		{"chaindrop(3)", 5, 386, 11},
-		{"ring(2)", 9, 301, 64},
+		{"chain(2)", 5, 137, 140, 10},
+		{"chain(3)", 5, 240, 550, 11},
+		{"chaindrop(2)", 5, 187, 140, 10},
+		{"chaindrop(3)", 5, 386, 550, 11},
+		{"ring(2)", 9, 301, 130, 64},
 	}
 	for _, bud := range budgets {
 		f, err := specgen.ParseFamily(bud.family)
@@ -938,7 +940,7 @@ func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 		}
 		text := dsl.String(f.Components[0])
 		b.Run(bud.family, func(b *testing.B) {
-			var parse, derive, prune uint64
+			var parse, derive, cold, prune uint64
 			for i := 0; i < b.N; i++ {
 				var m1, m2, m3, m4 goruntime.MemStats
 				goruntime.GC()
@@ -958,19 +960,21 @@ func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 					b.Fatal(err)
 				}
 				goruntime.ReadMemStats(&m2)
+				core.ReleasePruneStorage()
 				if _, err := core.PruneEnvs(f.Service, envs, res.Converter); err != nil {
-					b.Fatal(err) // the warm-up
+					b.Fatal(err) // cold: no kept checker
 				}
 				goruntime.ReadMemStats(&m3)
 				if _, err := core.PruneEnvs(f.Service, envs, res.Converter); err != nil {
-					b.Fatal(err)
+					b.Fatal(err) // warm: the first prune's checker, kept
 				}
 				goruntime.ReadMemStats(&m4)
-				derive, prune = m2.TotalAlloc-m1.TotalAlloc, m4.TotalAlloc-m3.TotalAlloc
+				derive, cold, prune = m2.TotalAlloc-m1.TotalAlloc, m3.TotalAlloc-m2.TotalAlloc, m4.TotalAlloc-m3.TotalAlloc
 				for _, l := range []struct {
 					layer       string
 					got, budget uint64
-				}{{"parse", parse, bud.parse << 10}, {"derive", derive, bud.derive << 10}, {"prune", prune, bud.prune << 10}} {
+				}{{"parse", parse, bud.parse << 10}, {"derive", derive, bud.derive << 10},
+					{"cold prune", cold, bud.cold << 10}, {"prune", prune, bud.prune << 10}} {
 					if l.got > l.budget {
 						b.Errorf("%s: %s allocated %d bytes, budget is %d", bud.family, l.layer, l.got, l.budget)
 					}
@@ -978,6 +982,7 @@ func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 			}
 			b.ReportMetric(float64(parse), "parse-B")
 			b.ReportMetric(float64(derive), "derive-B")
+			b.ReportMetric(float64(cold), "cold-prune-B")
 			b.ReportMetric(float64(prune), "prune-B")
 		})
 	}

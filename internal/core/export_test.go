@@ -628,36 +628,36 @@ func (d *deriver) referenceMasks() []uint64 {
 	return ref
 }
 
-// PoolAfterCheck builds the prune checker for a, bs and c, runs its input
-// check and releases it, then takes up to four checkers from the pool and
-// puts them back. It returns the bytes the released checker held, the most
-// any pooled checker held, and the pool's bound.
-func PoolAfterCheck(a *spec.Spec, bs []Environment, c *spec.Spec) (released, pooled, bound int, err error) {
+// ReleasedCheckerBytes builds the prune checker for a, bs and c, runs its
+// input check and releases it. It returns the bytes the checker held.
+func ReleasedCheckerBytes(a *spec.Spec, bs []Environment, c *spec.Spec) (int, error) {
 	pc, err := newPruneChecker(a, bs, c)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, err
 	}
 	if !pc.input() {
-		return 0, 0, 0, fmt.Errorf("prune checker rejects the input converter")
+		return 0, fmt.Errorf("prune checker rejects the input converter")
 	}
-	released = pc.retained()
+	n := pc.retained()
 	pc.release()
-	var taken []*pruneChecker
-	for range 4 {
-		q := checkerPool.Get().(*pruneChecker)
-		pooled = max(pooled, q.retained())
-		taken = append(taken, q)
+	return n, nil
+}
+
+// KeptCheckers returns how many checkers checkerFree holds, the most bytes
+// any of them holds, and the list's bounds on both.
+func KeptCheckers() (n, most, maxCheckers, maxBytes int) {
+	checkerFree.Lock()
+	defer checkerFree.Unlock()
+	for _, pc := range checkerFree.list {
+		most = max(most, pc.retained())
 	}
-	for _, q := range taken {
-		checkerPool.Put(q)
-	}
-	return released, pooled, pruneKeepBytes, nil
+	return len(checkerFree.list), most, pruneKeepCheckers, pruneKeepBytes
 }
 
 // PruneKeptState prunes c as PruneEnvs does and, after each accepted
 // removal, checks what the checker kept for later candidates against a
 // from-scratch computation under the same filters: every kept composite's
-// τ* must equal a Tarjan pass's without the kept bounds, and a full walk
+// τ* must equal a fresh Tarjan pass's, and a full walk
 // must reach only kept configurations. It returns how many removals it
 // checked after.
 func PruneKeptState(a *spec.Spec, bs []Environment, c *spec.Spec) (steps int, err error) {
@@ -674,7 +674,6 @@ func PruneKeptState(a *spec.Spec, bs []Environment, c *spec.Spec) (steps int, er
 		w := pc.words
 		for i := range pc.vars {
 			v := &pc.vars[i]
-			v.kept = false // no kept bounds: recompute from scratch
 			pc.nextGen()
 			for x := range v.pc {
 				if !slices.ContainsFunc(v.reach[x*pc.aw:(x+1)*pc.aw], func(word uint64) bool { return word != 0 }) {
@@ -691,7 +690,6 @@ func PruneKeptState(a *spec.Spec, bs []Environment, c *spec.Spec) (steps int, er
 					bad = fmt.Errorf("after removal %d, variant %d: a walk reaches configurations of composite %d that are not kept", steps, i, j/pc.aw)
 				}
 			}
-			v.kept = true
 		}
 	}
 	if _, err := pc.prune(c); err != nil {

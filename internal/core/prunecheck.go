@@ -37,8 +37,8 @@ import (
 // DESIGN.md §15 shows the verdict equals sat.Satisfies on compose.Many's
 // output when A is in normal form.
 //
-// A checker's storage comes from checkerPool and goes back to it (release)
-// unless it has grown past pruneKeepBytes.
+// A checker's storage comes from checkerFree and goes back to it (release)
+// unless it has grown past pruneKeepBytes or the list is full.
 type pruneChecker struct {
 	vars []pruneVariant
 
@@ -137,7 +137,6 @@ type pruneVariant struct {
 	// x·aw·64 + a), each of which passes prog against its composite's τ*.
 	tau   []uint64
 	reach []uint64
-	kept  bool // the input check has set tau and reach
 
 	// The last check's decision for apply: the affected composites and
 	// their recomputed τ*, or that a walk accepted the candidate.
@@ -162,15 +161,49 @@ type removal struct {
 
 type tarjanFrame struct{ v, pos int32 }
 
-// checkerPool keeps checkers' storage between PruneEnvs calls. A checker
-// that has grown past pruneKeepBytes is dropped instead, so one large prune
-// does not make later small ones pay to reset its tables.
-var checkerPool = sync.Pool{New: func() any { return new(pruneChecker) }}
+// checkerFree keeps up to pruneKeepCheckers checkers' storage between
+// PruneEnvs calls. A checker that has grown past pruneKeepBytes is dropped
+// instead, so one large prune does not make later small ones pay to reset
+// its tables. Unlike a sync.Pool, which may keep one checker per P and as
+// many again across a garbage collection, the list bounds what it holds.
+var checkerFree struct {
+	sync.Mutex
+	list []*pruneChecker
+}
 
-// pruneKeepBytes bounds the storage a pooled checker keeps: every serve
+// pruneKeepBytes bounds the storage a kept checker holds: every serve
 // family's checker (chain(3): 1,344 composites) stays under it, chain(5)'s
-// (21,504) does not.
-const pruneKeepBytes = 1 << 20
+// (21,504) does not. pruneKeepCheckers bounds how many are kept; a prune
+// that finds the list empty builds its checker from fresh storage.
+const (
+	pruneKeepBytes    = 1 << 20
+	pruneKeepCheckers = 1
+)
+
+// getChecker returns a checker from checkerFree, or a new one.
+func getChecker() *pruneChecker {
+	checkerFree.Lock()
+	defer checkerFree.Unlock()
+	n := len(checkerFree.list)
+	if n == 0 {
+		return new(pruneChecker)
+	}
+	pc := checkerFree.list[n-1]
+	checkerFree.list[n-1] = nil
+	checkerFree.list = checkerFree.list[:n-1]
+	return pc
+}
+
+// ReleasePruneStorage drops the checker storage that PruneEnvs keeps
+// between calls (at most pruneKeepCheckers checkers of at most 1 MiB each),
+// so the garbage collector can reclaim it. The next prune allocates its
+// checker afresh.
+func ReleasePruneStorage() {
+	checkerFree.Lock()
+	clear(checkerFree.list)
+	checkerFree.list = checkerFree.list[:0]
+	checkerFree.Unlock()
+}
 
 // resize returns s with length n, reusing its storage when it can hold n.
 // The contents are unspecified.
@@ -186,7 +219,7 @@ func resize[T any](s []T, n int) []T {
 // is not in normal form, or some Σ(B_i‖C) differs from Σ_A.
 func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecker, error) {
 	n := c.NumStates()
-	pc := checkerPool.Get().(*pruneChecker)
+	pc := getChecker()
 	pc.vars = pc.vars[:0]
 	pc.cInit = int32(c.Init())
 	pc.cExt, pc.cIntl, pc.cOrig = make([][]cedge, n), make([][]int32, n), make([]int32, n)
@@ -289,8 +322,9 @@ func newPruneChecker(a *spec.Spec, bs []Environment, c *spec.Spec) (*pruneChecke
 	return pc, nil
 }
 
-// release returns pc's storage to checkerPool, or drops it when it holds
-// more than pruneKeepBytes. pc must not be used afterwards.
+// release returns pc's storage to checkerFree, or drops it when it holds
+// more than pruneKeepBytes or the list is full. pc must not be used
+// afterwards.
 func (pc *pruneChecker) release() {
 	if pc.retained() > pruneKeepBytes {
 		return
@@ -304,10 +338,14 @@ func (pc *pruneChecker) release() {
 	}
 	pc.cExt, pc.cIntl, pc.cOrig, pc.goneState, pc.goneEdge = nil, nil, nil, nil, nil
 	pc.acc, pc.applied = nil, nil
-	checkerPool.Put(pc)
+	checkerFree.Lock()
+	if len(checkerFree.list) < pruneKeepCheckers {
+		checkerFree.list = append(checkerFree.list, pc)
+	}
+	checkerFree.Unlock()
 }
 
-// retained returns the bytes of storage pc would keep in checkerPool.
+// retained returns the bytes of storage pc would keep in checkerFree.
 func (pc *pruneChecker) retained() int {
 	n := 4 * (cap(pc.psi) + cap(pc.pb) + 4*cap(pc.stamp) + cap(pc.stack) + cap(pc.affected) +
 		cap(pc.work) + cap(pc.dead) + cap(pc.cstack) + 2*cap(pc.frames))
@@ -327,7 +365,6 @@ func (pc *pruneChecker) retained() int {
 // moves stay internal) and shared events synchronize into internal moves.
 func (pc *pruneChecker) explore(v *pruneVariant, env demandEnvironment, bKind, cKind []int32) {
 	v.pc, v.intTo, v.intUse, v.ext, v.extUse = v.pc[:0], v.intTo[:0], v.intUse[:0], v.ext[:0], v.extUse[:0]
-	v.kept = false
 	v.intOff, v.extOff = append(v.intOff[:0], 0), append(v.extOff[:0], 0)
 	pc.pairs.reset()
 	pc.pb = pc.pb[:0]
@@ -664,7 +701,6 @@ func (pc *pruneChecker) commit() {
 // it reached, v's kept state: those configurations, and τ* of their
 // composites, which the walk's Tarjan passes computed.
 func (pc *pruneChecker) keepWalk(v *pruneVariant) {
-	v.kept = true
 	clear(v.reach)
 	w := pc.words
 	for _, i := range v.seenWords {
@@ -791,9 +827,7 @@ func (pc *pruneChecker) closeTau(v *pruneVariant, root int32, partial bool) int3
 			case partial && pc.mark[u] != pc.markGen:
 				sat.OrInto(pc.own[int(x)*w:int(x+1)*w], v.tau[int(u)*w:int(u+1)*w])
 			case pc.stamp[u] != pc.gen:
-				if !v.kept || !sat.MaskSubset(v.tau[int(u)*w:int(u+1)*w], pc.own[int(x)*w:int(x+1)*w]) {
-					visit(u)
-				}
+				visit(u)
 			case pc.comp[u] >= 0:
 				joined(x, u)
 			case pc.index[u] < pc.low[x]:

@@ -434,9 +434,9 @@ func TestPruneDecisionsPinned(t *testing.T) {
 }
 
 // TestPruneConcurrentPool prunes two serve families at once, 50 times each,
-// through the checker pool; each result must be the converter quotd serves
+// through the checker free list; each result must be the converter quotd serves
 // (the hashes bench/pins.go pins as prunedPins). Run under -race it also
-// checks that pooled storage is never shared between two calls.
+// checks that kept storage is never shared between two calls.
 func TestPruneConcurrentPool(t *testing.T) {
 	pins := map[string]string{
 		"chain(3)": "1be38d64c09252ce8b7f98b3a9a35e694c067ed84bb2996b8ffdc0ba0078b5d8",
@@ -464,20 +464,33 @@ func TestPruneConcurrentPool(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPrunePoolDropsLargeCheckers: after a ring(5)-sized check (31,033
-// composites) no pooled checker holds more than the pool's bound, so one
-// large prune leaves later small ones nothing large to reset.
+// TestPrunePoolDropsLargeCheckers: the free list keeps a serve family's
+// checker, and after a ring(5)-sized check (31,033 composites) it holds no
+// checker over its byte bound, so one large prune leaves later small ones
+// nothing large to reset. ReleasePruneStorage empties it.
 func TestPrunePoolDropsLargeCheckers(t *testing.T) {
-	a, envs, conv := servedFamily(t, "ring(5)")
-	released, pooled, bound, err := core.PoolAfterCheck(a, envs, conv)
+	a, envs, conv := servedFamily(t, "chain(3)")
+	if _, err := core.PruneEnvs(a, envs, conv); err != nil {
+		t.Fatal(err)
+	}
+	if n, most, maxN, bound := core.KeptCheckers(); n == 0 || n > maxN || most > bound {
+		t.Errorf("after chain(3): %d checkers kept (bound %d), the largest %d bytes (bound %d)", n, maxN, most, bound)
+	}
+	a, envs, conv = servedFamily(t, "ring(5)")
+	released, err := core.ReleasedCheckerBytes(a, envs, conv)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, most, _, bound := core.KeptCheckers()
 	if released <= bound {
-		t.Fatalf("ring(5)'s checker holds %d bytes, within the pool's bound of %d", released, bound)
+		t.Fatalf("ring(5)'s checker holds %d bytes, within the bound of %d", released, bound)
 	}
-	if pooled > bound {
-		t.Errorf("a pooled checker holds %d bytes, over the bound of %d", pooled, bound)
+	if most > bound {
+		t.Errorf("a kept checker holds %d bytes, over the bound of %d", most, bound)
+	}
+	core.ReleasePruneStorage()
+	if n, _, _, _ := core.KeptCheckers(); n != 0 {
+		t.Errorf("ReleasePruneStorage left %d checkers kept", n)
 	}
 }
 

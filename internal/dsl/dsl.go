@@ -39,24 +39,81 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("dsl: line %d: %s", e.Line, e.Msg)
 }
 
-// maxLine bounds a line's length: a line of maxLine bytes or more, its
-// trailing "\r" included, fails with bufio.ErrTooLong, as bufio.Scanner
-// with a maxLine buffer fails.
+// maxLine bounds a line's length: a line that reaches it fails with
+// bufio.ErrTooLong.
 const maxLine = 4 << 20
 
-// Parse reads every specification in the stream.
+// Parse reads every specification in the stream, one line at a time: the
+// line buffer starts at the scanner's 4 KiB and doubles only for longer
+// lines, so a small spec costs a small buffer and no input holds more than
+// maxLine bytes in memory before it fails.
 func Parse(r io.Reader) ([]*spec.Spec, error) {
-	var text strings.Builder
-	if _, err := io.Copy(&text, r); err != nil {
-		return nil, err
-	}
-	return parse(text.String())
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	return parse(scanLines{sc})
 }
 
-// parse parses every specification in src, splitting its lines in place
-// with bufio.ScanLines' rules: a line ends at "\n", a trailing "\r" is
-// dropped, and a final unterminated line counts.
-func parse(src string) ([]*spec.Spec, error) {
+// ParseAll parses every specification in a string, splitting its lines in
+// place: no line is copied.
+func ParseAll(s string) ([]*spec.Spec, error) {
+	return parse(&stringLines{src: s})
+}
+
+// lineSource yields a text's lines for parse. next returns the next line,
+// or false at the end of the text or at an error, which err then reports.
+type lineSource interface {
+	next() (string, bool)
+	err() error
+}
+
+// scanLines reads lines from a bufio.Scanner with the bufio.ScanLines
+// split.
+type scanLines struct{ sc *bufio.Scanner }
+
+func (l scanLines) next() (string, bool) {
+	if !l.sc.Scan() {
+		return "", false
+	}
+	return l.sc.Text(), true
+}
+
+func (l scanLines) err() error { return l.sc.Err() }
+
+// stringLines splits src in place by bufio.ScanLines' rules: a line ends
+// at "\n", a trailing "\r" is dropped, and a final unterminated line
+// counts. A line of maxLine bytes or more, its "\r" included, fails with
+// bufio.ErrTooLong, as a Scanner with a maxLine buffer fails.
+type stringLines struct {
+	src     string
+	tooLong bool
+}
+
+func (l *stringLines) next() (string, bool) {
+	if len(l.src) == 0 || l.tooLong {
+		return "", false
+	}
+	text := l.src
+	if i := strings.IndexByte(l.src, '\n'); i >= 0 {
+		text, l.src = l.src[:i], l.src[i+1:]
+	} else {
+		l.src = ""
+	}
+	if len(text) >= maxLine {
+		l.tooLong = true
+		return "", false
+	}
+	return strings.TrimSuffix(text, "\r"), true
+}
+
+func (l *stringLines) err() error {
+	if l.tooLong {
+		return bufio.ErrTooLong
+	}
+	return nil
+}
+
+// parse parses every specification in the lines src yields.
+func parse(src lineSource) ([]*spec.Spec, error) {
 	var out []*spec.Spec
 	var b *spec.Builder
 	line := 0
@@ -72,18 +129,12 @@ func parse(src string) ([]*spec.Spec, error) {
 		b = nil
 		return nil
 	}
-	for len(src) > 0 {
+	for {
+		text, ok := src.next()
+		if !ok {
+			break
+		}
 		line++
-		text := src
-		if i := strings.IndexByte(src, '\n'); i >= 0 {
-			text, src = src[:i], src[i+1:]
-		} else {
-			src = ""
-		}
-		if len(text) >= maxLine {
-			return nil, bufio.ErrTooLong
-		}
-		text = strings.TrimSuffix(text, "\r")
 		if i := strings.IndexByte(text, '#'); i >= 0 {
 			text = text[:i]
 		}
@@ -148,6 +199,9 @@ func parse(src string) ([]*spec.Spec, error) {
 			return nil, &ParseError{line, fmt.Sprintf("unknown directive %q", fields[0])}
 		}
 	}
+	if err := src.err(); err != nil {
+		return nil, err
+	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
@@ -160,7 +214,7 @@ func parse(src string) ([]*spec.Spec, error) {
 // ParseString parses a single specification from a string; it is an error
 // if the string holds more than one.
 func ParseString(s string) (*spec.Spec, error) {
-	specs, err := parse(s)
+	specs, err := ParseAll(s)
 	if err != nil {
 		return nil, err
 	}

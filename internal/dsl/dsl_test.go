@@ -137,6 +137,35 @@ func TestParseLineLimit(t *testing.T) {
 	}
 }
 
+// endless is a stream of 'a' bytes that never ends a line.
+type endless struct{ read int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'a'
+	}
+	e.read += len(p)
+	return len(p), nil
+}
+
+// Parse reads a stream line by line, so one that never ends a line fails
+// with bufio.ErrTooLong once a line reaches maxLine bytes, having read
+// little past it. The same long line read from a stream fails as it does
+// from a string.
+func TestParseStreamLineLimit(t *testing.T) {
+	r := &endless{}
+	if _, err := Parse(r); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a stream with no newline: error %v, want bufio.ErrTooLong", err)
+	}
+	if r.read > 2*maxLine {
+		t.Errorf("Parse read %d bytes of a stream with no newline before failing, want at most %d", r.read, 2*maxLine)
+	}
+	long := "spec A\ninit a0\nstate " + strings.Repeat("a", maxLine) + "\n"
+	if _, err := Parse(strings.NewReader(long)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("a line over %d bytes from a stream: error %v, want bufio.ErrTooLong", maxLine, err)
+	}
+}
+
 func TestRoundTripPaperMachines(t *testing.T) {
 	machines := []*spec.Spec{
 		protocols.Service(),

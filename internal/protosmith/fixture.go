@@ -53,7 +53,7 @@ func LoadFixture(path string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs, err := dsl.Parse(strings.NewReader(string(data)))
+	specs, err := dsl.ParseAll(string(data))
 	if err != nil {
 		return nil, fmt.Errorf("protosmith: fixture %s: %w", path, err)
 	}

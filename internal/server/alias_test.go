@@ -500,3 +500,55 @@ func TestPeerFillsAreNotLookups(t *testing.T) {
 		t.Errorf("after two peer fills: derives %d, want 1", st.Derives)
 	}
 }
+
+// TestPeerFillIsDemand: a peer fill counts no lookup, but it is demand for
+// the key, so it marks a cached entry visited (SIEVE spares it) and
+// promotes an entry held only on disk back into memory, as Get does.
+func TestPeerFillIsDemand(t *testing.T) {
+	owner, ts := newTestServer(t, Config{CacheEntries: 1, CacheDir: t.TempDir()})
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	req := simpleRequest()
+	fill := func(step string) *api.PeerFillResponse {
+		t.Helper()
+		resp, err := api.NewClient(addr).PeerFill(context.Background(), addr, &req)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		return resp
+	}
+	state := func(key string) (inMemory, visited bool) {
+		owner.cache.mu.Lock()
+		defer owner.cache.mu.Unlock()
+		el, ok := owner.cache.byKey[key]
+		if !ok {
+			return false, false
+		}
+		return true, el.Value.(*cacheEntry).visited
+	}
+	key := fill("first fill").Artifact.Key
+	if in, vis := state(key); !in || vis {
+		t.Fatalf("after the deriving fill: in memory %t, visited %t; want true, false", in, vis)
+	}
+	if resp := fill("second fill"); !resp.Cached {
+		t.Fatalf("second fill was not served from the cache")
+	}
+	if in, vis := state(key); !in || !vis {
+		t.Errorf("after a cached fill: in memory %t, visited %t; want true, true", in, vis)
+	}
+	postDerive(t, ts.URL, api.DeriveRequest{Service: api.SpecSource{Inline: serviceText},
+		Envs: []api.SpecSource{{Inline: doomedWorld}}})
+	if in, _ := state(key); in {
+		t.Fatalf("the one-entry cache still holds the filled key after another derivation")
+	}
+	if resp := fill("fill from disk"); !resp.Cached {
+		t.Fatalf("fill of the key on disk was not served from the cache")
+	}
+	if in, vis := state(key); !in || vis {
+		t.Errorf("after a fill from disk: in memory %t, visited %t; want true, false (promoted)", in, vis)
+	}
+	st := owner.statsSnapshot()
+	if st.CacheHits+st.CacheMisses != st.DeriveRequests || st.CacheDiskHits != 0 {
+		t.Errorf("cache_hits %d + cache_misses %d, derive_requests %d, disk_hits %d; want hits + misses = requests, no disk hit counted",
+			st.CacheHits, st.CacheMisses, st.DeriveRequests, st.CacheDiskHits)
+	}
+}

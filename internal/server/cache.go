@@ -99,25 +99,40 @@ func NewCache(max int, dir string, logf func(format string, args ...any)) (*Cach
 }
 
 // Get returns the entry stored under key, consulting disk on an in-memory
-// miss when persistence is enabled.
+// miss when persistence is enabled, and counts the lookup as a hit or a
+// miss.
 func (c *Cache) Get(key string) (*api.Artifact, bool) {
+	return c.lookup(key, true)
+}
+
+// lookup is Get with the counting optional. Either way a hit marks the
+// entry visited and a disk hit is promoted into memory; only count moves
+// the hit, miss and disk-hit counters. A peer fill looks up uncounted: it
+// is demand for the entry, but the requesting node counted the lookup.
+func (c *Cache) lookup(key string, count bool) (*api.Artifact, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		e := visit(el)
 		c.mu.Unlock()
-		c.hits.Add(1)
+		if count {
+			c.hits.Add(1)
+		}
 		return e, true
 	}
 	c.mu.Unlock()
 	if c.dir != "" {
 		if e, ok := c.diskGet(key); ok {
 			c.insert(e, false) // promote without re-writing to disk
-			c.hits.Add(1)
-			c.diskHits.Add(1)
+			if count {
+				c.hits.Add(1)
+				c.diskHits.Add(1)
+			}
 			return e, true
 		}
 	}
-	c.misses.Add(1)
+	if count {
+		c.misses.Add(1)
+	}
 	return nil, false
 }
 
@@ -183,8 +198,9 @@ func (c *Cache) peek(key string) (*api.Artifact, bool) {
 
 // fetch returns the entry stored under key, in memory or on disk, without
 // counting a lookup, marking the entry visited or promoting a disk entry:
-// the read of a peer copying this node's cache, which is no client request
-// and must not bend the hit counters or spare the entry from eviction.
+// the preload read of a peer copying this node's cache, which is no demand
+// for the entry and must not bend the hit counters or spare the entry from
+// eviction.
 func (c *Cache) fetch(key string) (*api.Artifact, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {

@@ -158,10 +158,10 @@ func (s *Server) handlePeerFill(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, api.HTTPStatus(werr.Code), werr)
 		return
 	}
-	// A peer fill is shard traffic, not a client lookup: the requesting
-	// node counted its own derive request and miss, so this node counts
-	// neither.
-	e, cached := s.cache.fetch(cr.key)
+	// A peer fill is demand for the key, so it marks the entry visited and
+	// promotes a disk hit as Get does. But the requesting node counted its
+	// own derive request and miss, so this node counts neither.
+	e, cached := s.cache.lookup(cr.key, false)
 	if !cached {
 		var werr *api.Error
 		if e, cached, _, werr = s.deriveFlight(r.Context(), cr); werr != nil {

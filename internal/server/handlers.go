@@ -7,7 +7,6 @@ import (
 	"expvar"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"protoquot/internal/api"
@@ -240,7 +239,7 @@ func (s *Server) handleSpecUpload(w http.ResponseWriter, r *http.Request) {
 			Message: "body: " + err.Error()})
 		return
 	}
-	specs, err := dsl.Parse(strings.NewReader(req.Text))
+	specs, err := dsl.ParseAll(req.Text)
 	if err != nil {
 		werr := api.SpecError("upload", err)
 		writeJSON(w, api.HTTPStatus(werr.Code), werr)
