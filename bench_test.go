@@ -921,8 +921,9 @@ func benchAllocBudget(b *testing.B, f specgen.Family, allocCeiling uint64) {
 func BenchmarkDerivePruneMissAllocBudget(b *testing.B) {
 	// Measured when set (bytes): parse 3,096 (ring(2) 5,880); derive
 	// 93k / 163k / 128k / 263k / 205k; cold prune 123k / 498k / 123k /
-	// 498k / 117k (91k / 364k / 91k / 364k / 87k before the kept checker
-	// state); warm prune 6,488 / 6,840 / 6,512 / 6,864 / 43,376.
+	// 498k / 117k (91k / 364k / 91k / 364k / 87k before the checker kept
+	// τ* and configurations for its candidates); warm prune 6,488 /
+	// 6,840 / 6,512 / 6,864 / 43,376.
 	budgets := []struct {
 		family                     string
 		parse, derive, cold, prune uint64 // KiB
